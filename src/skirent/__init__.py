@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleError,
     InvalidParamsError,
     InvalidRError,
+    InvariantError,
     ScaleExceededError,
     SkirentError,
 )

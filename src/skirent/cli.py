@@ -19,9 +19,9 @@ from .deterministic import (
     robust_consistent_bound,
 )
 from .distributions import DayDistribution, parse_distribution, total_variation, wasserstein1
-from .errors import InvalidParamsError, SkirentError
+from .errors import InvalidParamsError, ScaleExceededError, SkirentError
 from .evaluation import consistency, run_consistency_table, run_perturbation_sweep
-from .oracle import brute_force_threshold, lp_instance_from_cost, lp_solve
+from .oracle import MAX_HORIZON, brute_force_threshold, lp_instance_from_cost, lp_solve
 from .randomized import (
     build_cost_function,
     check_robustness,
@@ -35,6 +35,8 @@ from .randomized import (
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
+
+ORACLE_B_MAX = MAX_HORIZON // 4  # verify instances reach day 4b, the oracle's horizon
 
 
 def _log(args, message: str) -> None:
@@ -242,10 +244,15 @@ def cmd_verify(args) -> int:
     if args.onehot:
         return _verify_onehot(args)
 
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
     b_max = args.b_max
     n_inst = args.instances
+    if not 4 <= b_max <= ORACLE_B_MAX:
+        raise InvalidParamsError(f"--b-max must lie in [4, {ORACLE_B_MAX}] "
+                                 f"(the LP oracle's horizon is 4b, capped at {MAX_HORIZON})")
+    if n_inst < 1:
+        raise InvalidParamsError("--instances must be >= 1")
+    seed = _resolve_seed(args)
+    rng = np.random.default_rng(seed)
     failures = 0
 
     mismatch = 0
@@ -394,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except InvalidParamsError as exc:
+    except (InvalidParamsError, ScaleExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SkirentError as exc:

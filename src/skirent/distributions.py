@@ -9,7 +9,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .errors import EmptySupportError, InvalidParamsError
+from .errors import EmptySupportError, InvalidParamsError, InvariantError
 
 MASS_TOL = 1e-9        # accepted drift of total mass at construction
 RENORM_TRIGGER = 1e-12  # drift beyond this is renormalized away exactly
@@ -63,7 +63,7 @@ class DayDistribution:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "DayDistribution":
-        items = sorted((int(d), float(p)) for d, p in pairs)
+        items = sorted((_as_int(d, "day"), float(p)) for d, p in pairs)
         merged: dict[int, float] = {}
         for d, p in items:
             merged[d] = merged.get(d, 0.0) + p
@@ -172,7 +172,7 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     out = DayDistribution.from_pairs((d, m) for d, m in mass.items() if m > 0.0)
     moved = wasserstein1(p, out)
     if moved > eta + 1e-9:
-        raise AssertionError(f"perturbation overshot the budget: {moved} > {eta}")
+        raise InvariantError(f"perturbation overshot the budget: {moved} > {eta}")
     return out
 
 
@@ -204,22 +204,58 @@ def _need(params: Mapping[str, Any], key: str) -> Any:
     return params[key]
 
 
+def _float_param(params: Mapping[str, Any], key: str) -> float:
+    value = _need(params, key)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParamsError(f"parameter {key!r} must be a number, got {value!r}") from None
+
+
+def _as_int(value: Any, what: str) -> int:
+    """``value`` as an int; integral floats are accepted, anything else is rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _int_param(params: Mapping[str, Any], key: str, default: int | None = None) -> int:
     value = params.get(key, default)
     if value is None:
         raise InvalidParamsError(f"missing parameter {key!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        else:
-            raise InvalidParamsError(f"parameter {key!r} must be an integer")
-    return int(value)
+    return _as_int(value, f"parameter {key!r}")
+
+
+def _parse_atoms(entries: Any) -> list[tuple[int, float]]:
+    """Validate a decoded ``[[day, mass], ...]`` list: integral days, finite masses >= 0."""
+    if not isinstance(entries, list) or not entries:
+        raise InvalidParamsError("expected a non-empty list of [day, mass] pairs")
+    pairs = []
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise InvalidParamsError("each entry must be a [day, mass] pair")
+        day, mass = entry
+        try:
+            mass = float(mass)
+        except (TypeError, ValueError):
+            raise InvalidParamsError(f"mass {mass!r} is not a number") from None
+        if math.isnan(mass) or mass < 0:
+            raise InvalidParamsError("masses must be nonnegative and finite")
+        pairs.append((_as_int(day, "day"), mass))
+    return pairs
 
 
 def make_distribution(spec: FamilySpec) -> DayDistribution:
     """Realize a family specification as a normalized DayDistribution."""
-    family = Family(spec.family)
+    try:
+        family = Family(spec.family)
+    except ValueError:
+        raise InvalidParamsError(f"unknown family {spec.family!r}") from None
     params = spec.params
+    if not isinstance(params, Mapping):
+        raise InvalidParamsError("family params must be an object")
     if family is Family.UNIFORM:
         low = _int_param(params, "low", 1)
         high = _int_param(params, "high")
@@ -228,8 +264,8 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
         n = high - low + 1
         return DayDistribution(tuple(range(low, high + 1)), tuple([1.0 / n] * n))
     if family is Family.GAUSSIAN_DISCRETIZED:
-        mean = float(_need(params, "mean"))
-        stddev = float(_need(params, "stddev"))
+        mean = _float_param(params, "mean")
+        stddev = _float_param(params, "stddev")
         if stddev <= 0:
             raise InvalidParamsError("stddev must be > 0")
         low = _int_param(params, "low", 1)
@@ -243,7 +279,7 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
             raise EmptySupportError("all gaussian mass truncated away")
         return DayDistribution(tuple(int(d) for d in days), tuple(weights / total))
     if family is Family.GEOMETRIC_TRUNCATED:
-        rate = float(_need(params, "rate"))
+        rate = _float_param(params, "rate")
         if not 0.0 < rate < 1.0:
             raise InvalidParamsError("rate must lie in (0, 1)")
         low = _int_param(params, "low", 1)
@@ -257,21 +293,20 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
             raise EmptySupportError("all geometric mass truncated away")
         return DayDistribution(tuple(int(d) for d in days), tuple(weights / total))
     if family is Family.TWO_POINT:
-        atoms = _need(params, "atoms")
+        atoms = _parse_atoms(_need(params, "atoms"))
         if len(atoms) != 2:
             raise InvalidParamsError("two_point needs exactly two atoms")
-        weight_total = sum(float(w) for _, w in atoms)
+        weight_total = sum(w for _, w in atoms)
         if abs(weight_total - 1.0) > MASS_TOL:
             raise InvalidParamsError("two_point weights must sum to 1")
-        return DayDistribution.from_pairs((int(d), float(w)) for d, w in atoms)
+        return DayDistribution.from_pairs(atoms)
     if family is Family.ONE_HOT:
         y = _int_param(params, "y")
         if y < 1:
             raise InvalidParamsError("y must be >= 1")
         return DayDistribution((y,), (1.0,))
     if family is Family.CUSTOM:
-        atoms = _need(params, "atoms")
-        return DayDistribution.from_pairs((int(d), float(w)) for d, w in atoms)
+        return DayDistribution.from_pairs(_parse_atoms(_need(params, "atoms")))
     raise InvalidParamsError(f"unknown family {spec.family!r}")
 
 
@@ -279,8 +314,8 @@ def parse_distribution(source: str | Mapping[str, Any]) -> DayDistribution:
     """Parse a distribution from JSON text or an already-decoded mapping.
 
     Accepts either ``{"atoms": [[day, prob], ...]}`` or a family spec
-    ``{"family": name, "params": {...}}``.  NaN and negative probabilities are
-    rejected.
+    ``{"family": name, "params": {...}}``.  Non-integral days, NaN and negative
+    probabilities, and unknown families are rejected.
     """
     if isinstance(source, str):
         try:
@@ -292,19 +327,7 @@ def parse_distribution(source: str | Mapping[str, Any]) -> DayDistribution:
     if not isinstance(obj, Mapping):
         raise InvalidParamsError("distribution JSON must be an object")
     if "atoms" in obj:
-        atoms = obj["atoms"]
-        if not isinstance(atoms, list) or not atoms:
-            raise InvalidParamsError("atoms must be a non-empty list")
-        pairs = []
-        for entry in atoms:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise InvalidParamsError("each atom must be a [day, prob] pair")
-            day, prob = entry
-            prob = float(prob)
-            if math.isnan(prob) or prob < 0:
-                raise InvalidParamsError("probabilities must be nonnegative and finite")
-            pairs.append((int(day), prob))
-        return DayDistribution.from_pairs(pairs)
+        return DayDistribution.from_pairs(_parse_atoms(obj["atoms"]))
     if "family" in obj:
-        return make_distribution(FamilySpec(Family(obj["family"]), obj.get("params", {})))
+        return make_distribution(FamilySpec(obj["family"], obj.get("params", {})))
     raise InvalidParamsError("distribution JSON needs an 'atoms' or 'family' key")

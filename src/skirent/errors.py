@@ -21,6 +21,10 @@ class InfeasibleError(SkirentError):
     """No stopping distribution satisfies the requested robustness level."""
 
 
+class InvariantError(SkirentError):
+    """A computation broke one of its own guarantees (numerical breakdown or a bug)."""
+
+
 class ScaleExceededError(SkirentError):
     """An exact-oracle routine was asked for an instance beyond its intended size."""
 

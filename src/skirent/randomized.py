@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
-from .distributions import DayDistribution, MASS_TOL, RENORM_TRIGGER, _check_b
-from .errors import InfeasibleError, InvalidParamsError
+from .distributions import DayDistribution, MASS_TOL, RENORM_TRIGGER, _check_b, _parse_atoms
+from .errors import InfeasibleError, InvalidParamsError, InvariantError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
 
@@ -109,15 +111,9 @@ def parse_policy(obj: dict) -> StoppingDistribution:
     """Parse a policy from a decoded ``{"pmf": [[day, mass], ...], ...}`` object."""
     if "pmf" not in obj:
         raise InvalidParamsError("policy JSON needs a 'pmf' key")
-    pairs = {}
-    for entry in obj["pmf"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InvalidParamsError("each pmf entry must be a [day, mass] pair")
-        day, mass = entry
-        mass = float(mass)
-        if math.isnan(mass) or mass < 0:
-            raise InvalidParamsError("masses must be nonnegative and finite")
-        pairs[int(day)] = pairs.get(int(day), 0.0) + mass
+    pairs: dict[int, float] = {}
+    for day, mass in _parse_atoms(obj["pmf"]):
+        pairs[day] = pairs.get(day, 0.0) + mass
     return StoppingDistribution.from_pmf(pairs)
 
 
@@ -167,6 +163,14 @@ class CostFunction:
             return self.tail_value
         idx = int(np.searchsorted(self._his, t, side="left"))
         return self.segments[idx].value(t)
+
+    def values_at(self, ts: np.ndarray) -> np.ndarray:
+        """Cost at each positive integer day of ``ts`` (vectorised ``__call__``)."""
+        slopes = np.array([s.slope for s in self.segments])
+        intercepts = np.array([s.intercept for s in self.segments])
+        idx = np.minimum(np.searchsorted(self._his, ts, side="left"), len(self.segments) - 1)
+        return np.where(ts > self.support_end, self.tail_value,
+                        slopes[idx] * ts + intercepts[idx])
 
     def max_value(self) -> float:
         """Largest cost over all integer days (segments rise, so ends dominate)."""
@@ -471,7 +475,9 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float,
             m = slack / (b - 1.0)
             # the slack form must agree with the tight-state gap formula
             alt = (R - 1.0 + F) * (s_day - last_end) / (b - 1.0)
-            assert abs(m - alt) <= 1e-9 * (1.0 + alt)
+            if abs(m - alt) > 1e-9 * (1.0 + alt):
+                raise InvariantError(f"fill lost tightness at day {s_day}: "
+                                     f"slack mass {m} vs gap mass {alt}")
             m = min(m, 1.0 - F)
             if pmf is not None and m > 0.0:
                 pmf[s_day] = pmf.get(s_day, 0.0) + m
@@ -569,7 +575,8 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
 def _construct_at_level(g: CostFunction, b: int, R: float, h: float) -> dict[int, float] | None:
     """Materialize the maximal-fill policy at level h (None if h is infeasible)."""
     reached, F, mu, pmf = _fill_pass(g, b, R, h, record=True)
-    assert pmf is not None
+    if pmf is None:
+        raise InvariantError("recording fill pass returned no pmf")
     if not reached:
         m_tail = 1.0 - F
         budget = (R - 1.0) * b - mu
@@ -603,42 +610,62 @@ def _lp_refine(g: CostFunction, b: int, R: float) -> StoppingDistribution | None
     The level-restricted fill can be beaten by policies that buy expensive
     early days purely to free up moment budget for cheap late days; this exact
     redistribution catches those cases.
+
+    The LP carries the running state F_x (mass bought by day x) and M_x
+    (moment sum of (t-1) f_t over those days) for x = 1..b-1 as variables, so
+    every robustness row M_x + (b-x) F_x <= (R-1) x has two nonzeros and the
+    whole program O(b + n) of them.  Columns are [f (n) | F (b-1) | M (b-1)];
+    candidate days start with 1..b, so day x < b is f-column x-1.  Returns None,
+    with a RuntimeWarning carrying the HiGHS status, when the solver fails.
     """
-    days = _candidate_days(g, b)
-    if not days or len(days) > 20000:
-        return None
-    t = np.array(days, dtype=float)
-    n = len(days)
-    rows = np.zeros((b, n))
-    rhs = np.zeros(b)
-    for x in range(1, b):
-        rows[x - 1] = np.where(t <= x, (t - 1.0) + (b - x), 0.0)
-        rhs[x - 1] = (R - 1.0) * x
-    rows[b - 1] = t - 1.0
-    rhs[b - 1] = (R - 1.0) * b
-    cost = np.array([g(d) for d in days])
+    t = np.array(_candidate_days(g, b), dtype=float)
+    n = t.size
+    k = b - 1
+    x = np.arange(1, b)
+    f_col = x - 1  # also the row of x's state and robustness constraints
+    F_col = n + f_col
+    M_col = n + k + f_col
+    later = x[1:] - 1  # rows whose state has a predecessor: x = 2..b-1
+    # raw COO triplets: scipy.sparse.block_array costs ~2 ms more per call
+    # F_x - F_{x-1} - f_x = 0, M_x - M_{x-1} - (x-1) f_x = 0, sum f = 1
+    eq_rows = np.concatenate((f_col, later, f_col,
+                              k + f_col, k + later, k + later,
+                              np.full(n, 2 * k)))
+    eq_cols = np.concatenate((F_col, F_col[:-1], f_col,
+                              M_col, M_col[:-1], f_col[1:],
+                              np.arange(n)))
+    eq_vals = np.concatenate((np.ones(k), -np.ones(k - 1), -np.ones(k),
+                              np.ones(k), -np.ones(k - 1), -(x[1:] - 1.0),
+                              np.ones(n)))
+    # M_x + (b-x) F_x <= (R-1) x, and the tail row sum (t-1) f_t <= (R-1) b
+    ub_rows = np.concatenate((f_col, f_col, np.full(n - 1, k)))
+    ub_cols = np.concatenate((M_col, F_col, np.arange(1, n)))
+    ub_vals = np.concatenate((np.ones(k), b - x, t[1:] - 1.0))
+    a_eq = scipy.sparse.csr_array((eq_vals, (eq_rows, eq_cols)), shape=(2 * k + 1, n + 2 * k))
+    a_ub = scipy.sparse.csr_array((ub_vals, (ub_rows, ub_cols)), shape=(k + 1, n + 2 * k))
+    b_eq = np.zeros(2 * k + 1)
+    b_eq[-1] = 1.0
+    b_ub = (R - 1.0) * np.append(x, b)
+
     res = scipy.optimize.linprog(
-        cost,
-        A_ub=rows,
-        b_ub=rhs,
-        A_eq=np.ones((1, n)),
-        b_eq=np.ones(1),
+        np.concatenate((g.values_at(t), np.zeros(2 * k))),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=(0, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10},
     )
     if not res.success:
+        warnings.warn(f"exact refine LP failed (HiGHS status {res.status}: {res.message}); "
+                      "keeping the level-restricted policy", RuntimeWarning, stacklevel=3)
         return None
-    x = np.clip(res.x, 0.0, None)
-    total = x.sum()
-    if total <= 0:
-        return None
-    x = x / total
-    pmf = {d: float(m) for d, m in zip(days, x) if m > 1e-14}
-    if not pmf:
-        return None
-    return StoppingDistribution.from_pmf(pmf)
+    f = np.clip(res.x[:n], 0.0, None)
+    f /= f.sum()
+    keep = f > 1e-14
+    return StoppingDistribution(days=tuple(int(d) for d in t[keep]), masses=tuple(f[keep]))
 
 
 def water_fill(g: CostFunction, b: int, R: float,
@@ -653,7 +680,10 @@ def water_fill(g: CostFunction, b: int, R: float,
     is provably suboptimal when cheap late days are moment-limited, and the
     exact redistribution recovers the true optimum in those cases.  With
     ``exact=False`` the level-restricted policy is returned as-is (the
-    procedure the reference experiments report).
+    procedure the reference experiments report).  If the exact LP fails, a
+    RuntimeWarning names the HiGHS status and the level-restricted policy is
+    returned; a returned policy that fails ``check_robustness`` raises
+    InvariantError.
     """
     _check_b(b)
     if R <= 1:
@@ -688,5 +718,5 @@ def water_fill(g: CostFunction, b: int, R: float,
                     and check_robustness(refined, b, R).feasible):
                 policy, objective = refined, refined_obj
     if not check_robustness(policy, b, R).feasible:
-        raise AssertionError("constructed policy failed its own robustness check")
+        raise InvariantError("constructed policy failed its own robustness check")
     return policy, objective

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from skirent import parse_distribution
+import skirent.randomized as randomized
+from skirent import RobustnessReport, parse_distribution
 from skirent.cli import main
 from skirent.randomized import parse_policy
 
@@ -68,6 +69,24 @@ class TestWaterfillCommand:
                                "--b", "50", "--r", "1.0001")
         assert code == 1
         assert "error" in err
+
+    def test_failed_self_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(randomized, "check_robustness",
+                            lambda f, b, R: RobustnessReport((), -1.0, False))
+        code, out, err = run_cli(capsys, "waterfill", "--dist", TWOPOINT,
+                                 "--b", "50", "--r", "1.7", "--quiet")
+        assert code == 1
+        assert out == "" and "robustness check" in err
+
+    @pytest.mark.parametrize("dist", [
+        '{"family": "nope", "params": {}}',
+        '{"atoms": [[1.5, 0.5], [2.7, 0.5]]}',
+    ])
+    def test_bad_distribution_exits_2(self, capsys, dist):
+        code, out, err = run_cli(capsys, "waterfill", "--dist", dist,
+                                 "--b", "50", "--r", "1.7")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
     def test_deterministic_output(self, capsys):
         args = ("waterfill", "--dist", TWOPOINT, "--b", "50", "--r", "1.7", "--quiet")
@@ -159,6 +178,25 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 3
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("argv", [("--b-max", "3"), ("--b-max", "101"),
+                                      ("--b-max", "200"), ("--instances", "0")])
+    def test_grid_outside_oracle_range_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == "" and argv[0] in err
+
+    @pytest.mark.parametrize("extra", [("--b", "101"), ("--b", "50", "--r", "10")])
+    def test_onehot_beyond_oracle_exits_2(self, capsys, extra):
+        code, out, err = run_cli(capsys, "verify", "--onehot", *extra)
+        assert code == 2 and out == "" and "horizon" in err
+
+    def test_non_integral_policy_days_exit_2(self, capsys, tmp_path):
+        policy_file = tmp_path / "frac.json"
+        policy_file.write_text(json.dumps({"pmf": [[5.5, 1.0]]}))
+        code, out, _ = run_cli(capsys, "verify", "--policy", str(policy_file),
+                               "--b", "6", "--r", "2.0")
+        assert code == 2 and out == ""
 
     def test_faulty_policy_file(self, capsys, tmp_path):
         policy_file = tmp_path / "bad.json"

@@ -13,6 +13,7 @@ from skirent import (
     Family,
     FamilySpec,
     InvalidParamsError,
+    InvariantError,
     expected_opt,
     make_distribution,
     parse_distribution,
@@ -21,6 +22,8 @@ from skirent import (
     total_variation,
     wasserstein1,
 )
+import skirent.distributions as distributions
+from skirent.randomized import parse_policy
 from conftest import random_day_distribution
 
 
@@ -213,6 +216,11 @@ class TestPerturbation:
         with pytest.raises(InvalidParamsError):
             perturb_wasserstein(worked_example, -1.0, seed=0)
 
+    def test_overshoot_is_typed(self, worked_example, monkeypatch):
+        monkeypatch.setattr(distributions, "wasserstein1", lambda p, q: 1e9)
+        with pytest.raises(InvariantError):
+            perturb_wasserstein(worked_example, 3.0, seed=42)
+
 
 class TestJson:
     def test_atoms_roundtrip(self, worked_example):
@@ -230,6 +238,32 @@ class TestJson:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParamsError):
             parse_distribution('{"atoms": [[1, -0.5], [2, 1.5]]}')
+
+    @pytest.mark.parametrize("text", [
+        '{"atoms": [[1.5, 0.5], [2.7, 0.5]]}',
+        '{"atoms": [["3", 1.0]]}',
+        '{"family": "custom", "params": {"atoms": [[2.5, 1.0]]}}',
+        '{"family": "two_point", "params": {"atoms": [[1, 0.5], [4.2, 0.5]]}}',
+    ])
+    def test_rejects_non_integral_days(self, text):
+        with pytest.raises(InvalidParamsError, match="integer"):
+            parse_distribution(text)
+
+    def test_integral_float_days_accepted(self):
+        assert parse_distribution('{"atoms": [[3.0, 1.0]]}').support == ((3, 1.0),)
+
+    def test_policy_rejects_non_integral_days(self):
+        with pytest.raises(InvalidParamsError, match="integer"):
+            parse_policy({"pmf": [[1.5, 0.5], [2.7, 0.5]]})
+
+    @pytest.mark.parametrize("text", [
+        '{"family": "nope", "params": {}}',
+        '{"family": "uniform", "params": [1, 5]}',
+        '{"family": "gaussian_discretized", "params": {"mean": "x", "stddev": 1, "high": 5}}',
+    ])
+    def test_rejects_bad_family_spec(self, text):
+        with pytest.raises(InvalidParamsError):
+            parse_distribution(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(InvalidParamsError):

@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import skirent.randomized as randomized
 from skirent import (
     DayDistribution,
     InfeasibleError,
     InvalidParamsError,
+    InvariantError,
+    RobustnessReport,
+    SkirentError,
     StoppingDistribution,
     build_cost_function,
     check_robustness,
@@ -105,6 +111,13 @@ class TestCostFunction:
         g = build_cost_function(p_hat, b)
         for t in range(1, p_hat.days[0] + 1):
             assert g(t) == pytest.approx(t + b - 1, abs=1e-12)
+
+    def test_values_at_matches_call(self, rng):
+        for _ in range(10):
+            p_hat = random_day_distribution(rng, max_day=80)
+            g = build_cost_function(p_hat, int(rng.integers(2, 40)))
+            ts = np.arange(1, g.support_end + 10)
+            assert np.array_equal(g.values_at(ts.astype(float)), [g(int(t)) for t in ts])
 
     def test_tail_is_mean(self, rng):
         p_hat = random_day_distribution(rng)
@@ -381,6 +394,80 @@ class TestWaterFill:
         g = build_cost_function(one_hot(5), 8)
         with pytest.raises(InfeasibleError):
             water_fill(g, 8, 1.3)
+
+
+def uniform_days(n: int) -> DayDistribution:
+    return DayDistribution(tuple(range(1, n + 1)), tuple([1.0 / n] * n))
+
+
+class TestExactRefine:
+    def test_matches_oracle_up_to_its_cap(self, rng):
+        # criterion 3 stops at b = 12; the oracle's horizon 4b allows b up to 100
+        compared = improved = 0
+        for b in (13, 20, 35, 50, 75, 100):
+            for R in (1.3, 1.7, 2.5):
+                for _ in range(3):
+                    p_hat = random_day_distribution(
+                        rng, max_day=int(rng.integers(b, 4 * b + 1)), max_atoms=12)
+                    g = build_cost_function(p_hat, b)
+                    eps = 1e-9 * g.max_value()
+                    try:
+                        _, exact_obj = water_fill(g, b, R, eps)
+                    except InfeasibleError:
+                        with pytest.raises(InfeasibleError):
+                            lp_solve(lp_instance_from_cost(g, b, R))
+                        continue
+                    _, lp_obj = lp_solve(lp_instance_from_cost(g, b, R))
+                    assert abs(exact_obj - lp_obj) <= 1e-6, f"b={b}, R={R}"
+                    published_obj = water_fill(g, b, R, eps, exact=False)[1]
+                    improved += exact_obj < published_obj - 1e-6
+                    compared += 1
+        assert compared >= 30
+        assert improved >= 1  # the LP, not only the level fill, was checked
+
+    def test_no_candidate_cutoff(self):
+        b, R = 50, 1.7
+        g = build_cost_function(uniform_days(21_000), b)
+        assert len(randomized._candidate_days(g, b)) > 20_000
+        refined = randomized._lp_refine(g, b, R)
+        assert refined is not None
+        assert check_robustness(refined, b, R).feasible
+        published_obj = water_fill(g, b, R, exact=False)[1]
+        assert expected_policy_cost(refined, g) <= published_obj + 1e-9
+
+    def test_lp_failure_warns_and_keeps_level_policy(self, monkeypatch):
+        g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
+        published = water_fill(g, 50, 1.7, exact=False)
+        failed = scipy.optimize.OptimizeResult(success=False, status=4, x=None,
+                                               message="numerical difficulties")
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
+        with pytest.warns(RuntimeWarning, match="HiGHS status 4"):
+            policy, obj = water_fill(g, 50, 1.7)
+        assert policy.support == published[0].support and obj == published[1]
+
+    def test_failed_self_check_is_typed(self, monkeypatch):
+        g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
+        monkeypatch.setattr(randomized, "check_robustness",
+                            lambda f, b, R: RobustnessReport((), -1.0, False))
+        for exact in (True, False):
+            with pytest.raises(InvariantError) as err:
+                water_fill(g, 50, 1.7, exact=exact)
+            assert isinstance(err.value, SkirentError)
+
+    def test_memory_grows_linearly(self):
+        # the dense constraint matrix grew as b^2 (slope 2.0 in log-log)
+        sizes = (250, 500, 1000)
+        peaks = []
+        for b in sizes:
+            g = build_cost_function(uniform_days(3 * b), b)
+            tracemalloc.start()
+            try:
+                randomized._lp_refine(g, b, 1.7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = np.polyfit(np.log(sizes), np.log(peaks), 1)[0]
+        assert slope <= 1.3, f"log-log slope {slope:.2f} of peak bytes {peaks}"
 
 
 class TestExpectedPolicyCost:
