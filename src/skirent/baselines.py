@@ -82,17 +82,10 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float, kind: BaselineKind
     low = purohit_branch(b, lam, high_branch=False, rounding=rounding)
     if kind is BaselineKind.MAJORITY_BRANCH:
         return high if p_high > 0.5 else low
-    days = range(1, max(high.max_day, low.max_day) + 1)
-    pmf = {}
-    for d in days:
-        mass = p_high * _mass_at(high, d) + (1.0 - p_high) * _mass_at(low, d)
-        if mass > 0.0:
-            pmf[d] = mass
-    return StoppingDistribution.from_pmf(pmf)
-
-
-def _mass_at(f: StoppingDistribution, day: int) -> float:
-    i = int(np.searchsorted(np.asarray(f.days), day))
-    if i < len(f.days) and f.days[i] == day:
-        return f.masses[i]
-    return 0.0
+    # both branches sit on days 1..len, so pad the shorter one with zeros
+    n = max(high.max_day, low.max_day)
+    high_masses, low_masses = (np.pad(f.masses, (0, n - f.max_day)) for f in (high, low))
+    masses = p_high * high_masses + (1.0 - p_high) * low_masses
+    keep = masses > 0.0
+    days = np.arange(1, n + 1)[keep]
+    return StoppingDistribution(tuple(days.tolist()), tuple(masses[keep]))

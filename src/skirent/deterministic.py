@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DayDistribution, expected_opt, survival, _check_b
 from .errors import DegenerateTailError, InvalidParamsError
 
@@ -37,31 +39,23 @@ def expected_cost_threshold(p: DayDistribution, b: int, t: Threshold) -> float:
 def optimal_threshold(p: DayDistribution, b: int) -> tuple[Threshold, float]:
     """Minimize the expected threshold cost over all buy days.
 
-    Single left-to-right pass with precomputed tail probabilities, O(max_day).
-    Ties break toward the smallest buy day; buying strictly after the last
-    support day is equivalent to never buying and is reported as NEVER.
+    Between support days the cost rises affinely, so only t = 1 and the days
+    just past each support day compete: O(support), not O(max_day).  Ties break
+    toward the smallest buy day; buying strictly after the last support day is
+    equivalent to never buying and is reported as NEVER.
     """
     _check_b(b)
-    max_day = p.max_day
-    pmf = [0.0] * (max_day + 2)
-    for d, q in zip(p.days, p.probs):
-        pmf[d] = q
-    tail = [0.0] * (max_day + 2)
-    for d in range(max_day, 0, -1):
-        tail[d] = tail[d + 1] + pmf[d]
-    best_t = 1
-    best_cost = math.inf
-    rent_cost = 0.0
-    for t in range(1, max_day + 2):
-        cost = rent_cost + tail[t] * (b + t - 1)
-        if cost < best_cost:
-            best_cost = cost
-            best_t = t
-        if t <= max_day:
-            rent_cost += pmf[t] * t
-    if best_t == max_day + 1:
-        return NEVER, best_cost
-    return best_t, best_cost
+    days = p._days_arr
+    probs = np.asarray(p.probs)
+    # running sums add in sequence, exactly as a day-by-day scan would
+    tail = np.append(np.cumsum(probs[::-1])[::-1], 0.0)  # mass on days[k:]
+    rent = np.concatenate(([0.0], np.cumsum(probs * days)))  # rent paid on days[:k]
+    candidates = np.concatenate(([1], days + 1))
+    costs = rent + tail * (b + candidates - 1)
+    k = int(np.argmin(costs))
+    if k == len(days):
+        return NEVER, float(costs[k])
+    return int(candidates[k]), float(costs[k])
 
 
 def exact_ecr(p: DayDistribution, b: int, t: Threshold) -> float:

@@ -122,10 +122,15 @@ def expected_opt(p: DayDistribution, b: int) -> float:
 
 
 def wasserstein1(p: DayDistribution, q: DayDistribution) -> float:
-    """W1 distance with ground metric |i - j|: sum over x of |CDF_p(x) - CDF_q(x)|."""
-    hi = max(p.max_day, q.max_day)
-    xs = np.arange(1, hi + 1)
-    return float(np.abs(p.cdf_at(xs) - q.cdf_at(xs)).sum())
+    """W1 distance with ground metric |i - j|: sum over x of |CDF_p(x) - CDF_q(x)|.
+
+    Both CDFs are constant between consecutive days of the merged support, so
+    each merged day stands for the run of days up to the next one, and both
+    CDFs are 1 from the last one on.  A day in both supports adds a zero-length
+    run.  O((n + m) log(n + m)) in the support sizes, not in the largest day.
+    """
+    xs = np.sort(np.concatenate((p._days_arr, q._days_arr)))
+    return float(np.abs(p.cdf_at(xs[:-1]) - q.cdf_at(xs[:-1])) @ np.diff(xs))
 
 
 def total_variation(p: DayDistribution, q: DayDistribution) -> float:
@@ -148,12 +153,12 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
         return p
     rng = np.random.default_rng(seed)
     mass = {d: m for d, m in zip(p.days, p.probs)}
+    atoms = list(mass)  # the days of positive mass, in insertion order
     budget = float(eta)
     max_shift = max(1, math.ceil(eta))
     for _ in range(10 * len(p.days)):
         if budget <= 1e-12:
             break
-        atoms = [d for d, m in mass.items() if m > 0.0]
         src = atoms[int(rng.integers(len(atoms)))]
         shift = int(rng.integers(1, max_shift + 1))
         if rng.integers(2):
@@ -167,7 +172,13 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
         if delta <= 0.0:
             continue
         mass[src] -= delta
+        revived = mass.get(dest) == 0.0
+        if dest not in mass:
+            atoms.append(dest)
         mass[dest] = mass.get(dest, 0.0) + delta
+        if mass[src] == 0.0 or revived:
+            # rare: a zeroed day leaves the list, a revived one keeps its old place
+            atoms = [d for d, m in mass.items() if m > 0.0]
         budget -= delta * dist
     out = DayDistribution.from_pairs((d, m) for d, m in mass.items() if m > 0.0)
     moved = wasserstein1(p, out)

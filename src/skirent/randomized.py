@@ -145,12 +145,19 @@ class CostFunction:
 
     segments: tuple[Segment, ...]
     tail_value: float
-    _his: np.ndarray = field(init=False, repr=False, compare=False)
+    # lo, hi, slope and intercept of every segment, then of the constant tail
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
+    _slope: np.ndarray = field(init=False, repr=False, compare=False)
+    _intercept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise InvalidParamsError("cost function needs at least one segment")
-        object.__setattr__(self, "_his", np.array([s.hi for s in self.segments], dtype=float))
+        columns = np.array([(s.lo, s.hi, s.slope, s.intercept)
+                            for s in _segments_with_tail(self)], dtype=float).T.copy()
+        for name, column in zip(("_lo", "_hi", "_slope", "_intercept"), columns):
+            object.__setattr__(self, name, column)
 
     @property
     def support_end(self) -> int:
@@ -161,21 +168,18 @@ class CostFunction:
             raise InvalidParamsError("cost function is defined on positive integer days")
         if t > self.support_end:
             return self.tail_value
-        idx = int(np.searchsorted(self._his, t, side="left"))
+        idx = int(np.searchsorted(self._hi, t, side="left"))
         return self.segments[idx].value(t)
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Cost at each positive integer day of ``ts`` (vectorised ``__call__``)."""
-        slopes = np.array([s.slope for s in self.segments])
-        intercepts = np.array([s.intercept for s in self.segments])
-        idx = np.minimum(np.searchsorted(self._his, ts, side="left"), len(self.segments) - 1)
-        return np.where(ts > self.support_end, self.tail_value,
-                        slopes[idx] * ts + intercepts[idx])
+        idx = np.searchsorted(self._hi, ts, side="left")
+        return self._slope[idx] * ts + self._intercept[idx]
 
     def max_value(self) -> float:
         """Largest cost over all integer days (segments rise, so ends dominate)."""
-        seg_max = max(s.value(s.hi) for s in self.segments)
-        return max(seg_max, self.tail_value)
+        ends = self._slope[:-1] * self._hi[:-1] + self._intercept[:-1]
+        return max(float(ends.max()), self.tail_value)
 
     def min_value(self) -> float:
         """Smallest cost over all integer days."""
@@ -270,7 +274,9 @@ def realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float
 
 def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:
     """Expected stopping cost sum_z g(z) f(z)."""
-    return sum(g(d) * m for d, m in zip(f.days, f.masses))
+    # a running sum adds in support order, as a sequential loop would; np.sum
+    # adds pairwise and can change the last digits
+    return float(np.cumsum(g.values_at(f._days_arr) * np.asarray(f.masses))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +517,14 @@ def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | Non
     Within a segment the cost rises, so only each segment's earliest admissible
     day competes; ties in cost break toward the smaller day.
     """
-    best: tuple[float, int] | None = None
-    for seg in _segments_with_tail(g):
-        day = max(b, seg.lo + 1)
-        if day > seg.hi or day > t_max + 1e-9:
-            continue
-        value = seg.value(day)
-        if value <= h + 1e-12:
-            cand = (value, day)
-            if best is None or cand < best:
-                best = cand
-    return best[1] if best else None
+    start = int(np.searchsorted(g._hi, b, side="left"))  # first segment reaching b
+    days = np.maximum(b, g._lo[start:] + 1.0)
+    values = g._slope[start:] * days + g._intercept[start:]
+    admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
+    if admissible.size == 0:
+        return None
+    # days rise with the segment index, so the first minimum is the smallest day
+    return int(days[admissible[np.argmin(values[admissible])]])
 
 
 def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:

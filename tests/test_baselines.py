@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from skirent import (
     BaselineKind,
     DayDistribution,
     InvalidRError,
+    StoppingDistribution,
     baseline_policy,
     lambda_from_r,
     purohit_branch,
@@ -14,6 +16,27 @@ from skirent import (
     survival,
 )
 from conftest import random_day_distribution
+
+
+def _mass_at(f, day):
+    i = int(np.searchsorted(np.asarray(f.days), day))
+    if i < len(f.days) and f.days[i] == day:
+        return f.masses[i]
+    return 0.0
+
+
+def mixture_reference(p_hat, b, R, rounding):
+    """The per-day mixture loop the vectorised blend replaced."""
+    lam = lambda_from_r(b, R)
+    p_high = survival(p_hat, b)
+    high = purohit_branch(b, lam, high_branch=True, rounding=rounding)
+    low = purohit_branch(b, lam, high_branch=False, rounding=rounding)
+    pmf = {}
+    for d in range(1, max(high.max_day, low.max_day) + 1):
+        mass = p_high * _mass_at(high, d) + (1.0 - p_high) * _mass_at(low, d)
+        if mass > 0.0:
+            pmf[d] = mass
+    return StoppingDistribution.from_pmf(pmf)
 
 
 class TestLambdaMapping:
@@ -111,6 +134,37 @@ class TestBaselinePolicy:
                 r = low.masses[d - 1] if d <= low.max_day else 0.0
                 got = mix.cdf(d) - mix.cdf(d - 1)
                 assert abs(got - (P * q + (1 - P) * r)) <= 1e-12
+
+    def test_mixture_matches_per_day_reference(self, rng):
+        predictions = [DayDistribution((1,), (1.0,)), DayDistribution((10**6,), (1.0,))]
+        predictions += [random_day_distribution(rng, max_day=400) for _ in range(40)]
+        for p_hat in predictions:
+            b = int(rng.integers(2, 300))
+            R = float(rng.uniform(1.6, 4.0))
+            for rounding in ("purohit", "ceil", "floor"):
+                try:
+                    ref = mixture_reference(p_hat, b, R, rounding)
+                except InvalidRError:
+                    continue
+                mix = baseline_policy(p_hat, b, R, BaselineKind.MIXTURE, rounding=rounding)
+                assert mix.days == ref.days
+                assert mix.masses == ref.masses
+
+    def test_mixture_time_grows_linearly(self):
+        p_hat = DayDistribution(tuple(range(1, 101)), tuple([0.01] * 100))
+        sizes = (250, 1000, 4000)
+        times = []
+        for b in sizes:
+            reps = max(3, 20_000 // b)
+            best = math.inf
+            for _ in range(5):
+                start = time.perf_counter()
+                for _ in range(reps):
+                    baseline_policy(p_hat, b, 1.7, BaselineKind.MIXTURE)
+                best = min(best, (time.perf_counter() - start) / reps)
+            times.append(best)
+        slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+        assert slope <= 1.3, f"log-log slope {slope:.2f}"
 
     def test_invalid_r_propagates(self):
         p_hat = DayDistribution((10,), (1.0,))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,30 @@ from skirent import (
 from conftest import random_day_distribution
 
 E_RATIO = math.e / (math.e - 1.0)
+
+
+def optimal_threshold_reference(p: DayDistribution, b: int):
+    """The day-by-day scan over 1..max_day + 1 that the support scan replaced."""
+    max_day = p.max_day
+    pmf = [0.0] * (max_day + 2)
+    for d, q in zip(p.days, p.probs):
+        pmf[d] = q
+    tail = [0.0] * (max_day + 2)
+    for d in range(max_day, 0, -1):
+        tail[d] = tail[d + 1] + pmf[d]
+    best_t = 1
+    best_cost = math.inf
+    rent_cost = 0.0
+    for t in range(1, max_day + 2):
+        cost = rent_cost + tail[t] * (b + t - 1)
+        if cost < best_cost:
+            best_cost = cost
+            best_t = t
+        if t <= max_day:
+            rent_cost += pmf[t] * t
+    if best_t == max_day + 1:
+        return NEVER, best_cost
+    return best_t, best_cost
 
 
 class TestExpectedCost:
@@ -68,6 +93,23 @@ class TestOptimalThreshold:
             slow = brute_force_threshold(p, b)
             assert fast[0] == slow[0]
             assert fast[1] == pytest.approx(slow[1], abs=1e-9)
+
+    def test_matches_day_scan_reference(self, rng):
+        for _ in range(3000):
+            p = random_day_distribution(rng, max_day=int(rng.integers(1, 200)), max_atoms=30)
+            b = int(rng.integers(2, 250))
+            assert optimal_threshold(p, b) == optimal_threshold_reference(p, b)
+
+    def test_two_atoms_far_apart(self):
+        p = DayDistribution((1, 10**7), (0.5, 0.5))
+        tracemalloc.start()
+        try:
+            t, cost = optimal_threshold(p, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (t, cost) == (2, expected_cost_threshold(p, 50, 2))
+        assert peak < 1_000_000, f"peak {peak} bytes"
 
     def test_tie_break_prefers_smallest_day(self):
         # both t=1 and t=2 cost b for a point mass far beyond b

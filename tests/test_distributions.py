@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,51 @@ from skirent import (
 import skirent.distributions as distributions
 from skirent.randomized import parse_policy
 from conftest import random_day_distribution
+
+
+def perturb_reference(p: DayDistribution, eta: float, seed: int) -> DayDistribution:
+    """The perturbation loop that rebuilt the atom list on every move."""
+    if eta < 0:
+        raise InvalidParamsError("eta must be >= 0")
+    if eta == 0:
+        return p
+    rng = np.random.default_rng(seed)
+    mass = {d: m for d, m in zip(p.days, p.probs)}
+    budget = float(eta)
+    max_shift = max(1, math.ceil(eta))
+    for _ in range(10 * len(p.days)):
+        if budget <= 1e-12:
+            break
+        atoms = [d for d, m in mass.items() if m > 0.0]
+        src = atoms[int(rng.integers(len(atoms)))]
+        shift = int(rng.integers(1, max_shift + 1))
+        if rng.integers(2):
+            shift = -shift
+        dest = max(1, src + shift)
+        dist = abs(dest - src)
+        if dist == 0:
+            continue
+        cap = min(budget / dist, mass[src])
+        delta = float(rng.uniform(0.0, cap))
+        if delta <= 0.0:
+            continue
+        mass[src] -= delta
+        mass[dest] = mass.get(dest, 0.0) + delta
+        budget -= delta * dist
+    out = DayDistribution.from_pairs((d, m) for d, m in mass.items() if m > 0.0)
+    moved = wasserstein1(p, out)
+    if moved > eta + 1e-9:
+        raise InvariantError(f"perturbation overshot the budget: {moved} > {eta}")
+    return out
+
+
+def w1_reference(p: DayDistribution, q: DayDistribution) -> float:
+    """W1 summed day by day over 1..max day."""
+    xs = np.arange(1, max(p.max_day, q.max_day) + 1)
+    return float(np.abs(p.cdf_at(xs) - q.cdf_at(xs)).sum())
+
+
+PERTURB_ETAS = (0.5, 2.0, 8.0, 20.0, 60.0)
 
 
 def dist_strategy():
@@ -157,6 +203,24 @@ class TestDistances:
             ref = scipy.stats.wasserstein_distance(p.days, q.days, p.probs, q.probs)
             assert wasserstein1(p, q) == pytest.approx(ref, abs=1e-9)
 
+    def test_w1_matches_per_day_reference(self, rng):
+        for _ in range(200):
+            p = random_day_distribution(rng, max_day=int(rng.integers(1, 500)), max_atoms=40)
+            q = random_day_distribution(rng, max_day=int(rng.integers(1, 500)), max_atoms=40)
+            assert wasserstein1(p, q) == pytest.approx(w1_reference(p, q), rel=1e-12, abs=1e-15)
+
+    def test_w1_two_atoms_far_apart(self):
+        p = DayDistribution((1, 10**7), (0.5, 0.5))
+        q = DayDistribution((1,), (1.0,))
+        tracemalloc.start()
+        try:
+            w1 = wasserstein1(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w1 == pytest.approx(0.5 * (10**7 - 1), rel=1e-12)
+        assert peak < 1_000_000, f"peak {peak} bytes"
+
     def test_w1_symmetric(self, rng):
         p = random_day_distribution(rng)
         q = random_day_distribution(rng)
@@ -215,6 +279,34 @@ class TestPerturbation:
     def test_negative_budget_rejected(self, worked_example):
         with pytest.raises(InvalidParamsError):
             perturb_wasserstein(worked_example, -1.0, seed=0)
+
+    def test_matches_rebuilding_loop(self, rng):
+        for seed in range(100):
+            p = random_day_distribution(rng, max_day=80, max_atoms=20)
+            for eta in PERTURB_ETAS:
+                q = perturb_wasserstein(p, eta, seed)
+                assert q.support == perturb_reference(p, eta, seed).support
+
+    def test_matches_rebuilding_loop_when_atoms_empty(self, rng, monkeypatch):
+        # moving every drawn sliver whole empties atoms and refills emptied ones
+        real_rng = np.random.default_rng
+
+        class WholeSliver:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def integers(self, *args):
+                return self._rng.integers(*args)
+
+            def uniform(self, low, high):
+                return high
+
+        monkeypatch.setattr(np.random, "default_rng", WholeSliver)
+        for seed in range(100):
+            p = random_day_distribution(rng, max_day=30, max_atoms=10)
+            for eta in PERTURB_ETAS:
+                q = perturb_wasserstein(p, eta, seed)
+                assert q.support == perturb_reference(p, eta, seed).support
 
     def test_overshoot_is_typed(self, worked_example, monkeypatch):
         monkeypatch.setattr(distributions, "wasserstein1", lambda p, q: 1e9)

@@ -28,7 +28,7 @@ from skirent import (
     realized_worst_ratio,
     water_fill,
 )
-from skirent.randomized import parse_policy
+from skirent.randomized import CostFunction, Segment, parse_policy
 from conftest import random_day_distribution
 
 
@@ -51,6 +51,34 @@ def direct_costs(p_hat: DayDistribution, b: int, t: int) -> float:
     rent = sum(q * d for d, q in p_hat.support if d < t)
     buy = sum(q for d, q in p_hat.support if d >= t) * (b + t - 1)
     return rent + buy
+
+
+def best_tail_day_reference(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
+    """The per-segment loop that the array-backed tail-day search replaced."""
+    tail = Segment(lo=g.support_end, hi=math.inf, slope=0.0, intercept=g.tail_value)
+    best: tuple[float, int] | None = None
+    for seg in g.segments + (tail,):
+        day = max(b, seg.lo + 1)
+        if day > seg.hi or day > t_max + 1e-9:
+            continue
+        value = seg.value(day)
+        if value <= h + 1e-12:
+            cand = (value, day)
+            if best is None or cand < best:
+                best = cand
+    return best[1] if best else None
+
+
+def tied_cost_function(rng) -> CostFunction:
+    """Segments with quarter-step slopes and half-step intercepts: exact, often tied costs."""
+    n = int(rng.integers(1, 12))
+    ends = np.sort(rng.choice(np.arange(1, 60), size=n, replace=False))
+    segments, lo = [], 0
+    for hi in ends:
+        segments.append(Segment(lo=lo, hi=float(hi), slope=float(rng.choice([0.0, 0.25, 0.5, 1.0])),
+                                intercept=0.5 * float(rng.integers(0, 8))))
+        lo = int(hi)
+    return CostFunction(tuple(segments), tail_value=0.5 * float(rng.integers(0, 8)))
 
 
 class TestStoppingDistribution:
@@ -400,6 +428,42 @@ def uniform_days(n: int) -> DayDistribution:
     return DayDistribution(tuple(range(1, n + 1)), tuple([1.0 / n] * n))
 
 
+class TestBestTailDay:
+    def test_tie_breaks_toward_smaller_day(self):
+        g = CostFunction((Segment(0, 3.0, 0.0, 2.0), Segment(3, 6.0, 0.0, 2.0)), tail_value=2.0)
+        assert randomized._best_tail_day(g, 2, 2.0, 1e18) == 2
+        assert randomized._best_tail_day(g, 4, 2.0, 1e18) == 4
+
+    def test_level_below_every_cost(self):
+        g = CostFunction((Segment(0, 3.0, 0.0, 2.0), Segment(3, 6.0, 0.0, 2.0)), tail_value=2.0)
+        assert randomized._best_tail_day(g, 2, 1.0, 1e18) is None
+
+    def test_binding_day_limit(self):
+        g = CostFunction((Segment(0, 5.0, 1.0, 10.0), Segment(5, 9.0, 0.0, 4.0)), tail_value=6.0)
+        assert randomized._best_tail_day(g, 3, 20.0, 6.0) == 6
+        assert randomized._best_tail_day(g, 3, 20.0, 5.0) == 3
+        assert randomized._best_tail_day(g, 3, 20.0, 2.0) is None
+
+    def test_matches_segment_loop(self, rng):
+        for i in range(400):
+            if i % 2:
+                g = tied_cost_function(rng)
+            else:
+                g = build_cost_function(random_day_distribution(rng, max_day=80),
+                                        int(rng.integers(2, 60)))
+            b = int(rng.integers(2, g.support_end + 10))
+            probes = [int(rng.integers(1, g.support_end + 2)), g.support_end + 1]
+            costs = [g(t) for t in probes]
+            # levels and limits a hair below a cost or a day test the tolerances
+            levels = (-1.0, min(costs), max(costs) - 5e-13,
+                      float(rng.uniform(0.0, g.max_value())), 1e9)
+            limits = (b - 1.0, b - 5e-10, float(rng.integers(b, g.support_end + 12)), 1e18)
+            for h in levels:
+                for t_max in limits:
+                    assert (randomized._best_tail_day(g, b, h, t_max)
+                            == best_tail_day_reference(g, b, h, t_max))
+
+
 class TestExactRefine:
     def test_matches_oracle_up_to_its_cap(self, rng):
         # criterion 3 stops at b = 12; the oracle's horizon 4b allows b up to 100
@@ -482,6 +546,14 @@ class TestExpectedPolicyCost:
         g = build_cost_function(p_hat, 5)
         f = StoppingDistribution((2, 9), (0.5, 0.5))
         assert expected_policy_cost(f, g) == pytest.approx((g(2) + g(9)) / 2, abs=1e-12)
+
+    def test_matches_sequential_sum(self, rng):
+        # pairwise summation would move the last digits on the large supports
+        for n in (1, 5, 50, 5000):
+            p_hat = random_day_distribution(rng, max_day=2 * n + 10, max_atoms=n)
+            g = build_cost_function(p_hat, int(rng.integers(2, 200)))
+            f = random_stopping(rng, max_day=3 * n + 20, max_atoms=n)
+            assert expected_policy_cost(f, g) == sum(g(d) * m for d, m in zip(f.days, f.masses))
 
     def test_matches_monte_carlo(self, rng):
         p_hat = random_day_distribution(rng, max_day=20)
