@@ -5,7 +5,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, ClassVar, Iterable, Mapping
 
 import numpy as np
 
@@ -16,25 +16,26 @@ RENORM_TRIGGER = 1e-12  # drift beyond this is renormalized away exactly
 
 
 @dataclass(frozen=True, eq=False)
-class DayDistribution:
-    """Probability distribution over positive integer horizons.
+class _Pmf:
+    """Validated pmf over positive integer days, shared by both distribution classes.
 
-    ``days`` is strictly increasing, probabilities are nonnegative and sum to
-    one (within ``MASS_TOL``; small drift is renormalized).  Instances are
-    immutable and safe to share between threads.
+    ``days`` must be strictly increasing positive integers and the masses (the
+    subclass field named by ``_MASS``) finite, nonnegative and summing to one
+    within ``MASS_TOL``; drift beyond ``RENORM_TRIGGER`` is renormalized away and
+    zero-mass days are dropped.  Instances are immutable and safe to share
+    between threads.
     """
 
+    _MASS: ClassVar[str]  # name of the subclass's mass field
+
     days: tuple[int, ...]
-    probs: tuple[float, ...]
     _days_arr: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
-    _day_weighted_cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)  # [0, F(d_1), F(d_2), ...]
 
     def __post_init__(self) -> None:
-        if not self.days:
-            raise EmptySupportError("distribution has no support")
-        if len(self.days) != len(self.probs):
-            raise InvalidParamsError("days and probs must have equal length")
+        masses = np.asarray(getattr(self, self._MASS), dtype=float)
+        if masses.shape != (len(self.days),):
+            raise InvalidParamsError(f"days and {self._MASS} must have equal length")
         prev = 0
         for d in self.days:
             if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
@@ -42,41 +43,64 @@ class DayDistribution:
             if d <= prev:
                 raise InvalidParamsError("days must be strictly increasing")
             prev = int(d)
-        probs = np.asarray(self.probs, dtype=float)
-        if np.any(np.isnan(probs)) or np.any(probs < 0):
-            raise InvalidParamsError("probabilities must be nonnegative and finite")
-        total = float(probs.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidParamsError(f"probabilities sum to {total}, not 1")
-        if abs(total - 1.0) > RENORM_TRIGGER:
-            probs = probs / total
-        keep = probs > 0.0
-        days = tuple(int(d) for d, k in zip(self.days, keep) if k)
-        if not days:
+        if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
+            raise InvalidParamsError(f"{self._MASS} must be nonnegative and finite")
+        keep = masses > 0.0
+        if not keep.any():
             raise EmptySupportError("distribution has no support")
-        probs = probs[keep]
-        object.__setattr__(self, "days", days)
-        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
-        object.__setattr__(self, "_days_arr", np.array(days, dtype=np.int64))
-        object.__setattr__(self, "_cum", np.cumsum(probs))
-        object.__setattr__(self, "_day_weighted_cum", np.cumsum(probs * self._days_arr))
+        total = float(masses.sum())
+        if abs(total - 1.0) > MASS_TOL:
+            raise InvalidParamsError(f"{self._MASS} sum to {total}, not 1")
+        if abs(total - 1.0) > RENORM_TRIGGER:
+            masses = masses / total
+        masses = masses[keep]
+        days_arr = np.array(self.days, dtype=np.int64)[keep]
+        object.__setattr__(self, "days", tuple(days_arr.tolist()))
+        object.__setattr__(self, self._MASS, tuple(masses.tolist()))
+        object.__setattr__(self, "_days_arr", days_arr)
+        object.__setattr__(self, "_cum", np.cumsum(np.append(0.0, masses)))
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "DayDistribution":
-        items = sorted((_as_int(d, "day"), float(p)) for d, p in pairs)
+    def from_pairs(cls, pairs: Iterable[tuple[int, float]]):
+        """Build from ``(day, mass)`` pairs in any order; repeated days add up."""
         merged: dict[int, float] = {}
-        for d, p in items:
-            merged[d] = merged.get(d, 0.0) + p
-        days = tuple(merged)
-        return cls(days=days, probs=tuple(merged[d] for d in days))
+        for d, m in sorted((_as_int(d, "day"), float(m)) for d, m in pairs):
+            merged[d] = merged.get(d, 0.0) + m
+        return cls(tuple(merged), tuple(merged.values()))
+
+    def _through(self, cum: np.ndarray, x, side: str = "right"):
+        """Zero-led running sum ``cum`` through day x (before day x if side="left")."""
+        return cum[np.searchsorted(self._days_arr, x, side=side)]
 
     @property
     def support(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.days, self.probs))
+        return tuple(zip(self.days, getattr(self, self._MASS)))
 
     @property
     def max_day(self) -> int:
         return self.days[-1]
+
+    def cdf(self, x: int | float) -> float:
+        """P[day <= x]."""
+        return float(self._through(self._cum, x))
+
+    def cdf_at(self, xs: np.ndarray) -> np.ndarray:
+        return self._through(self._cum, xs)
+
+
+@dataclass(frozen=True, eq=False)
+class DayDistribution(_Pmf):
+    """Probability distribution over positive integer horizons (see ``_Pmf``)."""
+
+    _MASS = "probs"
+
+    probs: tuple[float, ...]
+    _day_weighted_cum: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "_day_weighted_cum",
+                           np.cumsum(np.append(0.0, np.asarray(self.probs) * self._days_arr)))
 
     def prob(self, day: int) -> float:
         """Point mass at ``day`` (0 if not in the support)."""
@@ -85,24 +109,13 @@ class DayDistribution:
             return self.probs[i]
         return 0.0
 
-    def cdf(self, x: int | float) -> float:
-        """P[D <= x]."""
-        i = int(np.searchsorted(self._days_arr, x, side="right"))
-        return float(self._cum[i - 1]) if i > 0 else 0.0
-
-    def cdf_at(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._days_arr, xs, side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        return cum[idx]
-
     def mean(self) -> float:
         """E[D]."""
         return float(self._day_weighted_cum[-1])
 
     def partial_day_sum(self, t: int) -> float:
         """Sum of p(d) * d over days d < t."""
-        i = int(np.searchsorted(self._days_arr, t, side="left"))
-        return float(self._day_weighted_cum[i - 1]) if i > 0 else 0.0
+        return float(self._through(self._day_weighted_cum, t, side="left"))
 
     def to_json(self) -> str:
         return json.dumps({"atoms": [[d, p] for d, p in self.support]})

@@ -9,8 +9,8 @@ class InvalidParamsError(SkirentError):
     """Malformed or out-of-range input parameters."""
 
 
-class EmptySupportError(SkirentError):
-    """A distribution lost all of its mass (e.g. everything truncated away)."""
+class EmptySupportError(InvalidParamsError):
+    """A distribution has no day of positive mass (e.g. everything truncated away)."""
 
 
 class DegenerateTailError(SkirentError):

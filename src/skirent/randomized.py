@@ -9,88 +9,42 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .distributions import DayDistribution, MASS_TOL, RENORM_TRIGGER, _check_b, _parse_atoms
+from .distributions import DayDistribution, _check_b, _parse_atoms, _Pmf
 from .errors import InfeasibleError, InvalidParamsError, InvariantError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
 
 
 @dataclass(frozen=True, eq=False)
-class StoppingDistribution:
-    """Probability mass function over the (randomized) buying day.
+class StoppingDistribution(_Pmf):
+    """Probability mass function over the (randomized) buying day (see ``_Pmf``).
 
-    Caches the CDF F(x) and the first moment mu(x) = sum_{t<=x} (t-1) f(t),
-    which together drive every robustness computation.
+    Also caches the first moment mu(x) = sum_{t<=x} (t-1) f(t), which with the
+    CDF F(x) drives every robustness computation.
     """
 
-    days: tuple[int, ...]
+    _MASS = "masses"
+
     masses: tuple[float, ...]
-    _days_arr: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum_mass: np.ndarray = field(init=False, repr=False, compare=False)
     _cum_moment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.days:
-            raise InvalidParamsError("stopping distribution has empty support")
-        if len(self.days) != len(self.masses):
-            raise InvalidParamsError("days and masses must have equal length")
-        prev = 0
-        for d in self.days:
-            if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-                raise InvalidParamsError(f"day {d!r} is not a positive integer")
-            if d <= prev:
-                raise InvalidParamsError("days must be strictly increasing")
-            prev = int(d)
-        masses = np.asarray(self.masses, dtype=float)
-        if np.any(np.isnan(masses)) or np.any(masses < -1e-12):
-            raise InvalidParamsError("masses must be nonnegative")
-        masses = np.clip(masses, 0.0, None)
-        total = float(masses.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidParamsError(f"masses sum to {total}, not 1")
-        if abs(total - 1.0) > RENORM_TRIGGER:
-            masses = masses / total
-        days_arr = np.array(self.days, dtype=np.int64)
-        object.__setattr__(self, "days", tuple(int(d) for d in self.days))
-        object.__setattr__(self, "masses", tuple(float(m) for m in masses))
-        object.__setattr__(self, "_days_arr", days_arr)
-        object.__setattr__(self, "_cum_mass", np.cumsum(masses))
-        object.__setattr__(self, "_cum_moment", np.cumsum(masses * (days_arr - 1)))
+        super().__post_init__()
+        moments = np.asarray(self.masses) * (self._days_arr - 1)
+        object.__setattr__(self, "_cum_moment", np.cumsum(np.append(0.0, moments)))
 
     @classmethod
     def from_pmf(cls, pmf: dict[int, float]) -> "StoppingDistribution":
-        days = tuple(sorted(d for d, m in pmf.items() if m > 0.0))
-        return cls(days=days, masses=tuple(pmf[d] for d in days))
-
-    @property
-    def support(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.days, self.masses))
-
-    @property
-    def max_day(self) -> int:
-        return self.days[-1]
-
-    def cdf(self, x: int | float) -> float:
-        """F(x) = P[Z <= x]."""
-        i = int(np.searchsorted(self._days_arr, x, side="right"))
-        return float(self._cum_mass[i - 1]) if i > 0 else 0.0
-
-    def cdf_at(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._days_arr, xs, side="right")
-        cum = np.concatenate(([0.0], self._cum_mass))
-        return cum[idx]
+        return cls.from_pairs(pmf.items())
 
     def first_moment(self, x: int | float | None = None) -> float:
         """mu(x) = sum over buy days t <= x of (t-1) f(t); x=None means mu(inf)."""
         if x is None:
             return float(self._cum_moment[-1])
-        i = int(np.searchsorted(self._days_arr, x, side="right"))
-        return float(self._cum_moment[i - 1]) if i > 0 else 0.0
+        return float(self._through(self._cum_moment, x))
 
     def moment_at(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._days_arr, xs, side="right")
-        cum = np.concatenate(([0.0], self._cum_moment))
-        return cum[idx]
+        return self._through(self._cum_moment, xs)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self._days_arr, size=size, p=np.asarray(self.masses))
@@ -111,10 +65,7 @@ def parse_policy(obj: dict) -> StoppingDistribution:
     """Parse a policy from a decoded ``{"pmf": [[day, mass], ...], ...}`` object."""
     if "pmf" not in obj:
         raise InvalidParamsError("policy JSON needs a 'pmf' key")
-    pairs: dict[int, float] = {}
-    for day, mass in _parse_atoms(obj["pmf"]):
-        pairs[day] = pairs.get(day, 0.0) + mass
-    return StoppingDistribution.from_pmf(pairs)
+    return StoppingDistribution.from_pairs(_parse_atoms(obj["pmf"]))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +96,10 @@ class CostFunction:
 
     segments: tuple[Segment, ...]
     tail_value: float
-    # lo, hi, slope and intercept of every segment, then of the constant tail
+    # (lo, hi, slope, intercept) of every segment, then of the constant tail, as
+    # Python rows for the fill's walk and as one array per column
+    _rows: tuple[tuple[float, float, float, float], ...] = field(init=False, repr=False,
+                                                                 compare=False)
     _lo: np.ndarray = field(init=False, repr=False, compare=False)
     _hi: np.ndarray = field(init=False, repr=False, compare=False)
     _slope: np.ndarray = field(init=False, repr=False, compare=False)
@@ -154,8 +108,10 @@ class CostFunction:
     def __post_init__(self) -> None:
         if not self.segments:
             raise InvalidParamsError("cost function needs at least one segment")
-        columns = np.array([(s.lo, s.hi, s.slope, s.intercept)
-                            for s in _segments_with_tail(self)], dtype=float).T.copy()
+        rows = (*((s.lo, s.hi, s.slope, s.intercept) for s in self.segments),
+                (self.support_end, math.inf, 0.0, self.tail_value))
+        object.__setattr__(self, "_rows", rows)
+        columns = np.array(rows, dtype=float).T.copy()
         for name, column in zip(("_lo", "_hi", "_slope", "_intercept"), columns):
             object.__setattr__(self, name, column)
 
@@ -180,11 +136,6 @@ class CostFunction:
         """Largest cost over all integer days (segments rise, so ends dominate)."""
         ends = self._slope[:-1] * self._hi[:-1] + self._intercept[:-1]
         return max(float(ends.max()), self.tail_value)
-
-    def min_value(self) -> float:
-        """Smallest cost over all integer days."""
-        seg_min = min(s.value(s.lo + 1) for s in self.segments)
-        return min(seg_min, self.tail_value)
 
 
 def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
@@ -440,75 +391,48 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
 # Water filling
 
 
-def _segments_with_tail(g: CostFunction) -> tuple[Segment, ...]:
-    tail = Segment(lo=g.support_end, hi=math.inf, slope=0.0, intercept=g.tail_value)
-    return g.segments + (tail,)
-
-
-def _active_end(seg: Segment, h: float) -> float:
-    """Last integer day of the segment whose cost is at most h (lo if none)."""
-    if seg.slope > 0.0:
-        e = (h - seg.intercept) / seg.slope
-        if e < seg.lo + 1:
-            return seg.lo
-        return min(math.floor(e + 1e-12), seg.hi)
-    return seg.hi if seg.intercept <= h else seg.lo
-
-
-def _fill_pass(g: CostFunction, b: int, R: float, h: float,
-               record: bool) -> tuple[bool, float, float, dict[int, float] | None]:
+def _fill_pass(g: CostFunction, b: int, R: float,
+               h: float) -> tuple[float, float, list[tuple[int, int, float]]]:
     """Maximal mass allocation on days <= b whose cost is within level h.
 
-    Keeps every early constraint tight: an atom at each active run's first day
-    restores tightness after a gap, then a geometric step (closed form when not
-    recording) rides the tight recurrence to the run's end.  Returns
-    (reached_full_mass, F, mu, pmf-or-None).
+    Keeps every early constraint tight, so G = F + R - 1 (F: mass placed so
+    far) grows by gamma = b/(b-1) on every active day, and the atom at an
+    active run's first day s, which restores tightness after the gap since the
+    last tight day, grows it by 1 + gap/(b-1) instead of gamma^gap.  On day d,
+    log(G / (R-1)) = d log(gamma) - lag, where lag sums those shortfalls.
+    Tracking G in this form keeps it to a few ulps: a float gamma raised to k,
+    or a product of rounded per-run factors, compounds their rounding, and the
+    masses then break their tight constraints by up to 5e-10 at b = 10^4.
+    Returns (F, mu, runs): F is 1.0 once the mass is full, mu the first moment
+    of a partial fill (NaN once full), and runs the active (s, e, lag); the
+    last run may outlast the full mass.
     """
-    gamma = 1.0 + 1.0 / (b - 1.0)
-    F = 0.0
-    mu = 0.0
-    pmf: dict[int, float] | None = {} if record else None
-    last_end = 0  # constraints are saturated through this day
-    for seg in _segments_with_tail(g):
-        if seg.lo >= b:
+    log_gamma = math.log1p(1.0 / (b - 1.0))
+    full = math.log1p((1.0 - 1e-15) / (R - 1.0))  # log(G / (R-1)) at F = 1 - 1e-15
+    lag = 0.0
+    last_end = 0  # constraints are tight through this day
+    runs = []
+    for lo, hi, slope, intercept in g._rows:
+        if lo >= b:
             break
-        e = min(_active_end(seg, h), b)
-        s_day = seg.lo + 1
-        if e < s_day:
-            continue
-        slack = (R - 1.0) * s_day - (mu + (b - s_day) * F)
-        if slack > 0.0:
-            m = slack / (b - 1.0)
-            # the slack form must agree with the tight-state gap formula
-            alt = (R - 1.0 + F) * (s_day - last_end) / (b - 1.0)
-            if abs(m - alt) > 1e-9 * (1.0 + alt):
-                raise InvariantError(f"fill lost tightness at day {s_day}: "
-                                     f"slack mass {m} vs gap mass {alt}")
-            m = min(m, 1.0 - F)
-            if pmf is not None and m > 0.0:
-                pmf[s_day] = pmf.get(s_day, 0.0) + m
-            mu += (s_day - 1.0) * m
-            F += m
-            if F >= 1.0 - 1e-15:
-                return True, 1.0, mu, pmf
-        if pmf is None:
-            new_f = (F + R - 1.0) * gamma ** (e - s_day) - (R - 1.0)
-            if new_f >= 1.0 - 1e-15:
-                return True, 1.0, mu, None
-            F = new_f
-            mu = (R - 1.0) * e - (b - e) * F
+        # costs never fall along a segment: its active days are lo+1 .. e
+        if slope > 0.0:
+            reach = (h - intercept) / slope
+            if reach < lo + 1:
+                continue
+        elif intercept <= h:
+            reach = math.inf
         else:
-            for x in range(s_day + 1, int(e) + 1):
-                m = min((F + R - 1.0) / (b - 1.0), 1.0 - F)
-                if m <= 0.0:
-                    break
-                pmf[x] = pmf.get(x, 0.0) + m
-                mu += (x - 1.0) * m
-                F += m
-                if F >= 1.0 - 1e-15:
-                    return True, 1.0, mu, pmf
-        last_end = int(e)
-    return False, F, mu, pmf
+            continue
+        s, e = int(lo) + 1, math.floor(min(reach + 1e-12, hi, b))
+        gap = s - last_end
+        lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
+        runs.append((s, e, lag))
+        if e * log_gamma - lag >= full:
+            return 1.0, math.nan, runs
+        last_end = e
+    F = (R - 1.0) * math.expm1(last_end * log_gamma - lag)
+    return F, (R - 1.0) * last_end - (b - last_end) * F, runs
 
 
 def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
@@ -527,6 +451,18 @@ def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | Non
     return int(days[admissible[np.argmin(values[admissible])]])
 
 
+def _tail_day(g: CostFunction, b: int, R: float, h: float, F: float, mu: float) -> int | None:
+    """Day >= b for the mass 1 - F that a partial fill leaves (None if none fits).
+
+    The day must cost at most h, and (day - 1) (1 - F) must fit in the moment
+    budget (R - 1) b - mu left over by the fill.
+    """
+    budget = (R - 1.0) * b - mu
+    if budget < 0.0:
+        return None
+    return _best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
+
+
 def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
     """Whether total mass 1 fits on days costing at most h at robustness R.
 
@@ -537,15 +473,8 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
     _check_b(b)
     if R <= 1:
         raise InvalidParamsError("R must exceed 1")
-    reached, F, mu, _ = _fill_pass(g, b, R, h, record=False)
-    if reached:
-        return True
-    m_tail = 1.0 - F
-    budget = (R - 1.0) * b - mu
-    if budget < 0.0:
-        return False
-    t_max = 1.0 + budget / m_tail
-    return _best_tail_day(g, b, h, t_max) is not None
+    F, mu, _ = _fill_pass(g, b, R, h)
+    return F >= 1.0 or _tail_day(g, b, R, h, F, mu) is not None
 
 
 @dataclass(frozen=True)
@@ -575,36 +504,47 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     return WaterLevelSearch(level=h_hi, checks=checks, h_lo=h_lo, h_hi=h_hi)
 
 
-def _construct_at_level(g: CostFunction, b: int, R: float, h: float) -> dict[int, float] | None:
-    """Materialize the maximal-fill policy at level h (None if h is infeasible)."""
-    reached, F, mu, pmf = _fill_pass(g, b, R, h, record=True)
-    if pmf is None:
-        raise InvariantError("recording fill pass returned no pmf")
-    if not reached:
-        m_tail = 1.0 - F
-        budget = (R - 1.0) * b - mu
-        if budget < 0.0:
-            return None
-        t_max = 1.0 + budget / m_tail
-        day = _best_tail_day(g, b, h, t_max)
-        if day is None:
-            return None
-        pmf[day] = pmf.get(day, 0.0) + m_tail
-    return pmf
+def _construct_at_level(g: CostFunction, b: int, R: float,
+                        h: float) -> StoppingDistribution | None:
+    """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false.
+
+    Expands the fill's runs into its per-day CDF (R-1) (gamma^d e^-lag - 1),
+    cut at the first day that fills the mass; the last day is pinned to the
+    fill's F and a partial fill's remaining mass goes to its tail day.
+    """
+    F, mu, runs = _fill_pass(g, b, R, h)
+    tail = None if F >= 1.0 else _tail_day(g, b, R, h, F, mu)
+    if F < 1.0 and tail is None:
+        return None
+    starts, ends, lags = np.array(runs, dtype=float).reshape(-1, 3).T
+    lengths = (ends - starts + 1.0).astype(np.int64)
+    steps = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    days = (np.repeat(starts, lengths) + steps).astype(np.int64)
+    cdf = (R - 1.0) * np.expm1(days * math.log1p(1.0 / (b - 1.0)) - np.repeat(lags, lengths))
+    if tail is None:
+        cut = np.flatnonzero(cdf >= 1.0 - 1e-15)
+        if cut.size:
+            days, cdf = days[:cut[0] + 1], cdf[:cut[0] + 1]
+    if cdf.size:
+        cdf[-1] = F
+    masses = np.diff(cdf, prepend=0.0)
+    if tail is not None:
+        if days.size and days[-1] == tail:
+            masses[-1] += 1.0 - F
+        else:
+            days, masses = np.append(days, tail), np.append(masses, 1.0 - F)
+    return StoppingDistribution(tuple(days.tolist()), tuple(masses.tolist()))
 
 
-def _candidate_days(g: CostFunction, b: int) -> list[int]:
-    """Support of some optimal policy: every day up to b, plus one day per
-    segment beyond b.
+def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
+    """Support of some optimal policy, as floats: every day up to b, plus one
+    day per segment beyond b.
 
     Days past b carry no early constraint, so within a segment the earliest day
     dominates every later one (lower cost, lower moment); only those compete.
     """
-    out = set(range(1, b + 1))
-    for seg in _segments_with_tail(g):
-        if seg.hi > b:
-            out.add(max(b, seg.lo) + 1)
-    return sorted(out)
+    beyond = np.unique(np.maximum(b, g._lo[g._hi > b]) + 1.0)
+    return np.concatenate((np.arange(1.0, b + 1.0), beyond))
 
 
 def _lp_refine(g: CostFunction, b: int, R: float) -> StoppingDistribution | None:
@@ -621,7 +561,7 @@ def _lp_refine(g: CostFunction, b: int, R: float) -> StoppingDistribution | None
     candidate days start with 1..b, so day x < b is f-column x-1.  Returns None,
     with a RuntimeWarning carrying the HiGHS status, when the solver fails.
     """
-    t = np.array(_candidate_days(g, b), dtype=float)
+    t = _candidate_days(g, b)
     n = t.size
     k = b - 1
     x = np.arange(1, b)
@@ -695,23 +635,12 @@ def water_fill(g: CostFunction, b: int, R: float,
         raise InvalidParamsError("epsilon must be > 0")
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    h_max = g.max_value()
     if epsilon is None:
-        epsilon = 1e-7 * h_max
+        epsilon = 1e-7 * g.max_value()
     search = minimal_water_level(g, b, R, epsilon)
-    level = search.level
-    pmf = _construct_at_level(g, b, R, level)
-    if pmf is None:
-        # the closed-form scan and the recording scan can disagree within float
-        # noise exactly at the boundary; nudge upward
-        for bump in (level + epsilon, h_max):
-            pmf = _construct_at_level(g, b, R, bump)
-            if pmf is not None:
-                level = bump
-                break
-    if pmf is None:
-        raise InfeasibleError("could not construct a policy at a feasible level")
-    policy = StoppingDistribution.from_pmf(pmf)
+    policy = _construct_at_level(g, b, R, search.level)
+    if policy is None:
+        raise InfeasibleError(f"no policy fits within water level {search.level}")
     objective = expected_policy_cost(policy, g)
     if exact:
         refined = _lp_refine(g, b, R)

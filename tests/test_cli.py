@@ -81,6 +81,9 @@ class TestWaterfillCommand:
     @pytest.mark.parametrize("dist", [
         '{"family": "nope", "params": {}}',
         '{"atoms": [[1.5, 0.5], [2.7, 0.5]]}',
+        # every atom's mass truncated away: an empty support is bad input too
+        '{"family": "gaussian_discretized", "params": {"mean": 100000, "stddev": 1, "high": 10}}',
+        '{"family": "geometric_truncated", "params": {"rate": 0.9, "low": 400, "high": 401}}',
     ])
     def test_bad_distribution_exits_2(self, capsys, dist):
         code, out, err = run_cli(capsys, "waterfill", "--dist", dist,

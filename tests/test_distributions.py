@@ -15,6 +15,7 @@ from skirent import (
     FamilySpec,
     InvalidParamsError,
     InvariantError,
+    StoppingDistribution,
     expected_opt,
     make_distribution,
     parse_distribution,
@@ -124,17 +125,55 @@ class TestConstruction:
             make_distribution(FamilySpec(Family.GAUSSIAN_DISCRETIZED,
                                          {"mean": 1e6, "stddev": 1, "low": 1, "high": 10}))
 
-    def test_mass_drift_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            DayDistribution((1, 2), (0.5, 0.6))
 
-    def test_small_drift_renormalized(self):
-        p = DayDistribution((1, 2), (0.5, 0.5 + 5e-10))
-        assert abs(sum(p.probs) - 1.0) < 1e-15
+@pytest.mark.parametrize("pmf", [DayDistribution, StoppingDistribution],
+                         ids=lambda cls: cls.__name__)
+class TestPmfCore:
+    """The validation contract that both distribution classes share."""
 
-    def test_negative_prob_rejected(self):
+    @pytest.mark.parametrize("days, masses", [
+        ((2, 1), (0.5, 0.5)),
+        ((1, 1), (0.5, 0.5)),
+        ((0, 1), (0.5, 0.5)),
+        ((True, 2), (0.5, 0.5)),
+        ((1.0, 2), (0.5, 0.5)),
+        ((1, 2), (0.5, math.nan)),
+        ((1, 2), (1.1, -0.1)),
+        ((1, 2), (1.0 + 5e-13, -5e-13)),  # tiny negatives are rejected, not clipped
+        ((1, 2), (1.0, math.inf)),
+        ((1, 2), (0.5, 0.6)),
+        ((1, 2), (0.5, 0.4)),
+        ((1, 2, 3), (0.5, 0.5)),
+    ], ids=["decreasing", "repeated", "day0", "bool_day", "float_day", "nan_mass",
+            "negative_mass", "tiny_negative_mass", "inf_mass", "mass_over", "mass_under",
+            "length_mismatch"])
+    def test_rejects(self, pmf, days, masses):
         with pytest.raises(InvalidParamsError):
-            DayDistribution((1, 2), (1.1, -0.1))
+            pmf(days, masses)
+
+    def test_renormalizes_past_trigger_only(self, pmf):
+        drifted = pmf((1, 2), (0.5, 0.5 + 5e-10))
+        assert abs(sum(m for _, m in drifted.support) - 1.0) < 1e-15
+        kept = pmf((1, 2), (0.5, 0.5 + 5e-13))
+        assert kept.support == ((1, 0.5), (2, 0.5 + 5e-13))
+
+    def test_zero_masses_dropped(self, pmf):
+        dist = pmf((1, 2, 4, 9), (0.0, 0.25, 0.0, 0.75))
+        assert dist.support == ((2, 0.25), (9, 0.75))
+        assert dist.max_day == 9
+        assert dist.cdf(1) == 0.0 and dist.cdf(4) == 0.25 and dist.cdf(9) == 1.0
+        assert dist.cdf_at(np.array([0, 2, 8, 10])).tolist() == [0.0, 0.25, 0.25, 1.0]
+
+    @pytest.mark.parametrize("days, masses", [((), ()), ((1, 2), (0.0, 0.0))],
+                             ids=["no_days", "all_zero"])
+    def test_empty_support(self, pmf, days, masses):
+        with pytest.raises(EmptySupportError):
+            pmf(days, masses)
+        assert issubclass(EmptySupportError, InvalidParamsError)
+
+    def test_from_pairs_merges_repeated_days(self, pmf):
+        dist = pmf.from_pairs([(3, 0.25), (1, 0.5), (3.0, 0.25)])
+        assert dist.support == ((1, 0.5), (3, 0.5))
 
 
 class TestSurvivalAndOpt:

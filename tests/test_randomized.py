@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skirent.randomized as randomized
 from skirent import (
@@ -81,6 +83,117 @@ def tied_cost_function(rng) -> CostFunction:
     return CostFunction(tuple(segments), tail_value=0.5 * float(rng.integers(0, 8)))
 
 
+# The recording fill pass and construction that _construct_at_level replaced,
+# kept verbatim apart from the names.
+
+
+def ref_segments_with_tail(g: CostFunction) -> tuple[Segment, ...]:
+    tail = Segment(lo=g.support_end, hi=math.inf, slope=0.0, intercept=g.tail_value)
+    return g.segments + (tail,)
+
+
+def ref_active_end(seg: Segment, h: float) -> float:
+    """Last integer day of the segment whose cost is at most h (lo if none)."""
+    if seg.slope > 0.0:
+        e = (h - seg.intercept) / seg.slope
+        if e < seg.lo + 1:
+            return seg.lo
+        return min(math.floor(e + 1e-12), seg.hi)
+    return seg.hi if seg.intercept <= h else seg.lo
+
+
+def ref_fill_pass(g: CostFunction, b: int, R: float, h: float,
+                  record: bool) -> tuple[bool, float, float, dict[int, float] | None]:
+    """Maximal mass allocation on days <= b whose cost is within level h.
+
+    Keeps every early constraint tight: an atom at each active run's first day
+    restores tightness after a gap, then a geometric step (closed form when not
+    recording) rides the tight recurrence to the run's end.  Returns
+    (reached_full_mass, F, mu, pmf-or-None).
+    """
+    gamma = 1.0 + 1.0 / (b - 1.0)
+    F = 0.0
+    mu = 0.0
+    pmf: dict[int, float] | None = {} if record else None
+    last_end = 0  # constraints are saturated through this day
+    for seg in ref_segments_with_tail(g):
+        if seg.lo >= b:
+            break
+        e = min(ref_active_end(seg, h), b)
+        s_day = seg.lo + 1
+        if e < s_day:
+            continue
+        slack = (R - 1.0) * s_day - (mu + (b - s_day) * F)
+        if slack > 0.0:
+            m = slack / (b - 1.0)
+            # the slack form must agree with the tight-state gap formula
+            alt = (R - 1.0 + F) * (s_day - last_end) / (b - 1.0)
+            if abs(m - alt) > 1e-9 * (1.0 + alt):
+                raise InvariantError(f"fill lost tightness at day {s_day}: "
+                                     f"slack mass {m} vs gap mass {alt}")
+            m = min(m, 1.0 - F)
+            if pmf is not None and m > 0.0:
+                pmf[s_day] = pmf.get(s_day, 0.0) + m
+            mu += (s_day - 1.0) * m
+            F += m
+            if F >= 1.0 - 1e-15:
+                return True, 1.0, mu, pmf
+        if pmf is None:
+            new_f = (F + R - 1.0) * gamma ** (e - s_day) - (R - 1.0)
+            if new_f >= 1.0 - 1e-15:
+                return True, 1.0, mu, None
+            F = new_f
+            mu = (R - 1.0) * e - (b - e) * F
+        else:
+            for x in range(s_day + 1, int(e) + 1):
+                m = min((F + R - 1.0) / (b - 1.0), 1.0 - F)
+                if m <= 0.0:
+                    break
+                pmf[x] = pmf.get(x, 0.0) + m
+                mu += (x - 1.0) * m
+                F += m
+                if F >= 1.0 - 1e-15:
+                    return True, 1.0, mu, pmf
+        last_end = int(e)
+    return False, F, mu, pmf
+
+
+def ref_construct_at_level(g: CostFunction, b: int, R: float, h: float) -> dict[int, float] | None:
+    """Materialize the maximal-fill policy at level h (None if h is infeasible)."""
+    reached, F, mu, pmf = ref_fill_pass(g, b, R, h, record=True)
+    if pmf is None:
+        raise InvariantError("recording fill pass returned no pmf")
+    if not reached:
+        m_tail = 1.0 - F
+        budget = (R - 1.0) * b - mu
+        if budget < 0.0:
+            return None
+        t_max = 1.0 + budget / m_tail
+        day = randomized._best_tail_day(g, b, h, t_max)
+        if day is None:
+            return None
+        pmf[day] = pmf.get(day, 0.0) + m_tail
+    return pmf
+
+
+def fill_instances(rng, count=300):
+    """Random (g, b, R, levels): 25 levels, 12 of them within 3 epsilon of the water level."""
+    for _ in range(count):
+        b = int(rng.integers(2, 60))
+        R = float(rng.uniform(1.3, 3.0))
+        if not feasible_robustness(b, R):
+            R = 2.5
+        p_hat = random_day_distribution(rng, max_day=int(rng.integers(2, 4 * b + 2)),
+                                        max_atoms=int(rng.integers(1, 40)))
+        g = build_cost_function(p_hat, b)
+        eps = 1e-7 * g.max_value()
+        level = minimal_water_level(g, b, R, eps).level
+        costs = [g(int(t)) for t in rng.integers(1, g.support_end + 2, size=5)]
+        levels = [*np.linspace(0.0, g.max_value(), 8), *costs,
+                  *(level + k * eps / 2 for k in range(-6, 6))]
+        yield g, b, R, levels
+
+
 class TestStoppingDistribution:
     def test_cache_consistency(self, rng):
         for _ in range(50):
@@ -92,10 +205,6 @@ class TestStoppingDistribution:
                 assert f.first_moment(x) == pytest.approx(mom, abs=1e-12)
             assert f.first_moment() == pytest.approx(
                 sum((d - 1) * m for d, m in f.support), abs=1e-12)
-
-    def test_mass_must_sum_to_one(self):
-        with pytest.raises(InvalidParamsError):
-            StoppingDistribution((1, 2), (0.5, 0.4))
 
     def test_json_roundtrip(self, rng):
         f = random_stopping(rng)
@@ -422,6 +531,86 @@ class TestWaterFill:
         g = build_cost_function(one_hot(5), 8)
         with pytest.raises(InfeasibleError):
             water_fill(g, 8, 1.3)
+
+
+class TestSingleFillPath:
+    def test_construct_fails_exactly_when_level_infeasible(self, rng):
+        # the bisection and the construction share one fill, so the policy at the
+        # bisected level always exists and water_fill needs no retry
+        mismatches = checked = 0
+        for g, b, R, levels in fill_instances(rng):
+            for h in levels:
+                checked += 1
+                built = randomized._construct_at_level(g, b, R, h) is not None
+                mismatches += built != level_feasible(g, b, R, h)
+        assert checked == 7500 and mismatches == 0
+
+    def test_matches_recording_fill(self, rng):
+        compared = 0
+        for g, b, R, levels in fill_instances(rng):
+            for h in levels:
+                policy = randomized._construct_at_level(g, b, R, h)
+                reference = ref_construct_at_level(g, b, R, h)
+                assert (policy is None) == (reference is None)
+                if policy is None:
+                    continue
+                compared += 1
+                assert policy.days == tuple(sorted(reference))
+                assert max(abs(m - reference[d]) for d, m in policy.support) <= 1e-12
+        assert compared > 3000
+
+    def test_partial_fill_is_tight_on_every_active_day(self, rng):
+        partial = 0
+        for g, b, R, _ in fill_instances(rng, count=200):
+            level = minimal_water_level(g, b, R, 1e-7 * g.max_value()).level
+            F, _, runs = randomized._fill_pass(g, b, R, level)
+            if F >= 1.0:
+                continue
+            partial += 1
+            policy = randomized._construct_at_level(g, b, R, level)
+            slack = dict(check_robustness(policy, b, R).per_day_slack)
+            active = [x for s, e, _ in runs for x in range(s, e + 1) if x < b]
+            assert all(slack[x] <= 1e-9 for x in active)
+        assert partial > 20
+
+    @pytest.mark.parametrize("b, days", [(3367, [1]), (10_000, [1]), (10_000, range(3, 30_001, 3))],
+                             ids=["one_run_3367", "one_run_10000", "gapped_runs_10000"])
+    def test_long_fills_stay_tight_within_rounding(self, b, days):
+        # a float gamma**k, or a product of rounded per-run factors, compounds its
+        # rounding: it broke the one b=3367, R=2 run by 1.1e-9, and the 2311 runs
+        # of the gapped fill at R=2 by 5e-10
+        p_hat = DayDistribution(tuple(days), tuple([1.0 / len(days)] * len(days)))
+        g = build_cost_function(p_hat, b)
+        for R in (1.6, 2.0, 3.0):
+            policy, _ = water_fill(g, b, R, exact=False)
+            assert check_robustness(policy, b, R).worst() >= -1e-10
+
+
+
+@st.composite
+def sparse_instances(draw):
+    """A 1-8 atom prediction on days up to 10^9, b up to 10^4 (half of them at most 200),
+    and an R in [1.59, 3], where every b admits a robust policy."""
+    b = draw(st.one_of(st.integers(2, 200), st.integers(201, 10_000)))
+    R = draw(st.floats(1.59, 3.0))
+    days = draw(st.lists(st.one_of(st.integers(1, 2 * b), st.integers(1, 10**9)),
+                         min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(days), max_size=len(days)))
+    total = sum(weights)
+    return DayDistribution.from_pairs((d, w / total) for d, w in zip(days, weights)), b, R
+
+
+class TestWaterFillAtScale:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_instances())
+    def test_published_robust_and_exact_no_worse(self, instance):
+        p_hat, b, R = instance
+        g = build_cost_function(p_hat, b)
+        policy, published = water_fill(g, b, R, exact=False)
+        assert check_robustness(policy, b, R).feasible
+        if b <= 200:
+            _, exact = water_fill(g, b, R)
+            assert exact <= published + 1e-9 * (1.0 + abs(published))
 
 
 def uniform_days(n: int) -> DayDistribution:
