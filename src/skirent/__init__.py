@@ -51,7 +51,6 @@ from .oracle import LpInstance, brute_force_threshold, lp_instance_from_cost, lp
 from .randomized import (
     CostFunction,
     RobustnessReport,
-    Segment,
     StoppingDistribution,
     WaterLevelSearch,
     build_cost_function,

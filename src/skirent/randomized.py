@@ -72,69 +72,66 @@ def parse_policy(obj: dict) -> StoppingDistribution:
 # Piecewise-linear stopping-cost function
 
 
-@dataclass(frozen=True)
-class Segment:
-    """g(t) = slope * t + intercept for integer days lo < t <= hi."""
-
-    lo: int
-    hi: float
-    slope: float
-    intercept: float
-
-    def value(self, t: float) -> float:
-        return self.slope * t + self.intercept
-
-
 @dataclass(frozen=True, eq=False)
 class CostFunction:
-    """Expected stopping cost as consecutive linear segments plus a constant tail.
+    """Expected stopping cost as a table of linear pieces, one column per field.
 
-    Segments tile (0, support_end]; for t beyond the last support day the cost
-    is the constant ``tail_value`` (the mean horizon).  Slopes are nonincreasing
-    and lie in [0, 1]; the implicit tail slope is 0.
+    Row i is the cost slope[i] * t + intercept[i] on the integer days
+    lo[i] < t <= hi[i].  The rows tile (0, inf), and the last one is the
+    constant tail (support_end, inf, 0, tail_value): past the last support day
+    the cost is the mean horizon.  Slopes are nonincreasing and lie in [0, 1]
+    (up to rounding past the last atoms), so costs never fall within a row.
+    The columns are read-only float arrays.
     """
 
-    segments: tuple[Segment, ...]
-    tail_value: float
-    # (lo, hi, slope, intercept) of every segment, then of the constant tail, as
-    # Python rows for the fill's walk and as one array per column
-    _rows: tuple[tuple[float, float, float, float], ...] = field(init=False, repr=False,
-                                                                 compare=False)
-    _lo: np.ndarray = field(init=False, repr=False, compare=False)
-    _hi: np.ndarray = field(init=False, repr=False, compare=False)
-    _slope: np.ndarray = field(init=False, repr=False, compare=False)
-    _intercept: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray
+    hi: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+    # the same rows as Python tuples, for the fill's walk
+    _rows: tuple[tuple[float, float, float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise InvalidParamsError("cost function needs at least one segment")
-        rows = (*((s.lo, s.hi, s.slope, s.intercept) for s in self.segments),
-                (self.support_end, math.inf, 0.0, self.tail_value))
-        object.__setattr__(self, "_rows", rows)
-        columns = np.array(rows, dtype=float).T.copy()
-        for name, column in zip(("_lo", "_hi", "_slope", "_intercept"), columns):
+        columns = [np.array(c, dtype=float) for c in (self.lo, self.hi, self.slope, self.intercept)]
+        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+            raise InvalidParamsError("cost function columns must be 1-d and of equal length")
+        lo, hi, slope, intercept = columns
+        if lo.size < 2:
+            raise InvalidParamsError("cost function needs a row before its constant tail")
+        if (lo[0] != 0.0 or np.any(lo[1:] != hi[:-1]) or np.any(hi <= lo)
+                or np.any(lo != np.floor(lo)) or hi[-1] != math.inf):
+            raise InvalidParamsError("cost function rows must tile (0, inf) at integer days")
+        if not (np.all(np.isfinite(slope)) and np.all(np.isfinite(intercept))):
+            raise InvalidParamsError("cost function slopes and intercepts must be finite")
+        if slope[-1] != 0.0:
+            raise InvalidParamsError("cost function must end in a constant tail")
+        for name, column in zip(("lo", "hi", "slope", "intercept"), columns):
+            column.flags.writeable = False
             object.__setattr__(self, name, column)
+        object.__setattr__(self, "_rows", tuple(zip(lo.tolist(), hi.tolist(), slope.tolist(),
+                                                    intercept.tolist())))
 
     @property
     def support_end(self) -> int:
-        return int(self.segments[-1].hi)
+        return int(self.lo[-1])
+
+    @property
+    def tail_value(self) -> float:
+        return float(self.intercept[-1])
 
     def __call__(self, t: int) -> float:
         if t < 1 or int(t) != t:
             raise InvalidParamsError("cost function is defined on positive integer days")
-        if t > self.support_end:
-            return self.tail_value
-        idx = int(np.searchsorted(self._hi, t, side="left"))
-        return self.segments[idx].value(t)
+        return float(self.values_at(float(t)))
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Cost at each positive integer day of ``ts`` (vectorised ``__call__``)."""
-        idx = np.searchsorted(self._hi, ts, side="left")
-        return self._slope[idx] * ts + self._intercept[idx]
+        idx = np.searchsorted(self.hi, ts, side="left")
+        return self.slope[idx] * ts + self.intercept[idx]
 
     def max_value(self) -> float:
-        """Largest cost over all integer days (segments rise, so ends dominate)."""
-        ends = self._slope[:-1] * self._hi[:-1] + self._intercept[:-1]
+        """Largest cost over all integer days (rows rise, so their ends dominate)."""
+        ends = self.slope[:-1] * self.hi[:-1] + self.intercept[:-1]
         return max(float(ends.max()), self.tail_value)
 
 
@@ -146,47 +143,41 @@ def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
     constant mean horizon.
     """
     _check_b(b)
-    days = p_hat.days
-    probs = p_hat.probs
-    segments = []
-    prefix_weighted = 0.0
-    tail_prob = 1.0
-    lo = 0
-    for d, q in zip(days, probs):
-        segments.append(Segment(lo=lo, hi=float(d), slope=tail_prob,
-                                intercept=prefix_weighted + (b - 1) * tail_prob))
-        prefix_weighted += q * d
-        tail_prob -= q
-        lo = d
-    return CostFunction(segments=tuple(segments), tail_value=p_hat.mean())
+    # accumulate subtracts in sequence, like a running tail_prob -= q; 1 - cumsum
+    # rounds differently
+    slope = np.subtract.accumulate(np.append(1.0, p_hat.probs))
+    slope[-1] = 0.0  # the tail: its intercept is the whole day-weighted sum, the mean
+    days = p_hat._days_arr
+    return CostFunction(lo=np.append(0, days), hi=np.append(days, math.inf), slope=slope,
+                        intercept=p_hat._day_weighted_cum + (b - 1) * slope)
 
 
 # ---------------------------------------------------------------------------
 # Robustness verification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustnessReport:
-    """Constraint slacks of a candidate policy at robustness level R."""
+    """Constraint slacks of a candidate policy at robustness level R.
 
-    per_day_slack: tuple[tuple[int, float], ...]
+    ``slacks[x-1]`` is the slack of day x's constraint, for x = 1..b-1.
+    """
+
+    slacks: np.ndarray
     tail_slack: float
     feasible: bool
 
     def worst(self) -> float:
-        slacks = [s for _, s in self.per_day_slack]
-        slacks.append(self.tail_slack)
-        return min(slacks)
+        return float(np.min(self.slacks, initial=self.tail_slack))
 
     def violated_index(self) -> int | None:
-        """Day index of the worst violated constraint (0 for the tail), or None."""
+        """Day of the worst violated constraint (0 for the tail), or None.
+
+        Ties go to the tail, then to the earliest day.
+        """
         if self.feasible:
             return None
-        worst_day, worst_val = 0, self.tail_slack
-        for day, s in self.per_day_slack:
-            if s < worst_val:
-                worst_day, worst_val = day, s
-        return worst_day
+        return int(np.argmin(np.append(self.tail_slack, self.slacks)))
 
 
 def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessReport:
@@ -199,24 +190,25 @@ def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessRep
     mu = f.moment_at(xs)
     slacks = (R - 1.0) * xs - (mu + (b - xs) * F)
     tail_slack = (R - 1.0) * b - f.first_moment()
-    feasible = bool(tail_slack >= -SLACK_TOL and (slacks.size == 0 or slacks.min() >= -SLACK_TOL))
-    return RobustnessReport(
-        per_day_slack=tuple((int(x), float(s)) for x, s in zip(xs, slacks)),
-        tail_slack=float(tail_slack),
-        feasible=feasible,
-    )
+    feasible = bool(np.min(slacks, initial=tail_slack) >= -SLACK_TOL)
+    return RobustnessReport(slacks=slacks, tail_slack=tail_slack, feasible=feasible)
 
 
 def realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float:
     """Worst ratio of expected policy cost to min(x, b) over horizons up to ``horizon``.
 
-    Uses the closed form E[C_Z(x)] = mu(x) + (b-x) F(x) + x; the ratio is
-    monotone once x clears the support, so horizon = support max suffices.
+    Uses the closed form E[C_Z(x)] = mu(x) + (b-x) F(x) + x, which grows by
+    (b-1) f(x+1) + 1 - F(x) >= 0 from day x to x+1.  From b on the ratio is
+    E[C_Z(x)] / b, so it peaks at the horizon; below b it is E[C_Z(x)] / x,
+    which falls between support days.  The ratio is never below 1, its value
+    on day 1 when day 1 carries no mass, so only the support days below b and
+    the horizon are evaluated.
     """
     _check_b(b)
     if horizon < b:
         raise InvalidParamsError("horizon must be at least b")
-    xs = np.arange(1, horizon + 1)
+    days = f._days_arr
+    xs = np.append(days[days < b], horizon)
     F = f.cdf_at(xs)
     mu = f.moment_at(xs)
     ratios = (mu + (b - xs) * F + xs) / np.minimum(xs, b)
@@ -234,10 +226,13 @@ def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:
 # Closed-form optimal policies
 
 
-def _growth_envelope(b: int, R: float, x: int | np.ndarray):
-    """(R-1) ((b/(b-1))^x - 1): the CDF ceiling enforced by the early constraints."""
-    gamma = b / (b - 1.0)
-    return (R - 1.0) * (gamma ** np.asarray(x, dtype=float) - 1.0)
+def _growth_envelope(b: int, R: float, x: int) -> float:
+    """(R-1) ((b/(b-1))^x - 1): the CDF ceiling enforced by the early constraints.
+
+    Computed as expm1(x log1p(1/(b-1))), like the fill: a float b/(b-1) raised to
+    x compounds its rounding and breaks the constraints by 1e-9 at b = 3367.
+    """
+    return (R - 1.0) * math.expm1(x * math.log1p(1.0 / (b - 1.0)))
 
 
 def feasible_robustness(b: int, R: float) -> bool:
@@ -245,7 +240,7 @@ def feasible_robustness(b: int, R: float) -> bool:
     _check_b(b)
     if R <= 1:
         return False
-    return bool(_growth_envelope(b, R, b) >= 1.0 - 1e-9)
+    return _growth_envelope(b, R, b) >= 1.0 - 1e-9
 
 
 def geometric_cdf(b: int, R: float) -> StoppingDistribution:
@@ -262,12 +257,12 @@ def geometric_cdf(b: int, R: float) -> StoppingDistribution:
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
     cap = 1.0 - 1e-12
     x0 = 1
-    while float(_growth_envelope(b, R, x0)) < cap:
+    while _growth_envelope(b, R, x0) < cap:
         x0 += 1
     pmf: dict[int, float] = {}
     prev = 0.0
     for x in range(1, x0 + 1):
-        cur = min(float(_growth_envelope(b, R, x)), 1.0) if x < x0 else 1.0
+        cur = min(_growth_envelope(b, R, x), 1.0) if x < x0 else 1.0
         pmf[x] = cur - prev
         prev = cur
     return StoppingDistribution.from_pmf(pmf)
@@ -290,15 +285,16 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
         return False
     if y + 1 - b < 1:
         return False
-    for t in range(1, y):
-        if g(t) > g(t + 1) + 1e-12:
-            return False
+    # costs rise within a row, so only a row's last day can exceed the next day,
+    # and only a row's first day in the window can be its cheapest
+    ends = g.hi[g.hi < y]
+    if np.any(g.values_at(ends) > g.values_at(ends + 1.0) + 1e-12):
+        return False
     ref = g(y + 1 - b)
-    window = max(g.support_end, 4 * b)
-    for t in range(y + 1, y + window + 1):
-        if g(t) < ref - 1e-9:
-            return False
-    return True
+    last = y + max(g.support_end, 4 * b)
+    firsts = np.maximum(g.lo + 1.0, y + 1.0)
+    firsts = firsts[firsts <= np.minimum(g.hi, last)]
+    return not np.any(g.values_at(firsts) < ref - 1e-9)
 
 
 def _min_p_reaching(eval_fn, breakpoints: list[float], target: float) -> float:
@@ -339,24 +335,24 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
         raise InvalidParamsError("R must exceed 1")
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    gamma = b / (b - 1.0)
-    G = [float(_growth_envelope(b, R, x)) for x in range(0, b + 1)]
+    G = [_growth_envelope(b, R, x) for x in range(0, b + 1)]
 
     if y <= b - 1:
         def s_y(p: float) -> float:
             return sum(min(G[x], p) for x in range(1, y + 1))
 
-        coef = gamma ** (b - y - 1)
+        log_gamma = math.log1p(1.0 / (b - 1.0))
 
-        def reach(p: float) -> float:
-            return coef * ((R - 1.0) * (y + 1) + s_y(p)) / (b - 1.0) + (R - 1.0) * (coef - 1.0)
+        def tight(x: int, s: float) -> float:
+            """CDF at day x > y of the continuation that keeps days y+1..x tight."""
+            grow = math.expm1((x - y - 1) * log_gamma)  # gamma^(x-y-1) - 1
+            return (grow + 1.0) * ((R - 1.0) * (y + 1) + s) / (b - 1.0) + (R - 1.0) * grow
 
-        p_star = _min_p_reaching(reach, G[1:y + 1], 1.0)
+        p_star = _min_p_reaching(lambda p: tight(b, s_y(p)), G[1:y + 1], 1.0)
         s_star = s_y(p_star)
         cdf = [min(G[x], p_star) for x in range(0, y + 1)]
         for x in range(y + 1, b + 1):
-            step = gamma ** (x - y - 1)
-            u = step * ((R - 1.0) * (y + 1) + s_star) / (b - 1.0) + (R - 1.0) * (step - 1.0)
+            u = tight(x, s_star)
             cdf.append(min(u, 1.0))
             if u >= 1.0:
                 break
@@ -441,9 +437,9 @@ def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | Non
     Within a segment the cost rises, so only each segment's earliest admissible
     day competes; ties in cost break toward the smaller day.
     """
-    start = int(np.searchsorted(g._hi, b, side="left"))  # first segment reaching b
-    days = np.maximum(b, g._lo[start:] + 1.0)
-    values = g._slope[start:] * days + g._intercept[start:]
+    start = int(np.searchsorted(g.hi, b, side="left"))  # first row reaching b
+    days = np.maximum(b, g.lo[start:] + 1.0)
+    values = g.slope[start:] * days + g.intercept[start:]
     admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
     if admissible.size == 0:
         return None
@@ -543,7 +539,7 @@ def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
     Days past b carry no early constraint, so within a segment the earliest day
     dominates every later one (lower cost, lower moment); only those compete.
     """
-    beyond = np.unique(np.maximum(b, g._lo[g._hi > b]) + 1.0)
+    beyond = np.unique(np.maximum(b, g.lo[g.hi > b]) + 1.0)
     return np.concatenate((np.arange(1.0, b + 1.0), beyond))
 
 

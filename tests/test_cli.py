@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import skirent.randomized as randomized
@@ -72,7 +73,7 @@ class TestWaterfillCommand:
 
     def test_failed_self_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(randomized, "check_robustness",
-                            lambda f, b, R: RobustnessReport((), -1.0, False))
+                            lambda f, b, R: RobustnessReport(np.empty(0), -1.0, False))
         code, out, err = run_cli(capsys, "waterfill", "--dist", TWOPOINT,
                                  "--b", "50", "--r", "1.7", "--quiet")
         assert code == 1
@@ -129,6 +130,16 @@ class TestMetricsCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["consistency"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_policy_day_far_out(self, capsys, tmp_path):
+        # the worst-ratio scan once ran over every day up to the policy's last
+        policy_file = tmp_path / "far.json"
+        policy_file.write_text(json.dumps({"pmf": [[1, 0.5], [10**9, 0.5]]}))
+        code, out, _ = run_cli(capsys, "metrics", "--dist", TWO_ATOM, "--b", "3",
+                               "--policy", str(policy_file))
+        assert code == 0
+        # the worst horizon is the last day: (mu + b) / b with mu = (10^9 - 1) / 2
+        assert json.loads(out)["worst_ratio"] == pytest.approx((0.5 * (10**9 - 1) + 3) / 3)
 
 
 class TestExperimentCommand:

@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 import skirent.randomized as randomized
 from skirent import (
     DayDistribution,
+    Family,
+    FamilySpec,
     InfeasibleError,
     InvalidParamsError,
     InvariantError,
@@ -25,13 +29,36 @@ from skirent import (
     level_feasible,
     lp_instance_from_cost,
     lp_solve,
+    make_distribution,
     minimal_water_level,
     onehot_exact,
     realized_worst_ratio,
     water_fill,
 )
-from skirent.randomized import CostFunction, Segment, parse_policy
+from skirent.randomized import CostFunction, parse_policy
 from conftest import random_day_distribution
+
+
+class Segment(NamedTuple):
+    """One row of a cost table, as the reference loops below read it."""
+
+    lo: int
+    hi: float
+    slope: float
+    intercept: float
+
+    def value(self, t: float) -> float:
+        return self.slope * t + self.intercept
+
+
+def segments_with_tail(g: CostFunction) -> tuple[Segment, ...]:
+    """The rows of ``g``, its constant tail last."""
+    return tuple(Segment(int(lo), hi, slope, intercept) for lo, hi, slope, intercept in g._rows)
+
+
+def cost_table(rows) -> CostFunction:
+    """A cost function from (lo, hi, slope, intercept) rows, its tail included."""
+    return CostFunction(*np.array(rows, dtype=float).T)
 
 
 def one_hot(y: int) -> DayDistribution:
@@ -57,9 +84,8 @@ def direct_costs(p_hat: DayDistribution, b: int, t: int) -> float:
 
 def best_tail_day_reference(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
     """The per-segment loop that the array-backed tail-day search replaced."""
-    tail = Segment(lo=g.support_end, hi=math.inf, slope=0.0, intercept=g.tail_value)
     best: tuple[float, int] | None = None
-    for seg in g.segments + (tail,):
+    for seg in segments_with_tail(g):
         day = max(b, seg.lo + 1)
         if day > seg.hi or day > t_max + 1e-9:
             continue
@@ -75,21 +101,88 @@ def tied_cost_function(rng) -> CostFunction:
     """Segments with quarter-step slopes and half-step intercepts: exact, often tied costs."""
     n = int(rng.integers(1, 12))
     ends = np.sort(rng.choice(np.arange(1, 60), size=n, replace=False))
-    segments, lo = [], 0
+    rows, lo = [], 0
     for hi in ends:
-        segments.append(Segment(lo=lo, hi=float(hi), slope=float(rng.choice([0.0, 0.25, 0.5, 1.0])),
-                                intercept=0.5 * float(rng.integers(0, 8))))
+        rows.append((lo, float(hi), float(rng.choice([0.0, 0.25, 0.5, 1.0])),
+                     0.5 * float(rng.integers(0, 8))))
         lo = int(hi)
-    return CostFunction(tuple(segments), tail_value=0.5 * float(rng.integers(0, 8)))
+    return cost_table(rows + [(lo, math.inf, 0.0, 0.5 * float(rng.integers(0, 8)))])
+
+
+def ref_cost_segments(p_hat: DayDistribution, b: int) -> list[Segment]:
+    """The per-atom loop that built the cost table before it was built from columns."""
+    days = p_hat.days
+    probs = p_hat.probs
+    segments = []
+    prefix_weighted = 0.0
+    tail_prob = 1.0
+    lo = 0
+    for d, q in zip(days, probs):
+        segments.append(Segment(lo=lo, hi=float(d), slope=tail_prob,
+                                intercept=prefix_weighted + (b - 1) * tail_prob))
+        prefix_weighted += q * d
+        tail_prob -= q
+        lo = d
+    return segments + [Segment(lo=lo, hi=math.inf, slope=0.0, intercept=p_hat.mean())]
+
+
+def ref_robustness(f: StoppingDistribution, b: int, R: float):
+    """The per-day slack tuples of the old report, with its worst() and violated_index()."""
+    xs = np.arange(1, b)
+    F = f.cdf_at(xs)
+    mu = f.moment_at(xs)
+    slacks = (R - 1.0) * xs - (mu + (b - xs) * F)
+    tail_slack = (R - 1.0) * b - f.first_moment()
+    feasible = bool(tail_slack >= -1e-9 and (slacks.size == 0 or slacks.min() >= -1e-9))
+    per_day_slack = tuple((int(x), float(s)) for x, s in zip(xs, slacks))
+    return per_day_slack, float(tail_slack), feasible
+
+
+def ref_worst(per_day_slack, tail_slack) -> float:
+    slacks = [s for _, s in per_day_slack]
+    slacks.append(tail_slack)
+    return min(slacks)
+
+
+def ref_violated_index(per_day_slack, tail_slack, feasible) -> int | None:
+    if feasible:
+        return None
+    worst_day, worst_val = 0, tail_slack
+    for day, s in per_day_slack:
+        if s < worst_val:
+            worst_day, worst_val = day, s
+    return worst_day
+
+
+def ref_realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float:
+    """The scan over every horizon day that the support-size scan replaced."""
+    xs = np.arange(1, horizon + 1)
+    F = f.cdf_at(xs)
+    mu = f.moment_at(xs)
+    ratios = (mu + (b - xs) * F + xs) / np.minimum(xs, b)
+    return float(ratios.max())
+
+
+def ref_extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool:
+    """The per-day loop that the row-boundary check replaced."""
+    threshold = b - 1 + math.log(R / (R - 1.0)) / math.log(b / (b - 1.0))
+    if y < threshold - 1e-9:
+        return False
+    if y + 1 - b < 1:
+        return False
+    for t in range(1, y):
+        if g(t) > g(t + 1) + 1e-12:
+            return False
+    ref = g(y + 1 - b)
+    window = max(g.support_end, 4 * b)
+    for t in range(y + 1, y + window + 1):
+        if g(t) < ref - 1e-9:
+            return False
+    return True
 
 
 # The recording fill pass and construction that _construct_at_level replaced,
 # kept verbatim apart from the names.
-
-
-def ref_segments_with_tail(g: CostFunction) -> tuple[Segment, ...]:
-    tail = Segment(lo=g.support_end, hi=math.inf, slope=0.0, intercept=g.tail_value)
-    return g.segments + (tail,)
 
 
 def ref_active_end(seg: Segment, h: float) -> float:
@@ -116,7 +209,7 @@ def ref_fill_pass(g: CostFunction, b: int, R: float, h: float,
     mu = 0.0
     pmf: dict[int, float] | None = {} if record else None
     last_end = 0  # constraints are saturated through this day
-    for seg in ref_segments_with_tail(g):
+    for seg in segments_with_tail(g):
         if seg.lo >= b:
             break
         e = min(ref_active_end(seg, h), b)
@@ -238,7 +331,7 @@ class TestCostFunction:
         for _ in range(20):
             p_hat = random_day_distribution(rng)
             g = build_cost_function(p_hat, 6)
-            slopes = [s.slope for s in g.segments]
+            slopes = g.slope[:-1].tolist()
             assert all(0.0 <= s <= 1.0 for s in slopes)
             assert all(a >= b_ - 1e-12 for a, b_ in zip(slopes, slopes[1:]))
 
@@ -261,12 +354,51 @@ class TestCostFunction:
         g = build_cost_function(p_hat, 5)
         assert g(p_hat.max_day + 3) == pytest.approx(p_hat.mean(), abs=1e-12)
 
+    def test_columns_match_segment_loop(self, rng):
+        predictions = [random_day_distribution(rng, max_day=int(rng.integers(1, 3000)),
+                                               max_atoms=int(rng.integers(1, 400)))
+                       for _ in range(60)]
+        # far tails carry masses near 1e-16, where the running tail mass rounds most
+        for n in (1000, 6000, 20_000):
+            predictions.append(make_distribution(FamilySpec(
+                Family.GAUSSIAN_DISCRETIZED, {"mean": 0.3 * n, "stddev": 0.04 * n, "high": n})))
+            predictions.append(make_distribution(FamilySpec(
+                Family.GEOMETRIC_TRUNCATED, {"rate": 40.0 / n, "high": n})))
+        for p_hat in predictions:
+            b = int(rng.integers(2, 2 * p_hat.max_day + 3))
+            g = build_cost_function(p_hat, b)
+            reference = np.array(ref_cost_segments(p_hat, b))
+            assert np.array_equal(np.column_stack((g.lo, g.hi, g.slope, g.intercept)), reference)
+            assert g._rows == tuple(map(tuple, reference.tolist()))
+        assert min(predictions[-1].probs) < 1e-15
+        with pytest.raises(ValueError):
+            g.slope[0] = 0.5  # read-only: the cached rows could not follow a write
+
+    @pytest.mark.parametrize("columns", [
+        ([0, 3], [3, math.inf], [1.0], [1.0, 2.0]),
+        ([], [], [], []),
+        ([0], [math.inf], [0.0], [2.0]),
+        ([[0, 3]], [[3, math.inf]], [[1.0, 0.0]], [[1.0, 2.0]]),
+        ([1, 3], [3, math.inf], [1.0, 0.0], [1.0, 2.0]),
+        ([0, 4], [3, math.inf], [1.0, 0.0], [1.0, 2.0]),
+        ([0, 3, 3], [3, 3, math.inf], [1.0, 0.5, 0.0], [1.0, 1.5, 2.0]),
+        ([0, 2.5], [2.5, math.inf], [1.0, 0.0], [1.0, 2.0]),
+        ([0, 3], [3, 9], [1.0, 0.0], [1.0, 2.0]),
+        ([0, 3], [3, math.inf], [1.0, 0.5], [1.0, 2.0]),
+        ([0, 3], [3, math.inf], [math.nan, 0.0], [1.0, 2.0]),
+        ([0, 3], [3, math.inf], [1.0, 0.0], [1.0, math.inf]),
+    ], ids=["unequal", "empty", "tail_only", "two_dim", "not_from_zero", "gap", "empty_row",
+            "fractional_day", "no_infinite_end", "sloped_tail", "nan_slope", "infinite_intercept"])
+    def test_rejects_malformed_tables(self, columns):
+        with pytest.raises(InvalidParamsError):
+            CostFunction(*columns)
+
 
 class TestRobustnessCheck:
     def test_point_mass_at_b(self):
         rep = check_robustness(buy_day(4), b=4, R=2.0)
         assert rep.feasible
-        for x, slack in rep.per_day_slack:
+        for x, slack in enumerate(rep.slacks, start=1):
             assert slack == pytest.approx(x, abs=1e-12)   # (R-1)x with F(x)=0
         assert rep.tail_slack == pytest.approx(1.0, abs=1e-12)
 
@@ -276,7 +408,8 @@ class TestRobustnessCheck:
             assert not check_robustness(buy_day(1), b, R=b - 0.01).feasible
 
     def test_geometric_always_feasible(self):
-        for b in range(2, 101, 7):
+        # at b = 3367 a float (b/(b-1))**x broke the envelope's constraints by 1.1e-9
+        for b in (*range(2, 101, 7), 3367, 10_000):
             for R in (1.6, 1.7, 2.0, 2.5, 3.0):
                 if not feasible_robustness(b, R):
                     continue
@@ -287,6 +420,33 @@ class TestRobustnessCheck:
         rep = check_robustness(buy_day(1), b=6, R=1.5)
         assert not rep.feasible
         assert rep.violated_index() == 1
+
+    def test_slacks_match_per_day_tuples(self, rng):
+        violated = 0
+        for _ in range(300):
+            b = int(rng.integers(2, 40))
+            R = float(rng.uniform(1.2, 3.0))
+            f = random_stopping(rng, max_day=3 * b, max_atoms=6)
+            rep = check_robustness(f, b, R)
+            per_day_slack, tail_slack, feasible = ref_robustness(f, b, R)
+            assert tuple(zip(range(1, b), rep.slacks.tolist())) == per_day_slack
+            assert (rep.tail_slack, rep.feasible) == (tail_slack, feasible)
+            assert rep.worst() == ref_worst(per_day_slack, tail_slack)
+            assert rep.violated_index() == ref_violated_index(per_day_slack, tail_slack, feasible)
+            violated += not feasible
+        assert 30 < violated < 270
+
+    @pytest.mark.parametrize("slacks, tail_slack, day", [
+        ([-1.0, -2.0, -2.0], -2.0, 0),
+        ([-1.0, -2.0, -2.0], -1.0, 2),
+        ([], -1.0, 0),
+    ])
+    def test_violated_index_ties(self, slacks, tail_slack, day):
+        # the tail wins a tie, then the earliest day
+        rep = randomized.RobustnessReport(np.array(slacks), tail_slack, False)
+        per_day_slack = tuple(enumerate(slacks, start=1))
+        assert rep.violated_index() == day == ref_violated_index(per_day_slack, tail_slack, False)
+        assert rep.worst() == ref_worst(per_day_slack, tail_slack)
 
 
 class TestRealizedWorstRatio:
@@ -299,6 +459,29 @@ class TestRealizedWorstRatio:
 
     def test_buy_day_one_ratio_is_b(self):
         assert realized_worst_ratio(buy_day(1), 5, 10) == pytest.approx(5.0, abs=1e-12)
+
+    def test_matches_dense_scan(self, rng):
+        for _ in range(3000):
+            b = int(rng.integers(2, 30))
+            max_day = int(rng.integers(1, 4 * b + 2))
+            f = random_stopping(rng, max_day=max_day, max_atoms=min(10, max_day))
+            horizon = int(rng.integers(b, max(b, f.max_day) + 20))
+            expected = ref_realized_worst_ratio(f, b, horizon)
+            assert realized_worst_ratio(f, b, horizon) == pytest.approx(expected, rel=1e-14)
+
+    def test_cost_follows_the_support_not_the_horizon(self):
+        f = StoppingDistribution((1, 10**7), (0.5, 0.5))
+        tracemalloc.start()
+        try:
+            worst = realized_worst_ratio(f, 10, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # the last day is the worst horizon: (mu + b) / b with mu = (10^7 - 1) / 2
+        assert worst == pytest.approx((0.5 * (10**7 - 1) + 10) / 10, rel=1e-15)
+        small = StoppingDistribution((1, 10**4), (0.5, 0.5))
+        assert realized_worst_ratio(small, 10, 10**4) == ref_realized_worst_ratio(small, 10, 10**4)
 
     def test_matches_monte_carlo(self, rng):
         f = random_stopping(rng, max_day=15)
@@ -372,6 +555,37 @@ class TestExtensionCondition:
         y = math.ceil(thr) + 3
         assert extension_condition_check(g, b, R, y) is True
 
+    def test_matches_day_loop(self, rng):
+        outcomes = []
+        for i in range(300):
+            b = int(rng.integers(2, 40))
+            R = float(rng.uniform(1.4, 3.0))
+            thr = b - 1 + math.log(R / (R - 1)) / math.log(b / (b - 1))
+            y = int(rng.integers(max(1, math.floor(thr) - 2), math.ceil(thr) + 3 * b))
+            if i % 3 == 0:
+                g = tied_cost_function(rng)
+            else:
+                # a light first atom keeps the costs through y rising more often
+                first = int(rng.integers(1, 3 * b))
+                late = np.sort(rng.choice(np.arange(first + 1, 1001), size=int(rng.integers(0, 6)),
+                                          replace=False))
+                light = float(rng.uniform(0.0, 2.0 / b))
+                masses = [light, *rng.dirichlet(np.ones(len(late))) * (1 - light)] if late.size else [1.0]
+                g = build_cost_function(DayDistribution((first, *late.tolist()), tuple(masses)), b)
+            got = extension_condition_check(g, b, R, y)
+            assert got is ref_extension_condition_check(g, b, R, y)
+            outcomes.append(got)
+        assert 30 < sum(outcomes) < 270
+
+    def test_cost_follows_the_rows_not_the_days(self):
+        b, R = 10, 2.0
+        y = math.ceil(b - 1 + math.log(R / (R - 1)) / math.log(b / (b - 1))) + 1
+        g = build_cost_function(DayDistribution((1, 10**7), (0.01, 0.99)), b)
+        start = time.perf_counter()
+        assert extension_condition_check(g, b, R, y) is True
+        # the day loop took about 36 s to scan the 10^7-day window
+        assert time.perf_counter() - start < 1.0
+
 
 class TestOnehotExact:
     def test_long_flat_tail_equals_geometric(self):
@@ -425,6 +639,9 @@ class TestOnehotExact:
             y = int(rng.integers(1, 3 * b))
             pol = onehot_exact(b, R, y)
             assert check_robustness(pol, b, R).feasible
+        # a float (b/(b-1))**k in the tight continuation broke these by 1.1e-9
+        for R, y in ((2.5, 10), (2.0, 96), (1.7, 138), (1.7, 419)):
+            assert check_robustness(onehot_exact(3367, R, y), 3367, R).feasible
 
 
 def monotone_instance(rng, b):
@@ -568,9 +785,9 @@ class TestSingleFillPath:
                 continue
             partial += 1
             policy = randomized._construct_at_level(g, b, R, level)
-            slack = dict(check_robustness(policy, b, R).per_day_slack)
+            slacks = check_robustness(policy, b, R).slacks
             active = [x for s, e, _ in runs for x in range(s, e + 1) if x < b]
-            assert all(slack[x] <= 1e-9 for x in active)
+            assert all(slacks[x - 1] <= 1e-9 for x in active)
         assert partial > 20
 
     @pytest.mark.parametrize("b, days", [(3367, [1]), (10_000, [1]), (10_000, range(3, 30_001, 3))],
@@ -619,16 +836,16 @@ def uniform_days(n: int) -> DayDistribution:
 
 class TestBestTailDay:
     def test_tie_breaks_toward_smaller_day(self):
-        g = CostFunction((Segment(0, 3.0, 0.0, 2.0), Segment(3, 6.0, 0.0, 2.0)), tail_value=2.0)
+        g = cost_table([(0, 3, 0.0, 2.0), (3, 6, 0.0, 2.0), (6, math.inf, 0.0, 2.0)])
         assert randomized._best_tail_day(g, 2, 2.0, 1e18) == 2
         assert randomized._best_tail_day(g, 4, 2.0, 1e18) == 4
 
     def test_level_below_every_cost(self):
-        g = CostFunction((Segment(0, 3.0, 0.0, 2.0), Segment(3, 6.0, 0.0, 2.0)), tail_value=2.0)
+        g = cost_table([(0, 3, 0.0, 2.0), (3, 6, 0.0, 2.0), (6, math.inf, 0.0, 2.0)])
         assert randomized._best_tail_day(g, 2, 1.0, 1e18) is None
 
     def test_binding_day_limit(self):
-        g = CostFunction((Segment(0, 5.0, 1.0, 10.0), Segment(5, 9.0, 0.0, 4.0)), tail_value=6.0)
+        g = cost_table([(0, 5, 1.0, 10.0), (5, 9, 0.0, 4.0), (9, math.inf, 0.0, 6.0)])
         assert randomized._best_tail_day(g, 3, 20.0, 6.0) == 6
         assert randomized._best_tail_day(g, 3, 20.0, 5.0) == 3
         assert randomized._best_tail_day(g, 3, 20.0, 2.0) is None
@@ -701,7 +918,7 @@ class TestExactRefine:
     def test_failed_self_check_is_typed(self, monkeypatch):
         g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
         monkeypatch.setattr(randomized, "check_robustness",
-                            lambda f, b, R: RobustnessReport((), -1.0, False))
+                            lambda f, b, R: RobustnessReport(np.empty(0), -1.0, False))
         for exact in (True, False):
             with pytest.raises(InvariantError) as err:
                 water_fill(g, 50, 1.7, exact=exact)
