@@ -18,7 +18,13 @@ from .deterministic import (
     optimal_threshold,
     robust_consistent_bound,
 )
-from .distributions import DayDistribution, parse_distribution, total_variation, wasserstein1
+from .distributions import (
+    DayDistribution,
+    _check_finite,
+    parse_distribution,
+    total_variation,
+    wasserstein1,
+)
 from .errors import InvalidParamsError, ScaleExceededError, SkirentError
 from .evaluation import consistency, run_consistency_table, run_perturbation_sweep
 from .oracle import MAX_HORIZON, brute_force_threshold, lp_instance_from_cost, lp_solve
@@ -96,12 +102,16 @@ def _require(args, *names: str) -> None:
 def _validate_common(args) -> None:
     if getattr(args, "b", None) is not None and args.b < 2:
         raise InvalidParamsError("--b must be >= 2")
-    if getattr(args, "r", None) is not None and args.r <= 1:
-        raise InvalidParamsError("--r must exceed 1")
+    if getattr(args, "r", None) is not None:
+        _check_finite(args.r, "--r")
+        if args.r <= 1:
+            raise InvalidParamsError("--r must exceed 1")
     if getattr(args, "lam", None) is not None and not 0 < args.lam < 1:
         raise InvalidParamsError("--lambda must lie in (0, 1)")
-    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
-        raise InvalidParamsError("--epsilon must be > 0")
+    if getattr(args, "epsilon", None) is not None:
+        _check_finite(args.epsilon, "--epsilon")
+        if args.epsilon <= 0:
+            raise InvalidParamsError("--epsilon must be > 0")
 
 
 def cmd_threshold(args) -> int:

@@ -222,6 +222,16 @@ def _check_b(b: int) -> None:
         raise InvalidParamsError(f"buy cost b must be an integer >= 2, got {b!r}")
 
 
+def _check_finite(value: float, what: str) -> None:
+    """Reject NaN, infinities and non-numbers; NaN would slip past every range check."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise InvalidParamsError(f"{what} must be a finite number, got {value!r}")
+
+
 def _need(params: Mapping[str, Any], key: str) -> Any:
     if key not in params:
         raise InvalidParamsError(f"missing parameter {key!r}")

@@ -9,10 +9,22 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .distributions import DayDistribution, _check_b, _parse_atoms, _Pmf
+from .distributions import DayDistribution, _check_b, _check_finite, _parse_atoms, _Pmf
 from .errors import InfeasibleError, InvalidParamsError, InvariantError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
+
+
+def _check_r(R: float) -> None:
+    _check_finite(R, "R")
+    if R <= 1:
+        raise InvalidParamsError("R must exceed 1")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    _check_finite(epsilon, "epsilon")
+    if epsilon <= 0:
+        raise InvalidParamsError("epsilon must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +195,7 @@ class RobustnessReport:
 def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessReport:
     """Evaluate mu(x) + (b-x) F(x) <= (R-1) x for x < b and mu(inf) <= (R-1) b."""
     _check_b(b)
-    if R <= 1:
-        raise InvalidParamsError("R must exceed 1")
+    _check_r(R)
     xs = np.arange(1, b)
     F = f.cdf_at(xs)
     mu = f.moment_at(xs)
@@ -251,8 +262,7 @@ def geometric_cdf(b: int, R: float) -> StoppingDistribution:
     least 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.
     """
     _check_b(b)
-    if R <= 1:
-        raise InvalidParamsError("R must exceed 1")
+    _check_r(R)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
     cap = 1.0 - 1e-12
@@ -276,8 +286,7 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
     eventually constant); and y past the envelope-saturation threshold.
     """
     _check_b(b)
-    if R <= 1:
-        raise InvalidParamsError("R must exceed 1")
+    _check_r(R)
     if y < 1:
         raise InvalidParamsError("y must be >= 1")
     threshold = b - 1 + math.log(R / (R - 1.0)) / math.log(b / (b - 1.0))
@@ -297,26 +306,31 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
     return not np.any(g.values_at(firsts) < ref - 1e-9)
 
 
-def _min_p_reaching(eval_fn, breakpoints: list[float], target: float) -> float:
+def _min_p_reaching(eval_fn, breakpoints: np.ndarray, target: float) -> float:
     """Smallest p in [0, 1] with eval_fn(p) >= target.
 
-    ``eval_fn`` must be continuous, nondecreasing, and affine between
-    consecutive breakpoints, so the crossing is solved exactly on its piece.
+    ``eval_fn`` takes an array of p, and must be continuous, nondecreasing, and
+    affine between consecutive breakpoints, so the crossing is solved exactly on
+    its piece.
     """
-    bps = sorted({0.0, 1.0, *(min(max(float(x), 0.0), 1.0) for x in breakpoints)})
-    prev = bps[0]
-    f_prev = eval_fn(prev)
-    if f_prev >= target:
-        return prev
-    for cur in bps[1:]:
-        f_cur = eval_fn(cur)
-        if f_cur >= target:
-            if f_cur <= f_prev:
-                return cur
-            frac = (target - f_prev) / (f_cur - f_prev)
-            return prev + frac * (cur - prev)
-        prev, f_prev = cur, f_cur
-    raise InfeasibleError("no p in [0, 1] attains the required level")
+    bps = np.unique(np.clip(np.append([0.0, 1.0], breakpoints), 0.0, 1.0))
+    values = eval_fn(bps)
+    reached = np.flatnonzero(values >= target)
+    if reached.size == 0:
+        raise InfeasibleError("no p in [0, 1] attains the required level")
+    i = int(reached[0])
+    if i == 0:
+        return float(bps[0])
+    prev, cur, f_prev, f_cur = (float(v) for v in (bps[i - 1], bps[i], values[i - 1], values[i]))
+    if f_cur <= f_prev:
+        return cur
+    return prev + (target - f_prev) / (f_cur - f_prev) * (cur - prev)
+
+
+def _capped_sum(G: np.ndarray, p):
+    """sum_x min(G[x], p) for nondecreasing G, at each p, from G's running sums."""
+    k = np.searchsorted(G, p, side="right")  # G[:k] <= p < G[k:]
+    return np.cumsum(np.append(0.0, G))[k] + (G.size - k) * p
 
 
 def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
@@ -326,30 +340,28 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
     continuation still reaches mass 1 by day b; at-or-above-b predictions cap
     the front-loaded envelope and park the leftover mass just past y, with the
     cap chosen as the smallest level that satisfies the tail-moment budget and
-    is not cheaper to exceed.
+    is not cheaper to exceed.  Both caps come from running sums over the
+    envelope, so the cost is O(b log b).
     """
     _check_b(b)
     if y < 1:
         raise InvalidParamsError("y must be >= 1")
-    if R <= 1:
-        raise InvalidParamsError("R must exceed 1")
+    _check_r(R)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
     G = [_growth_envelope(b, R, x) for x in range(0, b + 1)]
 
     if y <= b - 1:
-        def s_y(p: float) -> float:
-            return sum(min(G[x], p) for x in range(1, y + 1))
-
+        head = np.array(G[1:y + 1])
         log_gamma = math.log1p(1.0 / (b - 1.0))
 
-        def tight(x: int, s: float) -> float:
+        def tight(x: int, s):
             """CDF at day x > y of the continuation that keeps days y+1..x tight."""
             grow = math.expm1((x - y - 1) * log_gamma)  # gamma^(x-y-1) - 1
             return (grow + 1.0) * ((R - 1.0) * (y + 1) + s) / (b - 1.0) + (R - 1.0) * grow
 
-        p_star = _min_p_reaching(lambda p: tight(b, s_y(p)), G[1:y + 1], 1.0)
-        s_star = s_y(p_star)
+        p_star = _min_p_reaching(lambda p: tight(b, _capped_sum(head, p)), head, 1.0)
+        s_star = float(_capped_sum(head, p_star))
         cdf = [min(G[x], p_star) for x in range(0, y + 1)]
         for x in range(y + 1, b + 1):
             u = tight(x, s_star)
@@ -357,13 +369,15 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
             if u >= 1.0:
                 break
     else:
-        def phi(p: float) -> float:
-            return (y - b) * p + sum(min(G[x], p) for x in range(1, b + 1))
+        envelope = np.array(G[1:b + 1])
+
+        def phi(p):
+            return (y - b) * p + _capped_sum(envelope, p)
 
         m = min(y - b + 1, b)
         p_cheap = min(G[m], 1.0)
         delta = max(y - (R - 1.0) * b, 0.0)
-        p_star = _min_p_reaching(phi, G[1:b + 1], max(delta, phi(p_cheap)))
+        p_star = _min_p_reaching(phi, envelope, max(delta, float(phi(p_cheap))))
         cdf = [min(G[x], p_star) for x in range(0, b + 1)]
         if p_star < 1.0 - 1e-15:
             # flat at p_star through y, remaining atom just past the prediction
@@ -467,8 +481,7 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
     leftover moment budget.
     """
     _check_b(b)
-    if R <= 1:
-        raise InvalidParamsError("R must exceed 1")
+    _check_r(R)
     F, mu, _ = _fill_pass(g, b, R, h)
     return F >= 1.0 or _tail_day(g, b, R, h, F, mu) is not None
 
@@ -485,8 +498,8 @@ class WaterLevelSearch:
 
 def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> WaterLevelSearch:
     """Bisect [0, max g] down to width epsilon for the least feasible level."""
-    if epsilon <= 0:
-        raise InvalidParamsError("epsilon must be > 0")
+    _check_r(R)
+    _check_epsilon(epsilon)
     h_lo = 0.0
     h_hi = g.max_value()
     checks = 0
@@ -607,6 +620,58 @@ def _lp_refine(g: CostFunction, b: int, R: float) -> StoppingDistribution | None
     return StoppingDistribution(days=tuple(int(d) for d in t[keep]), masses=tuple(f[keep]))
 
 
+def _duality_gap(g: CostFunction, b: int, R: float, policy: StoppingDistribution,
+                 objective: float) -> float:
+    """Upper bound on how far ``objective`` sits above the optimum of ``_lp_refine``.
+
+    Builds a dual solution of that LP from the level policy: y_x >= 0 on day x's
+    robustness row, y_T on the tail row, lam on the mass row.  With
+    Y_t = sum_{x>=t} y_x and Z_t = sum_{x>=t} (b-x) y_x, day t's reduced cost is
+    r_t = c_t - lam + (t-1) (y_T + Y_t) + Z_t, and weak duality bounds every
+    robust policy's cost below by lam + min(0, min r) - (R-1) (sum x y_x + b y_T)
+    whatever the signs of r, so complementary slackness that holds only up to
+    rounding cannot make the bound unsafe.
+
+    The dual is made complementary to the policy.  Its top day fixes lam (and,
+    when it is a tail day past the early rows, the least y_T that keeps later
+    candidates' reduced costs nonnegative); on consecutive support days u < v,
+    r_u = r_v = 0 gives y_u = (c_v - c_u + (v-u) (y_T + Y_v)) / (b-1), and every
+    other row gets y = 0.  Returns objective minus the bound, or inf when some
+    y_u comes out negative.
+    """
+    days = policy._days_arr
+    if days.size > 1 and days[-2] >= b:  # only the top day may lie past the early rows
+        return math.inf
+    cand = _candidate_days(g, b)
+    c_cand = g.values_at(cand)
+    costs = g.values_at(days).tolist()
+    top, c_top = int(days[-1]), costs[-1]
+    y_T = 0.0
+    if top >= b:
+        later = cand > top
+        if later.any():
+            y_T = max(0.0, float(np.max((c_top - c_cand[later]) / (cand[later] - top))))
+    lam = c_top + (top - 1) * y_T
+    y = np.zeros(b - 1)  # y[x-1] sits on day x's row
+    s = y_T  # y_T + Y_v, summed downward in the order np.cumsum uses below
+    v, c_v = top, c_top
+    for u, c_u in zip(days[-2::-1].tolist(), costs[-2::-1]):
+        y_u = (c_v - c_u + (v - u) * s) / (b - 1)
+        if y_u < 0.0:
+            return math.inf
+        y[u - 1] = y_u
+        s += y_u
+        v, c_v = u, c_u
+    xs = np.arange(1, b)
+    weight = np.full(cand.size, y_T)  # y_T + Y_t on the candidate days
+    weight[:b - 1] = np.cumsum(np.append(y_T, y[::-1]))[:0:-1]
+    z = np.zeros(cand.size)
+    z[:b - 1] = np.cumsum(((b - xs) * y)[::-1])[::-1]
+    reduced = c_cand - lam + (cand - 1.0) * weight + z
+    bound = lam + min(0.0, float(reduced.min())) - (R - 1.0) * (float(xs @ y) + b * y_T)
+    return objective - bound
+
+
 def water_fill(g: CostFunction, b: int, R: float,
                epsilon: float | None = None,
                exact: bool = True) -> tuple[StoppingDistribution, float]:
@@ -617,18 +682,19 @@ def water_fill(g: CostFunction, b: int, R: float,
     ``exact`` (the default) the fill is kept only if no redistribution over the
     candidate days beats it: restricting support to costs below the water level
     is provably suboptimal when cheap late days are moment-limited, and the
-    exact redistribution recovers the true optimum in those cases.  With
-    ``exact=False`` the level-restricted policy is returned as-is (the
-    procedure the reference experiments report).  If the exact LP fails, a
-    RuntimeWarning names the HiGHS status and the level-restricted policy is
-    returned; a returned policy that fails ``check_robustness`` raises
-    InvariantError.
+    exact redistribution recovers the true optimum in those cases.  The LP
+    runs only when ``_duality_gap`` cannot prove the fill within 1e-11
+    (relative) of that optimum; a skipped LP returns the same policy as a
+    rejected one.  With ``exact=False`` the level-restricted policy is
+    returned as-is (the procedure the reference experiments report).  If the
+    exact LP fails, a RuntimeWarning names the HiGHS status and the
+    level-restricted policy is returned; a returned policy that fails
+    ``check_robustness`` raises InvariantError.
     """
     _check_b(b)
-    if R <= 1:
-        raise InvalidParamsError("R must exceed 1")
-    if epsilon is not None and epsilon <= 0:
-        raise InvalidParamsError("epsilon must be > 0")
+    _check_r(R)
+    if epsilon is not None:
+        _check_epsilon(epsilon)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
     if epsilon is None:
@@ -638,7 +704,9 @@ def water_fill(g: CostFunction, b: int, R: float,
     if policy is None:
         raise InfeasibleError(f"no policy fits within water level {search.level}")
     objective = expected_policy_cost(policy, g)
-    if exact:
+    # a dual bound within a tenth of the acceptance margin leaves no LP result
+    # that could be kept, so the solve is skipped
+    if exact and _duality_gap(g, b, R, policy, objective) > 1e-11 * (1.0 + abs(objective)):
         refined = _lp_refine(g, b, R)
         if refined is not None:
             refined_obj = expected_policy_cost(refined, g)

@@ -92,6 +92,17 @@ class TestWaterfillCommand:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag, value", [("--r", "inf"), ("--r", "nan"),
+                                             ("--epsilon", "nan"), ("--epsilon", "inf")])
+    def test_non_finite_number_exits_2(self, capsys, flag, value):
+        # --r inf died in scipy with a traceback, --r nan exited 1, and a NaN or
+        # infinite --epsilon ran no bisection check and printed a policy
+        argv = {"--r": "1.7", "--epsilon": "1e-6", flag: value}
+        code, out, err = run_cli(capsys, "waterfill", "--dist", TWOPOINT, "--b", "50",
+                                 *(item for pair in argv.items() for item in pair))
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
     def test_deterministic_output(self, capsys):
         args = ("waterfill", "--dist", TWOPOINT, "--b", "50", "--r", "1.7", "--quiet")
         _, out1, _ = run_cli(capsys, *args)
@@ -111,6 +122,12 @@ class TestBaselineCommand:
         code, _, _ = run_cli(capsys, "baseline", "--dist", TWOPOINT, "--b", "50",
                              "--r", "1.3", "--kind", "mixture")
         assert code == 1
+
+    def test_nan_r_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "baseline", "--dist", TWOPOINT, "--b", "50",
+                                 "--r", "nan", "--kind", "mixture")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 class TestMetricsCommand:

@@ -35,6 +35,7 @@ from skirent import (
     realized_worst_ratio,
     water_fill,
 )
+from skirent.evaluation import TABLE_FAMILIES
 from skirent.randomized import CostFunction, parse_policy
 from conftest import random_day_distribution
 
@@ -643,6 +644,29 @@ class TestOnehotExact:
         for R, y in ((2.5, 10), (2.0, 96), (1.7, 138), (1.7, 419)):
             assert check_robustness(onehot_exact(3367, R, y), 3367, R).feasible
 
+    def test_capped_sum_matches_loop(self, rng):
+        # running sums add in another order than the loop, so allow a few ulps
+        for _ in range(50):
+            G = np.sort(rng.uniform(0.0, 1.5, size=int(rng.integers(1, 200))))
+            ps = np.concatenate((G, rng.uniform(-0.1, 1.6, size=20), [0.0, 1.0]))
+            got = randomized._capped_sum(G, ps)
+            for p, value in zip(ps, got):
+                assert value == pytest.approx(sum(min(x, p) for x in G), rel=1e-13, abs=1e-13)
+
+    def test_time_grows_linearly(self):
+        # phi re-summed all b envelope values at each of b breakpoints: slope 2
+        sizes = (500, 1000, 2000)
+        times = []
+        for b in sizes:
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                onehot_exact(b, 2.0, 2 * b)
+                best = min(best, time.perf_counter() - start)
+            times.append(best)
+        slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+        assert slope <= 1.3, f"log-log slope {slope:.2f} of best times {times}"
+
 
 def monotone_instance(rng, b):
     """Prediction far beyond b: costs are strictly increasing over [1, 2b]."""
@@ -748,6 +772,24 @@ class TestWaterFill:
         g = build_cost_function(one_hot(5), 8)
         with pytest.raises(InfeasibleError):
             water_fill(g, 8, 1.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, worked_example, bad):
+        # NaN passed every range check: epsilon=nan ran no bisection check and
+        # returned the policy at level max g, R=nan raised InfeasibleError
+        g = build_cost_function(worked_example, 50)
+        calls = [
+            lambda: water_fill(g, 50, bad),
+            lambda: water_fill(g, 50, 2.0, epsilon=bad),
+            lambda: water_fill(g, 50, 2.0, epsilon=bad, exact=False),
+            lambda: minimal_water_level(g, 50, bad, 1e-3),
+            lambda: minimal_water_level(g, 50, 2.0, bad),
+            lambda: level_feasible(g, 50, bad, 10.0),
+            lambda: check_robustness(buy_day(4), 50, bad),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParamsError, match="finite"):
+                call()
 
 
 class TestSingleFillPath:
@@ -870,6 +912,39 @@ class TestBestTailDay:
                             == best_tail_day_reference(g, b, h, t_max))
 
 
+def certified(g, b, R, policy, objective) -> bool:
+    """Whether the duality gap lets exact mode skip the LP (its rule in water_fill)."""
+    return randomized._duality_gap(g, b, R, policy, objective) <= 1e-11 * (1.0 + abs(objective))
+
+
+def certificate_outcome(p_hat, b, R) -> bool | None:
+    """True if the certificate skips the LP, False if it does not, None if it
+    skips an LP whose result water_fill's acceptance rule would have kept."""
+    g = build_cost_function(p_hat, b)
+    try:
+        policy, objective = water_fill(g, b, R, exact=False)
+    except InfeasibleError:
+        return False
+    if not certified(g, b, R, policy, objective):
+        return False
+    refined = randomized._lp_refine(g, b, R)
+    kept = (refined is not None
+            and expected_policy_cost(refined, g) < objective - 1e-10 * (1.0 + abs(objective))
+            and check_robustness(refined, b, R).feasible)
+    return None if kept else True
+
+
+@st.composite
+def refine_instances(draw):
+    """A 1-12 atom prediction on days up to 4b, b up to 200, and an R in [1.2, 3]."""
+    b = draw(st.integers(2, 200))
+    R = draw(st.floats(1.2, 3.0))
+    days = draw(st.lists(st.integers(1, 4 * b), min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(days), max_size=len(days)))
+    total = sum(weights)
+    return DayDistribution.from_pairs((d, w / total) for d, w in zip(days, weights)), b, R
+
+
 class TestExactRefine:
     def test_matches_oracle_up_to_its_cap(self, rng):
         # criterion 3 stops at b = 12; the oracle's horizon 4b allows b up to 100
@@ -908,6 +983,8 @@ class TestExactRefine:
     def test_lp_failure_warns_and_keeps_level_policy(self, monkeypatch):
         g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
         published = water_fill(g, 50, 1.7, exact=False)
+        # the LP gains 1.5e-4 here, so no certificate may skip it
+        assert not certified(g, 50, 1.7, *published)
         failed = scipy.optimize.OptimizeResult(success=False, status=4, x=None,
                                                message="numerical difficulties")
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
@@ -923,6 +1000,52 @@ class TestExactRefine:
             with pytest.raises(InvariantError) as err:
                 water_fill(g, 50, 1.7, exact=exact)
             assert isinstance(err.value, SkirentError)
+
+    def test_certificate_never_skips_a_kept_lp(self, rng):
+        instances = [(uniform_days(21_000), 50, 1.7),
+                     (DayDistribution((30, 120), (0.7, 0.3)), 50, 1.7),
+                     *((uniform_days(3 * b), b, 1.7) for b in (250, 500, 1000)),
+                     # point-mass tails, and a fill whose dual has negative reduced costs
+                     *((make_distribution(spec), 50, R) for _, spec in TABLE_FAMILIES
+                       for R in (1.7, 2.0, 2.5)),
+                     (DayDistribution.from_pairs(zip(
+                         (2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15),
+                         np.array([685, 2377, 748, 733, 558, 1470, 1074, 6, 1891, 53, 228, 177])
+                         / 10_000)), 7, 2.5)]
+        for b in (13, 20, 35, 50, 75, 100):
+            for R in (1.3, 1.7, 2.5):
+                for _ in range(3):
+                    instances.append((random_day_distribution(
+                        rng, max_day=int(rng.integers(b, 4 * b + 1)), max_atoms=12), b, R))
+        outcomes = [certificate_outcome(*instance) for instance in instances]
+        assert None not in outcomes, "a certified fill's LP result passed the acceptance rule"
+        assert True in outcomes and False in outcomes
+
+    def test_certificate_never_skips_a_kept_lp_on_drawn_inputs(self):
+        outcomes = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(refine_instances())
+        def check(instance):
+            outcome = certificate_outcome(*instance)
+            assert outcome is not None, "a certified fill's LP result passed the acceptance rule"
+            outcomes.append(outcome)
+
+        check()
+        assert True in outcomes  # the certificate fired, so the check was not vacuous
+
+    @pytest.mark.parametrize("b", [500, 20_000])
+    def test_certified_fill_skips_the_solve(self, monkeypatch, b):
+        # at b = 20000 the LP took seconds to confirm the fill
+        g = build_cost_function(uniform_days(100), b)
+        policy, objective = water_fill(g, b, 1.7, exact=False)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the certified fill must not reach the LP")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
+        exact_policy, exact_objective = water_fill(g, b, 1.7)
+        assert exact_policy.support == policy.support and exact_objective == objective
 
     def test_memory_grows_linearly(self):
         # the dense constraint matrix grew as b^2 (slope 2.0 in log-log)
