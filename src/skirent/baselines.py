@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DayDistribution, survival, _check_b
+from .distributions import DayDistribution, survival, _check_b, _check_finite
 from .errors import InvalidParamsError, InvalidRError
 from .randomized import StoppingDistribution
 
@@ -76,6 +76,7 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float, kind: BaselineKind
     strictly exceeds 1/2; the mixture combines the branches pointwise.
     """
     kind = BaselineKind(kind)
+    _check_finite(R, "R")
     lam = lambda_from_r(b, R)
     p_high = survival(p_hat, b)
     high = purohit_branch(b, lam, high_branch=True, rounding=rounding)

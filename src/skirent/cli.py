@@ -71,18 +71,31 @@ def _load_dist(source: str) -> DayDistribution:
     return parse_distribution(text)
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from a JSON config file (flags always win)."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        conf = json.load(fh)
-    mapping = {"b": "b", "r": "r", "lambda": "lam", "epsilon": "epsilon", "seed": "seed",
+# config-file key -> argparse dest; each key is also the name of its flag
+CONFIG_KEYS = {"b": "b", "r": "r", "lambda": "lam", "epsilon": "epsilon", "seed": "seed",
                "dist": "dist", "out": "out", "format": "format", "etas": "etas",
                "trials": "trials"}
-    for key, attr in mapping.items():
-        if key in conf and getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, conf[key])
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str],
+                       args: argparse.Namespace) -> argparse.Namespace:
+    """Fill unset flags from a JSON config file (flags always win).
+
+    The values are parsed again as flags, so they get the flags' typing and
+    choices: a string goes in as it is, anything else as its JSON text, and a
+    value the flag would reject exits 2 through argparse.
+    """
+    if not getattr(args, "config", None):
+        return args
+    with open(args.config) as fh:
+        conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise InvalidParamsError("the config file must hold a JSON object")
+    extra = [f"--{key}={value if isinstance(value, str) else json.dumps(value)}"
+             for key, value in conf.items()
+             if key in CONFIG_KEYS and hasattr(args, CONFIG_KEYS[key])
+             and getattr(args, CONFIG_KEYS[key]) is None]
+    return parser.parse_args([*argv, *extra]) if extra else args
 
 
 def _resolve_seed(args) -> int:
@@ -112,6 +125,8 @@ def _validate_common(args) -> None:
         _check_finite(args.epsilon, "--epsilon")
         if args.epsilon <= 0:
             raise InvalidParamsError("--epsilon must be > 0")
+    if getattr(args, "trials", None) is not None and args.trials < 1:
+        raise InvalidParamsError("--trials must be >= 1")
 
 
 def cmd_threshold(args) -> int:
@@ -198,7 +213,11 @@ def cmd_experiment(args) -> int:
     else:
         etas = None
         if args.etas is not None:
-            etas = [float(x) for x in str(args.etas).split(",") if x != ""]
+            try:
+                etas = [float(x) for x in args.etas.split(",") if x != ""]
+            except ValueError:
+                raise InvalidParamsError(
+                    f"--etas must be comma-separated numbers, got {args.etas!r}") from None
         trials = args.trials if args.trials is not None else 25
         _log(args, f"running perturbation sweep at (b, R) = ({b}, {r}), seed {seed}")
         result = run_perturbation_sweep(b=b, R=r, eta_grid=etas, n_trials=trials,
@@ -401,9 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        args = _apply_config_file(parser, argv, args)
         _validate_common(args)
         _require(args, *args.needs)
     except (InvalidParamsError, OSError, json.JSONDecodeError) as exc:

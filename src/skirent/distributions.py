@@ -160,6 +160,7 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     is spent or a move cap is reached.  Deterministic for a given seed, and the
     result always satisfies W1(p, result) <= eta.
     """
+    _check_finite(eta, "eta")
     if eta < 0:
         raise InvalidParamsError("eta must be >= 0")
     if eta == 0:

@@ -17,6 +17,7 @@ from .distributions import (
     make_distribution,
     perturb_wasserstein,
     _check_b,
+    _check_finite,
 )
 from .errors import InvalidParamsError
 from .randomized import (
@@ -171,11 +172,14 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
     always evaluated under the true distribution.  Each (eta, trial) pair gets
     its own child seed derived from the master seed, so runs are reproducible.
     """
-    if eta_grid is None:
-        eta_grid = tuple(range(0, 21, 2))
-    etas = tuple(float(e) for e in eta_grid)
-    if any(e < 0 for e in etas):
-        raise InvalidParamsError("eta values must be >= 0")
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
+        raise InvalidParamsError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    etas = tuple(range(0, 21, 2)) if eta_grid is None else tuple(eta_grid)
+    for eta in etas:
+        _check_finite(eta, "eta")
+        if eta < 0:
+            raise InvalidParamsError("eta values must be >= 0")
+    etas = tuple(float(e) for e in etas)
     p_true = sweep_true_distribution()
     g_true = build_cost_function(p_true, b)
     _, best = optimal_threshold(p_true, b)

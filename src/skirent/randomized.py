@@ -513,6 +513,26 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     return WaterLevelSearch(level=h_hi, checks=checks, h_lo=h_lo, h_hi=h_hi)
 
 
+def _exact_level(g: CostFunction, b: int, R: float, search: WaterLevelSearch) -> float:
+    """The least feasible level itself, not a level within epsilon above it.
+
+    The fill changes only where the level crosses a candidate day's cost, so
+    the least feasible level is one of those costs in (h_lo, h_hi]; a binary
+    search over them finds it.  Returns h_hi when none is feasible, which the
+    1e-12 tolerances of the fill allow at the edges of the range.
+    """
+    costs = np.unique(g.values_at(_candidate_days(g, b)))
+    costs = costs[(costs > search.h_lo) & (costs <= search.h_hi)].tolist()
+    lo, hi = 0, len(costs)  # costs[hi:] are feasible, costs[:lo] are not
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if level_feasible(g, b, R, costs[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return costs[lo] if lo < len(costs) else search.h_hi
+
+
 def _construct_at_level(g: CostFunction, b: int, R: float,
                         h: float) -> StoppingDistribution | None:
     """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false.
@@ -636,8 +656,9 @@ def _duality_gap(g: CostFunction, b: int, R: float, policy: StoppingDistribution
     when it is a tail day past the early rows, the least y_T that keeps later
     candidates' reduced costs nonnegative); on consecutive support days u < v,
     r_u = r_v = 0 gives y_u = (c_v - c_u + (v-u) (y_T + Y_v)) / (b-1), and every
-    other row gets y = 0.  Returns objective minus the bound, or inf when some
-    y_u comes out negative.
+    other row gets y = 0.  A y_u that comes out negative is clipped to 0: any
+    y >= 0 is dual-feasible, so the bound stays valid and only loosens.
+    Returns objective minus the bound.
     """
     days = policy._days_arr
     if days.size > 1 and days[-2] >= b:  # only the top day may lie past the early rows
@@ -658,7 +679,7 @@ def _duality_gap(g: CostFunction, b: int, R: float, policy: StoppingDistribution
     for u, c_u in zip(days[-2::-1].tolist(), costs[-2::-1]):
         y_u = (c_v - c_u + (v - u) * s) / (b - 1)
         if y_u < 0.0:
-            return math.inf
+            y_u = 0.0
         y[u - 1] = y_u
         s += y_u
         v, c_v = u, c_u
@@ -672,6 +693,16 @@ def _duality_gap(g: CostFunction, b: int, R: float, policy: StoppingDistribution
     return objective - bound
 
 
+def _certified(g: CostFunction, b: int, R: float, policy: StoppingDistribution,
+               objective: float) -> bool:
+    """Whether the dual bound puts ``objective`` within 1e-11 (relative) of the LP optimum.
+
+    That is a tenth of the margin by which an LP result must beat a fill to be
+    kept, so no LP result could replace a certified fill.
+    """
+    return _duality_gap(g, b, R, policy, objective) <= 1e-11 * (1.0 + abs(objective))
+
+
 def water_fill(g: CostFunction, b: int, R: float,
                epsilon: float | None = None,
                exact: bool = True) -> tuple[StoppingDistribution, float]:
@@ -683,13 +714,16 @@ def water_fill(g: CostFunction, b: int, R: float,
     candidate days beats it: restricting support to costs below the water level
     is provably suboptimal when cheap late days are moment-limited, and the
     exact redistribution recovers the true optimum in those cases.  The LP
-    runs only when ``_duality_gap`` cannot prove the fill within 1e-11
-    (relative) of that optimum; a skipped LP returns the same policy as a
-    rejected one.  With ``exact=False`` the level-restricted policy is
-    returned as-is (the procedure the reference experiments report).  If the
-    exact LP fails, a RuntimeWarning names the HiGHS status and the
-    level-restricted policy is returned; a returned policy that fails
-    ``check_robustness`` raises InvariantError.
+    runs only when ``_duality_gap`` can prove within 1e-11 (relative) of that
+    optimum neither the fill nor, failing it, the fill at the exact least
+    feasible level (``_exact_level``), which the bisection overshoots by up to
+    epsilon.  A certified bisected fill is returned as a rejected LP would
+    leave it; a certified polished fill is returned when it costs no more.
+    With ``exact=False`` the level-restricted policy is returned as-is (the
+    procedure the reference experiments report).  If the exact LP fails, a
+    RuntimeWarning names the HiGHS status and the level-restricted policy is
+    returned; a returned policy that fails ``check_robustness`` raises
+    InvariantError.
     """
     _check_b(b)
     _check_r(R)
@@ -704,9 +738,15 @@ def water_fill(g: CostFunction, b: int, R: float,
     if policy is None:
         raise InfeasibleError(f"no policy fits within water level {search.level}")
     objective = expected_policy_cost(policy, g)
-    # a dual bound within a tenth of the acceptance margin leaves no LP result
-    # that could be kept, so the solve is skipped
-    if exact and _duality_gap(g, b, R, policy, objective) > 1e-11 * (1.0 + abs(objective)):
+    if exact and not _certified(g, b, R, policy, objective):
+        # the bisected level sits up to epsilon above the least feasible one;
+        # the fill there may be certified where this one is not
+        polished = _construct_at_level(g, b, R, _exact_level(g, b, R, search))
+        if polished is not None:
+            polished_obj = expected_policy_cost(polished, g)
+            if (polished_obj <= objective and _certified(g, b, R, polished, polished_obj)
+                    and check_robustness(polished, b, R).feasible):
+                return polished, polished_obj
         refined = _lp_refine(g, b, R)
         if refined is not None:
             refined_obj = expected_policy_cost(refined, g)

@@ -7,6 +7,7 @@ import pytest
 from skirent import (
     BaselineKind,
     DayDistribution,
+    InvalidParamsError,
     InvalidRError,
     StoppingDistribution,
     baseline_policy,
@@ -170,3 +171,11 @@ class TestBaselinePolicy:
         p_hat = DayDistribution((10,), (1.0,))
         with pytest.raises(InvalidRError):
             baseline_policy(p_hat, 50, 1.3, BaselineKind.MIXTURE)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_non_finite_r_rejected(self, R):
+        # R = inf mapped to the branch parameter 1/b and returned a policy
+        p_hat = DayDistribution((10,), (1.0,))
+        for kind in BaselineKind:
+            with pytest.raises(InvalidParamsError, match="finite"):
+                baseline_policy(p_hat, 50, R, kind)

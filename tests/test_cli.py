@@ -203,6 +203,46 @@ class TestExperimentCommand:
         assert out == out2
 
 
+    @pytest.mark.parametrize("argv", [("--etas", "nan"), ("--etas", "0,inf"),
+                                      ("--etas", "abc"), ("--trials", "0"),
+                                      ("--trials", "-2")])
+    def test_bad_sweep_input_exits_2(self, capsys, argv):
+        # --etas nan exited 1 with a ValueError traceback, --etas abc too, and
+        # --trials 0 exited 0 with a header-only CSV
+        argv = {"--etas": "0", "--trials": "1", argv[0]: argv[1]}
+        code, out, err = run_cli(capsys, "experiment", "sweep", "--quiet",
+                                 *(item for pair in argv.items() for item in pair))
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("conf", [{"b": "abc"}, {"b": 50.5}, {"b": True},
+                                      {"format": "xml"}, {"trials": 0},
+                                      {"r": float("nan")}, {"epsilon": -1.0}, [1]],
+                             ids=["b_text", "b_fraction", "b_bool", "format_choice",
+                                  "trials_zero", "r_nan", "epsilon_negative", "not_object"])
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, conf):
+        # config values skipped argparse's typing: {"b": "abc"} died in a
+        # comparison with a TypeError traceback and exit 1
+        conf_file = tmp_path / "conf.json"
+        conf_file.write_text(json.dumps(conf))
+        try:
+            code = main(["experiment", "table", "--config", str(conf_file), "--quiet"])
+        except SystemExit as exc:  # argparse rejects a value as it rejects the flag
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "error:" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_config_distribution_object(self, capsys, tmp_path):
+        conf_file = tmp_path / "conf.json"
+        conf_file.write_text(json.dumps({"dist": json.loads(TWOPOINT), "b": 50, "r": 1.7}))
+        code, out, _ = run_cli(capsys, "waterfill", "--config", str(conf_file), "--quiet")
+        assert code == 0
+        assert out == run_cli(capsys, "waterfill", "--dist", TWOPOINT, "--b", "50",
+                              "--r", "1.7", "--quiet")[1]
+
+
 class TestVerifyCommand:
     def test_default_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--instances", "40", "--seed", "5")

@@ -319,6 +319,12 @@ class TestPerturbation:
         with pytest.raises(InvalidParamsError):
             perturb_wasserstein(worked_example, -1.0, seed=0)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, worked_example, eta):
+        # NaN died in math.ceil with a ValueError
+        with pytest.raises(InvalidParamsError, match="finite"):
+            perturb_wasserstein(worked_example, eta, seed=0)
+
     def test_matches_rebuilding_loop(self, rng):
         for seed in range(100):
             p = random_day_distribution(rng, max_day=80, max_atoms=20)

@@ -142,6 +142,18 @@ class TestPerturbationSweep:
         other = run_perturbation_sweep(eta_grid=(0.0, 4.0), n_trials=3, seed=12)
         assert other.to_csv() != small_sweep.to_csv()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"eta_grid": [float("nan")]}, {"eta_grid": [0.0, float("inf")]}, {"eta_grid": ["2"]},
+        {"n_trials": 0}, {"n_trials": -1}, {"n_trials": 1.5}, {"n_trials": True},
+        {"R": float("nan")}, {"R": float("inf")}],
+        ids=["eta_nan", "eta_inf", "eta_text", "trials_zero", "trials_negative",
+             "trials_fraction", "trials_bool", "r_nan", "r_inf"])
+    def test_bad_inputs_rejected(self, kwargs):
+        # a NaN eta died in perturb_wasserstein with a ValueError, and
+        # n_trials = 0 returned no rows
+        with pytest.raises(InvalidParamsError):
+            run_perturbation_sweep(**{"eta_grid": (0.0,), "n_trials": 1, **kwargs})
+
     def test_true_distribution_covers_essentially_all_mass(self):
         cutoff = gaussian_high_cutoff(90, 12)
         p = sweep_true_distribution()

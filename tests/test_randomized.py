@@ -912,11 +912,6 @@ class TestBestTailDay:
                             == best_tail_day_reference(g, b, h, t_max))
 
 
-def certified(g, b, R, policy, objective) -> bool:
-    """Whether the duality gap lets exact mode skip the LP (its rule in water_fill)."""
-    return randomized._duality_gap(g, b, R, policy, objective) <= 1e-11 * (1.0 + abs(objective))
-
-
 def certificate_outcome(p_hat, b, R) -> bool | None:
     """True if the certificate skips the LP, False if it does not, None if it
     skips an LP whose result water_fill's acceptance rule would have kept."""
@@ -925,7 +920,7 @@ def certificate_outcome(p_hat, b, R) -> bool | None:
         policy, objective = water_fill(g, b, R, exact=False)
     except InfeasibleError:
         return False
-    if not certified(g, b, R, policy, objective):
+    if not randomized._certified(g, b, R, policy, objective):
         return False
     refined = randomized._lp_refine(g, b, R)
     kept = (refined is not None
@@ -943,6 +938,36 @@ def refine_instances(draw):
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(days), max_size=len(days)))
     total = sum(weights)
     return DayDistribution.from_pairs((d, w / total) for d, w in zip(days, weights)), b, R
+
+
+@st.composite
+def polish_instances(draw):
+    """A sparse prediction as above, or a truncated geometric one: at b <= 200
+    the geometric fills are the ones the bisection leaves epsilon above the optimum."""
+    if draw(st.booleans()):
+        return draw(refine_instances())
+    b = draw(st.integers(2, 200))
+    R = draw(st.floats(1.2, 3.0))
+    spec = FamilySpec(Family.GEOMETRIC_TRUNCATED, {"rate": draw(st.floats(0.005, 0.3)),
+                                                   "low": 1, "high": draw(st.integers(2, 6 * b))})
+    return make_distribution(spec), b, R
+
+
+def table_prediction(label: str) -> DayDistribution:
+    return make_distribution(dict(TABLE_FAMILIES)[label])
+
+
+def counting_linprog(monkeypatch) -> list[int]:
+    """Route scipy's linprog through a call counter; returns the one-element count."""
+    calls = [0]
+    solve = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
 
 
 class TestExactRefine:
@@ -984,7 +1009,7 @@ class TestExactRefine:
         g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
         published = water_fill(g, 50, 1.7, exact=False)
         # the LP gains 1.5e-4 here, so no certificate may skip it
-        assert not certified(g, 50, 1.7, *published)
+        assert not randomized._certified(g, 50, 1.7, *published)
         failed = scipy.optimize.OptimizeResult(success=False, status=4, x=None,
                                                message="numerical difficulties")
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
@@ -1046,6 +1071,72 @@ class TestExactRefine:
         monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
         exact_policy, exact_objective = water_fill(g, b, 1.7)
         assert exact_policy.support == policy.support and exact_objective == objective
+
+    @pytest.mark.parametrize("label,b,R", [
+        (label, b, R) for label in ("gauss", "geom") for b in (500, 2000)
+        for R in (1.7, 2.0, 2.5) if (label, b, R) != ("geom", 500, 1.7)])
+    def test_polished_fill_skips_the_solve(self, monkeypatch, label, b, R):
+        # the bisected fill sits 1e-8 to 1e-6 above the optimum here, too far
+        # for the certificate; the fill at the exact level is within it
+        g = build_cost_function(table_prediction(label), b)
+        published = water_fill(g, b, R, exact=False)
+        assert not randomized._certified(g, b, R, *published)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the polished fill must not reach the LP")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
+        policy, objective = water_fill(g, b, R)
+        assert check_robustness(policy, b, R).feasible
+        assert objective <= published[1]
+
+    def test_polish_leaves_a_beaten_fill_to_the_lp(self, monkeypatch):
+        # geom at (500, 1.7): even the exact-level fill stays 3e-7 above the optimum
+        g = build_cost_function(table_prediction("geom"), 500)
+        calls = counting_linprog(monkeypatch)
+        policy, objective = water_fill(g, 500, 1.7)
+        assert calls == [1]
+        assert objective < water_fill(g, 500, 1.7, exact=False)[1] - 1e-6
+
+    def test_polish_is_safe_on_drawn_inputs(self, monkeypatch):
+        calls = counting_linprog(monkeypatch)
+        searches = []
+        exact_level = randomized._exact_level
+
+        def recording(g, b, R, search):
+            searches.append(search)
+            return exact_level(g, b, R, search)
+
+        monkeypatch.setattr(randomized, "_exact_level", recording)
+        polished = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(polish_instances())
+        def check(instance):
+            p_hat, b, R = instance
+            g = build_cost_function(p_hat, b)
+            try:
+                published = water_fill(g, b, R, exact=False)
+            except InfeasibleError:
+                return
+            searches.clear()
+            calls[0] = 0
+            policy, objective = water_fill(g, b, R)
+            if searches:
+                # the polish runs its own searches; the bisection's count is untouched
+                assert searches == [minimal_water_level(g, b, R, 1e-7 * g.max_value())]
+            if calls[0] or randomized._certified(g, b, R, *published):
+                return
+            polished.append(objective)
+            refined = randomized._lp_refine(g, b, R)
+            assert refined is not None
+            tol = 1e-11 * (1.0 + abs(objective))
+            assert objective <= expected_policy_cost(refined, g) + tol
+            assert objective <= published[1]
+            assert check_robustness(policy, b, R).feasible
+
+        check()
+        assert polished  # the polish skipped the LP, so the check was not vacuous
 
     def test_memory_grows_linearly(self):
         # the dense constraint matrix grew as b^2 (slope 2.0 in log-log)
