@@ -7,8 +7,14 @@ from enum import Enum
 import numpy as np
 
 from .distributions import DayDistribution, survival, _check_b, _check_finite
-from .errors import InvalidParamsError, InvalidRError
+from .errors import InvalidParamsError, InvalidRError, ScaleExceededError
 from .randomized import StoppingDistribution
+
+
+#: Longest branch built.  The low branch spans ceil(b/lam) <= b^2 days, and an R
+#: far above any useful robustness level drives lam to 1/b; at b = 10^4 that is
+#: 10^8 days, gigabytes of masses.
+MAX_BRANCH_DAYS = 10**7
 
 
 class BaselineKind(str, Enum):
@@ -38,38 +44,28 @@ def r_from_lambda(b: int, lam: float) -> float:
     return (1.0 + 1.0 / b) / (1.0 - math.exp(-(lam - 1.0 / b)))
 
 
-def purohit_branch(b: int, lam: float, high_branch: bool,
-                   rounding: str = "purohit") -> StoppingDistribution:
+def purohit_branch(b: int, lam: float, high_branch: bool) -> StoppingDistribution:
     """Geometric-weights branch distribution for long (y >= b) or short horizons.
 
     The high branch spreads over {1..k}, the low branch over {1..l}; weights
-    are ((b-1)/b)^(len-i) with normalizer b(1 - (1-1/b)^len).  The default
-    ``"purohit"`` rounding takes k = floor(lam*b) and l = ceil(b/lam), which is
-    the source algorithm's convention and reproduces the reference consistency
-    figures to four decimals; ``"ceil"``/``"floor"`` apply one rounding to both
-    lengths (the documented fallbacks for the ambiguity).
+    are ((b-1)/b)^(len-i) with normalizer b(1 - (1-1/b)^len).  The lengths
+    follow the source algorithm, k = floor(lam*b) and l = ceil(b/lam), which
+    reproduces the reference consistency figures to four decimals.
     """
     _check_b(b)
     if not 0.0 < lam <= 1.0:
         raise InvalidParamsError("lambda must lie in (0, 1]")
-    if rounding not in ("purohit", "ceil", "floor"):
-        raise InvalidParamsError(f"unknown rounding {rounding!r}")
-    raw = lam * b if high_branch else b / lam
-    if rounding == "purohit":
-        length = math.floor(raw + 1e-9) if high_branch else math.ceil(raw - 1e-9)
-    elif rounding == "ceil":
-        length = math.ceil(raw - 1e-9)
-    else:
-        length = math.floor(raw + 1e-9)
-    length = max(1, length)
+    length = max(1, math.floor(lam * b + 1e-9) if high_branch else math.ceil(b / lam - 1e-9))
+    if length > MAX_BRANCH_DAYS:
+        raise ScaleExceededError(f"branch of {length} days exceeds {MAX_BRANCH_DAYS}")
     q = (b - 1.0) / b
     weights = q ** np.arange(length - 1, -1, -1, dtype=float)
     masses = weights / (b * (1.0 - q ** length))
     return StoppingDistribution(tuple(range(1, length + 1)), tuple(masses))
 
 
-def baseline_policy(p_hat: DayDistribution, b: int, R: float, kind: BaselineKind,
-                    rounding: str = "purohit") -> StoppingDistribution:
+def baseline_policy(p_hat: DayDistribution, b: int, R: float,
+                    kind: BaselineKind) -> StoppingDistribution:
     """Branch (or blend) the two point-prediction distributions by P[D >= b].
 
     The majority rule keeps the long-horizon branch only when that probability
@@ -79,8 +75,8 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float, kind: BaselineKind
     _check_finite(R, "R")
     lam = lambda_from_r(b, R)
     p_high = survival(p_hat, b)
-    high = purohit_branch(b, lam, high_branch=True, rounding=rounding)
-    low = purohit_branch(b, lam, high_branch=False, rounding=rounding)
+    high = purohit_branch(b, lam, high_branch=True)
+    low = purohit_branch(b, lam, high_branch=False)
     if kind is BaselineKind.MAJORITY_BRANCH:
         return high if p_high > 0.5 else low
     # both branches sit on days 1..len, so pad the shorter one with zeros

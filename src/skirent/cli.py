@@ -50,12 +50,15 @@ def _log(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(args, result: dict | str) -> None:
+    """Print a result and write it to ``--out``; a dict goes out as sorted JSON."""
+    text = (result if isinstance(result, str)
+            else json.dumps(result, indent=2, sort_keys=True) + "\n")
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+            fh.write(text)
+        _log(args, f"wrote {args.out}")
+    print(text, end="" if text.endswith("\n") else "\n")
 
 
 def _threshold_json(t) -> int | str:
@@ -99,10 +102,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str],
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("SKIRENT_SEED")
-    return int(env) if env else 0
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get("SKIRENT_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise InvalidParamsError(f"SKIRENT_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise InvalidParamsError(f"the seed must be >= 0, got {seed}")
+    return seed
 
 
 def _require(args, *names: str) -> None:
@@ -121,6 +130,10 @@ def _validate_common(args) -> None:
             raise InvalidParamsError("--r must exceed 1")
     if getattr(args, "lam", None) is not None and not 0 < args.lam < 1:
         raise InvalidParamsError("--lambda must lie in (0, 1)")
+    if getattr(args, "eta", None) is not None:
+        _check_finite(args.eta, "--eta")
+        if args.eta < 0:
+            raise InvalidParamsError("--eta must be >= 0")
     if getattr(args, "epsilon", None) is not None:
         _check_finite(args.epsilon, "--epsilon")
         if args.epsilon <= 0:
@@ -149,7 +162,14 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_clamp(args) -> int:
-    t_hat = NEVER if str(args.t_hat).lower() == "never" else int(args.t_hat)
+    if args.t_hat.lower() == "never":
+        t_hat = NEVER
+    else:
+        try:
+            t_hat = int(args.t_hat)
+        except ValueError:
+            raise InvalidParamsError(f"--t-hat must be a positive integer or 'never', "
+                                     f"got {args.t_hat!r}") from None
     clamped = clamp_threshold(t_hat, args.b, args.lam)
     _emit(args, {"t_hat": _threshold_json(t_hat), "clamped_t": clamped,
                  "b": args.b, "lambda": args.lam})
@@ -222,30 +242,24 @@ def cmd_experiment(args) -> int:
         _log(args, f"running perturbation sweep at (b, R) = ({b}, {r}), seed {seed}")
         result = run_perturbation_sweep(b=b, R=r, eta_grid=etas, n_trials=trials,
                                         seed=seed, epsilon=args.epsilon)
-    fmt = args.format or "csv"
-    text = result.to_csv() if fmt == "csv" else result.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _log(args, f"wrote {args.out}")
-    print(text, end="" if text.endswith("\n") else "\n")
+    _emit(args, result.to_json() if args.format == "json" else result.to_csv())
     return EXIT_OK
 
 
-def _verify_policy_file(args) -> int:
+def _verify_policy_file(args, lines: list[str]) -> int:
     _require(args, "b", "r")
     with open(args.policy) as fh:
         policy = parse_policy(json.load(fh))
     report = check_robustness(policy, args.b, args.r)
     if report.feasible:
-        print(f"[PASS] policy satisfies robustness at R={args.r}")
+        lines.append(f"[PASS] policy satisfies robustness at R={args.r}")
         return EXIT_OK
-    print(f"[FAIL] constraint violated at x={report.violated_index()} "
-          f"(worst slack {report.worst():.3e})")
+    lines.append(f"[FAIL] constraint violated at x={report.violated_index()} "
+                 f"(worst slack {report.worst():.3e})")
     return EXIT_COMPUTE
 
 
-def _verify_onehot(args) -> int:
+def _verify_onehot(args, lines: list[str]) -> int:
     from .randomized import onehot_exact
 
     _require(args, "b")
@@ -259,20 +273,27 @@ def _verify_onehot(args) -> int:
         _, lp_value = lp_solve(lp_instance_from_cost(g, b, r))
         if abs(exact - lp_value) > 1e-6:
             failures += 1
-            print(f"[FAIL] y={y}: closed form {exact:.9f} vs LP {lp_value:.9f}")
+            lines.append(f"[FAIL] y={y}: closed form {exact:.9f} vs LP {lp_value:.9f}")
     if failures == 0:
-        print(f"[PASS] closed-form one-hot optimum matches LP for y in 1..{3*b} "
-              f"(b={b}, R={r})")
+        lines.append(f"[PASS] closed-form one-hot optimum matches LP for y in 1..{3*b} "
+                     f"(b={b}, R={r})")
         return EXIT_OK
     return EXIT_COMPUTE
 
 
 def cmd_verify(args) -> int:
+    lines: list[str] = []
     if args.policy is not None:
-        return _verify_policy_file(args)
-    if args.onehot:
-        return _verify_onehot(args)
+        code = _verify_policy_file(args, lines)
+    elif args.onehot:
+        code = _verify_onehot(args, lines)
+    else:
+        code = _verify_grid(args, lines)
+    _emit(args, "\n".join(lines) + "\n")
+    return code
 
+
+def _verify_grid(args, lines: list[str]) -> int:
     b_max = args.b_max
     n_inst = args.instances
     if not 4 <= b_max <= ORACLE_B_MAX:
@@ -296,9 +317,10 @@ def cmd_verify(args) -> int:
         if fast[0] != slow[0] or abs(fast[1] - slow[1]) > 1e-9:
             mismatch += 1
     if mismatch == 0:
-        print(f"[PASS] streaming threshold matches exhaustive scan on {n_inst} instances")
+        lines.append(f"[PASS] streaming threshold matches exhaustive scan "
+                     f"on {n_inst} instances")
     else:
-        print(f"[FAIL] threshold mismatch on {mismatch}/{n_inst} instances")
+        lines.append(f"[FAIL] threshold mismatch on {mismatch}/{n_inst} instances")
         failures += 1
 
     mismatch = 0
@@ -320,9 +342,10 @@ def cmd_verify(args) -> int:
         if abs(wf_obj - lp_obj) > 1e-6:
             mismatch += 1
     if mismatch == 0:
-        print(f"[PASS] water filling matches the LP oracle on {compared} instances")
+        lines.append(f"[PASS] water filling matches the LP oracle on {compared} instances")
     else:
-        print(f"[FAIL] water filling off the LP optimum on {mismatch}/{compared} instances")
+        lines.append(f"[FAIL] water filling off the LP optimum "
+                     f"on {mismatch}/{compared} instances")
         failures += 1
 
     mismatch = 0
@@ -335,9 +358,9 @@ def cmd_verify(args) -> int:
             if not check_robustness(policy, b, r).feasible:
                 mismatch += 1
     if mismatch == 0:
-        print("[PASS] closed-form stopping distributions satisfy their constraints")
+        lines.append("[PASS] closed-form stopping distributions satisfy their constraints")
     else:
-        print(f"[FAIL] {mismatch} closed-form distributions violate constraints")
+        lines.append(f"[FAIL] {mismatch} closed-form distributions violate constraints")
         failures += 1
 
     return EXIT_OK if failures == 0 else EXIT_COMPUTE
@@ -426,12 +449,14 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config_file(parser, argv, args)
         _validate_common(args)
         _require(args, *args.needs)
-    except (InvalidParamsError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(args)
-    except (InvalidParamsError, ScaleExceededError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the unwritten rest is dropped
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_COMPUTE
+    except (InvalidParamsError, ScaleExceededError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SkirentError as exc:

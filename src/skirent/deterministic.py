@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DayDistribution, expected_opt, survival, _check_b
+from .distributions import DayDistribution, expected_opt, survival, _check_b, _check_finite
 from .errors import DegenerateTailError, InvalidParamsError
 
 #: Sentinel threshold meaning "rent forever".  Finite thresholds are positive ints.
@@ -167,6 +167,7 @@ def robust_consistent_bound(
     total-variation metric) and is unavailable once that factor reaches 1.
     """
     _check_b(b)
+    _check_finite(eta, "eta")
     if eta < 0:
         raise InvalidParamsError("eta must be >= 0")
     if metric not in ("wasserstein", "tv"):

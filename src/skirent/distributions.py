@@ -43,6 +43,8 @@ class _Pmf:
             if d <= prev:
                 raise InvalidParamsError("days must be strictly increasing")
             prev = int(d)
+        if prev >= 2**63:
+            raise InvalidParamsError(f"day {prev} exceeds the int64 range")
         if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
             raise InvalidParamsError(f"{self._MASS} must be nonnegative and finite")
         keep = masses > 0.0
@@ -165,12 +167,16 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
         raise InvalidParamsError("eta must be >= 0")
     if eta == 0:
         return p
+    moves = 10 * len(p.days)
+    max_shift = max(1, math.ceil(eta))
+    # moved mass can move again, so a day can drift by up to moves * max_shift
+    if p.max_day + moves * max_shift >= 2**63:
+        raise InvalidParamsError(f"eta={eta} could shift days past the int64 range")
     rng = np.random.default_rng(seed)
     mass = {d: m for d, m in zip(p.days, p.probs)}
     atoms = list(mass)  # the days of positive mass, in insertion order
     budget = float(eta)
-    max_shift = max(1, math.ceil(eta))
-    for _ in range(10 * len(p.days)):
+    for _ in range(moves):
         if budget <= 1e-12:
             break
         src = atoms[int(rng.integers(len(atoms)))]

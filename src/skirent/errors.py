@@ -26,7 +26,7 @@ class InvariantError(SkirentError):
 
 
 class ScaleExceededError(SkirentError):
-    """An exact-oracle routine was asked for an instance beyond its intended size."""
+    """An oracle routine or a baseline was asked for an instance beyond its intended size."""
 
 
 class InvalidRError(SkirentError):

@@ -21,6 +21,7 @@ from .distributions import (
 )
 from .errors import InvalidParamsError
 from .randomized import (
+    CostFunction,
     StoppingDistribution,
     build_cost_function,
     expected_policy_cost,
@@ -92,11 +93,6 @@ class ExperimentResult:
                       "objective": float(f"{r.objective:.6g}")} for r in self.rows],
         }, indent=2, sort_keys=True)
 
-    def write(self, path: str, fmt: str = "csv") -> None:
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w") as fh:
-            fh.write(text)
-
 
 def consistency(p: DayDistribution, f: StoppingDistribution, b: int) -> float:
     """E[g(Z)] / min_t g(t) with the stopping cost g built from the true p.
@@ -110,32 +106,41 @@ def consistency(p: DayDistribution, f: StoppingDistribution, b: int) -> float:
     return expected_policy_cost(f, g) / best
 
 
+def _score_policies(p_hat: DayDistribution, g_hat: CostFunction, g_true: CostFunction,
+                    best: float, b: int, R: float, epsilon: float | None,
+                    family: str, eta: float = 0.0, trial: int = 0) -> list[ResultRow]:
+    """Build the three policies from the prediction and score them under the truth.
+
+    Water filling runs on the prediction's cost ``g_hat``; each policy's
+    consistency is its expected cost under ``g_true`` over the optimum ``best``.
+    """
+    policies = (water_fill(g_hat, b, R, epsilon, exact=False)[0],
+                baseline_policy(p_hat, b, R, BaselineKind.MAJORITY_BRANCH),
+                baseline_policy(p_hat, b, R, BaselineKind.MIXTURE))
+    rows = []
+    for label, policy in zip(POLICY_LABELS, policies):
+        cost = expected_policy_cost(policy, g_true)
+        rows.append(ResultRow(family=family, policy=label, eta=eta, trial=trial,
+                              consistency=cost / best, objective=cost))
+    return rows
+
+
 def run_consistency_table(b: int = 50, R: float = 1.7,
-                          epsilon: float | None = None,
-                          rounding: str = "purohit",
-                          exact: bool = False) -> ExperimentResult:
+                          epsilon: float | None = None) -> ExperimentResult:
     """Evaluate water-filling and both baselines on the five reference families.
 
-    Defaults mirror the published experimental procedure (level-restricted
-    water filling, source-algorithm branch rounding); pass ``exact=True`` for
-    the cost-optimal policies instead.
+    Follows the published experimental procedure: level-restricted water
+    filling and the source algorithm's branch lengths.
     """
     rows = []
     for label, spec in TABLE_FAMILIES:
         p = make_distribution(spec)
         g = build_cost_function(p, b)
         _, best = optimal_threshold(p, b)
-        ours, objective = water_fill(g, b, R, epsilon, exact=exact)
-        majority = baseline_policy(p, b, R, BaselineKind.MAJORITY_BRANCH, rounding=rounding)
-        mixture = baseline_policy(p, b, R, BaselineKind.MIXTURE, rounding=rounding)
-        for policy_label, policy in (("water_fill", ours), ("majority", majority),
-                                     ("mixture", mixture)):
-            cost = expected_policy_cost(policy, g)
-            rows.append(ResultRow(family=label, policy=policy_label, eta=0.0, trial=0,
-                                  consistency=cost / best, objective=cost))
+        rows += _score_policies(p, g, g, best, b, R, epsilon, family=label)
     return ExperimentResult(rows=tuple(rows),
                             metadata={"b": b, "R": R, "epsilon": epsilon, "n_trials": 1,
-                                      "rounding": rounding, "exact": exact})
+                                      "rounding": "purohit", "exact": False})
 
 
 def gaussian_high_cutoff(mean: float, stddev: float, tol: float = 1e-9) -> int:
@@ -163,9 +168,7 @@ def _child_seed(master: int, eta_index: int, trial: int) -> int:
 def run_perturbation_sweep(b: int = 50, R: float = 1.7,
                            eta_grid: Iterable[float] | None = None,
                            n_trials: int = 25, seed: int = 0,
-                           epsilon: float | None = None,
-                           rounding: str = "purohit",
-                           exact: bool = False) -> ExperimentResult:
+                           epsilon: float | None = None) -> ExperimentResult:
     """Degrade the prediction by random transports and score the induced policies.
 
     Policies are computed from the perturbed prediction, but consistency is
@@ -187,20 +190,13 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
     for eta_index, eta in enumerate(etas):
         for trial in range(n_trials):
             p_hat = perturb_wasserstein(p_true, eta, _child_seed(seed, eta_index, trial))
-            ours, _ = water_fill(build_cost_function(p_hat, b), b, R, epsilon, exact=exact)
-            majority = baseline_policy(p_hat, b, R, BaselineKind.MAJORITY_BRANCH,
-                                       rounding=rounding)
-            mixture = baseline_policy(p_hat, b, R, BaselineKind.MIXTURE, rounding=rounding)
-            for policy_label, policy in (("water_fill", ours), ("majority", majority),
-                                         ("mixture", mixture)):
-                cost = expected_policy_cost(policy, g_true)
-                rows.append(ResultRow(family="gauss90", policy=policy_label, eta=eta,
-                                      trial=trial, consistency=cost / best, objective=cost))
+            rows += _score_policies(p_hat, build_cost_function(p_hat, b), g_true, best,
+                                    b, R, epsilon, family="gauss90", eta=eta, trial=trial)
     return ExperimentResult(rows=tuple(rows),
                             metadata={"b": b, "R": R, "epsilon": epsilon,
                                       "n_trials": n_trials, "seed": seed,
-                                      "eta_grid": list(etas), "rounding": rounding,
-                                      "exact": exact})
+                                      "eta_grid": list(etas), "rounding": "purohit",
+                                      "exact": False})
 
 
 def case_study_lambda_third(b: int) -> tuple[float, float]:

@@ -65,6 +65,8 @@ def lp_instance_from_cost(g: CostFunction, b: int, R: float) -> LpInstance:
     preserves the optimum.
     """
     n = max(g.support_end, math.ceil((R - 1.0) * b) + 2, 4 * b)
+    if n > MAX_HORIZON:  # checked before the objective is built: a huge R makes n huge
+        raise ScaleExceededError(f"oracle horizon {n} exceeds {MAX_HORIZON}")
     return LpInstance(objective=tuple(g(t) for t in range(1, n + 1)), b=b, R=R, N=n)
 
 

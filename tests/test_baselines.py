@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
+import skirent.baselines as baselines
 from skirent import (
     BaselineKind,
     DayDistribution,
     InvalidParamsError,
     InvalidRError,
+    ScaleExceededError,
     StoppingDistribution,
     baseline_policy,
     lambda_from_r,
@@ -26,12 +28,12 @@ def _mass_at(f, day):
     return 0.0
 
 
-def mixture_reference(p_hat, b, R, rounding):
+def mixture_reference(p_hat, b, R):
     """The per-day mixture loop the vectorised blend replaced."""
     lam = lambda_from_r(b, R)
     p_high = survival(p_hat, b)
-    high = purohit_branch(b, lam, high_branch=True, rounding=rounding)
-    low = purohit_branch(b, lam, high_branch=False, rounding=rounding)
+    high = purohit_branch(b, lam, high_branch=True)
+    low = purohit_branch(b, lam, high_branch=False)
     pmf = {}
     for d in range(1, max(high.max_day, low.max_day) + 1):
         mass = p_high * _mass_at(high, d) + (1.0 - p_high) * _mass_at(low, d)
@@ -92,8 +94,6 @@ class TestBranches:
         b, lam = 50, lambda_from_r(50, 1.7)
         assert purohit_branch(b, lam, True).max_day == math.floor(lam * b)
         assert purohit_branch(b, lam, False).max_day == math.ceil(b / lam)
-        assert purohit_branch(b, lam, True, rounding="ceil").max_day == math.ceil(lam * b)
-        assert purohit_branch(b, lam, False, rounding="floor").max_day == math.floor(b / lam)
 
     def test_expected_buy_day_matches_monte_carlo(self, rng):
         f = purohit_branch(20, 0.8, high_branch=True)
@@ -142,14 +142,13 @@ class TestBaselinePolicy:
         for p_hat in predictions:
             b = int(rng.integers(2, 300))
             R = float(rng.uniform(1.6, 4.0))
-            for rounding in ("purohit", "ceil", "floor"):
-                try:
-                    ref = mixture_reference(p_hat, b, R, rounding)
-                except InvalidRError:
-                    continue
-                mix = baseline_policy(p_hat, b, R, BaselineKind.MIXTURE, rounding=rounding)
-                assert mix.days == ref.days
-                assert mix.masses == ref.masses
+            try:
+                ref = mixture_reference(p_hat, b, R)
+            except InvalidRError:
+                continue
+            mix = baseline_policy(p_hat, b, R, BaselineKind.MIXTURE)
+            assert mix.days == ref.days
+            assert mix.masses == ref.masses
 
     def test_mixture_time_grows_linearly(self):
         p_hat = DayDistribution(tuple(range(1, 101)), tuple([0.01] * 100))
@@ -171,6 +170,17 @@ class TestBaselinePolicy:
         p_hat = DayDistribution((10,), (1.0,))
         with pytest.raises(InvalidRError):
             baseline_policy(p_hat, 50, 1.3, BaselineKind.MIXTURE)
+
+    def test_branch_past_size_cap_rejected(self, monkeypatch):
+        # R = 1e300 maps to lambda = 1/b, and the low branch then spans b^2 days:
+        # at b = 10^4 the mixture exhausted memory.  A lowered cap shows the
+        # guard at b = 50 (2500 days) without building 10^8 of them.
+        monkeypatch.setattr(baselines, "MAX_BRANCH_DAYS", 1000)
+        p_hat = DayDistribution((10,), (1.0,))
+        for kind in BaselineKind:
+            with pytest.raises(ScaleExceededError):
+                baseline_policy(p_hat, 50, 1e300, kind)
+        assert baseline_policy(p_hat, 50, 1.7, BaselineKind.MIXTURE).max_day <= 1000
 
     @pytest.mark.parametrize("R", [math.nan, math.inf])
     def test_non_finite_r_rejected(self, R):

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import skirent
 import skirent.randomized as randomized
 from skirent import RobustnessReport, parse_distribution
 from skirent.cli import main
@@ -39,6 +48,14 @@ class TestThresholdCommand:
         assert payload["bound_report"]["robust_term"] == pytest.approx(
             1 + 1 / 0.3333 - 1 / 50, abs=1e-9)
 
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
+    def test_bad_eta_exits_2(self, capsys, eta):
+        # --eta nan exited 0 with the consistency bound reported as unavailable
+        code, out, err = run_cli(capsys, "threshold", "--dist", TWO_ATOM, "--b", "3",
+                                 "--lambda", "0.5", f"--eta={eta}")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--eta" in err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -51,6 +68,21 @@ class TestClampCommand:
                                "--lambda", "0.333333")
         assert code == 0
         assert json.loads(out)["clamped_t"] == 150
+
+    @pytest.mark.parametrize("t_hat, clamped", [("NEVER", 150), ("40", 40), ("5", 17)])
+    def test_valid_buy_day(self, capsys, t_hat, clamped):
+        code, out, _ = run_cli(capsys, "clamp", "--t-hat", t_hat, "--b", "50",
+                               "--lambda", "0.333333")
+        assert code == 0
+        assert json.loads(out)["clamped_t"] == clamped
+
+    @pytest.mark.parametrize("t_hat", ["abc", "1.5", "0", "-1"])
+    def test_bad_buy_day_exits_2(self, capsys, t_hat):
+        # abc and 1.5 exited 1 with a ValueError traceback from int()
+        code, out, err = run_cli(capsys, "clamp", "--b", "50", "--lambda", "0.5",
+                                 f"--t-hat={t_hat}")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 class TestWaterfillCommand:
@@ -205,11 +237,13 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("argv", [("--etas", "nan"), ("--etas", "0,inf"),
                                       ("--etas", "abc"), ("--trials", "0"),
-                                      ("--trials", "-2")])
+                                      ("--trials", "-2"), ("--etas", "1e19"),
+                                      ("--seed", "-1")])
     def test_bad_sweep_input_exits_2(self, capsys, argv):
         # --etas nan exited 1 with a ValueError traceback, --etas abc too, and
-        # --trials 0 exited 0 with a header-only CSV
-        argv = {"--etas": "0", "--trials": "1", argv[0]: argv[1]}
+        # --trials 0 exited 0 with a header-only CSV; --etas 1e19 died in
+        # rng.integers and --seed -1 in SeedSequence, both with tracebacks
+        argv = {"--etas": "0", "--trials": "1", "--seed": "0", argv[0]: argv[1]}
         code, out, err = run_cli(capsys, "experiment", "sweep", "--quiet",
                                  *(item for pair in argv.items() for item in pair))
         assert code == 2
@@ -284,6 +318,15 @@ class TestVerifyCommand:
                                "--b", "6", "--r", "2.0")
         assert code == 0
 
+    def test_report_written_to_out(self, capsys, tmp_path):
+        policy_file = tmp_path / "good.json"
+        policy_file.write_text(json.dumps({"pmf": [[6, 1.0]]}))
+        out_file = tmp_path / "report.txt"
+        code, out, _ = run_cli(capsys, "verify", "--policy", str(policy_file),
+                               "--b", "6", "--r", "2.0", "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text() == out and out.startswith("[PASS]")
+
     def test_onehot_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--onehot", "--b", "8")
         assert code == 0
@@ -311,3 +354,146 @@ class TestPublishedFlag:
                                  "--b", "50", "--r", "1.7", "--quiet")
         exact_payload = json.loads(out2)
         assert exact_payload["objective"] <= payload["objective"] + 1e-9
+
+
+@pytest.mark.parametrize("argv", [("experiment", "table"),
+                                  ("experiment", "sweep", "--etas", "0", "--trials", "100")],
+                         ids=["fits_the_buffer", "overflows_the_buffer"])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # exited 1 with a BrokenPipeError traceback from print()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(skirent.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "skirent.cli", *argv, "--quiet"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+# The exit-code contract under drawn argv: 0, 1 or 2, never a traceback, and
+# exit 2 for a non-finite number.  Sizes stay small so no example runs long:
+# b <= 10^4, exact water filling only at b <= 200, one trial of one eta, and
+# the verify grid at its floor.  "@name" tokens stand for files made per run.
+EXTREME = ("0", "-1", "1e300", str(2**63))
+NON_FINITE = ("nan", "inf", "-inf")
+FINITE_CHECKED = ("--r", "--epsilon", "--eta", "--etas")
+
+
+def _either(valid, bad):
+    """A valid value three times in four, so that most draws get past validation."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(bad if k == 0 else valid))
+
+
+def _numbers(*valid):
+    return _either(valid, EXTREME + NON_FINITE + ("abc",))
+
+
+B = _either(("2", "3", "50", "200", "10000"), ("0", "-1", "1e300", "nan", "abc"))
+DISTS = _either((TWO_ATOM, TWOPOINT, '{"atoms": [[3, 0.5], [100000, 0.5]]}',
+                 '{"atoms": [[9223372036854775807, 1.0]]}'),
+                ('{"atoms": [[9223372036854775808, 1.0]]}', '{"atoms": [[5, NaN]]}', "abc",
+                 "@nofile"))
+FILES = _either(("@policy",), ("@junk", "@nofile", "@dir"))
+SEEDS = _either(("0", "7"), ("-1", str(2**63), "abc"))
+FORMATS = _either(("csv", "json"), ("xml",))
+CONFIGS = st.builds(lambda key, value: f"@config={{{json.dumps(key)}: {value}}}",
+                    st.sampled_from(("b", "r", "epsilon", "seed", "format", "lambda",
+                                     "etas", "trials", "dist")),
+                    _either(("2", "1.7"), ("0", "-1", "1e300", "NaN", "Infinity", '"abc"',
+                                           "true", "null")))
+
+# per command: (flags always drawn, flags drawn half the time)
+COMMANDS = {
+    ("threshold",): ({"--dist": DISTS, "--b": B},
+                     {"--lambda": _numbers("0.5"), "--eta": _numbers("3"),
+                      "--metric": _either(("wasserstein", "tv"), ("abc",))}),
+    ("clamp",): ({"--t-hat": _numbers("never", "40"), "--b": B, "--lambda": _numbers("0.5")},
+                 {}),
+    ("waterfill",): ({"--dist": DISTS, "--b": B, "--r": _numbers("1.7", "2.5")},
+                     {"--epsilon": _numbers("1e-6"), "--published": st.just(None)}),
+    ("baseline",): ({"--dist": DISTS, "--b": B, "--r": _numbers("1.7", "2.5"),
+                     "--kind": _either(("majority", "mixture"), ("abc",))}, {}),
+    ("metrics",): ({"--dist": DISTS}, {"--dist2": DISTS, "--policy": FILES, "--b": B}),
+    ("experiment", "table"): ({}, {"--b": B, "--r": _numbers("1.7"),
+                                   "--epsilon": _numbers("1e-6"), "--format": FORMATS}),
+    ("experiment", "sweep"): ({"--trials": _either(("1",), ("0", "-1", "1e300", "abc")),
+                               "--etas": _numbers("4")},
+                              {"--b": B, "--r": _numbers("1.7"), "--epsilon": _numbers("1e-6"),
+                               "--seed": SEEDS, "--format": FORMATS}),
+    ("verify",): ({"--b-max": _either(("4",), ("3", "1e300", str(2**63), "abc")),
+                   "--instances": _either(("1",), ("0", "-1", "abc"))},
+                  {"--seed": SEEDS, "--r": _numbers("2")}),
+    ("verify", "--onehot"): ({"--b": _either(("2", "4"), ("0", "-1", "10000", "abc"))},
+                             {"--r": _numbers("2", "2.5")}),
+    ("verify", "--policy"): ({"--policy": FILES, "--b": B, "--r": _numbers("2")}, {}),
+}
+COMMON = {"--out": _either(("@out",), ("@missing/out",)), "--quiet": st.just(None),
+          "--config": CONFIGS}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    always, optional = COMMANDS[command]
+    flags = {flag: draw(values) for flag, values in always.items()}
+    for flag, values in {**optional, **COMMON}.items():
+        if draw(st.booleans()):
+            flags[flag] = draw(values)
+    if command == ("waterfill",) and flags.get("--b") == "10000":
+        flags["--published"] = None  # exact mode at b = 10^4 takes seconds
+    argv = list(command)
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def _materialize(argv, tmp):
+    """Replace each "@name" token by a path under ``tmp``, writing the file it names."""
+    paths = {"@policy": tmp / "policy.json", "@junk": tmp / "junk.json",
+             "@nofile": tmp / "nofile.json", "@dir": tmp, "@out": tmp / "out.txt",
+             "@missing/out": tmp / "missing" / "out.txt"}
+    paths["@policy"].write_text(json.dumps({"pmf": [[6, 1.0]]}))
+    paths["@junk"].write_text("{not json")
+    out = []
+    for token in argv:
+        if token.startswith("@config="):
+            paths[token] = tmp / "config.json"
+            paths[token].write_text(token[len("@config="):])
+        out.append(str(paths[token]) if token.startswith("@") else token)
+    return out
+
+
+def test_exit_code_contract(tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(cli_argv())
+    @example(["clamp", "--b", "50", "--lambda", "0.5", "--t-hat", "abc"])
+    @example(["clamp", "--b", "50", "--lambda", "0.5", "--t-hat", "1.5"])
+    @example(["threshold", "--dist", TWO_ATOM, "--b", "3", "--lambda", "0.5", "--eta", "nan"])
+    @example(["experiment", "sweep", "--etas", "1e19", "--trials", "1"])
+    @example(["experiment", "sweep", "--etas", "4", "--trials", "1", "--seed", "-1"])
+    @example(["verify", "--onehot", "--b", "4", "--r", "1e300"])
+    @example(["baseline", "--dist", TWO_ATOM, "--b", "10000", "--r", "1e300", "--kind", "mixture"])
+    @example(["threshold", "--dist", '{"atoms": [[9223372036854775808, 1.0]]}', "--b", "50"])
+    @example(["metrics", "--dist", TWO_ATOM, "--policy", "@junk", "--b", "5"])
+    @example(["waterfill", "--dist", TWO_ATOM, "--b", "50", "--r", "1.7", "--out", "@missing/out"])
+    def check(argv):
+        argv = _materialize(argv, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag or its value
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        if any(flag in FINITE_CHECKED and value in NON_FINITE
+               for flag, value in zip(argv, argv[1:])):
+            assert code == 2, (argv, err.getvalue())
+
+    check()

@@ -94,6 +94,19 @@ class TestOptimalThreshold:
             assert fast[0] == slow[0]
             assert fast[1] == pytest.approx(slow[1], abs=1e-9)
 
+    @pytest.mark.parametrize("b", [2, 500, 5 * 10**4, 2 * 10**5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_brute_force_to_day_1e5(self, seed, b):
+        # log-uniform days below the last one, so the optimum is interior at most b
+        rng = np.random.default_rng(seed)
+        days = np.unique(np.ceil(10.0 ** rng.uniform(0, 5, size=int(rng.integers(1, 12)))))
+        days = [int(d) for d in days if d < 10**5] + [10**5]
+        p = DayDistribution(tuple(days), tuple(rng.dirichlet(np.ones(len(days)))))
+        fast = optimal_threshold(p, b)
+        slow = brute_force_threshold(p, b)
+        assert fast[0] == slow[0]
+        assert fast[1] == pytest.approx(slow[1], abs=1e-9)
+
     def test_matches_day_scan_reference(self, rng):
         for _ in range(3000):
             p = random_day_distribution(rng, max_day=int(rng.integers(1, 200)), max_atoms=30)
@@ -230,6 +243,12 @@ class TestRobustConsistentBound:
         denom = 1 - 3 * 0.05 / opt
         expected = (rep.rho_hat + 0.05 * (3 + rep.clamped_t - 1) / opt) / denom
         assert rep.consistent_term == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_rejected(self, worked_example, eta):
+        # NaN and inf reported the consistency bound as unavailable
+        with pytest.raises(InvalidParamsError, match="finite"):
+            robust_consistent_bound(worked_example, 3, 0.5, eta=eta)
 
     def test_binding_selects_smaller(self, worked_example):
         rep = robust_consistent_bound(worked_example, 3, 0.9, eta=0.0)

@@ -144,9 +144,10 @@ class TestPmfCore:
         ((1, 2), (0.5, 0.6)),
         ((1, 2), (0.5, 0.4)),
         ((1, 2, 3), (0.5, 0.5)),
+        ((1, 2**63), (0.5, 0.5)),  # died converting the days to int64 with an OverflowError
     ], ids=["decreasing", "repeated", "day0", "bool_day", "float_day", "nan_mass",
             "negative_mass", "tiny_negative_mass", "inf_mass", "mass_over", "mass_under",
-            "length_mismatch"])
+            "length_mismatch", "day_past_int64"])
     def test_rejects(self, pmf, days, masses):
         with pytest.raises(InvalidParamsError):
             pmf(days, masses)
@@ -324,6 +325,14 @@ class TestPerturbation:
         # NaN died in math.ceil with a ValueError
         with pytest.raises(InvalidParamsError, match="finite"):
             perturb_wasserstein(worked_example, eta, seed=0)
+
+    @pytest.mark.parametrize("eta", [1e19, 4e18, 1e17])
+    def test_budget_past_int64_rejected(self, eta):
+        # 1e19 died in rng.integers with a numpy ValueError; 4e18 let moved mass
+        # move again past 2^63 and died in an int64 conversion with an OverflowError
+        p = DayDistribution(tuple(range(1, 151)), tuple([1 / 150] * 150))
+        with pytest.raises(InvalidParamsError, match="int64"):
+            perturb_wasserstein(p, eta, seed=0)
 
     def test_matches_rebuilding_loop(self, rng):
         for seed in range(100):

@@ -121,6 +121,13 @@ class TestLpSolve:
         with pytest.raises(ScaleExceededError):
             lp_solve(inst)
 
+    def test_scale_guard_before_building(self):
+        # R = 1e300 asked for a horizon of ~4e300 days and built its objective
+        # until memory ran out; here the horizon is 10^6 + 2
+        g = build_cost_function(DayDistribution((5,), (1.0,)), 4)
+        with pytest.raises(ScaleExceededError):
+            lp_instance_from_cost(g, 4, 2.5e5 + 1)
+
     def test_horizon_formula(self):
         g = build_cost_function(DayDistribution((5,), (1.0,)), 6)
         inst = lp_instance_from_cost(g, 6, 2.0)
