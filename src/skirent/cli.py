@@ -224,10 +224,13 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    seed = _resolve_seed(args)
     b = args.b if args.b is not None else 50
     r = args.r if args.r is not None else 1.7
     if args.which == "table":
+        given = [f"--{name}" for name in ("etas", "trials", "seed")
+                 if getattr(args, name) is not None]
+        if given:
+            raise InvalidParamsError(f"{', '.join(given)} applies only to 'experiment sweep'")
         _log(args, f"running consistency table at (b, R) = ({b}, {r})")
         result = run_consistency_table(b=b, R=r, epsilon=args.epsilon)
     else:
@@ -239,6 +242,7 @@ def cmd_experiment(args) -> int:
                 raise InvalidParamsError(
                     f"--etas must be comma-separated numbers, got {args.etas!r}") from None
         trials = args.trials if args.trials is not None else 25
+        seed = _resolve_seed(args)
         _log(args, f"running perturbation sweep at (b, R) = ({b}, {r}), seed {seed}")
         result = run_perturbation_sweep(b=b, R=r, eta_grid=etas, n_trials=trials,
                                         seed=seed, epsilon=args.epsilon)
@@ -334,7 +338,7 @@ def _verify_grid(args, lines: list[str]) -> int:
         p = DayDistribution(tuple(int(d) for d in days), tuple(rng.dirichlet(np.ones(n))))
         g = build_cost_function(p, b)
         try:
-            _, wf_obj = water_fill(g, b, r, epsilon=1e-9 * g.max_value())
+            _, wf_obj = water_fill(g, b, r)
         except SkirentError:
             continue
         _, lp_obj = lp_solve(lp_instance_from_cost(g, b, r))
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("waterfill", help="robust randomized stopping distribution")
     common(sp, dist=True)
     sp.add_argument("--r", type=float, help="robustness level (> 1)")
-    sp.add_argument("--epsilon", type=float, help="water-level bisection tolerance")
+    sp.add_argument("--epsilon", type=float, help="water-level bisection tolerance of --published")
     sp.add_argument("--published", action="store_true",
                     help="level-restricted policy without exact redistribution")
     sp.set_defaults(func=cmd_waterfill, needs=("dist", "b", "r"))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import NEVER, Threshold
-from .distributions import DayDistribution, _check_b
+from .distributions import DayDistribution, _check_b, _check_finite
 from .errors import InfeasibleError, InvalidParamsError, ScaleExceededError
 from .randomized import CostFunction, StoppingDistribution
 
@@ -49,6 +49,7 @@ class LpInstance:
 
     def __post_init__(self) -> None:
         _check_b(self.b)
+        _check_finite(self.R, "R")
         if self.R <= 1:
             raise InvalidParamsError("R must exceed 1")
         if self.N < self.b:
@@ -64,6 +65,7 @@ def lp_instance_from_cost(g: CostFunction, b: int, R: float) -> LpInstance:
     worsens the tail moment, so N = max(support end, ceil((R-1)b)+2, 4b)
     preserves the optimum.
     """
+    _check_finite(R, "R")
     n = max(g.support_end, math.ceil((R - 1.0) * b) + 2, 4 * b)
     if n > MAX_HORIZON:  # checked before the objective is built: a huge R makes n huge
         raise ScaleExceededError(f"oracle horizon {n} exceeds {MAX_HORIZON}")

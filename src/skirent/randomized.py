@@ -513,24 +513,27 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     return WaterLevelSearch(level=h_hi, checks=checks, h_lo=h_lo, h_hi=h_hi)
 
 
-def _exact_level(g: CostFunction, b: int, R: float, search: WaterLevelSearch) -> float:
+def _exact_level(g: CostFunction, b: int, R: float) -> float:
     """The least feasible level itself, not a level within epsilon above it.
 
-    The fill changes only where the level crosses a candidate day's cost, so
-    the least feasible level is one of those costs in (h_lo, h_hi]; a binary
-    search over them finds it.  Returns h_hi when none is feasible, which the
-    1e-12 tolerances of the fill allow at the edges of the range.
+    The fill changes only where the level crosses a candidate day's cost, so a
+    level midway between two consecutive distinct costs admits exactly the days
+    costing at most the lower one; a binary search over those midpoints (and
+    max g, which admits every day) finds the least feasible one.  A midpoint,
+    not the cost itself: the fill tests activity in day space, where a day's
+    own cost can map back to just below that day, which drops it.  Returns
+    max g when no level is feasible.
     """
     costs = np.unique(g.values_at(_candidate_days(g, b)))
-    costs = costs[(costs > search.h_lo) & (costs <= search.h_hi)].tolist()
-    lo, hi = 0, len(costs)  # costs[hi:] are feasible, costs[:lo] are not
+    levels = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value()).tolist()
+    lo, hi = 0, len(levels) - 1  # levels[hi:] are feasible, levels[:lo] are not
     while lo < hi:
         mid = (lo + hi) // 2
-        if level_feasible(g, b, R, costs[mid]):
+        if level_feasible(g, b, R, levels[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return costs[lo] if lo < len(costs) else search.h_hi
+    return levels[lo]
 
 
 def _construct_at_level(g: CostFunction, b: int, R: float,
@@ -708,22 +711,18 @@ def water_fill(g: CostFunction, b: int, R: float,
                exact: bool = True) -> tuple[StoppingDistribution, float]:
     """Minimal-cost R-robust stopping distribution for stopping costs ``g``.
 
-    Binary search on the water level h finds the least level whose active days
-    can hold the whole unit of mass, and the tight fill is built there.  With
-    ``exact`` (the default) the fill is kept only if no redistribution over the
-    candidate days beats it: restricting support to costs below the water level
-    is provably suboptimal when cheap late days are moment-limited, and the
-    exact redistribution recovers the true optimum in those cases.  The LP
-    runs only when ``_duality_gap`` can prove within 1e-11 (relative) of that
-    optimum neither the fill nor, failing it, the fill at the exact least
-    feasible level (``_exact_level``), which the bisection overshoots by up to
-    epsilon.  A certified bisected fill is returned as a rejected LP would
-    leave it; a certified polished fill is returned when it costs no more.
-    With ``exact=False`` the level-restricted policy is returned as-is (the
-    procedure the reference experiments report).  If the exact LP fails, a
-    RuntimeWarning names the HiGHS status and the level-restricted policy is
-    returned; a returned policy that fails ``check_robustness`` raises
-    InvariantError.
+    Builds the tight fill at the least water level whose active days can hold
+    the whole unit of mass.  With ``exact=False`` that level is bisected to
+    within ``epsilon`` above the least one and the level-restricted policy is
+    returned as-is (the procedure the reference experiments report; ``epsilon``
+    is validated in both modes but used only here).  With ``exact`` (the
+    default) ``_exact_level`` finds the least level itself, and the fill is
+    kept unless a redistribution over the candidate days beats it by 1e-10
+    (relative): restricting support to costs below the water level is provably
+    suboptimal when cheap late days are moment-limited.  That LP runs only when
+    ``_duality_gap`` cannot prove the fill within 1e-11 of its optimum.  If it
+    fails, a RuntimeWarning names the HiGHS status and the fill is returned; a
+    returned policy that fails ``check_robustness`` raises InvariantError.
     """
     _check_b(b)
     _check_r(R)
@@ -731,22 +730,17 @@ def water_fill(g: CostFunction, b: int, R: float,
         _check_epsilon(epsilon)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    if epsilon is None:
-        epsilon = 1e-7 * g.max_value()
-    search = minimal_water_level(g, b, R, epsilon)
-    policy = _construct_at_level(g, b, R, search.level)
+    if exact:
+        level = _exact_level(g, b, R)
+    else:
+        if epsilon is None:
+            epsilon = 1e-7 * g.max_value()
+        level = minimal_water_level(g, b, R, epsilon).level
+    policy = _construct_at_level(g, b, R, level)
     if policy is None:
-        raise InfeasibleError(f"no policy fits within water level {search.level}")
+        raise InfeasibleError(f"no policy fits within water level {level}")
     objective = expected_policy_cost(policy, g)
     if exact and not _certified(g, b, R, policy, objective):
-        # the bisected level sits up to epsilon above the least feasible one;
-        # the fill there may be certified where this one is not
-        polished = _construct_at_level(g, b, R, _exact_level(g, b, R, search))
-        if polished is not None:
-            polished_obj = expected_policy_cost(polished, g)
-            if (polished_obj <= objective and _certified(g, b, R, polished, polished_obj)
-                    and check_robustness(polished, b, R).feasible):
-                return polished, polished_obj
         refined = _lp_refine(g, b, R)
         if refined is not None:
             refined_obj = expected_policy_cost(refined, g)

@@ -249,6 +249,30 @@ class TestExperimentCommand:
         assert code == 2
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [("--etas", "nan"), ("--trials", "5"),
+                                             ("--seed", "9")])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_table_rejects_sweep_options(self, capsys, tmp_path, flag, value, via_config):
+        # the table ran and exited 0, ignoring every one of these
+        argv = (flag, value)
+        if via_config:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({flag[2:]: value}))
+            argv = ("--config", str(conf))
+        code, out, err = run_cli(capsys, "experiment", "table", "--quiet", *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert flag in err and "Traceback" not in err
+
+    def test_bad_env_seed_fails_only_the_sweep(self, capsys, monkeypatch):
+        # the table exited 2 over a seed it never uses
+        expected = run_cli(capsys, "experiment", "table", "--quiet")[1]
+        monkeypatch.setenv("SKIRENT_SEED", "abc")
+        assert run_cli(capsys, "experiment", "table", "--quiet")[:2] == (0, expected)
+        code, out, err = run_cli(capsys, "experiment", "sweep", "--etas", "0",
+                                 "--trials", "1", "--quiet")
+        assert code == 2 and out == "" and "SKIRENT_SEED" in err
+
     @pytest.mark.parametrize("conf", [{"b": "abc"}, {"b": 50.5}, {"b": True},
                                       {"format": "xml"}, {"trials": 0},
                                       {"r": float("nan")}, {"epsilon": -1.0}, [1]],

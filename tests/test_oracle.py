@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,6 +7,7 @@ import scipy.optimize
 from skirent import (
     DayDistribution,
     InfeasibleError,
+    InvalidParamsError,
     LpInstance,
     ScaleExceededError,
     brute_force_threshold,
@@ -132,3 +135,13 @@ class TestLpSolve:
         g = build_cost_function(DayDistribution((5,), (1.0,)), 6)
         inst = lp_instance_from_cost(g, 6, 2.0)
         assert inst.N == max(5, 8, 24)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, bad):
+        # R = nan raised a bare ValueError and R = inf an OverflowError from the
+        # horizon's ceil; LpInstance accepted R = nan
+        g = build_cost_function(DayDistribution((5,), (1.0,)), 6)
+        with pytest.raises(InvalidParamsError, match="finite"):
+            lp_instance_from_cost(g, 6, bad)
+        with pytest.raises(InvalidParamsError, match="finite"):
+            LpInstance(objective=(1.0,) * 24, b=6, R=bad, N=24)

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skirent.randomized as randomized
@@ -1098,20 +1098,14 @@ class TestExactRefine:
         assert calls == [1]
         assert objective < water_fill(g, 500, 1.7, exact=False)[1] - 1e-6
 
-    def test_polish_is_safe_on_drawn_inputs(self, monkeypatch):
+    def test_exact_level_is_safe_on_drawn_inputs(self, monkeypatch):
         calls = counting_linprog(monkeypatch)
-        searches = []
-        exact_level = randomized._exact_level
-
-        def recording(g, b, R, search):
-            searches.append(search)
-            return exact_level(g, b, R, search)
-
-        monkeypatch.setattr(randomized, "_exact_level", recording)
-        polished = []
+        beyond_bisection = []
 
         @settings(max_examples=60, deadline=None)
         @given(polish_instances())
+        @example((make_distribution(FamilySpec(Family.GEOMETRIC_TRUNCATED,
+                                               {"rate": 0.2, "low": 1, "high": 200})), 100, 2.0))
         def check(instance):
             p_hat, b, R = instance
             g = build_cost_function(p_hat, b)
@@ -1119,24 +1113,73 @@ class TestExactRefine:
                 published = water_fill(g, b, R, exact=False)
             except InfeasibleError:
                 return
-            searches.clear()
+            level = randomized._exact_level(g, b, R)
+            costs = np.unique(g.values_at(randomized._candidate_days(g, b)))
+            midpoints = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value())
+            i = int(np.flatnonzero(midpoints == level)[0])  # costs[i] is its lower cost
+            assert level_feasible(g, b, R, level)
+            if i > 0:
+                assert not level_feasible(g, b, R, midpoints[i - 1])
+            search = minimal_water_level(g, b, R, 1e-7 * g.max_value())
+            assert search.h_lo < costs[i] <= search.h_hi
             calls[0] = 0
             policy, objective = water_fill(g, b, R)
-            if searches:
-                # the polish runs its own searches; the bisection's count is untouched
-                assert searches == [minimal_water_level(g, b, R, 1e-7 * g.max_value())]
-            if calls[0] or randomized._certified(g, b, R, *published):
-                return
-            polished.append(objective)
-            refined = randomized._lp_refine(g, b, R)
-            assert refined is not None
-            tol = 1e-11 * (1.0 + abs(objective))
-            assert objective <= expected_policy_cost(refined, g) + tol
             assert objective <= published[1]
             assert check_robustness(policy, b, R).feasible
+            if calls[0]:
+                return
+            refined = randomized._lp_refine(g, b, R)
+            assert refined is not None
+            assert objective <= expected_policy_cost(refined, g) + 1e-11 * (1.0 + abs(objective))
+            if not randomized._certified(g, b, R, *published):
+                beyond_bisection.append(objective)
 
         check()
-        assert polished  # the polish skipped the LP, so the check was not vacuous
+        # the exact level skipped an LP the bisected fill needed (as on the
+        # explicit example), so the check was not vacuous
+        assert beyond_bisection
+
+    def test_exact_mode_searches_and_builds_once(self, monkeypatch):
+        levels = []
+        construct = randomized._construct_at_level
+
+        def recording(g, b, R, h):
+            levels.append(h)
+            return construct(g, b, R, h)
+
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("exact mode must not bisect")
+
+        monkeypatch.setattr(randomized, "_construct_at_level", recording)
+        monkeypatch.setattr(randomized, "minimal_water_level", no_bisection)
+        # certified, beaten by the LP, certified only at the exact level
+        for p_hat, b, R in ((uniform_days(100), 500, 1.7),
+                            (DayDistribution((30, 120), (0.7, 0.3)), 50, 1.7),
+                            (table_prediction("gauss"), 500, 2.0)):
+            g = build_cost_function(p_hat, b)
+            levels.clear()
+            water_fill(g, b, R)
+            assert levels == [randomized._exact_level(g, b, R)]
+
+    @pytest.mark.parametrize("p_hat,b,R,day", [
+        (DayDistribution((25, 33, 81, 114, 117, 146),
+                         (0.3514996820223806, 0.25243453732960475, 0.17471078963340744,
+                          0.10038422563452869, 0.014716735878836451, 0.10625402950124216)),
+         42, 2.765165765575473, 34),
+        (make_distribution(FamilySpec(Family.GEOMETRIC_TRUNCATED,
+                                      {"rate": 0.0625, "low": 1, "high": 195})),
+         136, 1.796875, 102),
+    ], ids=["sparse", "geometric"])
+    def test_exact_level_admits_a_cost_its_own_probe_rejects(self, p_hat, b, R, day):
+        # the fill tests activity in day space, where (g(day) - intercept) / slope
+        # rounds to just below day, so probing the cost itself drops that day
+        g = build_cost_function(p_hat, b)
+        assert not level_feasible(g, b, R, g(day))
+        level = randomized._exact_level(g, b, R)
+        costs = np.unique(g.values_at(randomized._candidate_days(g, b)))
+        assert costs[np.searchsorted(costs, level, side="right") - 1] == g(day)
+        published = water_fill(g, b, R, exact=False)[0]
+        assert randomized._construct_at_level(g, b, R, level).support == published.support
 
     def test_memory_grows_linearly(self):
         # the dense constraint matrix grew as b^2 (slope 2.0 in log-log)
