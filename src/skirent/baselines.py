@@ -44,13 +44,14 @@ def r_from_lambda(b: int, lam: float) -> float:
     return (1.0 + 1.0 / b) / (1.0 - math.exp(-(lam - 1.0 / b)))
 
 
-def purohit_branch(b: int, lam: float, high_branch: bool) -> StoppingDistribution:
-    """Geometric-weights branch distribution for long (y >= b) or short horizons.
+def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:
+    """Masses of the branch distribution on days 1..len, zeros kept.
 
-    The high branch spreads over {1..k}, the low branch over {1..l}; weights
-    are ((b-1)/b)^(len-i) with normalizer b(1 - (1-1/b)^len).  The lengths
-    follow the source algorithm, k = floor(lam*b) and l = ceil(b/lam), which
-    reproduces the reference consistency figures to four decimals.
+    The high (long-horizon) branch spreads over {1..k}, the low branch over
+    {1..l}; weights are ((b-1)/b)^(len-i) with normalizer b(1 - (1-1/b)^len).
+    The lengths follow the source algorithm, k = floor(lam*b) and
+    l = ceil(b/lam), which reproduces the reference consistency figures to
+    four decimals; so k <= b <= l.
     """
     _check_b(b)
     if not 0.0 < lam <= 1.0:
@@ -60,29 +61,32 @@ def purohit_branch(b: int, lam: float, high_branch: bool) -> StoppingDistributio
         raise ScaleExceededError(f"branch of {length} days exceeds {MAX_BRANCH_DAYS}")
     q = (b - 1.0) / b
     weights = q ** np.arange(length - 1, -1, -1, dtype=float)
-    masses = weights / (b * (1.0 - q ** length))
-    return StoppingDistribution(tuple(range(1, length + 1)), tuple(masses))
+    return weights / (b * (1.0 - q ** length))
+
+
+def purohit_branch(b: int, lam: float, high_branch: bool) -> StoppingDistribution:
+    """Geometric-weights branch distribution for long (y >= b) or short horizons."""
+    masses = _branch_masses(b, lam, high_branch)
+    return StoppingDistribution(tuple(range(1, masses.size + 1)), tuple(masses))
 
 
 def baseline_policy(p_hat: DayDistribution, b: int, R: float,
                     kind: BaselineKind) -> StoppingDistribution:
     """Branch (or blend) the two point-prediction distributions by P[D >= b].
 
-    The majority rule keeps the long-horizon branch only when that probability
-    strictly exceeds 1/2; the mixture combines the branches pointwise.
+    The majority rule builds only the long-horizon branch when that
+    probability strictly exceeds 1/2, and only the short one otherwise; the
+    mixture blends the two branches' masses day by day.
     """
     kind = BaselineKind(kind)
     _check_finite(R, "R")
     lam = lambda_from_r(b, R)
     p_high = survival(p_hat, b)
-    high = purohit_branch(b, lam, high_branch=True)
-    low = purohit_branch(b, lam, high_branch=False)
     if kind is BaselineKind.MAJORITY_BRANCH:
-        return high if p_high > 0.5 else low
-    # both branches sit on days 1..len, so pad the shorter one with zeros
-    n = max(high.max_day, low.max_day)
-    high_masses, low_masses = (np.pad(f.masses, (0, n - f.max_day)) for f in (high, low))
-    masses = p_high * high_masses + (1.0 - p_high) * low_masses
-    keep = masses > 0.0
-    days = np.arange(1, n + 1)[keep]
-    return StoppingDistribution(tuple(days.tolist()), tuple(masses[keep]))
+        return purohit_branch(b, lam, high_branch=p_high > 0.5)
+    # both branches sit on days 1..len, and the high one is never the longer
+    high = _branch_masses(b, lam, high_branch=True)
+    masses = (1.0 - p_high) * _branch_masses(b, lam, high_branch=False)
+    masses[:high.size] += p_high * high
+    days = np.flatnonzero(masses > 0.0)  # leading masses of a long branch underflow
+    return StoppingDistribution(tuple((days + 1).tolist()), tuple(masses[days]))

@@ -33,6 +33,7 @@ from .randomized import (
     check_robustness,
     expected_policy_cost,
     geometric_cdf,
+    onehot_exact,
     parse_policy,
     realized_worst_ratio,
     water_fill,
@@ -264,8 +265,6 @@ def _verify_policy_file(args, lines: list[str]) -> int:
 
 
 def _verify_onehot(args, lines: list[str]) -> int:
-    from .randomized import onehot_exact
-
     _require(args, "b")
     b = args.b
     r = args.r if args.r is not None else 2.0

@@ -237,21 +237,25 @@ def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:
 # Closed-form optimal policies
 
 
-def _growth_envelope(b: int, R: float, x: int) -> float:
-    """(R-1) ((b/(b-1))^x - 1): the CDF ceiling enforced by the early constraints.
+def _growth_envelope(b: int, R: float, x: np.ndarray) -> np.ndarray:
+    """(R-1) ((b/(b-1))^x - 1) at each day of x: the CDF ceiling of the early constraints.
 
     Computed as expm1(x log1p(1/(b-1))), like the fill: a float b/(b-1) raised to
     x compounds its rounding and breaks the constraints by 1e-9 at b = 3367.
     """
-    return (R - 1.0) * math.expm1(x * math.log1p(1.0 / (b - 1.0)))
+    return (R - 1.0) * np.expm1(x * math.log1p(1.0 / (b - 1.0)))
 
 
 def feasible_robustness(b: int, R: float) -> bool:
-    """Whether any stopping distribution can be R-robust for this buy cost."""
+    """Whether any stopping distribution can be R-robust for this buy cost.
+
+    The fill's own full-mass test on one tight run over days 1..b: the envelope
+    must reach 1 - 1e-15 by day b.
+    """
     _check_b(b)
     if R <= 1:
         return False
-    return _growth_envelope(b, R, b) >= 1.0 - 1e-9
+    return b * math.log1p(1.0 / (b - 1.0)) >= math.log1p((1.0 - 1e-15) / (R - 1.0))
 
 
 def geometric_cdf(b: int, R: float) -> StoppingDistribution:
@@ -259,23 +263,17 @@ def geometric_cdf(b: int, R: float) -> StoppingDistribution:
 
     Optimal whenever the stopping-cost function is nondecreasing over the
     placement range.  Requires the envelope to reach 1 by day b, i.e. R at
-    least 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.
+    least 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.  The CDF
+    is pinned to 1 on the first day the envelope reaches 1 - 1e-12.
     """
     _check_b(b)
     _check_r(R)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    cap = 1.0 - 1e-12
-    x0 = 1
-    while _growth_envelope(b, R, x0) < cap:
-        x0 += 1
-    pmf: dict[int, float] = {}
-    prev = 0.0
-    for x in range(1, x0 + 1):
-        cur = min(_growth_envelope(b, R, x), 1.0) if x < x0 else 1.0
-        pmf[x] = cur - prev
-        prev = cur
-    return StoppingDistribution.from_pmf(pmf)
+    cdf = _growth_envelope(b, R, np.arange(1, b + 1))
+    cdf = cdf[:np.argmax(cdf >= 1.0 - 1e-12) + 1]  # feasibility puts that day at or before b
+    cdf[-1] = 1.0
+    return StoppingDistribution(tuple(range(1, cdf.size + 1)), tuple(np.diff(cdf, prepend=0.0)))
 
 
 def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool:
@@ -349,27 +347,25 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
     _check_r(R)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    G = [_growth_envelope(b, R, x) for x in range(0, b + 1)]
+    G = _growth_envelope(b, R, np.arange(b + 1))  # G[x] for x = 0..b
 
     if y <= b - 1:
-        head = np.array(G[1:y + 1])
+        head = G[1:y + 1]
         log_gamma = math.log1p(1.0 / (b - 1.0))
 
-        def tight(x: int, s):
-            """CDF at day x > y of the continuation that keeps days y+1..x tight."""
-            grow = math.expm1((x - y - 1) * log_gamma)  # gamma^(x-y-1) - 1
+        def tight(x, s):
+            """CDF at days x > y of the continuation that keeps days y+1..x tight."""
+            grow = np.expm1((x - y - 1) * log_gamma)  # gamma^(x-y-1) - 1
             return (grow + 1.0) * ((R - 1.0) * (y + 1) + s) / (b - 1.0) + (R - 1.0) * grow
 
         p_star = _min_p_reaching(lambda p: tight(b, _capped_sum(head, p)), head, 1.0)
-        s_star = float(_capped_sum(head, p_star))
-        cdf = [min(G[x], p_star) for x in range(0, y + 1)]
-        for x in range(y + 1, b + 1):
-            u = tight(x, s_star)
-            cdf.append(min(u, 1.0))
-            if u >= 1.0:
-                break
+        cont = tight(np.arange(y + 1, b + 1), float(_capped_sum(head, p_star)))
+        reached = np.flatnonzero(cont >= 1.0)
+        if reached.size:
+            cont = cont[:reached[0] + 1]
+        cdf = np.concatenate((np.minimum(G[:y + 1], p_star), cont))
     else:
-        envelope = np.array(G[1:b + 1])
+        envelope = G[1:]
 
         def phi(p):
             return (y - b) * p + _capped_sum(envelope, p)
@@ -378,23 +374,17 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
         p_cheap = min(G[m], 1.0)
         delta = max(y - (R - 1.0) * b, 0.0)
         p_star = _min_p_reaching(phi, envelope, max(delta, float(phi(p_cheap))))
-        cdf = [min(G[x], p_star) for x in range(0, b + 1)]
-        if p_star < 1.0 - 1e-15:
-            # flat at p_star through y, remaining atom just past the prediction
-            pmf = {x: cdf[x] - cdf[x - 1] for x in range(1, b + 1)}
-            pmf[y + 1] = 1.0 - p_star
-            return StoppingDistribution.from_pmf({d: m_ for d, m_ in pmf.items() if m_ > 1e-15})
+        cdf = np.minimum(G, p_star)
 
-    pmf = {}
-    prev = 0.0
-    for x in range(1, len(cdf)):
-        cur = min(cdf[x], 1.0)
-        if cur - prev > 1e-15:
-            pmf[x] = cur - prev
-        prev = cur
-    if prev < 1.0 - 1e-9:
+    masses = np.diff(np.minimum(cdf, 1.0))  # cdf[x] for days x = 0..len-1
+    days = np.arange(1, cdf.size)
+    if y >= b and p_star < 1.0 - 1e-15:
+        # flat at p_star through y, remaining atom just past the prediction
+        days, masses = np.append(days, y + 1), np.append(masses, 1.0 - p_star)
+    elif cdf[-1] < 1.0 - 1e-9:
         raise InfeasibleError("prefix construction failed to accumulate full mass")
-    return StoppingDistribution.from_pmf(pmf)
+    keep = masses > 1e-15
+    return StoppingDistribution(tuple(days[keep].tolist()), tuple(masses[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +711,9 @@ def water_fill(g: CostFunction, b: int, R: float,
     (relative): restricting support to costs below the water level is provably
     suboptimal when cheap late days are moment-limited.  That LP runs only when
     ``_duality_gap`` cannot prove the fill within 1e-11 of its optimum.  If it
-    fails, a RuntimeWarning names the HiGHS status and the fill is returned; a
-    returned policy that fails ``check_robustness`` raises InvariantError.
+    fails, a RuntimeWarning names the HiGHS status and the fill is returned.  An
+    LP result is kept only if it passes ``check_robustness``; a fill that fails
+    it raises InvariantError.
     """
     _check_b(b)
     _check_r(R)
@@ -746,7 +737,7 @@ def water_fill(g: CostFunction, b: int, R: float,
             refined_obj = expected_policy_cost(refined, g)
             if (refined_obj < objective - 1e-10 * (1.0 + abs(objective))
                     and check_robustness(refined, b, R).feasible):
-                policy, objective = refined, refined_obj
+                return refined, refined_obj
     if not check_robustness(policy, b, R).feasible:
         raise InvariantError("constructed policy failed its own robustness check")
     return policy, objective

@@ -13,6 +13,7 @@ from skirent import (
     ScaleExceededError,
     StoppingDistribution,
     baseline_policy,
+    check_robustness,
     lambda_from_r,
     purohit_branch,
     r_from_lambda,
@@ -181,6 +182,50 @@ class TestBaselinePolicy:
             with pytest.raises(ScaleExceededError):
                 baseline_policy(p_hat, 50, 1e300, kind)
         assert baseline_policy(p_hat, 50, 1.7, BaselineKind.MIXTURE).max_day <= 1000
+
+    def test_majority_builds_only_its_branch(self, monkeypatch):
+        # with all mass at or past b the rule needs only the short high branch,
+        # so the b^2-day low branch is neither built nor size-checked
+        monkeypatch.setattr(baselines, "MAX_BRANCH_DAYS", 1000)
+        p_hat = DayDistribution((50, 60), (0.5, 0.5))
+        f = baseline_policy(p_hat, 50, 1e300, BaselineKind.MAJORITY_BRANCH)
+        assert f.support == purohit_branch(50, lambda_from_r(50, 1e300), True).support
+
+    def test_one_pmf_per_call(self, monkeypatch):
+        built = []
+
+        def counting(days, masses):
+            built.append(days)
+            return StoppingDistribution(days, masses)
+
+        monkeypatch.setattr(baselines, "StoppingDistribution", counting)
+        p_hat = DayDistribution((10, 90), (0.4, 0.6))
+        for kind in BaselineKind:
+            built.clear()
+            baseline_policy(p_hat, 50, 1.7, kind)
+            assert len(built) == 1
+
+    def test_mixture_survives_underflowing_branch_masses(self):
+        # at R = 1e5 the low branch spans 634915 days, and its first 44526
+        # masses underflow to 0; padding the branch pmfs, which drop those days,
+        # misaligned the two branches and raised a broadcast ValueError
+        p_hat = DayDistribution((10, 2000), (0.5, 0.5))
+        b, R = 800, 1e5
+        lam, p_high = lambda_from_r(b, R), survival(p_hat, b)
+        high, low = (purohit_branch(b, lam, h) for h in (True, False))
+        mix = baseline_policy(p_hat, b, R, BaselineKind.MIXTURE)
+        assert low.days[0] > 40_000  # the underflow this guards against
+        n = low.max_day
+        by_day = {}
+        for f in (high, low, mix):
+            dense = np.zeros(n + 1)
+            dense[np.asarray(f.days)] = f.masses
+            by_day[f] = dense
+        np.testing.assert_allclose(by_day[mix],
+                                   p_high * by_day[high] + (1.0 - p_high) * by_day[low],
+                                   rtol=1e-12, atol=0.0)
+        assert math.fsum(mix.masses) == pytest.approx(1.0, abs=1e-12)
+        assert check_robustness(mix, b, R).feasible
 
     @pytest.mark.parametrize("R", [math.nan, math.inf])
     def test_non_finite_r_rejected(self, R):

@@ -773,6 +773,26 @@ class TestWaterFill:
         with pytest.raises(InfeasibleError):
             water_fill(g, 8, 1.3)
 
+    @pytest.mark.parametrize("b", [10, 50, 500])
+    def test_feasibility_threshold_agrees_with_every_solver(self, b):
+        # the threshold R at which the envelope reaches exactly 1 by day b; an R
+        # whose envelope falls 1e-10 short used to pass feasible_robustness while
+        # every solver raised, and geometric_cdf then broke its tail constraint
+        threshold = 1.0 + 1.0 / math.expm1(b * math.log1p(1.0 / (b - 1.0)))
+        g = build_cost_function(DayDistribution((3, 2 * b), (0.5, 0.5)), b)
+        # y = 1, b, 2b only: at the threshold itself some other y still raise
+        solvers = [lambda R: geometric_cdf(b, R), lambda R: water_fill(g, b, R)[0],
+                   lambda R: water_fill(g, b, R, exact=False)[0]]
+        solvers += [lambda R, y=y: onehot_exact(b, R, y) for y in (1, b, 2 * b)]
+        short = 1.0 + (1.0 - 1e-10) * (threshold - 1.0)
+        assert not feasible_robustness(b, short)
+        for solve in solvers:
+            with pytest.raises(InfeasibleError):
+                solve(short)
+        assert feasible_robustness(b, threshold)
+        for solve in solvers:
+            assert check_robustness(solve(threshold), b, threshold).feasible
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_rejected(self, worked_example, bad):
         # NaN passed every range check: epsilon=nan ran no bisection check and
@@ -1160,6 +1180,27 @@ class TestExactRefine:
             levels.clear()
             water_fill(g, b, R)
             assert levels == [randomized._exact_level(g, b, R)]
+
+    def test_kept_lp_result_is_checked_once(self, monkeypatch):
+        # the LP beats the fill on this prediction; its acceptance check is the
+        # only robustness check, the final one is left to a returned fill
+        checks, results = [], []
+        check, refine = randomized.check_robustness, randomized._lp_refine
+
+        def counted(f, b, R):
+            checks.append(f)
+            return check(f, b, R)
+
+        def recording(g, b, R):
+            results.append(refine(g, b, R))
+            return results[-1]
+
+        monkeypatch.setattr(randomized, "check_robustness", counted)
+        monkeypatch.setattr(randomized, "_lp_refine", recording)
+        g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
+        policy, _ = water_fill(g, 50, 1.7)
+        assert results == [policy]
+        assert checks == [policy]
 
     @pytest.mark.parametrize("p_hat,b,R,day", [
         (DayDistribution((25, 33, 81, 114, 117, 146),
