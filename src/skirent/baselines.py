@@ -67,7 +67,7 @@ def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:
 def purohit_branch(b: int, lam: float, high_branch: bool) -> StoppingDistribution:
     """Geometric-weights branch distribution for long (y >= b) or short horizons."""
     masses = _branch_masses(b, lam, high_branch)
-    return StoppingDistribution(tuple(range(1, masses.size + 1)), tuple(masses))
+    return StoppingDistribution(np.arange(1, masses.size + 1), masses)
 
 
 def baseline_policy(p_hat: DayDistribution, b: int, R: float,
@@ -88,5 +88,5 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float,
     high = _branch_masses(b, lam, high_branch=True)
     masses = (1.0 - p_high) * _branch_masses(b, lam, high_branch=False)
     masses[:high.size] += p_high * high
-    days = np.flatnonzero(masses > 0.0)  # leading masses of a long branch underflow
-    return StoppingDistribution(tuple((days + 1).tolist()), tuple(masses[days]))
+    # the pmf drops the days whose masses underflow at the front of a long branch
+    return StoppingDistribution(np.arange(1, masses.size + 1), masses)

@@ -314,7 +314,7 @@ def _verify_grid(args, lines: list[str]) -> int:
         max_day = int(rng.integers(max(3, b), 4 * b + 1))
         n = int(rng.integers(1, min(12, max_day) + 1))
         days = np.sort(rng.choice(np.arange(1, max_day + 1), size=n, replace=False))
-        p = DayDistribution(tuple(int(d) for d in days), tuple(rng.dirichlet(np.ones(n))))
+        p = DayDistribution(days, rng.dirichlet(np.ones(n)))
         fast = optimal_threshold(p, b)
         slow = brute_force_threshold(p, b)
         if fast[0] != slow[0] or abs(fast[1] - slow[1]) > 1e-9:
@@ -334,7 +334,7 @@ def _verify_grid(args, lines: list[str]) -> int:
         max_day = int(rng.integers(b, 4 * b + 1))
         n = int(rng.integers(1, min(10, max_day) + 1))
         days = np.sort(rng.choice(np.arange(1, max_day + 1), size=n, replace=False))
-        p = DayDistribution(tuple(int(d) for d in days), tuple(rng.dirichlet(np.ones(n))))
+        p = DayDistribution(days, rng.dirichlet(np.ones(n)))
         g = build_cost_function(p, b)
         try:
             _, wf_obj = water_fill(g, b, r)

@@ -46,7 +46,7 @@ def optimal_threshold(p: DayDistribution, b: int) -> tuple[Threshold, float]:
     """
     _check_b(b)
     days = p._days_arr
-    probs = np.asarray(p.probs)
+    probs = p._mass_arr
     # running sums add in sequence, exactly as a day-by-day scan would
     tail = np.append(np.cumsum(probs[::-1])[::-1], 0.0)  # mass on days[k:]
     rent = np.concatenate(([0.0], np.cumsum(probs * days)))  # rent paid on days[:k]

@@ -3,84 +3,94 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, ClassVar, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Iterable, Mapping
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .errors import EmptySupportError, InvalidParamsError, InvariantError
+from .errors import EmptySupportError, InvalidParamsError, InvariantError, ScaleExceededError
 
 MASS_TOL = 1e-9        # accepted drift of total mass at construction
 RENORM_TRIGGER = 1e-12  # drift beyond this is renormalized away exactly
+#: Longest day range a uniform, gaussian or geometric family is realized on.
+MAX_FAMILY_DAYS = 10**7
 
 
-@dataclass(frozen=True, eq=False)
 class _Pmf:
     """Validated pmf over positive integer days, shared by both distribution classes.
 
-    ``days`` must be strictly increasing positive integers and the masses (the
-    subclass field named by ``_MASS``) finite, nonnegative and summing to one
-    within ``MASS_TOL``; drift beyond ``RENORM_TRIGGER`` is renormalized away and
-    zero-mass days are dropped.  Instances are immutable and safe to share
-    between threads.
+    Days (strictly increasing positive int64) and masses (finite, nonnegative,
+    summing to one within ``MASS_TOL``) are checked in bulk and stored as
+    read-only arrays; drift beyond ``RENORM_TRIGGER`` is renormalized away and
+    zero-mass days are dropped.  ``days``, ``support`` and the subclass's mass
+    tuple are views built on demand.  Instances are immutable and thread-safe.
     """
 
-    _MASS: ClassVar[str]  # name of the subclass's mass field
-
-    days: tuple[int, ...]
-    _days_arr: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)  # [0, F(d_1), F(d_2), ...]
-
-    def __post_init__(self) -> None:
-        masses = np.asarray(getattr(self, self._MASS), dtype=float)
-        if masses.shape != (len(self.days),):
-            raise InvalidParamsError(f"days and {self._MASS} must have equal length")
-        prev = 0
-        for d in self.days:
-            if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-                raise InvalidParamsError(f"day {d!r} is not a positive integer")
-            if d <= prev:
-                raise InvalidParamsError("days must be strictly increasing")
-            prev = int(d)
-        if prev >= 2**63:
-            raise InvalidParamsError(f"day {prev} exceeds the int64 range")
+    def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
+        day_arr = np.asarray(days)
+        masses = np.asarray(masses, dtype=float)
+        if day_arr.ndim != 1 or masses.shape != day_arr.shape:
+            raise InvalidParamsError("days and masses must be 1-d and of equal length")
         if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
-            raise InvalidParamsError(f"{self._MASS} must be nonnegative and finite")
+            raise InvalidParamsError("masses must be nonnegative and finite")
         keep = masses > 0.0
-        if not keep.any():
+        if not keep.any():  # checked before the days: numpy reads no days, (), as float64
             raise EmptySupportError("distribution has no support")
+        # numpy reads (True, 2) as the int64 days [1, 2], so only a bool left
+        # outside an array is still told apart from an int (neither bool type
+        # can be subclassed, so comparing types is an isinstance test)
+        if (day_arr.dtype.kind not in "iu" or day_arr.dtype.kind == "u" and day_arr.max() >= 2**63
+                or not isinstance(days, np.ndarray)
+                and not {bool, np.bool_}.isdisjoint(map(type, days))):
+            raise InvalidParamsError("days must be integers in the int64 range")
+        day_arr = day_arr.astype(np.int64)
+        if day_arr[0] < 1 or np.any(day_arr[1:] <= day_arr[:-1]):
+            raise InvalidParamsError("days must be strictly increasing positive integers")
         total = float(masses.sum())
         if abs(total - 1.0) > MASS_TOL:
-            raise InvalidParamsError(f"{self._MASS} sum to {total}, not 1")
+            raise InvalidParamsError(f"masses sum to {total}, not 1")
         if abs(total - 1.0) > RENORM_TRIGGER:
             masses = masses / total
-        masses = masses[keep]
-        days_arr = np.array(self.days, dtype=np.int64)[keep]
-        object.__setattr__(self, "days", tuple(days_arr.tolist()))
-        object.__setattr__(self, self._MASS, tuple(masses.tolist()))
-        object.__setattr__(self, "_days_arr", days_arr)
-        object.__setattr__(self, "_cum", np.cumsum(np.append(0.0, masses)))
+        self._store(_days_arr=day_arr[keep], _mass_arr=masses[keep])
+        self._store(_cum=np.cumsum(np.append(0.0, self._mass_arr)))  # [0, F(d_1), F(d_2), ...]
+
+    def _store(self, **arrays: np.ndarray) -> None:
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_pairs({list(self.support)})"
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]):
         """Build from ``(day, mass)`` pairs in any order; repeated days add up."""
-        merged: dict[int, float] = {}
-        for d, m in sorted((_as_int(d, "day"), float(m)) for d, m in pairs):
-            merged[d] = merged.get(d, 0.0) + m
-        return cls(tuple(merged), tuple(merged.values()))
+        pairs = sorted((_as_int(d, "day"), float(m)) for d, m in pairs)
+        days, which = np.unique([d for d, _ in pairs], return_inverse=True)
+        # bincount adds in input order, so a repeated day's masses add smallest first
+        return cls(days, np.bincount(which, [m for _, m in pairs]))
 
     def _through(self, cum: np.ndarray, x, side: str = "right"):
         """Zero-led running sum ``cum`` through day x (before day x if side="left")."""
         return cum[np.searchsorted(self._days_arr, x, side=side)]
 
+    @cached_property
+    def days(self) -> tuple[int, ...]:
+        return tuple(self._days_arr.tolist())
+
     @property
     def support(self) -> tuple[tuple[int, float], ...]:
-        return tuple(zip(self.days, getattr(self, self._MASS)))
+        return tuple(zip(self.days, self._mass_arr.tolist()))
 
     @property
     def max_day(self) -> int:
-        return self.days[-1]
+        return int(self._days_arr[-1])
 
     def cdf(self, x: int | float) -> float:
         """P[day <= x]."""
@@ -90,25 +100,22 @@ class _Pmf:
         return self._through(self._cum, xs)
 
 
-@dataclass(frozen=True, eq=False)
 class DayDistribution(_Pmf):
     """Probability distribution over positive integer horizons (see ``_Pmf``)."""
 
-    _MASS = "probs"
+    def __init__(self, days: ArrayLike, probs: ArrayLike) -> None:
+        super().__init__(days, probs)
+        self._store(_day_weighted_cum=np.cumsum(np.append(0.0, self._mass_arr * self._days_arr)))
 
-    probs: tuple[float, ...]
-    _day_weighted_cum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "_day_weighted_cum",
-                           np.cumsum(np.append(0.0, np.asarray(self.probs) * self._days_arr)))
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        return tuple(self._mass_arr.tolist())
 
     def prob(self, day: int) -> float:
         """Point mass at ``day`` (0 if not in the support)."""
         i = int(np.searchsorted(self._days_arr, day))
-        if i < len(self.days) and self.days[i] == day:
-            return self.probs[i]
+        if i < self._days_arr.size and self._days_arr[i] == day:
+            return float(self._mass_arr[i])
         return 0.0
 
     def mean(self) -> float:
@@ -150,7 +157,7 @@ def wasserstein1(p: DayDistribution, q: DayDistribution) -> float:
 
 def total_variation(p: DayDistribution, q: DayDistribution) -> float:
     """Half L1 distance between the two mass functions; lies in [0, 1]."""
-    days = sorted(set(p.days) | set(q.days))
+    days = np.union1d(p._days_arr, q._days_arr).tolist()
     return 0.5 * sum(abs(p.prob(d) - q.prob(d)) for d in days)
 
 
@@ -167,13 +174,13 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
         raise InvalidParamsError("eta must be >= 0")
     if eta == 0:
         return p
-    moves = 10 * len(p.days)
+    moves = 10 * p._days_arr.size
     max_shift = max(1, math.ceil(eta))
     # moved mass can move again, so a day can drift by up to moves * max_shift
     if p.max_day + moves * max_shift >= 2**63:
         raise InvalidParamsError(f"eta={eta} could shift days past the int64 range")
     rng = np.random.default_rng(seed)
-    mass = {d: m for d, m in zip(p.days, p.probs)}
+    mass = dict(zip(p._days_arr.tolist(), p._mass_arr.tolist()))
     atoms = list(mass)  # the days of positive mass, in insertion order
     budget = float(eta)
     for _ in range(moves):
@@ -269,8 +276,19 @@ def _int_param(params: Mapping[str, Any], key: str, default: int | None = None) 
     return _as_int(value, f"parameter {key!r}")
 
 
+def _day_range(params: Mapping[str, Any], family: str) -> np.ndarray:
+    """The days low..high of a ranged family, as an int64 array."""
+    low = _int_param(params, "low", 1)
+    high = _int_param(params, "high")
+    if not 1 <= low <= high < 2**63:
+        raise InvalidParamsError(f"{family} needs 1 <= low <= high < 2^63")
+    if high - low >= MAX_FAMILY_DAYS:
+        raise ScaleExceededError(f"{family} spans {high - low + 1} days, over {MAX_FAMILY_DAYS}")
+    return np.arange(low, high + 1)
+
+
 def _parse_atoms(entries: Any) -> list[tuple[int, float]]:
-    """Validate a decoded ``[[day, mass], ...]`` list: integral days, finite masses >= 0."""
+    """Read a decoded ``[[day, mass], ...]`` list with float masses; the pmf checks the values."""
     if not isinstance(entries, list) or not entries:
         raise InvalidParamsError("expected a non-empty list of [day, mass] pairs")
     pairs = []
@@ -282,9 +300,7 @@ def _parse_atoms(entries: Any) -> list[tuple[int, float]]:
             mass = float(mass)
         except (TypeError, ValueError):
             raise InvalidParamsError(f"mass {mass!r} is not a number") from None
-        if math.isnan(mass) or mass < 0:
-            raise InvalidParamsError("masses must be nonnegative and finite")
-        pairs.append((_as_int(day, "day"), mass))
+        pairs.append((day, mass))
     return pairs
 
 
@@ -298,41 +314,29 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
     if not isinstance(params, Mapping):
         raise InvalidParamsError("family params must be an object")
     if family is Family.UNIFORM:
-        low = _int_param(params, "low", 1)
-        high = _int_param(params, "high")
-        if low < 1 or high < low:
-            raise InvalidParamsError("uniform needs 1 <= low <= high")
-        n = high - low + 1
-        return DayDistribution(tuple(range(low, high + 1)), tuple([1.0 / n] * n))
+        days = _day_range(params, "uniform")
+        return DayDistribution(days, np.full(days.size, 1.0 / days.size))
     if family is Family.GAUSSIAN_DISCRETIZED:
         mean = _float_param(params, "mean")
         stddev = _float_param(params, "stddev")
         if stddev <= 0:
             raise InvalidParamsError("stddev must be > 0")
-        low = _int_param(params, "low", 1)
-        high = _int_param(params, "high")
-        if low < 1 or high < low:
-            raise InvalidParamsError("gaussian needs 1 <= low <= high")
-        days = np.arange(low, high + 1)
+        days = _day_range(params, "gaussian")
         weights = np.exp(-0.5 * ((days - mean) / stddev) ** 2)
         total = float(weights.sum())
         if total <= 0.0:
             raise EmptySupportError("all gaussian mass truncated away")
-        return DayDistribution(tuple(int(d) for d in days), tuple(weights / total))
+        return DayDistribution(days, weights / total)
     if family is Family.GEOMETRIC_TRUNCATED:
         rate = _float_param(params, "rate")
         if not 0.0 < rate < 1.0:
             raise InvalidParamsError("rate must lie in (0, 1)")
-        low = _int_param(params, "low", 1)
-        high = _int_param(params, "high")
-        if low < 1 or high < low:
-            raise InvalidParamsError("geometric needs 1 <= low <= high")
-        days = np.arange(low, high + 1)
+        days = _day_range(params, "geometric")
         weights = (1.0 - rate) ** (days - 1)
         total = float(weights.sum())
         if total <= 0.0:
             raise EmptySupportError("all geometric mass truncated away")
-        return DayDistribution(tuple(int(d) for d in days), tuple(weights / total))
+        return DayDistribution(days, weights / total)
     if family is Family.TWO_POINT:
         atoms = _parse_atoms(_need(params, "atoms"))
         if len(atoms) != 2:

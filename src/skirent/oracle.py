@@ -185,5 +185,5 @@ def lp_solve(inst: LpInstance, pivot_rule: str = "bland") -> tuple[StoppingDistr
         raise InfeasibleError("simplex returned a non-normalized solution")
     f = f / total
     value = float(np.asarray(inst.objective) @ f)
-    pmf = {int(d): float(m_) for d, m_ in zip(range(1, n + 1), f) if m_ > 1e-14}
-    return StoppingDistribution.from_pmf(pmf), value
+    pmf = ((d, m_) for d, m_ in enumerate(f, 1) if m_ > 1e-14)
+    return StoppingDistribution.from_pairs(pmf), value

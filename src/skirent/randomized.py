@@ -4,15 +4,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
+from numpy.typing import ArrayLike
 
 from .distributions import DayDistribution, _check_b, _check_finite, _parse_atoms, _Pmf
 from .errors import InfeasibleError, InvalidParamsError, InvariantError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
+FULL_MASS = 1.0 - 1e-15  # a fill or closed form holding this much mass is full
 
 
 def _check_r(R: float) -> None:
@@ -27,7 +28,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise InvalidParamsError("epsilon must be > 0")
 
 
-@dataclass(frozen=True, eq=False)
 class StoppingDistribution(_Pmf):
     """Probability mass function over the (randomized) buying day (see ``_Pmf``).
 
@@ -35,19 +35,13 @@ class StoppingDistribution(_Pmf):
     CDF F(x) drives every robustness computation.
     """
 
-    _MASS = "masses"
+    def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
+        super().__init__(days, masses)
+        self._store(_cum_moment=np.cumsum(np.append(0.0, self._mass_arr * (self._days_arr - 1))))
 
-    masses: tuple[float, ...]
-    _cum_moment: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        moments = np.asarray(self.masses) * (self._days_arr - 1)
-        object.__setattr__(self, "_cum_moment", np.cumsum(np.append(0.0, moments)))
-
-    @classmethod
-    def from_pmf(cls, pmf: dict[int, float]) -> "StoppingDistribution":
-        return cls.from_pairs(pmf.items())
+    @cached_property
+    def masses(self) -> tuple[float, ...]:
+        return tuple(self._mass_arr.tolist())
 
     def first_moment(self, x: int | float | None = None) -> float:
         """mu(x) = sum over buy days t <= x of (t-1) f(t); x=None means mu(inf)."""
@@ -59,7 +53,7 @@ class StoppingDistribution(_Pmf):
         return self._through(self._cum_moment, xs)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self._days_arr, size=size, p=np.asarray(self.masses))
+        return rng.choice(self._days_arr, size=size, p=self._mass_arr)
 
     def to_json_dict(self, b: int | None = None, r: float | None = None,
                      objective: float | None = None) -> dict:
@@ -157,7 +151,7 @@ def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
     _check_b(b)
     # accumulate subtracts in sequence, like a running tail_prob -= q; 1 - cumsum
     # rounds differently
-    slope = np.subtract.accumulate(np.append(1.0, p_hat.probs))
+    slope = np.subtract.accumulate(np.append(1.0, p_hat._mass_arr))
     slope[-1] = 0.0  # the tail: its intercept is the whole day-weighted sum, the mean
     days = p_hat._days_arr
     return CostFunction(lo=np.append(0, days), hi=np.append(days, math.inf), slope=slope,
@@ -230,7 +224,7 @@ def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:
     """Expected stopping cost sum_z g(z) f(z)."""
     # a running sum adds in support order, as a sequential loop would; np.sum
     # adds pairwise and can change the last digits
-    return float(np.cumsum(g.values_at(f._days_arr) * np.asarray(f.masses))[-1])
+    return float(np.cumsum(g.values_at(f._days_arr) * f._mass_arr)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +244,12 @@ def feasible_robustness(b: int, R: float) -> bool:
     """Whether any stopping distribution can be R-robust for this buy cost.
 
     The fill's own full-mass test on one tight run over days 1..b: the envelope
-    must reach 1 - 1e-15 by day b.
+    must reach ``FULL_MASS`` by day b.
     """
     _check_b(b)
     if R <= 1:
         return False
-    return b * math.log1p(1.0 / (b - 1.0)) >= math.log1p((1.0 - 1e-15) / (R - 1.0))
+    return b * math.log1p(1.0 / (b - 1.0)) >= math.log1p(FULL_MASS / (R - 1.0))
 
 
 def geometric_cdf(b: int, R: float) -> StoppingDistribution:
@@ -273,7 +267,7 @@ def geometric_cdf(b: int, R: float) -> StoppingDistribution:
     cdf = _growth_envelope(b, R, np.arange(1, b + 1))
     cdf = cdf[:np.argmax(cdf >= 1.0 - 1e-12) + 1]  # feasibility puts that day at or before b
     cdf[-1] = 1.0
-    return StoppingDistribution(tuple(range(1, cdf.size + 1)), tuple(np.diff(cdf, prepend=0.0)))
+    return StoppingDistribution(np.arange(1, cdf.size + 1), np.diff(cdf, prepend=0.0))
 
 
 def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool:
@@ -305,18 +299,16 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
 
 
 def _min_p_reaching(eval_fn, breakpoints: np.ndarray, target: float) -> float:
-    """Smallest p in [0, 1] with eval_fn(p) >= target.
+    """Smallest p in [0, 1] with eval_fn(p) >= target, or 1 if eval_fn(1) falls short.
 
     ``eval_fn`` takes an array of p, and must be continuous, nondecreasing, and
     affine between consecutive breakpoints, so the crossing is solved exactly on
-    its piece.
+    its piece.  Where ``feasible_robustness`` holds, the callers' targets hold at
+    p = 1, the whole envelope, so a shortfall there is rounding.
     """
     bps = np.unique(np.clip(np.append([0.0, 1.0], breakpoints), 0.0, 1.0))
     values = eval_fn(bps)
-    reached = np.flatnonzero(values >= target)
-    if reached.size == 0:
-        raise InfeasibleError("no p in [0, 1] attains the required level")
-    i = int(reached[0])
+    i = int(np.argmax(values >= min(target, values[-1])))
     if i == 0:
         return float(bps[0])
     prev, cur, f_prev, f_cur = (float(v) for v in (bps[i - 1], bps[i], values[i - 1], values[i]))
@@ -358,9 +350,9 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
             grow = np.expm1((x - y - 1) * log_gamma)  # gamma^(x-y-1) - 1
             return (grow + 1.0) * ((R - 1.0) * (y + 1) + s) / (b - 1.0) + (R - 1.0) * grow
 
-        p_star = _min_p_reaching(lambda p: tight(b, _capped_sum(head, p)), head, 1.0)
+        p_star = _min_p_reaching(lambda p: tight(b, _capped_sum(head, p)), head, FULL_MASS)
         cont = tight(np.arange(y + 1, b + 1), float(_capped_sum(head, p_star)))
-        reached = np.flatnonzero(cont >= 1.0)
+        reached = np.flatnonzero(cont >= FULL_MASS)
         if reached.size:
             cont = cont[:reached[0] + 1]
         cdf = np.concatenate((np.minimum(G[:y + 1], p_star), cont))
@@ -372,19 +364,19 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
 
         m = min(y - b + 1, b)
         p_cheap = min(G[m], 1.0)
-        delta = max(y - (R - 1.0) * b, 0.0)
+        delta = max(y * FULL_MASS - (R - 1.0) * b, 0.0)
         p_star = _min_p_reaching(phi, envelope, max(delta, float(phi(p_cheap))))
         cdf = np.minimum(G, p_star)
 
     masses = np.diff(np.minimum(cdf, 1.0))  # cdf[x] for days x = 0..len-1
     days = np.arange(1, cdf.size)
-    if y >= b and p_star < 1.0 - 1e-15:
+    if y >= b and p_star < FULL_MASS:
         # flat at p_star through y, remaining atom just past the prediction
         days, masses = np.append(days, y + 1), np.append(masses, 1.0 - p_star)
     elif cdf[-1] < 1.0 - 1e-9:
         raise InfeasibleError("prefix construction failed to accumulate full mass")
     keep = masses > 1e-15
-    return StoppingDistribution(tuple(days[keep].tolist()), tuple(masses[keep]))
+    return StoppingDistribution(days[keep], masses[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +400,7 @@ def _fill_pass(g: CostFunction, b: int, R: float,
     last run may outlast the full mass.
     """
     log_gamma = math.log1p(1.0 / (b - 1.0))
-    full = math.log1p((1.0 - 1e-15) / (R - 1.0))  # log(G / (R-1)) at F = 1 - 1e-15
+    full = math.log1p(FULL_MASS / (R - 1.0))  # log(G / (R-1)) at F = FULL_MASS
     lag = 0.0
     last_end = 0  # constraints are tight through this day
     runs = []
@@ -544,7 +536,7 @@ def _construct_at_level(g: CostFunction, b: int, R: float,
     days = (np.repeat(starts, lengths) + steps).astype(np.int64)
     cdf = (R - 1.0) * np.expm1(days * math.log1p(1.0 / (b - 1.0)) - np.repeat(lags, lengths))
     if tail is None:
-        cut = np.flatnonzero(cdf >= 1.0 - 1e-15)
+        cut = np.flatnonzero(cdf >= FULL_MASS)
         if cut.size:
             days, cdf = days[:cut[0] + 1], cdf[:cut[0] + 1]
     if cdf.size:
@@ -555,7 +547,7 @@ def _construct_at_level(g: CostFunction, b: int, R: float,
             masses[-1] += 1.0 - F
         else:
             days, masses = np.append(days, tail), np.append(masses, 1.0 - F)
-    return StoppingDistribution(tuple(days.tolist()), tuple(masses.tolist()))
+    return StoppingDistribution(days, masses)
 
 
 def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
@@ -583,6 +575,9 @@ def _lp_refine(g: CostFunction, b: int, R: float) -> StoppingDistribution | None
     candidate days start with 1..b, so day x < b is f-column x-1.  Returns None,
     with a RuntimeWarning carrying the HiGHS status, when the solver fails.
     """
+    import scipy.optimize  # imported here: nothing else needs scipy, and it is slow to load
+    import scipy.sparse
+
     t = _candidate_days(g, b)
     n = t.size
     k = b - 1
@@ -630,7 +625,7 @@ def _lp_refine(g: CostFunction, b: int, R: float) -> StoppingDistribution | None
     f = np.clip(res.x[:n], 0.0, None)
     f /= f.sum()
     keep = f > 1e-14
-    return StoppingDistribution(days=tuple(int(d) for d in t[keep]), masses=tuple(f[keep]))
+    return StoppingDistribution(t[keep].astype(np.int64), f[keep])
 
 
 def _duality_gap(g: CostFunction, b: int, R: float, policy: StoppingDistribution,

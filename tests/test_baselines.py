@@ -40,7 +40,7 @@ def mixture_reference(p_hat, b, R):
         mass = p_high * _mass_at(high, d) + (1.0 - p_high) * _mass_at(low, d)
         if mass > 0.0:
             pmf[d] = mass
-    return StoppingDistribution.from_pmf(pmf)
+    return StoppingDistribution.from_pairs(pmf.items())
 
 
 class TestLambdaMapping:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -398,6 +399,24 @@ def test_closed_stdout_exits_1_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("high", [2**63, 10**12], ids=["past_int64", "past_scale_cap"])
+def test_out_of_range_family_bound_exits_2(high):
+    # past_int64 exited 1 with an OverflowError traceback; past_scale_cap asked for
+    # a 10^12-day range and, under a 3 GB address-space limit, died of MemoryError
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    dist = json.dumps({"family": "uniform", "params": {"low": 1, "high": high}})
+    src = str(Path(skirent.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "skirent.cli", "threshold", "--b", "10",
+                           "--dist", dist], capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 # The exit-code contract under drawn argv: 0, 1 or 2, never a traceback, and

@@ -151,6 +151,30 @@ class TestPmfCore:
     def test_rejects(self, pmf, days, masses):
         with pytest.raises(InvalidParamsError):
             pmf(days, masses)
+        if days == (True, 2):
+            return  # numpy reads it as the valid int64 days [1, 2]; see test_rejects_arrays
+        with pytest.raises(InvalidParamsError):
+            pmf(np.asarray(days), np.asarray(masses))
+
+    @pytest.mark.parametrize("days, masses", [
+        (np.array([1.0, 2.0]), np.array([0.5, 0.5])),
+        (np.array([True]), np.array([1.0])),
+        (np.array([[1, 2]]), np.array([[0.5, 0.5]])),
+        (np.array([1, 2**63], dtype=np.uint64), np.array([0.5, 0.5])),
+    ], ids=["float_days", "bool_days", "2d_days", "uint64_past_int64"])
+    def test_rejects_arrays(self, pmf, days, masses):
+        with pytest.raises(InvalidParamsError):
+            pmf(days, masses)
+
+    def test_arrays_and_tuples_agree(self, pmf, rng):
+        # zero masses dropped and a drift past the trigger renormalized away
+        days = np.sort(rng.choice(np.arange(1, 10**6), size=500, replace=False))
+        masses = rng.dirichlet(np.ones(500))
+        masses[::7] = 0.0
+        masses *= (1.0 + 5e-10) / masses.sum()
+        from_arrays = pmf(days, masses)
+        assert from_arrays.support == pmf(tuple(days.tolist()), tuple(masses.tolist())).support
+        assert len(from_arrays.support) == 500 - 72
 
     def test_renormalizes_past_trigger_only(self, pmf):
         drifted = pmf((1, 2), (0.5, 0.5 + 5e-10))
@@ -159,11 +183,12 @@ class TestPmfCore:
         assert kept.support == ((1, 0.5), (2, 0.5 + 5e-13))
 
     def test_zero_masses_dropped(self, pmf):
-        dist = pmf((1, 2, 4, 9), (0.0, 0.25, 0.0, 0.75))
-        assert dist.support == ((2, 0.25), (9, 0.75))
-        assert dist.max_day == 9
-        assert dist.cdf(1) == 0.0 and dist.cdf(4) == 0.25 and dist.cdf(9) == 1.0
-        assert dist.cdf_at(np.array([0, 2, 8, 10])).tolist() == [0.0, 0.25, 0.25, 1.0]
+        days, masses = (1, 2, 4, 9), (0.0, 0.25, 0.0, 0.75)
+        for dist in (pmf(days, masses), pmf(np.array(days), np.array(masses))):
+            assert dist.support == ((2, 0.25), (9, 0.75))
+            assert dist.max_day == 9
+            assert dist.cdf(1) == 0.0 and dist.cdf(4) == 0.25 and dist.cdf(9) == 1.0
+            assert dist.cdf_at(np.array([0, 2, 8, 10])).tolist() == [0.0, 0.25, 0.25, 1.0]
 
     @pytest.mark.parametrize("days, masses", [((), ()), ((1, 2), (0.0, 0.0))],
                              ids=["no_days", "all_zero"])

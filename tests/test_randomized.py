@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -644,6 +648,21 @@ class TestOnehotExact:
         for R, y in ((2.5, 10), (2.0, 96), (1.7, 138), (1.7, 419)):
             assert check_robustness(onehot_exact(3367, R, y), 3367, R).feasible
 
+    @pytest.mark.parametrize("b, ys", [(4, range(1, 13)), (10, range(1, 31)), (50, range(1, 151)),
+                                       (500, (1, 250, 499, 500, 501, 1000, 1500))],
+                             ids=["b4", "b10", "b50", "b500_spot"])
+    def test_robust_at_least_feasible_r(self, b, ys):
+        # at the least R that feasible_robustness accepts, every y raised
+        # InfeasibleError: the cap search aimed at a full mass of exactly 1, which
+        # rounding put out of reach even at p = 1 (at b = 4 so is 1 - 1e-15)
+        R = 1.0 + 1.0 / math.expm1(b * math.log1p(1.0 / (b - 1.0)))
+        while feasible_robustness(b, R):
+            R = math.nextafter(R, 0.0)
+        while not feasible_robustness(b, R):
+            R = math.nextafter(R, math.inf)
+        for y in ys:
+            assert check_robustness(onehot_exact(b, R, y), b, R).feasible, y
+
     def test_capped_sum_matches_loop(self, rng):
         # running sums add in another order than the loop, so allow a few ulps
         for _ in range(50):
@@ -1267,3 +1286,15 @@ class TestExpectedPolicyCost:
         costs = np.array([g(int(z)) for z in range(1, 26)])[draws - 1]
         est, se = costs.mean(), costs.std(ddof=1) / math.sqrt(len(costs))
         assert abs(expected_policy_cost(f, g) - est) <= 3 * se + 1e-9
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize took 0.5-0.6 s of a 0.9 s `import skirent`; only _lp_refine needs it
+    src = str(Path(randomized.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, skirent; print('scipy.optimize' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
