@@ -118,6 +118,11 @@ class DayDistribution(_Pmf):
             return float(self._mass_arr[i])
         return 0.0
 
+    def _masses_on(self, days: np.ndarray) -> np.ndarray:
+        """``prob`` at each of the sorted ``days``, by one search."""
+        i = np.minimum(np.searchsorted(self._days_arr, days), self._days_arr.size - 1)
+        return np.where(self._days_arr[i] == days, self._mass_arr[i], 0.0)
+
     def mean(self) -> float:
         """E[D]."""
         return float(self._day_weighted_cum[-1])
@@ -157,8 +162,10 @@ def wasserstein1(p: DayDistribution, q: DayDistribution) -> float:
 
 def total_variation(p: DayDistribution, q: DayDistribution) -> float:
     """Half L1 distance between the two mass functions; lies in [0, 1]."""
-    days = np.union1d(p._days_arr, q._days_arr).tolist()
-    return 0.5 * sum(abs(p.prob(d) - q.prob(d)) for d in days)
+    days = np.sort(np.concatenate((p._days_arr, q._days_arr)))
+    days = days[np.append(True, days[1:] != days[:-1])]  # np.union1d took 0.1-0.2 s at 2e5 days
+    # Python's sum adds the gaps in day order, as a loop over prob() would
+    return 0.5 * sum(np.abs(p._masses_on(days) - q._masses_on(days)).tolist())
 
 
 def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistribution:

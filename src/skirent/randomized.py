@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,6 +95,8 @@ class CostFunction:
     intercept: np.ndarray
     # the same rows as Python tuples, for the fill's walk
     _rows: tuple[tuple[float, float, float, float], ...] = field(init=False, repr=False)
+    # per b, the candidate days and their costs (``_candidate_costs``)
+    _candidates: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         columns = [np.array(c, dtype=float) for c in (self.lo, self.hi, self.slope, self.intercept)]
@@ -506,7 +507,7 @@ def _exact_level(g: CostFunction, b: int, R: float) -> float:
     own cost can map back to just below that day, which drops it.  Returns
     max g when no level is feasible.
     """
-    costs = np.unique(g.values_at(_candidate_days(g, b)))
+    costs = np.unique(_candidate_costs(g, b)[1])
     levels = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value()).tolist()
     lo, hi = 0, len(levels) - 1  # levels[hi:] are feasible, levels[:lo] are not
     while lo < hi:
@@ -556,138 +557,70 @@ def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
 
     Days past b carry no early constraint, so within a segment the earliest day
     dominates every later one (lower cost, lower moment); only those compete.
+    The rows reaching past b start at distinct days, all but the first at or
+    past b, so these days rise strictly.
     """
-    beyond = np.unique(np.maximum(b, g.lo[g.hi > b]) + 1.0)
+    beyond = np.maximum(b, g.lo[g.hi > b]) + 1.0
     return np.concatenate((np.arange(1.0, b + 1.0), beyond))
 
 
-def _lp_refine(g: CostFunction, b: int, R: float) -> StoppingDistribution | None:
-    """Cost-minimal allocation over the compressed candidate-day set.
+def _candidate_costs(g: CostFunction, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_candidate_days`` and their costs, read-only and kept on ``g`` per b: an
+    exact solve's level search, certificate and LP all read them."""
+    if b not in g._candidates:
+        t = _candidate_days(g, b)
+        c = g.values_at(t)
+        t.flags.writeable = c.flags.writeable = False
+        g._candidates[b] = t, c
+    return g._candidates[b]
+
+
+def _lp_refine(g: CostFunction, b: int, R: float,
+               fill: StoppingDistribution) -> StoppingDistribution:
+    """Cost-minimal allocation over the compressed candidate-day set, from ``fill``.
 
     The level-restricted fill can be beaten by policies that buy expensive
     early days purely to free up moment budget for cheap late days; this exact
-    redistribution catches those cases.
-
-    The LP carries the running state F_x (mass bought by day x) and M_x
-    (moment sum of (t-1) f_t over those days) for x = 1..b-1 as variables, so
-    every robustness row M_x + (b-x) F_x <= (R-1) x has two nonzeros and the
-    whole program O(b + n) of them.  Columns are [f (n) | F (b-1) | M (b-1)];
-    candidate days start with 1..b, so day x < b is f-column x-1.  Returns None,
-    with a RuntimeWarning carrying the HiGHS status, when the solver fails.
+    redistribution catches those cases.  ``staircase.refine`` solves it from the
+    fill's basis: it returns ``fill`` itself unless it finds a cheaper vertex,
+    and warns when it stops early.
     """
-    import scipy.optimize  # imported here: nothing else needs scipy, and it is slow to load
-    import scipy.sparse
+    from .staircase import refine  # the solver is loaded by exact mode alone
 
-    t = _candidate_days(g, b)
-    n = t.size
-    k = b - 1
-    x = np.arange(1, b)
-    f_col = x - 1  # also the row of x's state and robustness constraints
-    F_col = n + f_col
-    M_col = n + k + f_col
-    later = x[1:] - 1  # rows whose state has a predecessor: x = 2..b-1
-    # raw COO triplets: scipy.sparse.block_array costs ~2 ms more per call
-    # F_x - F_{x-1} - f_x = 0, M_x - M_{x-1} - (x-1) f_x = 0, sum f = 1
-    eq_rows = np.concatenate((f_col, later, f_col,
-                              k + f_col, k + later, k + later,
-                              np.full(n, 2 * k)))
-    eq_cols = np.concatenate((F_col, F_col[:-1], f_col,
-                              M_col, M_col[:-1], f_col[1:],
-                              np.arange(n)))
-    eq_vals = np.concatenate((np.ones(k), -np.ones(k - 1), -np.ones(k),
-                              np.ones(k), -np.ones(k - 1), -(x[1:] - 1.0),
-                              np.ones(n)))
-    # M_x + (b-x) F_x <= (R-1) x, and the tail row sum (t-1) f_t <= (R-1) b
-    ub_rows = np.concatenate((f_col, f_col, np.full(n - 1, k)))
-    ub_cols = np.concatenate((M_col, F_col, np.arange(1, n)))
-    ub_vals = np.concatenate((np.ones(k), b - x, t[1:] - 1.0))
-    a_eq = scipy.sparse.csr_array((eq_vals, (eq_rows, eq_cols)), shape=(2 * k + 1, n + 2 * k))
-    a_ub = scipy.sparse.csr_array((ub_vals, (ub_rows, ub_cols)), shape=(k + 1, n + 2 * k))
-    b_eq = np.zeros(2 * k + 1)
-    b_eq[-1] = 1.0
-    b_ub = (R - 1.0) * np.append(x, b)
-
-    res = scipy.optimize.linprog(
-        np.concatenate((g.values_at(t), np.zeros(2 * k))),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    if not res.success:
-        warnings.warn(f"exact refine LP failed (HiGHS status {res.status}: {res.message}); "
-                      "keeping the level-restricted policy", RuntimeWarning, stacklevel=3)
-        return None
-    f = np.clip(res.x[:n], 0.0, None)
-    f /= f.sum()
-    keep = f > 1e-14
-    return StoppingDistribution(t[keep].astype(np.int64), f[keep])
+    return refine(g, b, R, fill)
 
 
 def _duality_gap(g: CostFunction, b: int, R: float, policy: StoppingDistribution,
                  objective: float) -> float:
     """Upper bound on how far ``objective`` sits above the optimum of ``_lp_refine``.
 
-    Builds a dual solution of that LP from the level policy: y_x >= 0 on day x's
-    robustness row, y_T on the tail row, lam on the mass row.  With
-    Y_t = sum_{x>=t} y_x and Z_t = sum_{x>=t} (b-x) y_x, day t's reduced cost is
-    r_t = c_t - lam + (t-1) (y_T + Y_t) + Z_t, and weak duality bounds every
-    robust policy's cost below by lam + min(0, min r) - (R-1) (sum x y_x + b y_T)
-    whatever the signs of r, so complementary slackness that holds only up to
-    rounding cannot make the bound unsafe.
-
-    The dual is made complementary to the policy.  Its top day fixes lam (and,
-    when it is a tail day past the early rows, the least y_T that keeps later
-    candidates' reduced costs nonnegative); on consecutive support days u < v,
-    r_u = r_v = 0 gives y_u = (c_v - c_u + (v-u) (y_T + Y_v)) / (b-1), and every
-    other row gets y = 0.  A y_u that comes out negative is clipped to 0: any
-    y >= 0 is dual-feasible, so the bound stays valid and only loosens.
-    Returns objective minus the bound.
+    Solves for the dual of the level policy's basis (``staircase.Staircase``):
+    its top day fixes lam and every lower support day one y.  When the top day is
+    a tail day past the early rows, y_T is the least value that keeps later
+    candidates' reduced costs nonnegative.  Returns ``objective`` minus the
+    weak-duality bound of that dual.
     """
     days = policy._days_arr
     if days.size > 1 and days[-2] >= b:  # only the top day may lie past the early rows
         return math.inf
-    cand = _candidate_days(g, b)
-    c_cand = g.values_at(cand)
-    costs = g.values_at(days).tolist()
-    top, c_top = int(days[-1]), costs[-1]
-    y_T = 0.0
+    from .staircase import Staircase
+
+    lp = Staircase(g, b, R)
+    basis = lp.warm_basis(policy)
+    if basis is None:
+        return math.inf
+    S, X = basis
+    y_T, top = 0.0, int(days[-1])
     if top >= b:
-        later = cand > top
-        if later.any():
-            y_T = max(0.0, float(np.max((c_top - c_cand[later]) / (cand[later] - top))))
-    lam = c_top + (top - 1) * y_T
-    y = np.zeros(b - 1)  # y[x-1] sits on day x's row
-    s = y_T  # y_T + Y_v, summed downward in the order np.cumsum uses below
-    v, c_v = top, c_top
-    for u, c_u in zip(days[-2::-1].tolist(), costs[-2::-1]):
-        y_u = (c_v - c_u + (v - u) * s) / (b - 1)
-        if y_u < 0.0:
-            y_u = 0.0
-        y[u - 1] = y_u
-        s += y_u
-        v, c_v = u, c_u
-    xs = np.arange(1, b)
-    weight = np.full(cand.size, y_T)  # y_T + Y_t on the candidate days
-    weight[:b - 1] = np.cumsum(np.append(y_T, y[::-1]))[:0:-1]
-    z = np.zeros(cand.size)
-    z[:b - 1] = np.cumsum(((b - xs) * y)[::-1])[::-1]
-    reduced = c_cand - lam + (cand - 1.0) * weight + z
-    bound = lam + min(0.0, float(reduced.min())) - (R - 1.0) * (float(xs @ y) + b * y_T)
-    return objective - bound
+        i = int(np.searchsorted(lp.t, top, side="right"))  # the later candidates
+        if i < lp.t.size:
+            y_T = max(0.0, float(np.max((lp.c[i - 1] - lp.c[i:]) / (lp.t[i:] - top))))
+    return objective - lp.bound(*lp.dual(lp.layout(S, X), False, y_T))
 
 
 def _certified(g: CostFunction, b: int, R: float, policy: StoppingDistribution,
                objective: float) -> bool:
-    """Whether the dual bound puts ``objective`` within 1e-11 (relative) of the LP optimum.
-
-    That is a tenth of the margin by which an LP result must beat a fill to be
-    kept, so no LP result could replace a certified fill.
-    """
+    """Whether the dual bound puts ``objective`` within 1e-11 (relative) of the LP optimum."""
     return _duality_gap(g, b, R, policy, objective) <= 1e-11 * (1.0 + abs(objective))
 
 
@@ -702,13 +635,13 @@ def water_fill(g: CostFunction, b: int, R: float,
     returned as-is (the procedure the reference experiments report; ``epsilon``
     is validated in both modes but used only here).  With ``exact`` (the
     default) ``_exact_level`` finds the least level itself, and the fill is
-    kept unless a redistribution over the candidate days beats it by 1e-10
-    (relative): restricting support to costs below the water level is provably
+    the warm start of ``_lp_refine``, the redistribution over the candidate
+    days: restricting support to costs below the water level is provably
     suboptimal when cheap late days are moment-limited.  That LP runs only when
-    ``_duality_gap`` cannot prove the fill within 1e-11 of its optimum.  If it
-    fails, a RuntimeWarning names the HiGHS status and the fill is returned.  An
-    LP result is kept only if it passes ``check_robustness``; a fill that fails
-    it raises InvariantError.
+    ``_duality_gap`` cannot prove the fill within 1e-11 of its optimum, and it
+    returns the fill itself unless it finds a cheaper vertex (with a
+    RuntimeWarning if it stops early).  An LP result is kept only if it passes
+    ``check_robustness``; a fill that fails it raises InvariantError.
     """
     _check_b(b)
     _check_r(R)
@@ -727,12 +660,9 @@ def water_fill(g: CostFunction, b: int, R: float,
         raise InfeasibleError(f"no policy fits within water level {level}")
     objective = expected_policy_cost(policy, g)
     if exact and not _certified(g, b, R, policy, objective):
-        refined = _lp_refine(g, b, R)
-        if refined is not None:
-            refined_obj = expected_policy_cost(refined, g)
-            if (refined_obj < objective - 1e-10 * (1.0 + abs(objective))
-                    and check_robustness(refined, b, R).feasible):
-                return refined, refined_obj
+        refined = _lp_refine(g, b, R, policy)
+        if refined is not policy and check_robustness(refined, b, R).feasible:
+            return refined, expected_policy_cost(refined, g)
     if not check_robustness(policy, b, R).feasible:
         raise InvariantError("constructed policy failed its own robustness check")
     return policy, objective

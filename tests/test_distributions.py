@@ -310,6 +310,20 @@ class TestDistances:
         q = DayDistribution((1, 5), (0.6, 0.4))
         assert total_variation(p, q) == pytest.approx(0.2, abs=1e-12)
 
+    def test_tv_matches_per_day_loop(self, rng):
+        def reference(p, q):  # the loop over the merged support, one prob() per day
+            days = np.union1d(p.days, q.days).tolist()
+            return 0.5 * sum(abs(p.prob(d) - q.prob(d)) for d in days)
+
+        for max_day in (5, 60, 3000):
+            for _ in range(25):
+                p = random_day_distribution(rng, max_day=max_day, max_atoms=400)
+                q = random_day_distribution(rng, max_day=max_day, max_atoms=400)
+                same_days = DayDistribution(p.days, rng.dirichlet(np.ones(len(p.days))))
+                disjoint = DayDistribution(tuple(d + max_day for d in q.days), q.probs)
+                for a, b in ((p, q), (q, p), (p, p), (p, same_days), (p, disjoint)):
+                    assert total_variation(a, b) == reference(a, b)
+
     @settings(max_examples=50, deadline=None)
     @given(dist_strategy())
     def test_cdf_monotone_ends_at_one(self, p):

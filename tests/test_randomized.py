@@ -4,16 +4,19 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skirent.randomized as randomized
+import skirent.staircase as staircase
 from skirent import (
     DayDistribution,
     Family,
@@ -951,9 +954,14 @@ class TestBestTailDay:
                             == best_tail_day_reference(g, b, h, t_max))
 
 
+def level_fill(g: CostFunction, b: int, R: float) -> StoppingDistribution:
+    """The fill at the exact level: the warm start water_fill hands the LP."""
+    return randomized._construct_at_level(g, b, R, randomized._exact_level(g, b, R))
+
+
 def certificate_outcome(p_hat, b, R) -> bool | None:
     """True if the certificate skips the LP, False if it does not, None if it
-    skips an LP whose result water_fill's acceptance rule would have kept."""
+    skips an LP whose optimum beats the certified fill by more than 1e-10."""
     g = build_cost_function(p_hat, b)
     try:
         policy, objective = water_fill(g, b, R, exact=False)
@@ -961,8 +969,8 @@ def certificate_outcome(p_hat, b, R) -> bool | None:
         return False
     if not randomized._certified(g, b, R, policy, objective):
         return False
-    refined = randomized._lp_refine(g, b, R)
-    kept = (refined is not None
+    refined = randomized._lp_refine(g, b, R, policy)
+    kept = (refined is not policy
             and expected_policy_cost(refined, g) < objective - 1e-10 * (1.0 + abs(objective))
             and check_robustness(refined, b, R).feasible)
     return None if kept else True
@@ -996,17 +1004,24 @@ def table_prediction(label: str) -> DayDistribution:
     return make_distribution(dict(TABLE_FAMILIES)[label])
 
 
-def counting_linprog(monkeypatch) -> list[int]:
-    """Route scipy's linprog through a call counter; returns the one-element count."""
+def counting_refines(monkeypatch) -> list[int]:
+    """Route the exact refine LP through a call counter; returns the one-element count."""
     calls = [0]
-    solve = scipy.optimize.linprog
+    solve = randomized._lp_refine
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(randomized, "_lp_refine", counted)
     return calls
+
+
+def no_refine(monkeypatch, why: str) -> None:
+    def refine(*args, **kwargs):
+        raise AssertionError(why)
+
+    monkeypatch.setattr(randomized, "_lp_refine", refine)
 
 
 class TestExactRefine:
@@ -1038,8 +1053,7 @@ class TestExactRefine:
         b, R = 50, 1.7
         g = build_cost_function(uniform_days(21_000), b)
         assert len(randomized._candidate_days(g, b)) > 20_000
-        refined = randomized._lp_refine(g, b, R)
-        assert refined is not None
+        refined = randomized._lp_refine(g, b, R, level_fill(g, b, R))
         assert check_robustness(refined, b, R).feasible
         published_obj = water_fill(g, b, R, exact=False)[1]
         assert expected_policy_cost(refined, g) <= published_obj + 1e-9
@@ -1047,14 +1061,14 @@ class TestExactRefine:
     def test_lp_failure_warns_and_keeps_level_policy(self, monkeypatch):
         g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
         published = water_fill(g, 50, 1.7, exact=False)
-        # the LP gains 1.5e-4 here, so no certificate may skip it
+        # the LP gains 1.5e-4 here in one pivot, so no certificate may skip it
         assert not randomized._certified(g, 50, 1.7, *published)
-        failed = scipy.optimize.OptimizeResult(success=False, status=4, x=None,
-                                               message="numerical difficulties")
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
-        with pytest.warns(RuntimeWarning, match="HiGHS status 4"):
+        monkeypatch.setattr(staircase, "MAX_PIVOTS_PER_ROW", 0)
+        with pytest.warns(RuntimeWarning, match=r"stopped after 0 pivots on its pivot cap, "
+                                                r"\S+ above its dual bound"):
             policy, obj = water_fill(g, 50, 1.7)
-        assert policy.support == published[0].support and obj == published[1]
+        assert check_robustness(policy, 50, 1.7).feasible
+        assert obj <= published[1]
 
     def test_failed_self_check_is_typed(self, monkeypatch):
         g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
@@ -1103,11 +1117,7 @@ class TestExactRefine:
         # at b = 20000 the LP took seconds to confirm the fill
         g = build_cost_function(uniform_days(100), b)
         policy, objective = water_fill(g, b, 1.7, exact=False)
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the certified fill must not reach the LP")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
+        no_refine(monkeypatch, "the certified fill must not reach the LP")
         exact_policy, exact_objective = water_fill(g, b, 1.7)
         assert exact_policy.support == policy.support and exact_objective == objective
 
@@ -1120,11 +1130,7 @@ class TestExactRefine:
         g = build_cost_function(table_prediction(label), b)
         published = water_fill(g, b, R, exact=False)
         assert not randomized._certified(g, b, R, *published)
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the polished fill must not reach the LP")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
+        no_refine(monkeypatch, "the polished fill must not reach the LP")
         policy, objective = water_fill(g, b, R)
         assert check_robustness(policy, b, R).feasible
         assert objective <= published[1]
@@ -1132,13 +1138,13 @@ class TestExactRefine:
     def test_polish_leaves_a_beaten_fill_to_the_lp(self, monkeypatch):
         # geom at (500, 1.7): even the exact-level fill stays 3e-7 above the optimum
         g = build_cost_function(table_prediction("geom"), 500)
-        calls = counting_linprog(monkeypatch)
+        calls = counting_refines(monkeypatch)
         policy, objective = water_fill(g, 500, 1.7)
         assert calls == [1]
         assert objective < water_fill(g, 500, 1.7, exact=False)[1] - 1e-6
 
     def test_exact_level_is_safe_on_drawn_inputs(self, monkeypatch):
-        calls = counting_linprog(monkeypatch)
+        calls = counting_refines(monkeypatch)
         beyond_bisection = []
 
         @settings(max_examples=60, deadline=None)
@@ -1167,8 +1173,7 @@ class TestExactRefine:
             assert check_robustness(policy, b, R).feasible
             if calls[0]:
                 return
-            refined = randomized._lp_refine(g, b, R)
-            assert refined is not None
+            refined = randomized._lp_refine(g, b, R, policy)
             assert objective <= expected_policy_cost(refined, g) + 1e-11 * (1.0 + abs(objective))
             if not randomized._certified(g, b, R, *published):
                 beyond_bisection.append(objective)
@@ -1210,8 +1215,8 @@ class TestExactRefine:
             checks.append(f)
             return check(f, b, R)
 
-        def recording(g, b, R):
-            results.append(refine(g, b, R))
+        def recording(*args):
+            results.append(refine(*args))
             return results[-1]
 
         monkeypatch.setattr(randomized, "check_robustness", counted)
@@ -1247,14 +1252,119 @@ class TestExactRefine:
         peaks = []
         for b in sizes:
             g = build_cost_function(uniform_days(3 * b), b)
+            fill = level_fill(g, b, 1.7)
             tracemalloc.start()
             try:
-                randomized._lp_refine(g, b, 1.7)
+                randomized._lp_refine(g, b, 1.7, fill)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         slope = np.polyfit(np.log(sizes), np.log(peaks), 1)[0]
         assert slope <= 1.3, f"log-log slope {slope:.2f} of peak bytes {peaks}"
+
+
+def highs_objective(g: CostFunction, b: int, R: float) -> float:
+    """Optimum of the exact refine LP by HiGHS, in the state-variable form that
+    ``_lp_refine`` handed to scipy before it had a solver of its own.
+
+    Columns are [f (n) | F (b-1) | M (b-1)]: F_x and M_x are the mass and the
+    moment bought by day x, so row x reads M_x + (b-x) F_x <= (R-1) x.
+    """
+    t = randomized._candidate_days(g, b)
+    n, k, x = t.size, b - 1, np.arange(1, b)
+    f_col = x - 1
+    F_col, M_col, later = n + f_col, n + k + f_col, x[1:] - 1
+    eq_rows = np.concatenate((f_col, later, f_col, k + f_col, k + later, k + later,
+                              np.full(n, 2 * k)))
+    eq_cols = np.concatenate((F_col, F_col[:-1], f_col, M_col, M_col[:-1], f_col[1:],
+                              np.arange(n)))
+    eq_vals = np.concatenate((np.ones(k), -np.ones(k - 1), -np.ones(k), np.ones(k),
+                              -np.ones(k - 1), -(x[1:] - 1.0), np.ones(n)))
+    ub_rows = np.concatenate((f_col, f_col, np.full(n - 1, k)))
+    ub_cols = np.concatenate((M_col, F_col, np.arange(1, n)))
+    ub_vals = np.concatenate((np.ones(k), b - x, t[1:] - 1.0))
+    b_eq = np.zeros(2 * k + 1)
+    b_eq[-1] = 1.0
+    res = scipy.optimize.linprog(
+        np.concatenate((g.values_at(t), np.zeros(2 * k))),
+        A_ub=scipy.sparse.csr_array((ub_vals, (ub_rows, ub_cols)), shape=(k + 1, n + 2 * k)),
+        b_ub=(R - 1.0) * np.append(x, b),
+        A_eq=scipy.sparse.csr_array((eq_vals, (eq_rows, eq_cols)), shape=(2 * k + 1, n + 2 * k)),
+        b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def assert_matches_highs(g: CostFunction, b: int, R: float) -> None:
+    policy, objective = water_fill(g, b, R)
+    report = check_robustness(policy, b, R)
+    assert report.feasible
+    assert objective <= water_fill(g, b, R, exact=False)[1]
+    reference = highs_objective(g, b, R)
+    tol = 1e-10 * (1.0 + abs(reference))
+    assert objective <= reference + tol
+    # HiGHS takes no tolerance below 1e-10 and can stop that far above the
+    # optimum (4.3e-10 on geom at (2000, 1.7), whose fill the dual certificate
+    # puts within 3e-14 of it); a policy below HiGHS by more must hold every
+    # row to 1e-11, so that no slack it borrows pays for the difference
+    assert objective >= reference - tol or report.worst() >= -1e-11
+
+
+def sparse_prediction(rng: np.random.Generator, b: int) -> DayDistribution:
+    """2-12 atoms on days up to 4b with Dirichlet masses, like the benchmark's."""
+    n = int(rng.integers(2, 13))
+    days = np.sort(rng.choice(np.arange(1, 4 * b + 1), size=n, replace=False))
+    return DayDistribution(days, rng.dirichlet(np.ones(n)))
+
+
+class TestHighsReference:
+    """The staircase simplex against HiGHS above the dense oracle's cap."""
+
+    @pytest.mark.parametrize("b", [50, 500, 2000])
+    @pytest.mark.parametrize("label", [label for label, _ in TABLE_FAMILIES])
+    def test_table_cells(self, label, b):
+        g = build_cost_function(table_prediction(label), b)
+        for R in (1.7, 2.0, 2.5):
+            assert_matches_highs(g, b, R)
+
+    @pytest.mark.parametrize("b", [50, 500])
+    def test_sparse_inputs(self, b):
+        rng = np.random.default_rng(b)
+        for i in range(24):
+            assert_matches_highs(build_cost_function(sparse_prediction(rng, b), b), b,
+                                 (1.7, 2.0, 2.5)[i % 3])
+
+
+class TestStaircaseSimplex:
+    def test_optimal_fill_is_returned_itself(self):
+        # the certified fills of the table hold their optimum: no pivot improves them
+        g = build_cost_function(table_prediction("gauss"), 500)
+        fill = level_fill(g, 500, 2.0)
+        assert randomized._lp_refine(g, 500, 2.0, fill) is fill
+
+    def test_refine_reaches_the_optimum_on_tied_costs(self, rng):
+        # small b, ties in the costs and many atoms: degenerate vertices abound
+        for _ in range(40):
+            g = tied_cost_function(rng)
+            b = int(rng.integers(2, 13))
+            R = float(rng.choice([1.3, 1.7, 2.5, 4.0]))
+            if not feasible_robustness(b, R):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                refined = randomized._lp_refine(g, b, R, level_fill(g, b, R))
+            assert check_robustness(refined, b, R).feasible
+            assert expected_policy_cost(refined, g) == pytest.approx(highs_objective(g, b, R),
+                                                                     abs=1e-9)
+
+    def test_start_off_the_candidate_days_warns_and_keeps_it(self):
+        g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
+        start = StoppingDistribution((57,), (1.0,))  # past b, but no segment starts there
+        with pytest.warns(RuntimeWarning, match=r"stopped after 0 pivots on a numerical "
+                                                r"breakdown \(a fill day is not a candidate "
+                                                r"day\), inf above its dual bound"):
+            assert randomized._lp_refine(g, 50, 1.7, start) is start
 
 
 class TestExpectedPolicyCost:
@@ -1288,13 +1398,26 @@ class TestExpectedPolicyCost:
         assert abs(expected_policy_cost(f, g) - est) <= 3 * se + 1e-9
 
 
+EXACT_SOLVE_SCRIPT = """
+import sys
+import skirent
+from skirent import randomized
+calls = []
+refine = randomized._lp_refine
+randomized._lp_refine = lambda *args: calls.append(args) or refine(*args)
+g = skirent.build_cost_function(skirent.DayDistribution((30, 120), (0.7, 0.3)), 50)
+skirent.water_fill(g, 50, 1.7)
+print(len(calls), 'scipy' in sys.modules)
+"""
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize took 0.5-0.6 s of a 0.9 s `import skirent`; only _lp_refine needs it
+    # scipy.optimize took 0.5-0.6 s of a 0.9 s `import skirent`; an exact solve
+    # that reaches the LP needs no scipy at all
     src = str(Path(randomized.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, skirent; print('scipy.optimize' in sys.modules)"],
+    proc = subprocess.run([sys.executable, "-c", EXACT_SOLVE_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "1 False"
