@@ -411,7 +411,7 @@ def _fill_pass(g: CostFunction, b: int, R: float,
         # costs never fall along a segment: its active days are lo+1 .. e
         if slope > 0.0:
             reach = (h - intercept) / slope
-            if reach < lo + 1:
+            if reach + 1e-12 < lo + 1:
                 continue
         elif intercept <= h:
             reach = math.inf
@@ -566,7 +566,7 @@ def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
 
 def _candidate_costs(g: CostFunction, b: int) -> tuple[np.ndarray, np.ndarray]:
     """``_candidate_days`` and their costs, read-only and kept on ``g`` per b: an
-    exact solve's level search, certificate and LP all read them."""
+    exact solve's level search and LP both read them."""
     if b not in g._candidates:
         t = _candidate_days(g, b)
         c = g.values_at(t)
@@ -582,46 +582,13 @@ def _lp_refine(g: CostFunction, b: int, R: float,
     The level-restricted fill can be beaten by policies that buy expensive
     early days purely to free up moment budget for cheap late days; this exact
     redistribution catches those cases.  ``staircase.refine`` solves it from the
-    fill's basis: it returns ``fill`` itself unless it finds a cheaper vertex,
-    and warns when it stops early.
+    fill's basis: it returns ``fill`` itself, unpivoted when the fill's own
+    pricing proves it optimal, unless it finds a cheaper vertex, and warns when
+    it stops early.
     """
     from .staircase import refine  # the solver is loaded by exact mode alone
 
     return refine(g, b, R, fill)
-
-
-def _duality_gap(g: CostFunction, b: int, R: float, policy: StoppingDistribution,
-                 objective: float) -> float:
-    """Upper bound on how far ``objective`` sits above the optimum of ``_lp_refine``.
-
-    Solves for the dual of the level policy's basis (``staircase.Staircase``):
-    its top day fixes lam and every lower support day one y.  When the top day is
-    a tail day past the early rows, y_T is the least value that keeps later
-    candidates' reduced costs nonnegative.  Returns ``objective`` minus the
-    weak-duality bound of that dual.
-    """
-    days = policy._days_arr
-    if days.size > 1 and days[-2] >= b:  # only the top day may lie past the early rows
-        return math.inf
-    from .staircase import Staircase
-
-    lp = Staircase(g, b, R)
-    basis = lp.warm_basis(policy)
-    if basis is None:
-        return math.inf
-    S, X = basis
-    y_T, top = 0.0, int(days[-1])
-    if top >= b:
-        i = int(np.searchsorted(lp.t, top, side="right"))  # the later candidates
-        if i < lp.t.size:
-            y_T = max(0.0, float(np.max((lp.c[i - 1] - lp.c[i:]) / (lp.t[i:] - top))))
-    return objective - lp.bound(*lp.dual(lp.layout(S, X), False, y_T))
-
-
-def _certified(g: CostFunction, b: int, R: float, policy: StoppingDistribution,
-               objective: float) -> bool:
-    """Whether the dual bound puts ``objective`` within 1e-11 (relative) of the LP optimum."""
-    return _duality_gap(g, b, R, policy, objective) <= 1e-11 * (1.0 + abs(objective))
 
 
 def water_fill(g: CostFunction, b: int, R: float,
@@ -637,10 +604,9 @@ def water_fill(g: CostFunction, b: int, R: float,
     default) ``_exact_level`` finds the least level itself, and the fill is
     the warm start of ``_lp_refine``, the redistribution over the candidate
     days: restricting support to costs below the water level is provably
-    suboptimal when cheap late days are moment-limited.  That LP runs only when
-    ``_duality_gap`` cannot prove the fill within 1e-11 of its optimum, and it
-    returns the fill itself unless it finds a cheaper vertex (with a
-    RuntimeWarning if it stops early).  An LP result is kept only if it passes
+    suboptimal when cheap late days are moment-limited.  The LP returns the
+    fill itself unless it finds a cheaper vertex (with a RuntimeWarning if it
+    stops early).  An LP result is kept only if it passes
     ``check_robustness``; a fill that fails it raises InvariantError.
     """
     _check_b(b)
@@ -658,11 +624,10 @@ def water_fill(g: CostFunction, b: int, R: float,
     policy = _construct_at_level(g, b, R, level)
     if policy is None:
         raise InfeasibleError(f"no policy fits within water level {level}")
-    objective = expected_policy_cost(policy, g)
-    if exact and not _certified(g, b, R, policy, objective):
+    if exact:
         refined = _lp_refine(g, b, R, policy)
         if refined is not policy and check_robustness(refined, b, R).feasible:
             return refined, expected_policy_cost(refined, g)
     if not check_robustness(policy, b, R).feasible:
         raise InvariantError("constructed policy failed its own robustness check")
-    return policy, objective
+    return policy, expected_policy_cost(policy, g)

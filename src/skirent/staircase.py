@@ -325,20 +325,19 @@ class Staircase:
         mass[v.end_ids] = v.end
         return np.clip(mass, 0.0, None)
 
-    def dual(self, layout: _Layout, tail_tight: bool,
-             y_T: float = 0.0) -> tuple[float, np.ndarray, float, np.ndarray]:
+    def dual(self, layout: _Layout,
+             tail_tight: bool) -> tuple[float, np.ndarray, float, np.ndarray]:
         """Basic dual (lam, y, y_T) and the reduced costs of the candidate days.
 
         The dual makes every S day's reduced cost zero and puts y = 0 off X: lam
-        prices the mass row, y[x-1] row x and y_T the tail row, and ``y_T`` is
-        used as given unless the tail row is in X.
+        prices the mass row, y[x-1] row x and y_T the tail row.
         """
         b, c = self.b, self.c
         kinds, starts, ends, end, piece, below, on_a = layout
         pieces = list(zip(kinds, starts, ends))[::-1]
         t_end, c_end = (self.t[end].tolist(), c[end].tolist()) if end.size else ([], [])
         # one pass per column: the costs, then a unit of each unknown
-        columns = [self._backward(pieces, t_end, c_end, costs=True, y_T=(not tail_tight) * y_T),
+        columns = [self._backward(pieces, t_end, c_end, costs=True),
                    self._backward(pieces, t_end, c_end, lam=1.0)]
         if tail_tight:
             columns.append(self._backward(pieces, t_end, c_end, y_T=1.0))
@@ -346,7 +345,7 @@ class Staircase:
                     for kind, s, _ in pieces if kind == _D]
         coef = np.array([1.0] + _solve_unknowns(list(zip(*(col[0] for col in columns))), 1)[0])
         lam = float(coef[1])
-        y_T = float(coef[2]) if tail_tight else y_T
+        y_T = float(coef[2]) if tail_tight else 0.0
         count = len(pieces)
         rec = (coef @ np.array([col[1] for col in columns]))[::-1]  # W, then E, from day 1 up
         W_day = rec[piece]
@@ -426,11 +425,12 @@ def refine(g: CostFunction, b: int, R: float,
     The simplex is warm-started from the basis of ``fill``, a level fill, and
     priced with that basis's dual.  It stops when every reduced cost is at
     least -1e-12 (1 + max c), a zero-gap certificate up to that tolerance;
-    after a degenerate step it follows Bland's rule until a step moves.  If it
-    reaches its pivot cap (``MAX_PIVOTS_PER_ROW`` per row) or a solve breaks
-    down, a RuntimeWarning names the pivots and the gap left to the dual
-    bound, and the last vertex reached is kept.  Returns ``fill`` itself
-    unless that vertex costs less.
+    when the fill's own pricing passes, ``fill`` is returned at once, with no
+    pivot and no primal solve.  After a degenerate step it follows Bland's
+    rule until a step moves.  If it reaches its pivot cap
+    (``MAX_PIVOTS_PER_ROW`` per row) or a solve breaks down, a RuntimeWarning
+    names the pivots and the gap left to the dual bound, and the last vertex
+    reached is kept.  Returns ``fill`` itself unless that vertex costs less.
     """
     lp = Staircase(g, b, R)
     n = lp.t.size
@@ -452,6 +452,8 @@ def refine(g: CostFunction, b: int, R: float,
             q = -1
             if price.min() < -tol:
                 q = int(np.argmax(price < -tol) if bland else np.argmin(price))
+            elif best is None:  # the fill's own pricing proves it optimal
+                return fill
             vertex = lp.primal(layout, X, q)
             if not lp.feasible(vertex):
                 raise ArithmeticError("basic solution infeasible")

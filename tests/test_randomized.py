@@ -25,6 +25,7 @@ from skirent import (
     InvalidParamsError,
     InvariantError,
     RobustnessReport,
+    ScaleExceededError,
     SkirentError,
     StoppingDistribution,
     build_cost_function,
@@ -197,7 +198,7 @@ def ref_active_end(seg: Segment, h: float) -> float:
     """Last integer day of the segment whose cost is at most h (lo if none)."""
     if seg.slope > 0.0:
         e = (h - seg.intercept) / seg.slope
-        if e < seg.lo + 1:
+        if e + 1e-12 < seg.lo + 1:
             return seg.lo
         return min(math.floor(e + 1e-12), seg.hi)
     return seg.hi if seg.intercept <= h else seg.lo
@@ -959,21 +960,29 @@ def level_fill(g: CostFunction, b: int, R: float) -> StoppingDistribution:
     return randomized._construct_at_level(g, b, R, randomized._exact_level(g, b, R))
 
 
-def certificate_outcome(p_hat, b, R) -> bool | None:
-    """True if the certificate skips the LP, False if it does not, None if it
-    skips an LP whose optimum beats the certified fill by more than 1e-10."""
-    g = build_cost_function(p_hat, b)
+def lp_optimum(g: CostFunction, b: int, R: float) -> float:
+    """Optimum of the exact refine LP: the dense oracle's within its horizon, else HiGHS's."""
     try:
-        policy, objective = water_fill(g, b, R, exact=False)
-    except InfeasibleError:
+        return lp_solve(lp_instance_from_cost(g, b, R))[1]
+    except ScaleExceededError:
+        return highs_objective(g, b, R)
+
+
+def certificate_outcome(p_hat, b, R, solves: list[int]) -> bool | None:
+    """True if the simplex's first pricing returns the exact-level fill unpivoted,
+    False if it pivots, None if it returns a fill that the LP's optimum beats by
+    more than 1e-10 (relative).  ``solves`` is a ``counting_primal_solves`` count."""
+    g = build_cost_function(p_hat, b)
+    if not feasible_robustness(b, R):
         return False
-    if not randomized._certified(g, b, R, policy, objective):
+    fill = level_fill(g, b, R)
+    solves[0] = 0
+    refined = randomized._lp_refine(g, b, R, fill)
+    if solves[0]:
         return False
-    refined = randomized._lp_refine(g, b, R, policy)
-    kept = (refined is not policy
-            and expected_policy_cost(refined, g) < objective - 1e-10 * (1.0 + abs(objective))
-            and check_robustness(refined, b, R).feasible)
-    return None if kept else True
+    assert refined is fill
+    objective = expected_policy_cost(fill, g)
+    return objective <= lp_optimum(g, b, R) + 1e-10 * (1.0 + abs(objective)) or None
 
 
 @st.composite
@@ -1004,24 +1013,26 @@ def table_prediction(label: str) -> DayDistribution:
     return make_distribution(dict(TABLE_FAMILIES)[label])
 
 
-def counting_refines(monkeypatch) -> list[int]:
-    """Route the exact refine LP through a call counter; returns the one-element count."""
+def counting_primal_solves(monkeypatch) -> list[int]:
+    """Route the simplex's primal solves through a call counter; returns the
+    one-element count.  A refine whose first pricing finds the fill optimal
+    returns it with none, so the count is zero exactly when it made no pivot."""
     calls = [0]
-    solve = randomized._lp_refine
+    solve = staircase.Staircase.primal
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(randomized, "_lp_refine", counted)
+    monkeypatch.setattr(staircase.Staircase, "primal", counted)
     return calls
 
 
-def no_refine(monkeypatch, why: str) -> None:
-    def refine(*args, **kwargs):
+def no_pivot(monkeypatch, why: str) -> None:
+    def primal(*args, **kwargs):
         raise AssertionError(why)
 
-    monkeypatch.setattr(randomized, "_lp_refine", refine)
+    monkeypatch.setattr(staircase.Staircase, "primal", primal)
 
 
 class TestExactRefine:
@@ -1061,8 +1072,9 @@ class TestExactRefine:
     def test_lp_failure_warns_and_keeps_level_policy(self, monkeypatch):
         g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
         published = water_fill(g, 50, 1.7, exact=False)
-        # the LP gains 1.5e-4 here in one pivot, so no certificate may skip it
-        assert not randomized._certified(g, 50, 1.7, *published)
+        # the LP gains 1.5e-4 (relative) here in one pivot, so the fill's own
+        # pricing cannot return it
+        assert water_fill(g, 50, 1.7)[1] < published[1] * (1.0 - 1e-4)
         monkeypatch.setattr(staircase, "MAX_PIVOTS_PER_ROW", 0)
         with pytest.warns(RuntimeWarning, match=r"stopped after 0 pivots on its pivot cap, "
                                                 r"\S+ above its dual bound"):
@@ -1079,7 +1091,7 @@ class TestExactRefine:
                 water_fill(g, 50, 1.7, exact=exact)
             assert isinstance(err.value, SkirentError)
 
-    def test_certificate_never_skips_a_kept_lp(self, rng):
+    def test_certificate_never_skips_a_kept_lp(self, monkeypatch, rng):
         instances = [(uniform_days(21_000), 50, 1.7),
                      (DayDistribution((30, 120), (0.7, 0.3)), 50, 1.7),
                      *((uniform_days(3 * b), b, 1.7) for b in (250, 500, 1000)),
@@ -1095,29 +1107,31 @@ class TestExactRefine:
                 for _ in range(3):
                     instances.append((random_day_distribution(
                         rng, max_day=int(rng.integers(b, 4 * b + 1)), max_atoms=12), b, R))
-        outcomes = [certificate_outcome(*instance) for instance in instances]
-        assert None not in outcomes, "a certified fill's LP result passed the acceptance rule"
+        solves = counting_primal_solves(monkeypatch)
+        outcomes = [certificate_outcome(*instance, solves) for instance in instances]
+        assert None not in outcomes, "a fill returned unpivoted is above the LP's optimum"
         assert True in outcomes and False in outcomes
 
-    def test_certificate_never_skips_a_kept_lp_on_drawn_inputs(self):
+    def test_certificate_never_skips_a_kept_lp_on_drawn_inputs(self, monkeypatch):
+        solves = counting_primal_solves(monkeypatch)
         outcomes = []
 
         @settings(max_examples=60, deadline=None)
         @given(refine_instances())
         def check(instance):
-            outcome = certificate_outcome(*instance)
-            assert outcome is not None, "a certified fill's LP result passed the acceptance rule"
+            outcome = certificate_outcome(*instance, solves)
+            assert outcome is not None, "a fill returned unpivoted is above the LP's optimum"
             outcomes.append(outcome)
 
         check()
-        assert True in outcomes  # the certificate fired, so the check was not vacuous
+        assert True in outcomes  # a first pricing passed, so the check was not vacuous
 
     @pytest.mark.parametrize("b", [500, 20_000])
     def test_certified_fill_skips_the_solve(self, monkeypatch, b):
-        # at b = 20000 the LP took seconds to confirm the fill
+        # at b = 20000 the first pricing alone must confirm the fill
         g = build_cost_function(uniform_days(100), b)
         policy, objective = water_fill(g, b, 1.7, exact=False)
-        no_refine(monkeypatch, "the certified fill must not reach the LP")
+        no_pivot(monkeypatch, "the optimal fill must be returned with no pivot")
         exact_policy, exact_objective = water_fill(g, b, 1.7)
         assert exact_policy.support == policy.support and exact_objective == objective
 
@@ -1125,26 +1139,34 @@ class TestExactRefine:
         (label, b, R) for label in ("gauss", "geom") for b in (500, 2000)
         for R in (1.7, 2.0, 2.5) if (label, b, R) != ("geom", 500, 1.7)])
     def test_polished_fill_skips_the_solve(self, monkeypatch, label, b, R):
-        # the bisected fill sits 1e-8 to 1e-6 above the optimum here, too far
-        # for the certificate; the fill at the exact level is within it
+        # the bisected fill sits 1e-8 to 1e-6 above the optimum here, so the
+        # simplex pivots away from it; the fill at the exact level is optimal
         g = build_cost_function(table_prediction(label), b)
         published = water_fill(g, b, R, exact=False)
-        assert not randomized._certified(g, b, R, *published)
-        no_refine(monkeypatch, "the polished fill must not reach the LP")
+        solves = counting_primal_solves(monkeypatch)
+        randomized._lp_refine(g, b, R, published[0])
+        assert solves[0]
+        fill = level_fill(g, b, R)
+        # a fill ending on a tail day, as at geom (500, 2.0), is priced by a dual
+        # with y_T = 0 and takes degenerate pivots back to itself; others take none
+        if fill.days[-1] < b:
+            no_pivot(monkeypatch, "the polished fill must be returned with no pivot")
+        assert randomized._lp_refine(g, b, R, fill) is fill
         policy, objective = water_fill(g, b, R)
+        assert policy.support == fill.support and objective == expected_policy_cost(fill, g)
         assert check_robustness(policy, b, R).feasible
         assert objective <= published[1]
 
     def test_polish_leaves_a_beaten_fill_to_the_lp(self, monkeypatch):
         # geom at (500, 1.7): even the exact-level fill stays 3e-7 above the optimum
         g = build_cost_function(table_prediction("geom"), 500)
-        calls = counting_refines(monkeypatch)
+        solves = counting_primal_solves(monkeypatch)
         policy, objective = water_fill(g, 500, 1.7)
-        assert calls == [1]
+        assert solves[0] > 1  # the fill's pricing, then at least one pivot
         assert objective < water_fill(g, 500, 1.7, exact=False)[1] - 1e-6
 
     def test_exact_level_is_safe_on_drawn_inputs(self, monkeypatch):
-        calls = counting_refines(monkeypatch)
+        solves = counting_primal_solves(monkeypatch)
         beyond_bisection = []
 
         @settings(max_examples=60, deadline=None)
@@ -1167,20 +1189,20 @@ class TestExactRefine:
                 assert not level_feasible(g, b, R, midpoints[i - 1])
             search = minimal_water_level(g, b, R, 1e-7 * g.max_value())
             assert search.h_lo < costs[i] <= search.h_hi
-            calls[0] = 0
+            solves[0] = 0
             policy, objective = water_fill(g, b, R)
             assert objective <= published[1]
             assert check_robustness(policy, b, R).feasible
-            if calls[0]:
+            if solves[0]:
                 return
-            refined = randomized._lp_refine(g, b, R, policy)
-            assert objective <= expected_policy_cost(refined, g) + 1e-11 * (1.0 + abs(objective))
-            if not randomized._certified(g, b, R, *published):
+            assert objective <= lp_optimum(g, b, R) + 1e-10 * (1.0 + abs(objective))
+            randomized._lp_refine(g, b, R, published[0])
+            if solves[0]:
                 beyond_bisection.append(objective)
 
         check()
-        # the exact level skipped an LP the bisected fill needed (as on the
-        # explicit example), so the check was not vacuous
+        # the exact-level fill needed no pivot where the bisected fill did (as on
+        # the explicit example), so the check was not vacuous
         assert beyond_bisection
 
     def test_exact_mode_searches_and_builds_once(self, monkeypatch):
@@ -1196,7 +1218,7 @@ class TestExactRefine:
 
         monkeypatch.setattr(randomized, "_construct_at_level", recording)
         monkeypatch.setattr(randomized, "minimal_water_level", no_bisection)
-        # certified, beaten by the LP, certified only at the exact level
+        # optimal as filled, beaten by the LP, optimal only at the exact level
         for p_hat, b, R in ((uniform_days(100), 500, 1.7),
                             (DayDistribution((30, 120), (0.7, 0.3)), 50, 1.7),
                             (table_prediction("gauss"), 500, 2.0)):
@@ -1227,14 +1249,10 @@ class TestExactRefine:
         assert checks == [policy]
 
     @pytest.mark.parametrize("p_hat,b,R,day", [
-        (DayDistribution((25, 33, 81, 114, 117, 146),
-                         (0.3514996820223806, 0.25243453732960475, 0.17471078963340744,
-                          0.10038422563452869, 0.014716735878836451, 0.10625402950124216)),
-         42, 2.765165765575473, 34),
         (make_distribution(FamilySpec(Family.GEOMETRIC_TRUNCATED,
                                       {"rate": 0.0625, "low": 1, "high": 195})),
          136, 1.796875, 102),
-    ], ids=["sparse", "geometric"])
+    ], ids=["geometric"])
     def test_exact_level_admits_a_cost_its_own_probe_rejects(self, p_hat, b, R, day):
         # the fill tests activity in day space, where (g(day) - intercept) / slope
         # rounds to just below day, so probing the cost itself drops that day
@@ -1245,6 +1263,23 @@ class TestExactRefine:
         assert costs[np.searchsorted(costs, level, side="right") - 1] == g(day)
         published = water_fill(g, b, R, exact=False)[0]
         assert randomized._construct_at_level(g, b, R, level).support == published.support
+
+    def test_row_skip_admits_a_first_day_within_rounding(self):
+        # at h = g(34), (h - intercept) / slope comes out just below 34 on the
+        # row (33, 81]; the row's end forgives that by 1e-12, and so must the
+        # test that skips the row, or the probe at the cost itself drops day 34
+        p_hat = DayDistribution((25, 33, 81, 114, 117, 146),
+                                (0.3514996820223806, 0.25243453732960475, 0.17471078963340744,
+                                 0.10038422563452869, 0.014716735878836451, 0.10625402950124216))
+        b, R = 42, 2.765165765575473
+        g = build_cost_function(p_hat, b)
+        assert level_feasible(g, b, R, g(34))
+        fill = randomized._construct_at_level(g, b, R, g(34))
+        assert 34 in fill.days
+        level = randomized._exact_level(g, b, R)
+        costs = np.unique(g.values_at(randomized._candidate_days(g, b)))
+        assert costs[np.searchsorted(costs, level, side="right") - 1] == g(34)
+        assert randomized._construct_at_level(g, b, R, level).support == fill.support
 
     def test_memory_grows_linearly(self):
         # the dense constraint matrix grew as b^2 (slope 2.0 in log-log)
@@ -1337,11 +1372,39 @@ class TestHighsReference:
 
 
 class TestStaircaseSimplex:
-    def test_optimal_fill_is_returned_itself(self):
-        # the certified fills of the table hold their optimum: no pivot improves them
+    def test_optimal_fill_is_returned_itself(self, monkeypatch):
+        # the table's exact-level fills hold their optimum: the first pricing
+        # returns them with no pivot and no primal solve
         g = build_cost_function(table_prediction("gauss"), 500)
         fill = level_fill(g, 500, 2.0)
+        no_pivot(monkeypatch, "the first pricing must return the optimal fill")
         assert randomized._lp_refine(g, 500, 2.0, fill) is fill
+
+    @pytest.mark.parametrize("b,R", [(50, 2.0), (50, 2.5), (500, 2.0)])
+    def test_fill_ending_on_a_tail_day_keeps_its_output(self, b, R):
+        # the basic dual of these geom fills has y_T = 0 and prices a later day
+        # negative, so the simplex takes degenerate pivots; they lead back to the fill
+        g = build_cost_function(table_prediction("geom"), b)
+        fill = level_fill(g, b, R)
+        assert fill.days[-1] > b
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy, objective = water_fill(g, b, R)
+        assert policy.support == fill.support
+        assert objective == expected_policy_cost(fill, g)
+
+    def test_exact_solve_builds_one_staircase(self, monkeypatch):
+        built = []
+        init = staircase.Staircase.__init__
+
+        def recording(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(staircase.Staircase, "__init__", recording)
+        g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
+        water_fill(g, 50, 1.7)
+        assert len(built) == 1
 
     def test_refine_reaches_the_optimum_on_tied_costs(self, rng):
         # small b, ties in the costs and many atoms: degenerate vertices abound
