@@ -6,15 +6,9 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DayDistribution, survival, _check_b, _check_finite
+from .distributions import MAX_DAYS, DayDistribution, survival, _check_b, _check_finite
 from .errors import InvalidParamsError, InvalidRError, ScaleExceededError
 from .randomized import StoppingDistribution
-
-
-#: Longest branch built.  The low branch spans ceil(b/lam) <= b^2 days, and an R
-#: far above any useful robustness level drives lam to 1/b; at b = 10^4 that is
-#: 10^8 days, gigabytes of masses.
-MAX_BRANCH_DAYS = 10**7
 
 
 class BaselineKind(str, Enum):
@@ -57,8 +51,8 @@ def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:
     if not 0.0 < lam <= 1.0:
         raise InvalidParamsError("lambda must lie in (0, 1]")
     length = max(1, math.floor(lam * b + 1e-9) if high_branch else math.ceil(b / lam - 1e-9))
-    if length > MAX_BRANCH_DAYS:
-        raise ScaleExceededError(f"branch of {length} days exceeds {MAX_BRANCH_DAYS}")
+    if length > MAX_DAYS:  # the low branch spans ceil(b/lam) <= b^2 days
+        raise ScaleExceededError(f"branch of {length} days exceeds {MAX_DAYS}")
     q = (b - 1.0) / b
     weights = q ** np.arange(length - 1, -1, -1, dtype=float)
     return weights / (b * (1.0 - q ** length))
@@ -78,7 +72,10 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float,
     probability strictly exceeds 1/2, and only the short one otherwise; the
     mixture blends the two branches' masses day by day.
     """
-    kind = BaselineKind(kind)
+    try:
+        kind = BaselineKind(kind)
+    except ValueError:
+        raise InvalidParamsError(f"unknown baseline kind {kind!r}") from None
     _check_finite(R, "R")
     lam = lambda_from_r(b, R)
     p_high = survival(p_hat, b)

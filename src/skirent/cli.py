@@ -267,6 +267,9 @@ def _verify_policy_file(args, lines: list[str]) -> int:
 def _verify_onehot(args, lines: list[str]) -> int:
     _require(args, "b")
     b = args.b
+    if b > ORACLE_B_MAX:
+        raise InvalidParamsError(f"--b must be at most {ORACLE_B_MAX} with --onehot "
+                                 f"(the LP oracle's horizon is 4b, capped at {MAX_HORIZON})")
     r = args.r if args.r is not None else 2.0
     failures = 0
     for y in range(1, 3 * b + 1):

@@ -101,6 +101,7 @@ def sufficient_condition_check(p: DayDistribution, b: int, t: Threshold, C: floa
     """
     _check_b(b)
     _check_threshold(t)
+    _check_finite(C, "C")
     if C <= 1:
         raise InvalidParamsError("C must exceed 1")
     if is_never(t):

@@ -15,8 +15,10 @@ from .errors import EmptySupportError, InvalidParamsError, InvariantError, Scale
 
 MASS_TOL = 1e-9        # accepted drift of total mass at construction
 RENORM_TRIGGER = 1e-12  # drift beyond this is renormalized away exactly
-#: Longest day range a uniform, gaussian or geometric family is realized on.
-MAX_FAMILY_DAYS = 10**7
+#: Longest run of days realized as arrays: a uniform, gaussian or geometric
+#: family's range, a baseline branch, or the b days a policy is built and checked
+#: on.  Each float array of that many days takes 80 MB.
+MAX_DAYS = 10**7
 
 
 class _Pmf:
@@ -289,8 +291,8 @@ def _day_range(params: Mapping[str, Any], family: str) -> np.ndarray:
     high = _int_param(params, "high")
     if not 1 <= low <= high < 2**63:
         raise InvalidParamsError(f"{family} needs 1 <= low <= high < 2^63")
-    if high - low >= MAX_FAMILY_DAYS:
-        raise ScaleExceededError(f"{family} spans {high - low + 1} days, over {MAX_FAMILY_DAYS}")
+    if high - low >= MAX_DAYS:
+        raise ScaleExceededError(f"{family} spans {high - low + 1} days, over {MAX_DAYS}")
     return np.arange(low, high + 1)
 
 

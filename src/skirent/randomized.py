@@ -8,8 +8,9 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .distributions import DayDistribution, _check_b, _check_finite, _parse_atoms, _Pmf
-from .errors import InfeasibleError, InvalidParamsError, InvariantError
+from .distributions import (MAX_DAYS, DayDistribution, _as_int, _check_b, _check_finite,
+                            _parse_atoms, _Pmf)
+from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
 FULL_MASS = 1.0 - 1e-15  # a fill or closed form holding this much mass is full
@@ -25,6 +26,12 @@ def _check_epsilon(epsilon: float) -> None:
     _check_finite(epsilon, "epsilon")
     if epsilon <= 0:
         raise InvalidParamsError("epsilon must be > 0")
+
+
+def _check_scale(b: int) -> None:
+    """Reject a b whose arrays of b days would pass ``MAX_DAYS``, before any is built."""
+    if b > MAX_DAYS:
+        raise ScaleExceededError(f"b={b} needs arrays of b days, over {MAX_DAYS}")
 
 
 class StoppingDistribution(_Pmf):
@@ -191,6 +198,7 @@ def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessRep
     """Evaluate mu(x) + (b-x) F(x) <= (R-1) x for x < b and mu(inf) <= (R-1) b."""
     _check_b(b)
     _check_r(R)
+    _check_scale(b)
     xs = np.arange(1, b)
     F = f.cdf_at(xs)
     mu = f.moment_at(xs)
@@ -232,13 +240,51 @@ def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:
 # Closed-form optimal policies
 
 
-def _growth_envelope(b: int, R: float, x: np.ndarray) -> np.ndarray:
-    """(R-1) ((b/(b-1))^x - 1) at each day of x: the CDF ceiling of the early constraints.
+def _log_gamma(b: int) -> float:
+    """log(gamma), gamma = b/(b-1): the envelope's growth a day, free of b/(b-1)'s rounding."""
+    return math.log1p(1.0 / (b - 1.0))
 
-    Computed as expm1(x log1p(1/(b-1))), like the fill: a float b/(b-1) raised to
-    x compounds its rounding and breaks the constraints by 1e-9 at b = 3367.
+
+def _envelope(b: int, R: float, days: float | np.ndarray,
+              lag: float | np.ndarray = 0.0) -> float | np.ndarray:
+    """(R-1) (gamma^d e^-lag - 1) at each day d: the CDF of a run of tight days (``_fill_pass``).
+
+    A float gamma^d would break the constraints by 1e-9 at b = 3367.  Scalars go
+    through ``math``, arrays through numpy, whose expm1 rounds differently.
     """
-    return (R - 1.0) * np.expm1(x * math.log1p(1.0 / (b - 1.0)))
+    x = days * _log_gamma(b) - lag
+    return (R - 1.0) * (np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x))
+
+
+def _full_log(R: float) -> float:
+    """d log(gamma) - lag where ``_envelope`` reaches ``FULL_MASS``: the full-mass test
+    of the fill and of ``feasible_robustness`` is then one comparison a row."""
+    return math.log1p(FULL_MASS / (R - 1.0))
+
+
+def _tight_policy(b: int, R: float, F: float, runs: list[tuple[int, int, float]],
+                  tail: int | None) -> StoppingDistribution:
+    """The policy whose CDF is the envelope on the days of ``runs`` (s, e, lag), cut at
+    the first day holding ``FULL_MASS``, pinned to F on its last day, plus 1 - F
+    on the ``tail`` day."""
+    starts, ends, lags = np.array(runs, dtype=float).reshape(-1, 3).T
+    lengths = (ends - starts + 1.0).astype(np.int64)
+    steps = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    days = (np.repeat(starts, lengths) + steps).astype(np.int64)
+    cdf = _envelope(b, R, days, np.repeat(lags, lengths))
+    if tail is None:
+        cut = np.flatnonzero(cdf >= FULL_MASS)
+        if cut.size:
+            days, cdf = days[:cut[0] + 1], cdf[:cut[0] + 1]
+    if cdf.size:
+        cdf[-1] = F
+    masses = np.diff(cdf, prepend=0.0)
+    if tail is not None:
+        if days.size and days[-1] == tail:
+            masses[-1] += 1.0 - F
+        else:
+            days, masses = np.append(days, tail), np.append(masses, 1.0 - F)
+    return StoppingDistribution(days, masses)
 
 
 def feasible_robustness(b: int, R: float) -> bool:
@@ -250,25 +296,23 @@ def feasible_robustness(b: int, R: float) -> bool:
     _check_b(b)
     if R <= 1:
         return False
-    return b * math.log1p(1.0 / (b - 1.0)) >= math.log1p(FULL_MASS / (R - 1.0))
+    return b * _log_gamma(b) >= _full_log(R)
 
 
 def geometric_cdf(b: int, R: float) -> StoppingDistribution:
     """Stopping distribution whose CDF rides the growth envelope until it hits 1.
 
     Optimal whenever the stopping-cost function is nondecreasing over the
-    placement range.  Requires the envelope to reach 1 by day b, i.e. R at
-    least 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.  The CDF
-    is pinned to 1 on the first day the envelope reaches 1 - 1e-12.
+    placement range.  It is the full fill of the one tight run over days 1..b,
+    so it needs the envelope to reach ``FULL_MASS`` by day b, i.e. R at least
+    about 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.
     """
     _check_b(b)
     _check_r(R)
+    _check_scale(b)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    cdf = _growth_envelope(b, R, np.arange(1, b + 1))
-    cdf = cdf[:np.argmax(cdf >= 1.0 - 1e-12) + 1]  # feasibility puts that day at or before b
-    cdf[-1] = 1.0
-    return StoppingDistribution(np.arange(1, cdf.size + 1), np.diff(cdf, prepend=0.0))
+    return _tight_policy(b, R, 1.0, [(1, b, 0.0)], None)
 
 
 def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool:
@@ -276,14 +320,15 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
 
     Requires: costs nondecreasing through day y; every cost beyond y at least
     the cost at day y+1-b (checked over a finite window, since the cost is
-    eventually constant); and y past the envelope-saturation threshold.
+    eventually constant); and y past the envelope-saturation threshold: the
+    envelope has reached 1 by day y+1-b.
     """
     _check_b(b)
     _check_r(R)
+    y = _as_int(y, "y")
     if y < 1:
         raise InvalidParamsError("y must be >= 1")
-    threshold = b - 1 + math.log(R / (R - 1.0)) / math.log(b / (b - 1.0))
-    if y < threshold - 1e-9:
+    if _envelope(b, R, y + 1 - b + 1e-9) < 1.0:  # 1e-9 days to spare
         return False
     if y + 1 - b < 1:
         return False
@@ -335,16 +380,18 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
     envelope, so the cost is O(b log b).
     """
     _check_b(b)
+    y = _as_int(y, "y")
     if y < 1:
         raise InvalidParamsError("y must be >= 1")
     _check_r(R)
+    _check_scale(b)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    G = _growth_envelope(b, R, np.arange(b + 1))  # G[x] for x = 0..b
+    G = _envelope(b, R, np.arange(b + 1))  # G[x] for x = 0..b
 
     if y <= b - 1:
         head = G[1:y + 1]
-        log_gamma = math.log1p(1.0 / (b - 1.0))
+        log_gamma = _log_gamma(b)
 
         def tight(x, s):
             """CDF at days x > y of the continuation that keeps days y+1..x tight."""
@@ -385,23 +432,22 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
 
 
 def _fill_pass(g: CostFunction, b: int, R: float,
-               h: float) -> tuple[float, float, list[tuple[int, int, float]]]:
-    """Maximal mass allocation on days <= b whose cost is within level h.
+               h: float) -> tuple[float, list[tuple[int, int, float]], int | None] | None:
+    """Maximal mass allocation on days costing at most h; None if mass 1 does not fit.
 
     Keeps every early constraint tight, so G = F + R - 1 (F: mass placed so
     far) grows by gamma = b/(b-1) on every active day, and the atom at an
     active run's first day s, which restores tightness after the gap since the
     last tight day, grows it by 1 + gap/(b-1) instead of gamma^gap.  On day d,
-    log(G / (R-1)) = d log(gamma) - lag, where lag sums those shortfalls.
-    Tracking G in this form keeps it to a few ulps: a float gamma raised to k,
-    or a product of rounded per-run factors, compounds their rounding, and the
-    masses then break their tight constraints by up to 5e-10 at b = 10^4.
-    Returns (F, mu, runs): F is 1.0 once the mass is full, mu the first moment
-    of a partial fill (NaN once full), and runs the active (s, e, lag); the
-    last run may outlast the full mass.
+    log(G / (R-1)) = d log(gamma) - lag, where lag sums those shortfalls, and F
+    is ``_envelope`` at (d, lag).  A product of rounded per-run factors would
+    break the tight constraints by up to 5e-10 at b = 10^4.
+    Returns (F, runs, tail), runs the active (s, e, lag); the last may outlast
+    the full mass.  A full fill has F = 1 and no tail; a partial one puts 1 - F
+    on the cheapest day from b on within h whose (day - 1) (1 - F) fits in the
+    moment budget left.
     """
-    log_gamma = math.log1p(1.0 / (b - 1.0))
-    full = math.log1p(FULL_MASS / (R - 1.0))  # log(G / (R-1)) at F = FULL_MASS
+    log_gamma, full = _log_gamma(b), _full_log(R)
     lag = 0.0
     last_end = 0  # constraints are tight through this day
     runs = []
@@ -422,38 +468,29 @@ def _fill_pass(g: CostFunction, b: int, R: float,
         lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
         runs.append((s, e, lag))
         if e * log_gamma - lag >= full:
-            return 1.0, math.nan, runs
+            return 1.0, runs, None
         last_end = e
-    F = (R - 1.0) * math.expm1(last_end * log_gamma - lag)
-    return F, (R - 1.0) * last_end - (b - last_end) * F, runs
+    F = _envelope(b, R, last_end, lag)
+    budget = (R - 1.0) * b - ((R - 1.0) * last_end - (b - last_end) * F)  # minus the first moment
+    if budget < 0.0:
+        return None
+    tail = _best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
+    return None if tail is None else (F, runs, tail)
 
 
 def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
     """Cheapest day at or beyond b with cost within h and day within t_max.
 
-    Within a segment the cost rises, so only each segment's earliest admissible
-    day competes; ties in cost break toward the smaller day.
+    Reads the candidate days from b on (``_candidate_costs``): a segment's cost
+    rises, so only its earliest day competes.  Ties break toward the smaller day.
     """
-    start = int(np.searchsorted(g.hi, b, side="left"))  # first row reaching b
-    days = np.maximum(b, g.lo[start:] + 1.0)
-    values = g.slope[start:] * days + g.intercept[start:]
+    t, c = _candidate_costs(g, b)
+    days, values = t[b - 1:], c[b - 1:]
     admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
     if admissible.size == 0:
         return None
-    # days rise with the segment index, so the first minimum is the smallest day
+    # days rise, so the first minimum is the smallest day
     return int(days[admissible[np.argmin(values[admissible])]])
-
-
-def _tail_day(g: CostFunction, b: int, R: float, h: float, F: float, mu: float) -> int | None:
-    """Day >= b for the mass 1 - F that a partial fill leaves (None if none fits).
-
-    The day must cost at most h, and (day - 1) (1 - F) must fit in the moment
-    budget (R - 1) b - mu left over by the fill.
-    """
-    budget = (R - 1.0) * b - mu
-    if budget < 0.0:
-        return None
-    return _best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
 
 
 def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
@@ -461,12 +498,14 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
 
     One O(n) pass over the segments: maximal early fill, then a tail test that
     asks for an admissible day d >= b with (d - 1) * remaining-mass within the
-    leftover moment budget.
+    leftover moment budget (on the candidate table, built once per g and b).
     """
     _check_b(b)
     _check_r(R)
-    F, mu, _ = _fill_pass(g, b, R, h)
-    return F >= 1.0 or _tail_day(g, b, R, h, F, mu) is not None
+    _check_scale(b)
+    if math.isnan(h):
+        raise InvalidParamsError("the water level h must not be NaN")
+    return _fill_pass(g, b, R, h) is not None
 
 
 @dataclass(frozen=True)
@@ -521,34 +560,9 @@ def _exact_level(g: CostFunction, b: int, R: float) -> float:
 
 def _construct_at_level(g: CostFunction, b: int, R: float,
                         h: float) -> StoppingDistribution | None:
-    """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false.
-
-    Expands the fill's runs into its per-day CDF (R-1) (gamma^d e^-lag - 1),
-    cut at the first day that fills the mass; the last day is pinned to the
-    fill's F and a partial fill's remaining mass goes to its tail day.
-    """
-    F, mu, runs = _fill_pass(g, b, R, h)
-    tail = None if F >= 1.0 else _tail_day(g, b, R, h, F, mu)
-    if F < 1.0 and tail is None:
-        return None
-    starts, ends, lags = np.array(runs, dtype=float).reshape(-1, 3).T
-    lengths = (ends - starts + 1.0).astype(np.int64)
-    steps = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    days = (np.repeat(starts, lengths) + steps).astype(np.int64)
-    cdf = (R - 1.0) * np.expm1(days * math.log1p(1.0 / (b - 1.0)) - np.repeat(lags, lengths))
-    if tail is None:
-        cut = np.flatnonzero(cdf >= FULL_MASS)
-        if cut.size:
-            days, cdf = days[:cut[0] + 1], cdf[:cut[0] + 1]
-    if cdf.size:
-        cdf[-1] = F
-    masses = np.diff(cdf, prepend=0.0)
-    if tail is not None:
-        if days.size and days[-1] == tail:
-            masses[-1] += 1.0 - F
-        else:
-            days, masses = np.append(days, tail), np.append(masses, 1.0 - F)
-    return StoppingDistribution(days, masses)
+    """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false."""
+    fill = _fill_pass(g, b, R, h)
+    return None if fill is None else _tight_policy(b, R, *fill)
 
 
 def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
@@ -611,6 +625,7 @@ def water_fill(g: CostFunction, b: int, R: float,
     """
     _check_b(b)
     _check_r(R)
+    _check_scale(b)
     if epsilon is not None:
         _check_epsilon(epsilon)
     if not feasible_robustness(b, R):

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .randomized import CostFunction, StoppingDistribution, _candidate_costs, expected_policy_cost
+from .randomized import (CostFunction, StoppingDistribution, _candidate_costs, _log_gamma,
+                         expected_policy_cost)
 
 _G, _C, _D, _A = 0, 1, 2, 3
 MAX_PIVOTS_PER_ROW = 20  # the simplex stops after this many pivots per LP row
@@ -110,7 +111,7 @@ class Staircase:
     def __init__(self, g: CostFunction, b: int, R: float) -> None:
         self.b, self.R = b, R
         self.t, self.c = _candidate_costs(g, b)
-        self.log_gamma = math.log1p(1.0 / (b - 1.0))
+        self.log_gamma = _log_gamma(b)
         self.days = np.arange(1, b)
         self.inv_growth = np.exp(-self.log_gamma * self.days)  # gamma^-x on days 1..b-1
         # H[x] = sum_{x <= u < b} gamma^u (c_{u+1} - c_u) / (b-1): along an A run

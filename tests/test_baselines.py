@@ -176,7 +176,7 @@ class TestBaselinePolicy:
         # R = 1e300 maps to lambda = 1/b, and the low branch then spans b^2 days:
         # at b = 10^4 the mixture exhausted memory.  A lowered cap shows the
         # guard at b = 50 (2500 days) without building 10^8 of them.
-        monkeypatch.setattr(baselines, "MAX_BRANCH_DAYS", 1000)
+        monkeypatch.setattr(baselines, "MAX_DAYS", 1000)
         p_hat = DayDistribution((10,), (1.0,))
         for kind in BaselineKind:
             with pytest.raises(ScaleExceededError):
@@ -186,7 +186,7 @@ class TestBaselinePolicy:
     def test_majority_builds_only_its_branch(self, monkeypatch):
         # with all mass at or past b the rule needs only the short high branch,
         # so the b^2-day low branch is neither built nor size-checked
-        monkeypatch.setattr(baselines, "MAX_BRANCH_DAYS", 1000)
+        monkeypatch.setattr(baselines, "MAX_DAYS", 1000)
         p_hat = DayDistribution((50, 60), (0.5, 0.5))
         f = baseline_policy(p_hat, 50, 1e300, BaselineKind.MAJORITY_BRANCH)
         assert f.support == purohit_branch(50, lambda_from_r(50, 1e300), True).support

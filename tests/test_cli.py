@@ -401,20 +401,39 @@ def test_closed_stdout_exits_1_without_traceback(argv):
     assert proc.stderr == ""
 
 
+def run_cli_limited(argv: list[str], gib: float) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped at ``gib`` GiB."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (int(gib * 2**30), int(gib * 2**30)))
+
+    src = str(Path(skirent.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "skirent.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=limit_memory, timeout=120)
+
+
 @pytest.mark.parametrize("high", [2**63, 10**12], ids=["past_int64", "past_scale_cap"])
 def test_out_of_range_family_bound_exits_2(high):
     # past_int64 exited 1 with an OverflowError traceback; past_scale_cap asked for
     # a 10^12-day range and, under a 3 GB address-space limit, died of MemoryError
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
-
     dist = json.dumps({"family": "uniform", "params": {"low": 1, "high": high}})
-    src = str(Path(skirent.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "skirent.cli", "threshold", "--b", "10",
-                           "--dist", dist], capture_output=True, text=True, env=env,
-                          preexec_fn=limit_memory, timeout=120)
+    proc = run_cli_limited(["threshold", "--b", "10", "--dist", dist], 3)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["waterfill", "--b", "100000000", "--r", "2", "--dist", '{"atoms":[[5,1]]}'],
+    ["waterfill", "--b", "100000000", "--r", "2", "--dist", '{"atoms":[[5,1]]}', "--published"],
+    ["verify", "--onehot", "--b", "100000000"],
+    ["verify", "--onehot", "--b", "101"],
+], ids=["waterfill", "waterfill_published", "verify_onehot", "verify_onehot_past_oracle"])
+def test_b_past_the_day_bound_exits_2(argv):
+    # under a 1.5 GB address-space limit the 10^8-day requests died of MemoryError
+    # with a traceback and exit 1; b = 101 puts the oracle past its horizon, which
+    # is now checked before the first solve
+    proc = run_cli_limited(argv, 1.5)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,38 @@ class TestConsistencyTable:
     def test_reproducible(self, table):
         again = run_consistency_table()
         assert [r.consistency for r in again.rows] == [r.consistency for r in table.rows]
+
+
+# The published results, pinned: the consistency table as its CSV (six significant
+# digits), and the seed-0 sweep with two trials per budget by the digest of its CSV.
+PUBLISHED_TABLE_CSV = """\
+family,policy,eta,trial,consistency,objective
+gauss,majority,0,0,1.4195,70.975
+gauss,mixture,0,0,1.41685,70.8426
+gauss,water_fill,0,0,1.33752,66.8762
+geom,majority,0,0,1.41142,28.2285
+geom,mixture,0,0,1.4183,28.3659
+geom,water_fill,0,0,1.26812,25.3624
+twopoint,majority,0,0,1.24479,56.0155
+twopoint,mixture,0,0,1.25471,56.4619
+twopoint,water_fill,0,0,1.04152,46.8682
+unif100,majority,0,0,1.17816,58.9081
+unif100,mixture,0,0,1.18656,59.328
+unif100,water_fill,0,0,1.16316,58.1578
+unif200,majority,0,0,1.34919,67.4593
+unif200,mixture,0,0,1.36428,68.2138
+unif200,water_fill,0,0,1.33306,66.6532
+"""
+PUBLISHED_SWEEP_SHA256 = "332b9bdc73a90baa13c36d8e5c197411cd60e9f7cf6e5cea44e84f2969b6ca68"
+
+
+class TestPublishedOutputs:
+    def test_table_csv(self, table):
+        assert table.to_csv() == PUBLISHED_TABLE_CSV
+
+    def test_sweep_digest(self):
+        csv = run_perturbation_sweep(n_trials=2, seed=0).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == PUBLISHED_SWEEP_SHA256
 
 
 class TestPerturbationSweep:

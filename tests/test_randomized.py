@@ -28,6 +28,7 @@ from skirent import (
     ScaleExceededError,
     SkirentError,
     StoppingDistribution,
+    baseline_policy,
     build_cost_function,
     check_robustness,
     expected_policy_cost,
@@ -41,6 +42,7 @@ from skirent import (
     minimal_water_level,
     onehot_exact,
     realized_worst_ratio,
+    sufficient_condition_check,
     water_fill,
 )
 from skirent.evaluation import TABLE_FAMILIES
@@ -834,6 +836,60 @@ class TestWaterFill:
             with pytest.raises(InvalidParamsError, match="finite"):
                 call()
 
+    # before: TypeError, y = 1 used silently, False, False, ValueError and ValueError
+    @pytest.mark.parametrize("call", [
+        lambda g, p: onehot_exact(10, 2.0, 1.5),
+        lambda g, p: onehot_exact(10, 2.0, True),
+        lambda g, p: extension_condition_check(g, 4, 2.0, 7.5),
+        lambda g, p: sufficient_condition_check(p, 4, 2, math.nan),
+        lambda g, p: level_feasible(g, 4, 2.0, math.nan),
+        lambda g, p: baseline_policy(p, 4, 2.0, "nope"),
+    ], ids=["onehot_fractional_y", "onehot_bool_y", "extension_fractional_y",
+            "sufficient_nan_c", "level_nan_h", "baseline_unknown_kind"])
+    def test_bad_input_raises_typed_error(self, call):
+        p_hat = DayDistribution((3, 9), (0.5, 0.5))
+        with pytest.raises(InvalidParamsError):
+            call(build_cost_function(p_hat, 4), p_hat)
+
+    @pytest.mark.parametrize("call", [
+        lambda g, b: water_fill(g, b, 2.0),
+        lambda g, b: water_fill(g, b, 2.0, exact=False),
+        lambda g, b: check_robustness(buy_day(4), b, 2.0),
+        lambda g, b: geometric_cdf(b, 2.0),
+        lambda g, b: onehot_exact(b, 2.0, 5),
+        lambda g, b: level_feasible(g, b, 2.0, 10.0),
+    ], ids=["exact", "published", "check", "geometric", "onehot", "level"])
+    def test_b_past_max_days_rejected_before_allocating(self, monkeypatch, call):
+        # no array of 10^12 days can be built, so each call must raise first
+        g = build_cost_function(one_hot(5), 10**12)
+        with pytest.raises(ScaleExceededError):
+            call(g, 10**12)
+        # the bound itself is admitted
+        monkeypatch.setattr(randomized, "MAX_DAYS", 50)
+        call(build_cost_function(one_hot(5), 50), 50)
+        with pytest.raises(ScaleExceededError):
+            call(build_cost_function(one_hot(5), 51), 51)
+
+
+class TestTightKernel:
+    def test_closed_form_is_the_full_level_fill(self):
+        # with an atom on every day 1..2b, every day up to b is a row of its own
+        # and active at level max g; each such run adds exactly 0.0 to lag, so
+        # the fill is the one tight run of geometric_cdf, to the last bit
+        compared = 0
+        for b in [*range(2, 201), 3367, 10**4, 10**5]:
+            days = np.arange(1, 2 * b + 1)
+            g = build_cost_function(DayDistribution(days, np.full(days.size, 1.0 / days.size)), b)
+            for R in (1.6, 1.7, 2.0, 2.5, 3.0):
+                if not feasible_robustness(b, R):
+                    continue
+                _, runs, _ = randomized._fill_pass(g, b, R, g.max_value())
+                assert all(lag == 0.0 for _, _, lag in runs)
+                fill = randomized._construct_at_level(g, b, R, g.max_value())
+                assert fill.support == geometric_cdf(b, R).support
+                compared += 1
+        assert compared == 1010
+
 
 class TestSingleFillPath:
     def test_construct_fails_exactly_when_level_infeasible(self, rng):
@@ -865,7 +921,7 @@ class TestSingleFillPath:
         partial = 0
         for g, b, R, _ in fill_instances(rng, count=200):
             level = minimal_water_level(g, b, R, 1e-7 * g.max_value()).level
-            F, _, runs = randomized._fill_pass(g, b, R, level)
+            F, runs, _ = randomized._fill_pass(g, b, R, level)
             if F >= 1.0:
                 continue
             partial += 1
@@ -1173,6 +1229,10 @@ class TestExactRefine:
         @given(polish_instances())
         @example((make_distribution(FamilySpec(Family.GEOMETRIC_TRUNCATED,
                                                {"rate": 0.2, "low": 1, "high": 200})), 100, 2.0))
+        # at R = 2 the exact-level fill ends on a tail day and pivots back to
+        # itself, so that example alone no longer keeps the check from being vacuous
+        @example((make_distribution(FamilySpec(Family.GEOMETRIC_TRUNCATED,
+                                               {"rate": 0.2, "low": 1, "high": 200})), 100, 2.5))
         def check(instance):
             p_hat, b, R = instance
             g = build_cost_function(p_hat, b)
@@ -1202,7 +1262,7 @@ class TestExactRefine:
 
         check()
         # the exact-level fill needed no pivot where the bisected fill did (as on
-        # the explicit example), so the check was not vacuous
+        # the R = 2.5 example), so the check was not vacuous
         assert beyond_bisection
 
     def test_exact_mode_searches_and_builds_once(self, monkeypatch):
