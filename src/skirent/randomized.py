@@ -328,7 +328,9 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
     y = _as_int(y, "y")
     if y < 1:
         raise InvalidParamsError("y must be >= 1")
-    if _envelope(b, R, y + 1 - b + 1e-9) < 1.0:  # 1e-9 days to spare
+    # the envelope reaches 1 on day log1p(1/(R-1)) / log(gamma), 1e-9 days to spare;
+    # compared in log space, so a far-out y cannot overflow
+    if y + 1 - b < math.log1p(1.0 / (R - 1.0)) / _log_gamma(b) - 1e-9:
         return False
     if y + 1 - b < 1:
         return False
@@ -496,9 +498,11 @@ def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | Non
 def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
     """Whether total mass 1 fits on days costing at most h at robustness R.
 
-    One O(n) pass over the segments: maximal early fill, then a tail test that
-    asks for an admissible day d >= b with (d - 1) * remaining-mass within the
-    leftover moment budget (on the candidate table, built once per g and b).
+    One pass over the segments below b: maximal early fill, then a tail test
+    that asks for an admissible day d >= b with (d - 1) * remaining-mass within
+    the leftover moment budget.  The tail test reads ``_candidate_costs``, so the
+    first check at a given b builds that O(b) table and keeps it on g; later
+    checks at that b cost O(segments) plus a slice of it.
     """
     _check_b(b)
     _check_r(R)

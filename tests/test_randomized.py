@@ -557,6 +557,12 @@ class TestExtensionCondition:
         g = build_cost_function(one_hot(y), b)
         assert extension_condition_check(g, b, R, y) is False
 
+    @pytest.mark.parametrize("b, R, y", [(10, 2.0, 10**4), (2, 2.0, 1025), (10, 1.7, 7000)])
+    def test_far_out_one_hot_saturates(self, b, R, y):
+        # (y + 1 - b) log(gamma) is past exp's range, so the test must stay in log space
+        g = build_cost_function(one_hot(y), b)
+        assert extension_condition_check(g, b, R, y) is True
+
     def test_monotone_costs_pass_for_any_valid_y(self):
         # support far to the right keeps the cost strictly increasing
         b, R = 8, 1.8
