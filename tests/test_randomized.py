@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -1435,6 +1436,46 @@ class TestHighsReference:
         for i in range(24):
             assert_matches_highs(build_cost_function(sparse_prediction(rng, b), b), b,
                                  (1.7, 2.0, 2.5)[i % 3])
+
+
+def table_cells():
+    """(g, b, R) for the 45 table cells: 5 families x b in {50, 500, 2000} x 3 R."""
+    for label, _ in TABLE_FAMILIES:
+        for b in (50, 500, 2000):
+            g = build_cost_function(table_prediction(label), b)
+            for R in (1.7, 2.0, 2.5):
+                yield g, b, R
+
+
+def sparse_cells():
+    """(g, b, R) for the 48 seeded sparse inputs of ``TestHighsReference``."""
+    for b in (50, 500):
+        rng = np.random.default_rng(b)
+        for i in range(24):
+            yield build_cost_function(sparse_prediction(rng, b), b), b, (1.7, 2.0, 2.5)[i % 3]
+
+
+def exact_digest(cells) -> str:
+    """sha256 over the lines repr((support, objective)) of exact ``water_fill``."""
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g, b, R in cells:
+            policy, objective = water_fill(g, b, R)
+            digest.update((repr((policy.support, objective)) + "\n").encode())
+    return digest.hexdigest()
+
+
+class TestExactOutputs:
+    """Exact mode bit for bit: any change to the simplex's arithmetic shows here."""
+
+    def test_table_cells_digest(self):
+        assert exact_digest(table_cells()) == (
+            "530b4c0723d69e177d0d301d0a0dfcd75005131cdcc642fed6f3a74a5f372772")
+
+    def test_sparse_inputs_digest(self):
+        assert exact_digest(sparse_cells()) == (
+            "a220d47b0f3f3d76216a4dbe770ab118003df792a3d5ed53a4b57ef30e210030")
 
 
 class TestStaircaseSimplex:
