@@ -122,6 +122,13 @@ def _require(args, *names: str) -> None:
             raise InvalidParamsError(f"missing required option {flag}")
 
 
+def _reject(args, names: tuple[str, ...], why: str) -> None:
+    """Exit 2 on any of these flags when given, rather than run without them."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise InvalidParamsError(f"{', '.join(given)} {why}")
+
+
 def _validate_common(args) -> None:
     if getattr(args, "b", None) is not None and args.b < 2:
         raise InvalidParamsError("--b must be >= 2")
@@ -144,12 +151,15 @@ def _validate_common(args) -> None:
 
 
 def cmd_threshold(args) -> int:
+    if args.lam is None:
+        _reject(args, ("eta", "metric"), "applies only with --lambda")
     p_hat = _load_dist(args.dist)
     t_star, cost = optimal_threshold(p_hat, args.b)
     payload = {"t_star": _threshold_json(t_star), "cost": cost}
     if args.lam is not None:
         eta = args.eta if args.eta is not None else 0.0
-        report = robust_consistent_bound(p_hat, args.b, args.lam, eta, metric=args.metric)
+        report = robust_consistent_bound(p_hat, args.b, args.lam, eta,
+                                         metric=args.metric or "wasserstein")
         payload["clamped_t"] = report.clamped_t
         payload["bound_report"] = {
             "robust_term": report.robust_term,
@@ -228,10 +238,7 @@ def cmd_experiment(args) -> int:
     b = args.b if args.b is not None else 50
     r = args.r if args.r is not None else 1.7
     if args.which == "table":
-        given = [f"--{name}" for name in ("etas", "trials", "seed")
-                 if getattr(args, name) is not None]
-        if given:
-            raise InvalidParamsError(f"{', '.join(given)} applies only to 'experiment sweep'")
+        _reject(args, ("etas", "trials", "seed"), "applies only to 'experiment sweep'")
         _log(args, f"running consistency table at (b, R) = ({b}, {r})")
         result = run_consistency_table(b=b, R=r, epsilon=args.epsilon)
     else:
@@ -300,6 +307,7 @@ def cmd_verify(args) -> int:
 
 
 def _verify_grid(args, lines: list[str]) -> int:
+    _reject(args, ("b", "r"), "applies only with --onehot or --policy")
     b_max = args.b_max
     n_inst = args.instances
     if not 4 <= b_max <= ORACLE_B_MAX:
@@ -392,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, dist=True)
     sp.add_argument("--lambda", dest="lam", type=float, help="clamp parameter in (0, 1)")
     sp.add_argument("--eta", type=float, help="assumed prediction error for the bound")
-    sp.add_argument("--metric", choices=["wasserstein", "tv"], default="wasserstein")
+    sp.add_argument("--metric", choices=["wasserstein", "tv"],
+                    help="error metric of --eta (default wasserstein)")
     sp.set_defaults(func=cmd_threshold, needs=("dist", "b"))
 
     sp = sub.add_parser("clamp", help="clamp a buy day to the safe interval")

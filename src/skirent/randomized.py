@@ -61,16 +61,9 @@ class StoppingDistribution(_Pmf):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self._days_arr, size=size, p=self._mass_arr)
 
-    def to_json_dict(self, b: int | None = None, r: float | None = None,
-                     objective: float | None = None) -> dict:
-        out: dict = {"pmf": [[d, m] for d, m in self.support]}
-        if b is not None:
-            out["b"] = b
-        if r is not None:
-            out["R"] = r
-        if objective is not None:
-            out["objective"] = objective
-        return out
+    def to_json_dict(self, b: int, r: float, objective: float) -> dict:
+        return {"pmf": [[d, m] for d, m in self.support], "b": b, "R": r,
+                "objective": objective}
 
 
 def parse_policy(obj: dict) -> StoppingDistribution:

@@ -8,9 +8,20 @@ with costs c_t, the LP minimises sum c_t f_t subject to
 Its rows are prefix sums along the day, a staircase (Fourer, "Solving staircase
 linear programs by the simplex method", Math. Programming, 1982).  A basis is
 the set S of candidates whose f is basic and the set X of rows whose slack is
-nonbasic (zero), with |S| = |X| + 1.  Below b every day x is of one of four
-kinds: A (in S and X, as on a fill's runs), G (in neither, a gap), C (in S
-only, like a fill's last day) or D (in X only).
+nonbasic (zero), with |S| = |X| + 1.  Below b every day x is of one of three
+kinds: A (in S and X, as on a fill's runs), G (in neither, a gap) or C (in S
+only, like a fill's last day).
+
+The lemma that leaves three kinds: rows x - 1 and x differ by one recurrence,
+s_x = s_{x-1} + (R-1) + F_{x-1} - (b-1) f_x with F_x the mass bought by day x,
+so at any feasible point a row below b whose day holds no mass has slack at
+least R - 1 > 0, and a tight row's day holds mass at least (R-1)/(b-1).  The
+warm start makes a row tight only on a support day, and a pivot only turns a
+day A or G into C, C back into A or G, or the entering day into the other of
+A and G; so no basis has a fourth kind, in X only.  Nor can an A day's mass or
+a gap's slack reach zero along a step, save on the entering day: the ratio
+test and the feasibility check look only at the C days, the masses from day b
+on, a basic tail slack and the entering day's other variable.
 
 ``randomized`` imports this module only when exact water filling runs.
 """
@@ -26,7 +37,7 @@ import numpy as np
 from .randomized import (CostFunction, StoppingDistribution, _candidate_costs, _log_gamma,
                          expected_policy_cost)
 
-_G, _C, _D, _A = 0, 1, 2, 3
+_G, _C, _A = 0, 1, 3  # S + 2 X on a day below b
 MAX_PIVOTS_PER_ROW = 20  # the simplex stops after this many pivots per LP row
 
 
@@ -34,40 +45,43 @@ def _solve_unknowns(rows: list, known: int) -> list[list[float]]:
     """The unknowns that zero a pass's equations, one list per known column.
 
     Each row is an equation over the pass's columns: ``known`` right-hand sides
-    first, then one column per unknown.  A basis leaves one or two unknowns
-    (a C day, a candidate from day b on, lam, y_T), so plain Gaussian
-    elimination with partial pivoting beats a LAPACK call.
+    first, then one column per unknown.  By the lemma a basis leaves one
+    unknown, two when the tail row is tight: the C days and the S candidates
+    from day b on in a primal pass, lam and y_T in a dual one.  Gaussian
+    elimination with partial pivoting, written out for those two sizes.
     """
     k = len(rows)
-    if any(len(row) != k + known for row in rows):
+    if k not in (1, 2) or any(len(row) != k + known for row in rows):
         raise ArithmeticError("the basis is not square")
     if k == 1:  # a fill's basis, and most others
         if rows[0][known] == 0.0:
             raise ArithmeticError("singular basis")
         return [[-v / rows[0][known]] for v in rows[0][:known]]
-    aug = [list(row[known:]) + [-v for v in row[:known]] for row in rows]
-    for i in range(k):
-        p = max(range(i, k), key=lambda r: abs(aug[r][i]))
-        aug[i], aug[p] = aug[p], aug[i]
-        pivot = aug[i][i]
-        if pivot == 0.0:
-            raise ArithmeticError("singular basis")
-        for r in range(i + 1, k):
-            factor = aug[r][i] / pivot
-            if factor:
-                aug[r] = [u - factor * v for u, v in zip(aug[r], aug[i])]
-    out = [[0.0] * k for _ in range(known)]
-    for i in range(k - 1, -1, -1):
-        for j in range(known):
-            rest = aug[i][k + j] - sum(aug[i][c] * out[j][c] for c in range(i + 1, k))
-            out[j][i] = rest / aug[i][i]
+    top, low = rows
+    if abs(low[known]) > abs(top[known]):
+        top, low = low, top
+    pivot, upper = top[known:]
+    if pivot == 0.0:
+        raise ArithmeticError("singular basis")
+    top_rhs, low_rhs = [-v for v in top[:known]], [-v for v in low[:known]]
+    rest = low[known + 1]
+    factor = low[known] / pivot
+    if factor:
+        rest -= factor * upper
+        low_rhs = [u - factor * v for u, v in zip(low_rhs, top_rhs)]
+    if rest == 0.0:
+        raise ArithmeticError("singular basis")
+    out = []
+    for u, v in zip(top_rhs, low_rhs):
+        second = v / rest
+        out.append([(u - upper * second) / pivot, second])
     if not all(math.isfinite(v) for col in out for v in col):
         raise ArithmeticError("singular basis")
     return out
 
 
 class _Layout(NamedTuple):
-    """A basis as pieces: the runs of one kind over days 1..b-1, each C and D day alone."""
+    """A basis as pieces: the runs of one kind over days 1..b-1, each C day alone."""
 
     kinds: list[int]
     starts: list[int]  # first days
@@ -79,21 +93,23 @@ class _Layout(NamedTuple):
 
 
 class _Vertex(NamedTuple):
-    """A basic solution and its change per unit of an entering variable, piece by piece.
+    """A basic solution piece by piece, and the basic variables that can block a step.
 
-    ``value`` and ``change`` hold, per piece, the first day's f (A) or scaled
-    slack (gap), then per piece its rise a day, then f and scaled slack on each
-    C day, then the tail's scaled slack; ``end`` holds f on the S candidates
-    from day b on (``end_ids``).  Slacks are divided by b - 1, their rows' scale.
+    ``value`` holds, per piece, the first day's f (A) or scaled slack (gap),
+    then per piece its rise a day, then f and scaled slack on each C day, then
+    the tail's scaled slack; ``end`` holds f on the S candidates from day b on
+    (``end_ids``).  Slacks are divided by b - 1, their rows' scale.
+    ``blocking`` holds (value, change per unit of the entering variable,
+    variable number) for each basic variable that can reach zero, in day
+    order: f and slack on each C day, the entering day's other variable, f on
+    the candidates from day b on, and the tail's slack when basic.
     """
 
     pieces: list
     value: list
-    change: list
     end: list
-    end_change: list
     end_ids: np.ndarray
-    tail_basic: bool
+    blocking: list
 
 
 class Staircase:
@@ -102,10 +118,10 @@ class Staircase:
     The prefix rows make every basis a chain in the day: below b the state
     U_x = s_x + (b-1) F_x, with F_x the mass bought by day x, grows by
     F_{x-1} + R - 1 a day, so a primal solve runs forward and a dual solve
-    backward, with one closed form per piece of equal kind.  A C day adds an
-    unknown and a D day an equation, as do the S candidates from day b on and
-    the tail and mass rows; a pass runs once per unknown and solves for them
-    at its end.  Bases carry one or two unknowns, so a solve costs O(b + n).
+    backward, with one closed form per piece of equal kind.  A C day and an S
+    candidate from day b on each add an unknown, the mass row and a tight tail
+    row an equation; a pass runs once per unknown and solves for them at its
+    end.  Bases carry one or two unknowns, so a solve costs O(b + n).
     """
 
     def __init__(self, g: CostFunction, b: int, R: float) -> None:
@@ -148,7 +164,7 @@ class Staircase:
         b = self.b
         early_S, early_X = S[:b - 1], X[:b - 1]
         kind = early_S.view(np.int8) + 2 * early_X.view(np.int8)
-        alone = early_S != early_X
+        alone = kind == _C
         new = np.empty(b - 1, dtype=bool)
         new[0] = True
         np.not_equal(kind[1:], kind[:-1], out=new[1:])
@@ -194,9 +210,20 @@ class Staircase:
         known = _solve_unknowns(list(zip(*(col[0] for col in columns))), 2)
         coef = np.array([[1.0, 0.0] + known[0], [0.0, 1.0] + known[1]])
         value, change = (coef @ np.array([col[1] for col in columns])).tolist()
-        n_end = len(t_end)
-        return _Vertex(pieces, value, change, known[0][len(known[0]) - n_end:],
-                       known[1][len(known[1]) - n_end:], end, not tight)
+        end_value, end_change = (col[len(col) - len(t_end):] for col in known)
+        c_days = iter(range(2 * len(pieces), len(value) - 1, 2))
+        blocking = []
+        for i, (kind, s, _) in enumerate(pieces):
+            if kind == _C:
+                j = next(c_days)
+                blocking += [(value[j], change[j], s - 1),
+                             (value[j + 1], change[j + 1], n + s - 1)]
+            elif s == day:  # the entering day's other variable: f on A, slack on G
+                blocking.append((value[i], change[i], s - 1 if kind == _A else n + s - 1))
+        blocking += zip(end_value, end_change, end.tolist())
+        if not tight:
+            blocking.append((value[-1], change[-1], n + b - 1))
+        return _Vertex(pieces, value, end_value, end, blocking)
 
     def _forward(self, pieces: list, t_end: list, tail_tight: bool, rho: float = 0.0,
                  mass: float = 0.0, f_day: int = 0, s_day: int = 0,
@@ -204,15 +231,15 @@ class Staircase:
         """One column of a primal solve, from day 1 up.
 
         The column has R - 1 = ``rho`` and the mass ``mass``, and a unit of f
-        on day ``f_day`` (a C day's unknown or an entering gap or D day) or on
-        day ``f_end`` from b on, or of slack on row ``s_day`` (b for the tail).
-        Returns the residuals of the D rows, the mass row and a tight tail row,
-        and per piece the first day's f (A) or scaled slack (gap) and its rise
-        per day, then f and scaled slack on each C day and the tail's slack.
+        on day ``f_day`` (a C day's unknown or an entering gap day) or on day
+        ``f_end`` from b on, or of slack on row ``s_day`` (b for the tail).
+        Returns the residuals of the mass row and a tight tail row, and per
+        piece the first day's f (A) or scaled slack (gap) and its rise per
+        day, then f and scaled slack on each C day and the tail's slack.
         """
         b, lg = self.b, self.log_gamma
         U = F = 0.0
-        residuals, first, rise, both = [], [], [], []
+        first, rise, both = [], [], []
         for kind, s, e in pieces:
             last = F
             U += F + rho
@@ -226,11 +253,6 @@ class Staircase:
                 continue
             if s == f_day:
                 F += 1.0
-            if kind == _D:
-                residuals.append(U - (b - 1.0) * F - (s == s_day))
-                first.append(0.0)
-                rise.append(0.0)
-                continue
             slack = U / (b - 1.0) - F
             if kind == _C:
                 both += [F - last, slack]
@@ -241,72 +263,32 @@ class Staircase:
                 rise.append((F + rho) / (b - 1.0))
                 U += (e - s) * (F + rho)
         tail = rho + U - (b - 2.0) * F - max(f_end - 1.0, 0.0)
-        residuals.append(F + (f_end > 0.0) - mass)
+        residuals = [F + (f_end > 0.0) - mass]
         if tail_tight:
             residuals.append(tail - (s_day == b))
         return residuals, first + rise + both + [tail / (b - 1.0)]
 
     def feasible(self, v: _Vertex) -> bool:
-        """Whether no basic variable of ``v`` falls below -1e-9."""
-        count = len(v.pieces)
-        low = min(v.value[2 * count:-1] + v.end + v.value[-1:] * v.tail_basic, default=0.0)
-        for (kind, s, e), first, rise in zip(v.pieces, v.value, v.value[count:]):
-            if kind == _A:  # f = rise gamma^(x-s-1) after the first day
-                low = min(low, first, rise) if e > s else min(low, first)
-            elif kind == _G:
-                low = min(low, first, first + (e - s) * rise)
-        return low >= -1e-9
+        """Whether no basic variable of ``v`` that can block falls below -1e-9; by
+        the lemma the A days' masses and the gaps' slacks are then positive."""
+        return min((value for value, _, _ in v.blocking), default=0.0) >= -1e-9
 
     def leaving(self, v: _Vertex) -> tuple[int, float]:
-        """The ratio test: the basic variable that first reaches zero as the entering
-        one grows, and that step.
+        """The ratio test: the blocking variable that first reaches zero as the
+        entering one grows, and that step.
 
-        Along an A run f_x = rise gamma^(x-s-1) after its first day s, so those days
-        share one ratio; a gap's slack and its change are linear in the day, so its
-        least ratio lies at an end of the days where it falls.  Ties go to the
-        smallest variable number on a degenerate step, else to the steepest fall.
+        Ties go to the smallest variable number on a degenerate step, else to the
+        steepest fall.
         """
-        b, n, count = self.b, self.t.size, len(v.pieces)
-        ratios = []  # (ratio, steepest change, smallest number, number at that change)
-
-        def falls(value, change, number, steepest=None, steepest_number=None):
-            if change < -1e-12:
-                ratios.append(((value if value > 1e-13 else 0.0) / -change,
-                               change if steepest is None else steepest, number,
-                               number if steepest_number is None else steepest_number))
-
-        c_days = iter(range(2 * count, len(v.value) - 1, 2))
-        for (kind, s, e), first, rise, d_first, d_rise in zip(
-                v.pieces, v.value, v.value[count:], v.change, v.change[count:]):
-            if kind == _A:
-                falls(first, d_first, s - 1)
-                if e > s:  # gamma^(e-s-1) is largest on day e
-                    falls(rise, d_rise, s, d_rise * math.exp((e - s - 1) * self.log_gamma), e - 1)
-            elif kind == _G:
-                last = e - s
-                if d_rise == 0.0:
-                    lo, hi = (0, last) if d_first < -1e-12 else (1, 0)
-                elif d_rise > 0.0:  # falls while k < (-1e-12 - d_first) / d_rise
-                    lo, hi = 0, min(last, math.ceil((-1e-12 - d_first) / d_rise) - 1)
-                else:
-                    lo, hi = max(0, math.floor((-1e-12 - d_first) / d_rise) + 1), last
-                for k in {lo, hi} if lo <= hi else ():
-                    falls(first + k * rise, d_first + k * d_rise, n + s + k - 1)
-            elif kind == _C:
-                j = next(c_days)
-                falls(v.value[j], v.change[j], s - 1)
-                falls(v.value[j + 1], v.change[j + 1], n + s - 1)
-        for value, change, number in zip(v.end, v.end_change, v.end_ids.tolist()):
-            falls(value, change, number)
-        if v.tail_basic:
-            falls(v.value[-1], v.change[-1], n + b - 1)
+        ratios = [((value if value > 1e-13 else 0.0) / -change, change, number)
+                  for value, change, number in v.blocking if change < -1e-12]
         if not ratios:
             raise ArithmeticError("unbounded step")
         theta = min(r[0] for r in ratios)
         ties = [r for r in ratios if r[0] <= theta * (1.0 + 1e-12)]
         if theta == 0.0:
             return min(r[2] for r in ties), theta
-        return min(ties, key=lambda r: r[1])[3], theta
+        return min(ties, key=lambda r: r[1])[2], theta
 
     def masses(self, v: _Vertex) -> np.ndarray:
         """f on every candidate day at the basic solution of ``v``."""
@@ -342,8 +324,6 @@ class Staircase:
                    self._backward(pieces, t_end, c_end, lam=1.0)]
         if tail_tight:
             columns.append(self._backward(pieces, t_end, c_end, y_T=1.0))
-        columns += [self._backward(pieces, t_end, c_end, d_day=s)
-                    for kind, s, _ in pieces if kind == _D]
         coef = np.array([1.0] + _solve_unknowns(list(zip(*(col[0] for col in columns))), 1)[0])
         lam = float(coef[1])
         y_T = float(coef[2]) if tail_tight else 0.0
@@ -365,15 +345,15 @@ class Staircase:
         return lam, y, y_T, reduced
 
     def _backward(self, pieces: list, t_end: list, c_end: list, costs: bool = False,
-                  lam: float = 0.0, y_T: float = 0.0, d_day: int = 0) -> tuple[list, list]:
+                  lam: float = 0.0, y_T: float = 0.0) -> tuple[list, list]:
         """One column of a dual solve, from day b down.
 
-        The column has the costs if ``costs``, and the given lam and y_T, and a
-        unit of y on D day ``d_day``.  With W_t = y_T + sum_{x >= t} y_x and
-        Z_t = sum_{x >= t} (b-x) y_x, day t's reduced cost is c_t + E_t where
-        E_t = (t-1) W_t + Z_t - lam falls by W_{t+1} from day t+1 to t and rises
-        by (b-1) y_t.  Returns the residuals of the S candidates from day b on
-        and of the C days, then W and E at each piece's last day, from the top.
+        The column has the costs if ``costs``, and the given lam and y_T.  With
+        W_t = y_T + sum_{x >= t} y_x and Z_t = sum_{x >= t} (b-x) y_x, day t's
+        reduced cost is c_t + E_t where E_t = (t-1) W_t + Z_t - lam falls by
+        W_{t+1} from day t+1 to t and rises by (b-1) y_t.  Returns the residuals
+        of the S candidates from day b on and of the C days, then W and E at
+        each piece's last day, from the top.
         """
         b, lg, c, H = self.b, self.log_gamma, self.c, self.H
         W, E = y_T, (b - 1.0) * y_T - lam
@@ -384,10 +364,6 @@ class Staircase:
                 cost = float(c[e - 1]) if costs else 0.0
                 W += (W - E - cost) / (b - 1.0)
                 E = -cost
-            elif kind == _D:
-                y = float(s == d_day)
-                E += (b - 1.0) * y - W
-                W += y
             else:
                 E -= W
                 if kind == _C:

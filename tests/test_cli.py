@@ -57,6 +57,24 @@ class TestThresholdCommand:
         assert code == 2
         assert out == "" and err.startswith("error:") and "--eta" in err
 
+    @pytest.mark.parametrize("extra", [("--eta", "2"), ("--metric", "tv"),
+                                       ("--metric", "wasserstein"),
+                                       ("--eta", "2", "--metric", "tv")],
+                             ids=["eta", "metric_tv", "metric_default", "both"])
+    def test_bound_options_without_lambda_exit_2(self, capsys, extra):
+        # these exited 0 with the bare threshold, the flags ignored
+        code, out, err = run_cli(capsys, "threshold", "--dist", TWO_ATOM, "--b", "3", *extra)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "--lambda" in err and all(flag in err for flag in extra[::2])
+
+    def test_metric_defaults_to_wasserstein(self, capsys):
+        argv = ("threshold", "--dist", TWO_ATOM, "--b", "50", "--lambda", "0.5", "--eta", "0.1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--metric", "wasserstein")[1] == out
+        assert run_cli(capsys, *argv, "--metric", "tv")[1] != out
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -315,6 +333,22 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == "" and argv[0] in err
+
+    @pytest.mark.parametrize("argv", [("--b", "5"), ("--r", "3"), ("--b", "5", "--r", "3")],
+                             ids=["b", "r", "both"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_grid_rejects_policy_options(self, capsys, tmp_path, argv, via_config):
+        # the grid ran and exited 0, ignoring --b and --r
+        flags = argv[::2]
+        if via_config:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({flag[2:]: json.loads(value) for flag, value
+                                        in zip(argv[::2], argv[1::2])}))
+            argv = ("--config", str(conf))
+        code, out, err = run_cli(capsys, "verify", "--instances", "1", *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "--onehot" in err and all(flag in err for flag in flags)
 
     @pytest.mark.parametrize("extra", [("--b", "101"), ("--b", "50", "--r", "10")])
     def test_onehot_beyond_oracle_exits_2(self, capsys, extra):

@@ -1536,6 +1536,63 @@ class TestStaircaseSimplex:
                                                 r"day\), inf above its dual bound"):
             assert randomized._lp_refine(g, 50, 1.7, start) is start
 
+    def test_bases_hold_the_lemma(self, monkeypatch, rng):
+        # the module's lemma: no day below b is tight without mass, and at a
+        # vertex every A day holds mass at least (R-1)/(b-1)
+        seen = {"layouts": 0, "vertices": 0}
+        layout, primal = staircase.Staircase.layout, staircase.Staircase.primal
+
+        def checked_layout(self, S, X):
+            seen["layouts"] += 1
+            early = X[:self.b - 1] & ~S[:self.b - 1]
+            assert not early.any(), f"rows tight without mass on days {early.nonzero()[0] + 1}"
+            return layout(self, S, X)
+
+        def checked_primal(self, basis, X, entering=-1):
+            seen["vertices"] += 1
+            vertex = primal(self, basis, X, entering)
+            on_a = self.masses(vertex)[:self.b - 1][basis.on_a]
+            floor = (self.R - 1.0) / (self.b - 1.0) * (1.0 - 1e-9)
+            assert on_a.min(initial=np.inf) >= floor, (on_a.min(), floor)
+            return vertex
+
+        monkeypatch.setattr(staircase.Staircase, "layout", checked_layout)
+        monkeypatch.setattr(staircase.Staircase, "primal", checked_primal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, b, R in (*table_cells(), *sparse_cells()):
+                water_fill(g, b, R)
+            for _ in range(40):
+                g = tied_cost_function(rng)
+                b = int(rng.integers(2, 13))
+                R = float(rng.choice([1.3, 1.7, 2.5, 4.0]))
+                if feasible_robustness(b, R):
+                    randomized._lp_refine(g, b, R, level_fill(g, b, R))
+        assert seen["layouts"] > 100 and seen["vertices"] > 100, seen
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_solve_unknowns_matches_numpy(self, rng, k):
+        for _ in range(200):
+            A = rng.uniform(1.0, 2.0, size=(1, k)) * rng.choice([-1.0, 1.0], size=(1, k))
+            if k == 2:  # a rotation's columns scaled: either row may hold the larger pivot
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                A = np.array([[np.cos(angle), -np.sin(angle)],
+                              [np.sin(angle), np.cos(angle)]]) * A
+            rhs = rng.normal(size=(k, 2))
+            rows = np.hstack((rhs, A)).tolist()
+            got = np.array(staircase._solve_unknowns(rows, 2)).T
+            np.testing.assert_allclose(got, np.linalg.solve(A, -rhs), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [2.0, 0.0, 3.0]],
+        [[1.0, 1.0, 2.0], [2.0, 2.0, 4.0]],
+        [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
+    ], ids=["zero_pivot", "zero_column", "singular_pair", "three_rows"])
+    def test_solve_unknowns_rejects_singular_and_larger_bases(self, rows):
+        with pytest.raises(ArithmeticError):
+            staircase._solve_unknowns(rows, 1)
+
 
 class TestExpectedPolicyCost:
     def test_point_mass(self, rng):
