@@ -1583,14 +1583,14 @@ class TestStaircaseSimplex:
             got = np.array(staircase._solve_unknowns(rows, 2)).T
             np.testing.assert_allclose(got, np.linalg.solve(A, -rhs), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("rows", [
-        [[1.0, 0.0]],
-        [[1.0, 0.0, 0.0], [2.0, 0.0, 3.0]],
-        [[1.0, 1.0, 2.0], [2.0, 2.0, 4.0]],
-        [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, 0.0]], "singular"),
+        ([[1.0, 0.0, 0.0], [2.0, 0.0, 3.0]], "singular"),
+        ([[1.0, 1.0, 2.0], [2.0, 2.0, 4.0]], "singular"),
+        ([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]], "not square"),
     ], ids=["zero_pivot", "zero_column", "singular_pair", "three_rows"])
-    def test_solve_unknowns_rejects_singular_and_larger_bases(self, rows):
-        with pytest.raises(ArithmeticError):
+    def test_solve_unknowns_rejects_singular_and_larger_bases(self, rows, message):
+        with pytest.raises(ArithmeticError, match=message):
             staircase._solve_unknowns(rows, 1)
 
 
