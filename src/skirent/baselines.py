@@ -19,23 +19,25 @@ class BaselineKind(str, Enum):
 def lambda_from_r(b: int, R: float) -> float:
     """Branch parameter matching robustness R: 1/b - log(1 - (1+1/b)/R).
 
-    Raises InvalidRError (carrying the raw value) when the log argument is
-    nonpositive or the produced parameter falls outside (0, 1].
+    Raises InvalidRError (carrying the raw value) when R is not finite or is at
+    most 1 + 1/b, where the mapping diverges (raw value inf), or when the
+    produced parameter falls outside (0, 1].
     """
     _check_b(b)
-    arg = 1.0 - (1.0 + 1.0 / b) / R
-    if arg <= 0.0:
-        raise InvalidRError(f"R={R} is too close to 1 + 1/b; mapping diverges", math.inf)
-    lam = 1.0 / b - math.log(arg)
+    if not math.isfinite(R) or R <= 1.0 + 1.0 / b:
+        raise InvalidRError(f"R={R} must be finite and exceed 1 + 1/b", math.inf)
+    lam = 1.0 / b - math.log(1.0 - (1.0 + 1.0 / b) / R)  # positive: R > 1 + 1/b
     if not 0.0 < lam <= 1.0:
         raise InvalidRError(f"R={R} maps to branch parameter {lam} outside (0, 1]", lam)
     return lam
 
 
 def r_from_lambda(b: int, lam: float) -> float:
-    """Inverse mapping: the robustness level of the branch parameter."""
+    """Inverse mapping: the robustness level of a branch parameter in (1/b, 1]."""
     _check_b(b)
-    return (1.0 + 1.0 / b) / (1.0 - math.exp(-(lam - 1.0 / b)))
+    if not 1.0 / b < lam <= 1.0:
+        raise InvalidParamsError(f"lambda must lie in (1/b, 1] = ({1.0 / b}, 1], got {lam}")
+    return (1.0 + 1.0 / b) / -math.expm1(1.0 / b - lam)
 
 
 def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:

@@ -21,6 +21,7 @@ from .deterministic import (
 from .distributions import (
     DayDistribution,
     _check_finite,
+    _check_seed,
     parse_distribution,
     total_variation,
     wasserstein1,
@@ -75,10 +76,36 @@ def _load_dist(source: str) -> DayDistribution:
     return parse_distribution(text)
 
 
-# config-file key -> argparse dest; each key is also the name of its flag
-CONFIG_KEYS = {"b": "b", "r": "r", "lambda": "lam", "epsilon": "epsilon", "seed": "seed",
-               "dist": "dist", "out": "out", "format": "format", "etas": "etas",
-               "trials": "trials"}
+# flag -> (argparse dest, its other argparse keywords); every flag is declared here once
+FLAGS = {
+    "--config": ("config", {"help": "JSON config file; flags override its values"}),
+    "--out": ("out", {"help": "also write the result to this path"}),
+    "--quiet": ("quiet", {"action": "store_true", "help": "suppress progress logs"}),
+    "--dist": ("dist", {"help": "distribution as inline JSON or a file path"}),
+    "--dist2": ("dist2", {"help": "second distribution for distance metrics"}),
+    "--policy": ("policy", {"help": "policy JSON file to score or verify"}),
+    "--b": ("b", {"type": int, "help": "buy cost (integer >= 2)"}),
+    "--r": ("r", {"type": float, "help": "robustness level (> 1)"}),
+    "--lambda": ("lam", {"type": float, "help": "clamp parameter in (0, 1)"}),
+    "--eta": ("eta", {"type": float, "help": "assumed prediction error for the bound"}),
+    "--metric": ("metric", {"choices": ["wasserstein", "tv"],
+                            "help": "error metric of --eta (default wasserstein)"}),
+    "--t-hat": ("t_hat", {"help": "predicted buy day (integer or 'never')"}),
+    "--published": ("published", {"action": "store_true",
+                                  "help": "level-restricted policy without exact redistribution"}),
+    "--epsilon": ("epsilon", {"type": float, "help": "water-level bisection tolerance"}),
+    "--kind": ("kind", {"choices": ["majority", "mixture"]}),
+    "--seed": ("seed", {"type": int, "help": "master seed (or env SKIRENT_SEED)"}),
+    "--etas": ("etas", {"help": "comma-separated perturbation budgets"}),
+    "--trials": ("trials", {"type": int, "help": "random transports per budget"}),
+    "--format": ("format", {"choices": ["csv", "json"]}),
+    "--b-max": ("b_max", {"type": int, "help": "largest b of the grid (default 12)"}),
+    "--instances": ("instances", {"type": int, "help": "grid instances (default 200)"}),
+    "--onehot": ("onehot", {"action": "store_true",
+                            "help": "sweep the closed-form one-hot optimum against the LP"}),
+}
+COMMON = ("--config", "--out", "--quiet")  # every command takes these
+CONFIG_KEYS = {"b", "r", "lambda", "epsilon", "seed", "dist", "out", "format", "etas", "trials"}
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str],
@@ -97,8 +124,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str],
         raise InvalidParamsError("the config file must hold a JSON object")
     extra = [f"--{key}={value if isinstance(value, str) else json.dumps(value)}"
              for key, value in conf.items()
-             if key in CONFIG_KEYS and hasattr(args, CONFIG_KEYS[key])
-             and getattr(args, CONFIG_KEYS[key]) is None]
+             if key in CONFIG_KEYS  # a flag this command lacks reads as False, not None
+             and getattr(args, FLAGS[f"--{key}"][0], False) is None]
     return parser.parse_args([*argv, *extra]) if extra else args
 
 
@@ -110,23 +137,8 @@ def _resolve_seed(args) -> int:
             seed = int(env) if env else 0
         except ValueError:
             raise InvalidParamsError(f"SKIRENT_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise InvalidParamsError(f"the seed must be >= 0, got {seed}")
+    _check_seed(seed)
     return seed
-
-
-def _require(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            flag = "--" + name.replace("_", "-").replace("lam", "lambda")
-            raise InvalidParamsError(f"missing required option {flag}")
-
-
-def _reject(args, names: tuple[str, ...], why: str) -> None:
-    """Exit 2 on any of these flags when given, rather than run without them."""
-    given = [f"--{name}" for name in names if getattr(args, name) is not None]
-    if given:
-        raise InvalidParamsError(f"{', '.join(given)} {why}")
 
 
 def _validate_common(args) -> None:
@@ -151,8 +163,6 @@ def _validate_common(args) -> None:
 
 
 def cmd_threshold(args) -> int:
-    if args.lam is None:
-        _reject(args, ("eta", "metric"), "applies only with --lambda")
     p_hat = _load_dist(args.dist)
     t_star, cost = optimal_threshold(p_hat, args.b)
     payload = {"t_star": _threshold_json(t_star), "cost": cost}
@@ -220,7 +230,6 @@ def cmd_metrics(args) -> int:
         payload["wasserstein1"] = wasserstein1(p, q)
         payload["total_variation"] = total_variation(p, q)
     if args.policy is not None:
-        _require(args, "b")
         with open(args.policy) as fh:
             policy = parse_policy(json.load(fh))
         payload["consistency"] = consistency(p, policy, args.b)
@@ -228,8 +237,6 @@ def cmd_metrics(args) -> int:
         payload["expected_cost"] = expected_policy_cost(policy, g)
         horizon = max(policy.max_day, 5 * args.b)
         payload["worst_ratio"] = realized_worst_ratio(policy, args.b, horizon)
-    if not payload:
-        raise InvalidParamsError("metrics needs --dist2 and/or --policy")
     _emit(args, payload)
     return EXIT_OK
 
@@ -238,7 +245,6 @@ def cmd_experiment(args) -> int:
     b = args.b if args.b is not None else 50
     r = args.r if args.r is not None else 1.7
     if args.which == "table":
-        _reject(args, ("etas", "trials", "seed"), "applies only to 'experiment sweep'")
         _log(args, f"running consistency table at (b, R) = ({b}, {r})")
         result = run_consistency_table(b=b, R=r, epsilon=args.epsilon)
     else:
@@ -259,7 +265,6 @@ def cmd_experiment(args) -> int:
 
 
 def _verify_policy_file(args, lines: list[str]) -> int:
-    _require(args, "b", "r")
     with open(args.policy) as fh:
         policy = parse_policy(json.load(fh))
     report = check_robustness(policy, args.b, args.r)
@@ -272,7 +277,6 @@ def _verify_policy_file(args, lines: list[str]) -> int:
 
 
 def _verify_onehot(args, lines: list[str]) -> int:
-    _require(args, "b")
     b = args.b
     if b > ORACLE_B_MAX:
         raise InvalidParamsError(f"--b must be at most {ORACLE_B_MAX} with --onehot "
@@ -296,20 +300,15 @@ def _verify_onehot(args, lines: list[str]) -> int:
 
 def cmd_verify(args) -> int:
     lines: list[str] = []
-    if args.policy is not None:
-        code = _verify_policy_file(args, lines)
-    elif args.onehot:
-        code = _verify_onehot(args, lines)
-    else:
-        code = _verify_grid(args, lines)
+    check = {"--policy": _verify_policy_file, "--onehot": _verify_onehot, "": _verify_grid}
+    code = check[args.mode](args, lines)
     _emit(args, "\n".join(lines) + "\n")
     return code
 
 
 def _verify_grid(args, lines: list[str]) -> int:
-    _reject(args, ("b", "r"), "applies only with --onehot or --policy")
-    b_max = args.b_max
-    n_inst = args.instances
+    b_max = 12 if args.b_max is None else args.b_max
+    n_inst = 200 if args.instances is None else args.instances
     if not 4 <= b_max <= ORACLE_B_MAX:
         raise InvalidParamsError(f"--b-max must lie in [4, {ORACLE_B_MAX}] "
                                  f"(the LP oracle's horizon is 4b, capped at {MAX_HORIZON})")
@@ -380,79 +379,71 @@ def _verify_grid(args, lines: list[str]) -> int:
     return EXIT_OK if failures == 0 else EXIT_COMPUTE
 
 
+# command -> (function, help, modes).  The first mode whose flag is given (or
+# whose name is experiment's positional) picks the mode, and "" when none is;
+# a mode maps to the flags it requires and the flags it also reads.
+COMMANDS = {
+    "threshold": (cmd_threshold, "optimal buy day, optionally clamped and bounded", {
+        "--lambda": (("--lambda", "--dist", "--b"), ("--eta", "--metric")),
+        "": (("--dist", "--b"), ())}),
+    "clamp": (cmd_clamp, "clamp a buy day to the safe interval", {
+        "": (("--t-hat", "--b", "--lambda"), ())}),
+    "waterfill": (cmd_waterfill, "robust randomized stopping distribution", {
+        "--published": (("--published", "--dist", "--b", "--r"), ("--epsilon",)),
+        "": (("--dist", "--b", "--r"), ())}),
+    "baseline": (cmd_baseline, "point-prediction baseline policies", {
+        "": (("--dist", "--b", "--r", "--kind"), ())}),
+    "metrics": (cmd_metrics, "distances between distributions, policy scores", {
+        "--policy": (("--policy", "--dist", "--b"), ("--dist2",)),
+        "": (("--dist", "--dist2"), ())}),
+    "experiment": (cmd_experiment, "run the consistency table or the error sweep", {
+        "table": ((), ("--b", "--r", "--epsilon", "--format")),
+        "sweep": ((), ("--b", "--r", "--epsilon", "--format", "--seed", "--etas", "--trials"))}),
+    "verify": (cmd_verify, "cross-check fast paths against brute-force oracles", {
+        "--policy": (("--policy", "--b", "--r"), ()),
+        "--onehot": (("--onehot", "--b"), ("--r",)),
+        "": ((), ("--b-max", "--instances", "--seed"))}),
+}
+
+
+def _given(args, flag: str) -> bool:
+    value = getattr(args, FLAGS[flag][0], None)  # None unset, False an unset switch
+    return value is not None and value is not False
+
+
+def _pick_mode(args) -> str:
+    """The command's mode; exit 2 on a required flag it lacks or a given flag it does not read."""
+    modes = COMMANDS[args.command][2]
+    mode = next(m for m in modes
+                if m in ("", getattr(args, "which", None)) or m in FLAGS and _given(args, m))
+    required, also = modes[mode]
+    for flag in required:
+        if not _given(args, flag):
+            raise InvalidParamsError(f"missing required option {flag}")
+    ignored = [flag for flag in FLAGS
+               if flag not in (*COMMON, *required, *also) and _given(args, flag)]
+    if ignored:
+        default = "without " + "/".join(filter(None, modes))
+        readers = [f"'{args.command} {m or default}'" for m, flags in modes.items()
+                   if any(flag in (*flags[0], *flags[1]) for flag in ignored)]
+        raise InvalidParamsError(f"{', '.join(ignored)} appl{'y' if ignored[1:] else 'ies'} "
+                                 f"only to {' or '.join(readers)}")
+    return mode
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skirent",
-        description="Robust and consistent ski-rental policies from distributional advice",
-    )
+    parser = argparse.ArgumentParser(prog="skirent", description="Robust and consistent "
+                                     "ski-rental policies from distributional advice")
     parser.add_argument("--version", action="version", version=f"skirent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, dist=False):
-        sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument("--b", type=int, help="buy cost (integer >= 2)")
-        sp.add_argument("--out", help="also write the result to this path")
-        sp.add_argument("--quiet", action="store_true", help="suppress progress logs")
-        if dist:
-            sp.add_argument("--dist", help="distribution as inline JSON or a file path")
-
-    sp = sub.add_parser("threshold", help="optimal buy day, optionally clamped and bounded")
-    common(sp, dist=True)
-    sp.add_argument("--lambda", dest="lam", type=float, help="clamp parameter in (0, 1)")
-    sp.add_argument("--eta", type=float, help="assumed prediction error for the bound")
-    sp.add_argument("--metric", choices=["wasserstein", "tv"],
-                    help="error metric of --eta (default wasserstein)")
-    sp.set_defaults(func=cmd_threshold, needs=("dist", "b"))
-
-    sp = sub.add_parser("clamp", help="clamp a buy day to the safe interval")
-    common(sp)
-    sp.add_argument("--t-hat", dest="t_hat", required=True,
-                    help="predicted buy day (integer or 'never')")
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.set_defaults(func=cmd_clamp, needs=("b", "lam"))
-
-    sp = sub.add_parser("waterfill", help="robust randomized stopping distribution")
-    common(sp, dist=True)
-    sp.add_argument("--r", type=float, help="robustness level (> 1)")
-    sp.add_argument("--epsilon", type=float, help="water-level bisection tolerance of --published")
-    sp.add_argument("--published", action="store_true",
-                    help="level-restricted policy without exact redistribution")
-    sp.set_defaults(func=cmd_waterfill, needs=("dist", "b", "r"))
-
-    sp = sub.add_parser("baseline", help="point-prediction baseline policies")
-    common(sp, dist=True)
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--kind", choices=["majority", "mixture"], required=True)
-    sp.set_defaults(func=cmd_baseline, needs=("dist", "b", "r"))
-
-    sp = sub.add_parser("metrics", help="distances between distributions, policy scores")
-    common(sp, dist=True)
-    sp.add_argument("--dist2", help="second distribution for distance metrics")
-    sp.add_argument("--policy", help="policy JSON file to score under --dist")
-    sp.set_defaults(func=cmd_metrics, needs=("dist",))
-
-    sp = sub.add_parser("experiment", help="run the consistency table or the error sweep")
-    common(sp)
-    sp.add_argument("which", choices=["table", "sweep"])
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--seed", type=int, help="master seed (or env SKIRENT_SEED)")
-    sp.add_argument("--etas", help="comma-separated perturbation budgets")
-    sp.add_argument("--trials", type=int, help="random transports per budget")
-    sp.add_argument("--format", choices=["csv", "json"])
-    sp.set_defaults(func=cmd_experiment, needs=())
-
-    sp = sub.add_parser("verify", help="cross-check fast paths against brute-force oracles")
-    common(sp)
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--b-max", dest="b_max", type=int, default=12)
-    sp.add_argument("--instances", type=int, default=200)
-    sp.add_argument("--onehot", action="store_true",
-                    help="sweep the closed-form one-hot optimum against the LP")
-    sp.add_argument("--policy", help="verify a policy JSON file against --b/--r")
-    sp.set_defaults(func=cmd_verify, needs=())
-
+    for name, (_, help_text, modes) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)  # no --eta for --etas
+        if positional := [m for m in modes if m and m not in FLAGS]:
+            sp.add_argument("which", choices=positional)
+        reads = {flag for flags in modes.values() for flag in (*flags[0], *flags[1])}
+        for flag, (dest, keywords) in FLAGS.items():
+            if flag in COMMON or flag in reads:
+                sp.add_argument(flag, dest=dest, **keywords)
     return parser
 
 
@@ -462,9 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(parser, argv, args)
+        args.mode = _pick_mode(args)
         _validate_common(args)
-        _require(args, *args.needs)
-        code = args.func(args)
+        code = COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
         return code
     except BrokenPipeError:

@@ -22,7 +22,11 @@ def is_never(t: Threshold) -> bool:
 def _check_threshold(t: Threshold) -> None:
     if is_never(t):
         return
-    if isinstance(t, bool) or int(t) != t or t < 1:
+    try:  # int() raises on NaN, infinities and non-numbers
+        valid = not isinstance(t, bool) and int(t) == t and t >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise InvalidParamsError(f"threshold must be a positive integer or NEVER, got {t!r}")
 
 

@@ -178,6 +178,7 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     is spent or a move cap is reached.  Deterministic for a given seed, and the
     result always satisfies W1(p, result) <= eta.
     """
+    _check_seed(seed)
     _check_finite(eta, "eta")
     if eta < 0:
         raise InvalidParamsError("eta must be >= 0")
@@ -243,6 +244,12 @@ class FamilySpec:
 def _check_b(b: int) -> None:
     if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b < 2:
         raise InvalidParamsError(f"buy cost b must be an integer >= 2, got {b!r}")
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed numpy's generators would refuse: anything but an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParamsError(f"the seed must be an integer >= 0, got {seed!r}")
 
 
 def _check_finite(value: float, what: str) -> None:

@@ -18,6 +18,7 @@ from .distributions import (
     perturb_wasserstein,
     _check_b,
     _check_finite,
+    _check_seed,
 )
 from .errors import InvalidParamsError
 from .randomized import (
@@ -175,6 +176,7 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
     always evaluated under the true distribution.  Each (eta, trial) pair gets
     its own child seed derived from the master seed, so runs are reproducible.
     """
+    _check_seed(seed)
     if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise InvalidParamsError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     etas = tuple(range(0, 21, 2)) if eta_grid is None else tuple(eta_grid)

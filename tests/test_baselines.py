@@ -68,6 +68,28 @@ class TestLambdaMapping:
             lambda_from_r(50, 1.5)    # maps above 1
         assert err.value.raw_value > 1.0
 
+    @pytest.mark.parametrize("R", [0.0, -1e6, 1.2, math.inf, math.nan],
+                             ids=["zero", "negative", "at_1_plus_1_over_b", "inf", "nan"])
+    def test_r_outside_the_domain_diverges(self, R):
+        # 0 divided by zero; -1e6 returned 0.19999 and inf returned 0.2
+        with pytest.raises(InvalidRError) as err:
+            lambda_from_r(5, R)
+        assert err.value.raw_value == math.inf
+
+    @pytest.mark.parametrize("lam", [0.2, 0.1, 0.0, -1.0, 2.0, 1.0 + 1e-12, math.nan],
+                             ids=["one_over_b", "below", "zero", "negative", "two",
+                                  "just_above_one", "nan"])
+    def test_lambda_outside_the_domain_rejected(self, lam):
+        # 0.2 divided by zero, 0.1 returned R = -11.4 and 2.0 returned R = 1.44
+        with pytest.raises(InvalidParamsError):
+            r_from_lambda(5, lam)
+
+    def test_lambda_just_above_one_over_b_is_finite(self):
+        # exp(-(lam - 1/b)) rounds to 1 here, so 1 - exp(...) divided by zero
+        R = r_from_lambda(5, math.nextafter(0.2, 1.0))
+        assert math.isfinite(R) and R > 1e15
+        assert r_from_lambda(5, 1.0) == pytest.approx(1.2 / (1.0 - math.exp(-0.8)), rel=1e-15)
+
 
 class TestBranches:
     def test_high_branch_b2_lambda1(self):

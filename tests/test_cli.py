@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import skirent
 import skirent.randomized as randomized
 from skirent import RobustnessReport, parse_distribution
-from skirent.cli import main
+from skirent.cli import build_parser, main
 from skirent.randomized import parse_policy
 
 TWO_ATOM = '{"atoms": [[1, 0.8], [5, 0.2]]}'
@@ -543,7 +544,12 @@ def cli_argv(draw):
             flags[flag] = draw(values)
     if command == ("waterfill",) and flags.get("--b") == "10000":
         flags["--published"] = None  # exact mode at b = 10^4 takes seconds
-    argv = list(command)
+    return _argv(command, flags)
+
+
+def _argv(command, flags):
+    """The argv of a spec key and its drawn flags; a mode token drawn as a flag goes once."""
+    argv = [token for token in command if token not in flags]
     for flag, value in flags.items():
         argv += [flag] if value is None else [flag, value]
     return argv
@@ -593,3 +599,117 @@ def test_exit_code_contract(tmp_path):
             assert code == 2, (argv, err.getvalue())
 
     check()
+
+
+# every flag of the spec above, with a strategy for its value
+SPEC_FLAGS = {flag: values for always, optional in COMMANDS.values()
+              for flag, values in {**always, **optional}.items()}
+SPEC_FLAGS["--onehot"] = st.just(None)
+
+
+@st.composite
+def argv_with_an_unread_flag(draw):
+    """A (command, mode) of the spec, plus one flag outside what that mode reads."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    always, optional = COMMANDS[command]
+    reads = {*always, *optional, *command[1:], *COMMON}
+    unread = draw(st.sampled_from(sorted(set(SPEC_FLAGS) - reads)))
+    flags = {flag: draw(values) for flag, values in always.items()}
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            flags[flag] = draw(values)
+    flags[unread] = draw(SPEC_FLAGS[unread])
+    return _argv(command, flags)
+
+
+def test_unread_flag_exits_2(tmp_path):
+    @settings(max_examples=150, deadline=None)
+    @given(argv_with_an_unread_flag())
+    @example(["threshold", "--dist", TWO_ATOM, "--b", "3", "--seed", "1"])
+    @example(["experiment", "table", "--trials", "1"])
+    @example(["experiment", "sweep", "--trials", "1", "--etas", "4", "--eta", "3"])
+    @example(["verify", "--onehot", "--b", "4", "--r", "2", "--policy", "@policy"])
+    def check(argv):
+        argv = _materialize(argv, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a flag the command does not have at all
+                code = exc.code
+        assert code == 2, (argv, err.getvalue())
+        assert out.getvalue() == "", argv
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
+
+    check()
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (["verify", "--policy", "@policy", "--b", "6", "--r", "2", "--onehot", "--seed", "3"],
+     ["--onehot", "--seed"]),
+    (["verify", "--onehot", "--b", "4", "--r", "2", "--seed", "3"], ["--seed"]),
+    (["metrics", "--dist", TWO_ATOM, "--dist2", TWO_ATOM, "--b", "5"], ["--b"]),
+    (["verify", "--policy", "@policy", "--b", "6", "--r", "2", "--b-max", "5"], ["--b-max"]),
+    (["verify", "--policy", "@policy", "--b", "6", "--r", "2", "--instances", "5"],
+     ["--instances"]),
+    (["verify", "--onehot", "--b", "4", "--instances", "5"], ["--instances"]),
+    (["waterfill", "--dist", TWO_ATOM, "--b", "5", "--r", "2", "--epsilon", "0.1"],
+     ["--epsilon"]),
+], ids=["policy_onehot_seed", "onehot_seed", "metrics_b", "policy_b_max",
+        "policy_instances", "onehot_instances", "exact_epsilon"])
+def test_ignored_flags_exit_2(capsys, tmp_path, argv, ignored):
+    # each of these exited 0, the named flags ignored
+    code, out, err = run_cli(capsys, *_materialize(argv, tmp_path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert all(flag in err for flag in ignored)
+
+
+# a valid value for every flag, "@policy" for the policy file
+VALID = {"--dist": TWO_ATOM, "--dist2": TWO_ATOM, "--policy": "@policy", "--b": "6",
+         "--r": "2", "--lambda": "0.5", "--eta": "1", "--metric": "tv", "--t-hat": "5",
+         "--published": None, "--epsilon": "1e-6", "--kind": "majority", "--seed": "1",
+         "--etas": "0", "--trials": "1", "--format": "csv", "--b-max": "4",
+         "--instances": "1", "--onehot": None}
+
+
+def readme_modes():
+    """The README's table: (command, mode) -> (required flags, all flags read)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modes = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`") and "--" in line:
+            flags = cells[2].split()
+            modes[cells[0].strip("`"), cells[1].strip("`")] = (
+                [flag.strip("*`") for flag in flags if flag.startswith("**")],
+                [flag.strip("*`") for flag in flags])
+    return modes
+
+
+def test_readme_table_matches_the_parser(capsys, tmp_path):
+    # the parser's flags are the README's, and each mode requires and reads
+    # exactly the flags its row lists
+    modes = readme_modes()
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices
+    assert sorted(subparsers) == sorted({command for command, _ in modes})
+    for (command, mode), (required, reads) in modes.items():
+        flags = {option for action in subparsers[command]._actions
+                 for option in action.option_strings} - {"-h", "--help", *COMMON}
+        assert flags == {flag for (cmd, _), (_, read) in modes.items() if cmd == command
+                         for flag in read}, command
+        base = [command] + ([mode] if mode in ("table", "sweep") else [])
+        given = {flag: VALID[flag] for flag in required}
+        argv = _argv(base, {flag: VALID[flag] for flag in reads})
+        code, _, err = run_cli(capsys, *_materialize(argv, tmp_path), "--quiet")
+        assert code in (0, 1), (argv, err)
+        for flag in set(required) - {mode}:
+            argv = _argv(base, {key: value for key, value in given.items() if key != flag})
+            code, out, err = run_cli(capsys, *_materialize(argv, tmp_path))
+            assert (code, out, err) == (2, "", f"error: missing required option {flag}\n"), argv
+        # a mode flag picks its own mode instead, as test_ignored_flags_exit_2 shows
+        for flag in flags - set(reads) - {m for cmd, m in modes if cmd == command}:
+            argv = _argv(base, {**given, flag: VALID[flag]})
+            code, out, err = run_cli(capsys, *_materialize(argv, tmp_path))
+            assert (code, out) == (2, "") and err.startswith(f"error: {flag} applies only"), argv

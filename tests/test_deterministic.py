@@ -71,6 +71,23 @@ class TestExpectedCost:
         with pytest.raises(InvalidParamsError):
             expected_cost_threshold(worked_example, 3, 0)
 
+    @pytest.mark.parametrize("t", [math.nan, -math.inf, "abc", "5", None, 2.5],
+                             ids=["nan", "minus_inf", "text", "numeral", "none", "fraction"])
+    @pytest.mark.parametrize("call", [
+        lambda p, t: expected_cost_threshold(p, 5, t), lambda p, t: exact_ecr(p, 5, t),
+        lambda p, t: clamp_threshold(t, 5, 0.5), lambda p, t: cr_bound_early(p, 5, t),
+        lambda p, t: cr_bound_late(p, 5, t),
+        lambda p, t: sufficient_condition_check(p, 5, t, 2.0)],
+        ids=["expected_cost", "exact_ecr", "clamp", "cr_early", "cr_late", "sufficient"])
+    def test_non_integer_threshold_is_typed(self, worked_example, call, t):
+        # NaN and "abc" escaped int() as a bare ValueError, -inf as an OverflowError
+        with pytest.raises(InvalidParamsError, match="positive integer or NEVER"):
+            call(worked_example, t)
+
+    def test_never_stays_valid(self, worked_example):
+        assert expected_cost_threshold(worked_example, 5, math.inf) == worked_example.mean()
+        assert clamp_threshold(NEVER, 5, 0.5) == 10
+
 
 class TestOptimalThreshold:
     def test_worked_example(self, worked_example):

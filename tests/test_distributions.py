@@ -359,6 +359,17 @@ class TestPerturbation:
         with pytest.raises(InvalidParamsError):
             perturb_wasserstein(worked_example, -1.0, seed=0)
 
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.int64(-2)])
+    def test_bad_seed_rejected(self, worked_example, eta, seed):
+        # -1 died in numpy with a ValueError and 1.5 with a TypeError
+        with pytest.raises(InvalidParamsError, match="seed"):
+            perturb_wasserstein(worked_example, eta, seed)
+
+    def test_numpy_integer_seed_draws_as_int(self, worked_example):
+        assert (perturb_wasserstein(worked_example, 3.0, np.uint64(42)).support
+                == perturb_wasserstein(worked_example, 3.0, 42).support)
+
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
     def test_non_finite_budget_rejected(self, worked_example, eta):
         # NaN died in math.ceil with a ValueError
