@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import MAX_DAYS, DayDistribution, survival, _check_b, _check_finite
+from .distributions import MAX_DAYS, DayDistribution, survival, _check_b, _check_finite, _is_finite
 from .errors import InvalidParamsError, InvalidRError, ScaleExceededError
 from .randomized import StoppingDistribution
 
@@ -19,13 +19,13 @@ class BaselineKind(str, Enum):
 def lambda_from_r(b: int, R: float) -> float:
     """Branch parameter matching robustness R: 1/b - log(1 - (1+1/b)/R).
 
-    Raises InvalidRError (carrying the raw value) when R is not finite or is at
-    most 1 + 1/b, where the mapping diverges (raw value inf), or when the
+    Raises InvalidRError (carrying the raw value) when R is not a finite number
+    or is at most 1 + 1/b, where the mapping diverges (raw value inf), or when the
     produced parameter falls outside (0, 1].
     """
     _check_b(b)
-    if not math.isfinite(R) or R <= 1.0 + 1.0 / b:
-        raise InvalidRError(f"R={R} must be finite and exceed 1 + 1/b", math.inf)
+    if not _is_finite(R) or R <= 1.0 + 1.0 / b:
+        raise InvalidRError(f"R={R!r} must be a finite number exceeding 1 + 1/b", math.inf)
     lam = 1.0 / b - math.log(1.0 - (1.0 + 1.0 / b) / R)  # positive: R > 1 + 1/b
     if not 0.0 < lam <= 1.0:
         raise InvalidRError(f"R={R} maps to branch parameter {lam} outside (0, 1]", lam)
@@ -35,6 +35,7 @@ def lambda_from_r(b: int, R: float) -> float:
 def r_from_lambda(b: int, lam: float) -> float:
     """Inverse mapping: the robustness level of a branch parameter in (1/b, 1]."""
     _check_b(b)
+    _check_finite(lam, "lambda")
     if not 1.0 / b < lam <= 1.0:
         raise InvalidParamsError(f"lambda must lie in (1/b, 1] = ({1.0 / b}, 1], got {lam}")
     return (1.0 + 1.0 / b) / -math.expm1(1.0 / b - lam)

@@ -131,6 +131,7 @@ def clamp_threshold(t_hat: Threshold, b: int, lam: float) -> int:
     """
     _check_b(b)
     _check_threshold(t_hat)
+    _check_finite(lam, "lambda")
     if not 0.0 < lam < 1.0:
         raise InvalidParamsError("lambda must lie in (0, 1)")
     lo = math.ceil(lam * b - 1e-9)

@@ -1,6 +1,7 @@
 """Finite discrete distributions over skiing days: construction, metrics, perturbation."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -170,6 +171,44 @@ def total_variation(p: DayDistribution, q: DayDistribution) -> float:
     return 0.5 * sum(np.abs(p._masses_on(days) - q._masses_on(days)).tolist())
 
 
+class _Draws:
+    """The draws ``np.random.default_rng(seed)`` makes for ``integers`` and ``uniform``.
+
+    Reads the PCG64 bit generator's raw 64-bit outputs in blocks, as Python
+    ints, and redoes numpy's arithmetic on them, so the stream stays numpy's
+    bit for bit without a ``Generator`` call per draw.  Bounds up to 2^32 take
+    32-bit words, each raw output split low half first with the high half kept
+    for the next one; larger bounds and ``uniform`` take whole outputs.
+    """
+
+    def __init__(self, seed: int) -> None:
+        pcg = np.random.default_rng(seed).bit_generator
+        self._raw = itertools.chain.from_iterable(iter(lambda: pcg.random_raw(1024).tolist(), None))
+        self._half: int | None = None  # the kept high half of the last split output
+
+    def below(self, n: int) -> int:
+        """``integers(n)`` for n >= 1, by Lemire's method; n = 1 consumes no draw."""
+        if n == 1:
+            return 0
+        bits = 32 if n <= 2**32 else 64
+        mask = (1 << bits) - 1
+        while True:
+            if bits == 64:
+                m = next(self._raw) * n
+            elif self._half is not None:
+                m, self._half = self._half * n, None
+            else:
+                raw = next(self._raw)
+                m, self._half = (raw & 0xFFFFFFFF) * n, raw >> 32
+            # numpy computes the rejection threshold only when the low word is below n
+            if m & mask >= n or m & mask >= (mask + 1 - n) % n:
+                return m >> bits
+
+    def uniform(self, high: float) -> float:
+        """``uniform(0.0, high)``: the top 53 bits of one whole output, scaled."""
+        return 0.0 + high * ((next(self._raw) >> 11) * 2.0**-53)
+
+
 def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistribution:
     """Randomly transport mass of ``p`` with total transport cost at most ``eta``.
 
@@ -189,23 +228,23 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     # moved mass can move again, so a day can drift by up to moves * max_shift
     if p.max_day + moves * max_shift >= 2**63:
         raise InvalidParamsError(f"eta={eta} could shift days past the int64 range")
-    rng = np.random.default_rng(seed)
+    draws = _Draws(seed)
     mass = dict(zip(p._days_arr.tolist(), p._mass_arr.tolist()))
     atoms = list(mass)  # the days of positive mass, in insertion order
     budget = float(eta)
     for _ in range(moves):
         if budget <= 1e-12:
             break
-        src = atoms[int(rng.integers(len(atoms)))]
-        shift = int(rng.integers(1, max_shift + 1))
-        if rng.integers(2):
+        src = atoms[draws.below(len(atoms))]
+        shift = 1 + draws.below(max_shift)
+        if draws.below(2):
             shift = -shift
         dest = max(1, src + shift)
         dist = abs(dest - src)
         if dist == 0:
             continue
         cap = min(budget / dist, mass[src])
-        delta = float(rng.uniform(0.0, cap))
+        delta = draws.uniform(cap)
         if delta <= 0.0:
             continue
         mass[src] -= delta
@@ -217,7 +256,8 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
             # rare: a zeroed day leaves the list, a revived one keeps its old place
             atoms = [d for d, m in mass.items() if m > 0.0]
         budget -= delta * dist
-    out = DayDistribution.from_pairs((d, m) for d, m in mass.items() if m > 0.0)
+    days = sorted(d for d, m in mass.items() if m > 0.0)  # unique Python ints
+    out = DayDistribution(np.array(days), np.array([mass[d] for d in days]))
     moved = wasserstein1(p, out)
     if moved > eta + 1e-9:
         raise InvariantError(f"perturbation overshot the budget: {moved} > {eta}")
@@ -252,13 +292,17 @@ def _check_seed(seed: int) -> None:
         raise InvalidParamsError(f"the seed must be an integer >= 0, got {seed!r}")
 
 
+def _is_finite(value: Any) -> bool:
+    """``math.isfinite``, but False for a non-number instead of a TypeError."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def _check_finite(value: float, what: str) -> None:
     """Reject NaN, infinities and non-numbers; NaN would slip past every range check."""
-    try:
-        finite = math.isfinite(value)
-    except TypeError:
-        finite = False
-    if not finite:
+    if not _is_finite(value):
         raise InvalidParamsError(f"{what} must be a finite number, got {value!r}")
 
 

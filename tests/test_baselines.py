@@ -84,6 +84,19 @@ class TestLambdaMapping:
         with pytest.raises(InvalidParamsError):
             r_from_lambda(5, lam)
 
+    @pytest.mark.parametrize("R", ["2", None, [2.0], 1j], ids=["numeral", "none", "list", "complex"])
+    def test_non_number_r_diverges(self, R):
+        # "2" escaped math.isfinite as a bare TypeError
+        with pytest.raises(InvalidRError) as err:
+            lambda_from_r(5, R)
+        assert err.value.raw_value == math.inf
+
+    @pytest.mark.parametrize("lam", ["0.5", None, [0.5], math.inf], ids=["numeral", "none", "list", "inf"])
+    def test_non_number_lambda_rejected(self, lam):
+        # "0.5" escaped the range comparison as a bare TypeError
+        with pytest.raises(InvalidParamsError, match="finite number"):
+            r_from_lambda(5, lam)
+
     def test_lambda_just_above_one_over_b_is_finite(self):
         # exp(-(lam - 1/b)) rounds to 1 here, so 1 - exp(...) divided by zero
         R = r_from_lambda(5, math.nextafter(0.2, 1.0))

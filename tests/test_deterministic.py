@@ -236,6 +236,13 @@ class TestClamp:
         with pytest.raises(InvalidParamsError):
             clamp_threshold(5, 10, 1.5)
 
+    @pytest.mark.parametrize("lam", ["0.5", None, [0.5], math.nan, -math.inf],
+                             ids=["numeral", "none", "list", "nan", "minus_inf"])
+    def test_non_number_lambda_is_typed(self, lam):
+        # "0.5" escaped the range comparison as a bare TypeError
+        with pytest.raises(InvalidParamsError, match="finite number"):
+            clamp_threshold(5, 10, lam)
+
 
 class TestRobustConsistentBound:
     def test_zero_error_consistent_equals_rho(self, worked_example):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -29,13 +30,14 @@ from skirent.randomized import parse_policy
 from conftest import random_day_distribution
 
 
-def perturb_reference(p: DayDistribution, eta: float, seed: int) -> DayDistribution:
-    """The perturbation loop that rebuilt the atom list on every move."""
+def perturb_reference(p: DayDistribution, eta: float, seed: int,
+                      make_rng=np.random.default_rng) -> DayDistribution:
+    """The perturbation loop that rebuilt the atom list on every move, on numpy's Generator."""
     if eta < 0:
         raise InvalidParamsError("eta must be >= 0")
     if eta == 0:
         return p
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     mass = {d: m for d, m in zip(p.days, p.probs)}
     budget = float(eta)
     max_shift = max(1, math.ceil(eta))
@@ -390,14 +392,19 @@ class TestPerturbation:
             for eta in PERTURB_ETAS:
                 q = perturb_wasserstein(p, eta, seed)
                 assert q.support == perturb_reference(p, eta, seed).support
+        # past 2^32 the shift is drawn from whole 64-bit outputs
+        for seed in range(30):
+            p = random_day_distribution(rng, max_day=80, max_atoms=3)
+            for eta in (2**32 + 0.5, 5e9, 3e12):
+                q = perturb_wasserstein(p, eta, seed)
+                assert q.support == perturb_reference(p, eta, seed).support
 
     def test_matches_rebuilding_loop_when_atoms_empty(self, rng, monkeypatch):
-        # moving every drawn sliver whole empties atoms and refills emptied ones
-        real_rng = np.random.default_rng
-
+        # moving every drawn sliver whole empties atoms and refills emptied ones;
+        # neither side's uniform then draws, so both read the same integer stream
         class WholeSliver:
             def __init__(self, seed):
-                self._rng = real_rng(seed)
+                self._rng = np.random.default_rng(seed)
 
             def integers(self, *args):
                 return self._rng.integers(*args)
@@ -405,12 +412,34 @@ class TestPerturbation:
             def uniform(self, low, high):
                 return high
 
-        monkeypatch.setattr(np.random, "default_rng", WholeSliver)
+        monkeypatch.setattr(distributions._Draws, "uniform", lambda self, high: high)
         for seed in range(100):
             p = random_day_distribution(rng, max_day=30, max_atoms=10)
             for eta in PERTURB_ETAS:
                 q = perturb_wasserstein(p, eta, seed)
-                assert q.support == perturb_reference(p, eta, seed).support
+                assert q.support == perturb_reference(p, eta, seed, WholeSliver).support
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 - 1])
+    def test_draws_match_generator(self, seed):
+        # the perturbation's draw source against numpy's Generator on one seed, in
+        # random interleavings long enough to cross raw blocks; integers(1) draws
+        # nothing, and 2^31 + 1 and 2^62 + 1 reject about half and a quarter of words
+        ns = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 7,
+              2**62, 2**62 + 1, 2**63 - 1]
+        caps = [0.0, 1e-300, 0.37, 1.0, 123.456, 1e300]
+        gen, draws = np.random.default_rng(seed), distributions._Draws(seed)
+        order = random.Random(seed)
+        for _ in range(3000):
+            kind, n, cap = order.randrange(4), order.choice(ns), order.choice(caps)
+            if kind == 0:
+                assert draws.below(n) == gen.integers(n)
+            elif kind == 1:
+                k = min(n, 2**63 - 2)  # integers' exclusive high must fit in int64
+                assert 1 + draws.below(k) == gen.integers(1, k + 1)
+            elif kind == 2:
+                assert draws.below(2) == gen.integers(2)
+            else:
+                assert draws.uniform(cap) == gen.uniform(0.0, cap)
 
     def test_overshoot_is_typed(self, worked_example, monkeypatch):
         monkeypatch.setattr(distributions, "wasserstein1", lambda p, q: 1e9)
