@@ -1,6 +1,7 @@
 """Randomized stopping policies: robustness checks, closed forms, and water filling."""
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -86,15 +87,17 @@ class CostFunction:
     constant tail (support_end, inf, 0, tail_value): past the last support day
     the cost is the mean horizon.  Slopes are nonincreasing and lie in [0, 1]
     (up to rounding past the last atoms), so costs never fall within a row.
-    The columns are read-only float arrays.
+    The columns are read-only float arrays.  Per b, g keeps what the fill's
+    walk reads (``_walk_tables``) and, once exact mode asks for it, the O(b)
+    candidate table (``_candidate_costs``).
     """
 
     lo: np.ndarray
     hi: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
-    # the same rows as Python tuples, for the fill's walk
-    _rows: tuple[tuple[float, float, float, float], ...] = field(init=False, repr=False)
+    # per b, the rows below b and the tail candidates' running minima (``_walk_tables``)
+    _walks: dict = field(init=False, repr=False, default_factory=dict)
     # per b, the candidate days and their costs (``_candidate_costs``)
     _candidates: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -115,8 +118,6 @@ class CostFunction:
         for name, column in zip(("lo", "hi", "slope", "intercept"), columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "_rows", tuple(zip(lo.tolist(), hi.tolist(), slope.tolist(),
-                                                    intercept.tolist())))
 
     @property
     def support_end(self) -> int:
@@ -436,7 +437,9 @@ def _fill_pass(g: CostFunction, b: int, R: float,
     last tight day, grows it by 1 + gap/(b-1) instead of gamma^gap.  On day d,
     log(G / (R-1)) = d log(gamma) - lag, where lag sums those shortfalls, and F
     is ``_envelope`` at (d, lag).  A product of rounded per-run factors would
-    break the tight constraints by up to 5e-10 at b = 10^4.
+    break the tight constraints by up to 5e-10 at b = 10^4.  A row whose first
+    day follows the last active day adds exactly 0.0 to lag, so it only
+    extends the open run: a run is a stretch of active rows with no gap.
     Returns (F, runs, tail), runs the active (s, e, lag); the last may outlast
     the full mass.  A full fill has F = 1 and no tail; a partial one puts 1 - F
     on the cheapest day from b on within h whose (day - 1) (1 - F) fits in the
@@ -444,27 +447,33 @@ def _fill_pass(g: CostFunction, b: int, R: float,
     """
     log_gamma, full = _log_gamma(b), _full_log(R)
     lag = 0.0
-    last_end = 0  # constraints are tight through this day
+    start, last_end = 1, 0  # the open run holds days start..last_end, all tight
     runs = []
-    for lo, hi, slope, intercept in g._rows:
-        if lo >= b:
-            break
-        # costs never fall along a segment: its active days are lo+1 .. e
+    full_day = _full_day(log_gamma, lag, full)
+    for s, end, slope, intercept in _walk_tables(g, b)[0]:
+        # costs never fall along a row: its active days are s .. e
         if slope > 0.0:
-            reach = (h - intercept) / slope
-            if reach + 1e-12 < lo + 1:
+            reach = (h - intercept) / slope + 1e-12
+            if reach < s:
                 continue
+            e = end if reach >= end else math.floor(reach)
         elif intercept <= h:
-            reach = math.inf
+            e = end
         else:
             continue
-        s, e = int(lo) + 1, math.floor(min(reach + 1e-12, hi, b))
-        gap = s - last_end
-        lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
-        runs.append((s, e, lag))
-        if e * log_gamma - lag >= full:
+        if s != last_end + 1:
+            if last_end:
+                runs.append((start, last_end, lag))
+            gap = s - last_end
+            lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
+            start = s
+            full_day = _full_day(log_gamma, lag, full)
+        if e >= full_day:
+            runs.append((start, e, lag))
             return 1.0, runs, None
         last_end = e
+    if last_end:
+        runs.append((start, last_end, lag))
     F = _envelope(b, R, last_end, lag)
     budget = (R - 1.0) * b - ((R - 1.0) * last_end - (b - last_end) * F)  # minus the first moment
     if budget < 0.0:
@@ -473,19 +482,55 @@ def _fill_pass(g: CostFunction, b: int, R: float,
     return None if tail is None else (F, runs, tail)
 
 
+def _full_day(log_gamma: float, lag: float, full: float) -> int:
+    """The first day d with d log_gamma - lag >= full, as the fill rounds that test.
+
+    The rounded left side never falls as d grows, so the walk's per-row test is
+    one integer comparison with this day, taken once per run.
+    """
+    d = math.ceil((full + lag) / log_gamma)
+    while (d - 1) * log_gamma - lag >= full:
+        d -= 1
+    while d * log_gamma - lag < full:
+        d += 1
+    return d
+
+
 def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
     """Cheapest day at or beyond b with cost within h and day within t_max.
 
-    Reads the candidate days from b on (``_candidate_costs``): a segment's cost
-    rises, so only its earliest day competes.  Ties break toward the smaller day.
+    The candidates are ``_tail_days``: a segment's cost rises, so only its
+    earliest day competes.  They rise, so those within t_max are a prefix, and
+    if any of them costs at most h, so does the prefix's cheapest: one bisection
+    and one comparison against the running minima of ``_walk_tables``.  Ties
+    break toward the smaller day.
     """
-    t, c = _candidate_costs(g, b)
-    days, values = t[b - 1:], c[b - 1:]
-    admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
-    if admissible.size == 0:
-        return None
-    # days rise, so the first minimum is the smallest day
-    return int(days[admissible[np.argmin(values[admissible])]])
+    _, days, low, first = _walk_tables(g, b)
+    k = bisect.bisect_right(days, t_max + 1e-9)
+    return int(first[k - 1]) if k and low[k - 1] <= h + 1e-12 else None
+
+
+def _walk_tables(g: CostFunction, b: int) -> tuple[list[tuple[int, int, float, float]],
+                                                  list[float], list[float], list[float]]:
+    """What the fill reads at b, built by the first walk and kept on g.
+
+    The rows with lo < b as (first day, min(hi, b), slope, intercept), and the
+    ``_tail_days`` with the running minimum of their costs and the first day
+    that attains it, as Python lists.
+    """
+    if b not in g._walks:
+        k = int(np.searchsorted(g.lo, b))  # the rows with lo < b
+        rows = list(zip((g.lo[:k] + 1.0).astype(np.int64).tolist(),
+                        np.minimum(g.hi[:k], b).astype(np.int64).tolist(),
+                        g.slope[:k].tolist(), g.intercept[:k].tolist()))
+        days = _tail_days(g, b)
+        costs = g.values_at(days)
+        low = np.minimum.accumulate(costs)
+        # a day attains the running minimum first where its cost drops below it
+        drops = np.append(True, costs[1:] < low[:-1])
+        first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
+        g._walks[b] = rows, days.tolist(), low.tolist(), first.tolist()
+    return g._walks[b]
 
 
 def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
@@ -493,9 +538,11 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float) -> bool:
 
     One pass over the segments below b: maximal early fill, then a tail test
     that asks for an admissible day d >= b with (d - 1) * remaining-mass within
-    the leftover moment budget.  The tail test reads ``_candidate_costs``, so the
-    first check at a given b builds that O(b) table and keeps it on g; later
-    checks at that b cost O(segments) plus a slice of it.
+    the leftover moment budget.  The first check at a given b keeps on g the
+    rows below b and a running-minimum table of the tail candidates
+    (``_walk_tables``, O(segments)); each check then walks those rows once,
+    extending one run per stretch of active rows, and answers the tail test
+    with one bisection.  No O(b) table is built.
     """
     _check_b(b)
     _check_r(R)
@@ -517,7 +564,9 @@ class WaterLevelSearch:
 
 def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> WaterLevelSearch:
     """Bisect [0, max g] down to width epsilon for the least feasible level."""
+    _check_b(b)
     _check_r(R)
+    _check_scale(b)
     _check_epsilon(epsilon)
     h_lo = 0.0
     h_hi = g.max_value()
@@ -571,13 +620,18 @@ def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
     The rows reaching past b start at distinct days, all but the first at or
     past b, so these days rise strictly.
     """
-    beyond = np.maximum(b, g.lo[g.hi > b]) + 1.0
-    return np.concatenate((np.arange(1.0, b + 1.0), beyond))
+    return np.concatenate((np.arange(1.0, b), _tail_days(g, b)))
+
+
+def _tail_days(g: CostFunction, b: int) -> np.ndarray:
+    """The ``_candidate_days`` from b on: day b, then each segment's first day past b."""
+    return np.append(float(b), np.maximum(b, g.lo[g.hi > b]) + 1.0)
 
 
 def _candidate_costs(g: CostFunction, b: int) -> tuple[np.ndarray, np.ndarray]:
     """``_candidate_days`` and their costs, read-only and kept on ``g`` per b: an
-    exact solve's level search and LP both read them."""
+    exact solve's level search and LP both read them.  Only exact mode builds
+    this O(b) table; the published fill reads ``_walk_tables``."""
     if b not in g._candidates:
         t = _candidate_days(g, b)
         c = g.values_at(t)

@@ -65,7 +65,8 @@ class Segment(NamedTuple):
 
 def segments_with_tail(g: CostFunction) -> tuple[Segment, ...]:
     """The rows of ``g``, its constant tail last."""
-    return tuple(Segment(int(lo), hi, slope, intercept) for lo, hi, slope, intercept in g._rows)
+    columns = (g.lo.tolist(), g.hi.tolist(), g.slope.tolist(), g.intercept.tolist())
+    return tuple(Segment(int(lo), hi, slope, intercept) for lo, hi, slope, intercept in zip(*columns))
 
 
 def cost_table(rows) -> CostFunction:
@@ -281,6 +282,56 @@ def ref_construct_at_level(g: CostFunction, b: int, R: float, h: float) -> dict[
     return pmf
 
 
+def ref_walk(g: CostFunction, b: int, R: float,
+             h: float) -> tuple[float, list[tuple[int, int, float]], int | None] | None:
+    """The per-row fill walk that ``_fill_pass`` replaced: one run per active row,
+    and the tail test over the O(b) candidate table.  Kept verbatim apart from
+    the names and the rows it reads."""
+    log_gamma, full = randomized._log_gamma(b), randomized._full_log(R)
+    lag = 0.0
+    last_end = 0
+    runs = []
+    for lo, hi, slope, intercept in segments_with_tail(g):
+        if lo >= b:
+            break
+        if slope > 0.0:
+            reach = (h - intercept) / slope
+            if reach + 1e-12 < lo + 1:
+                continue
+        elif intercept <= h:
+            reach = math.inf
+        else:
+            continue
+        s, e = int(lo) + 1, math.floor(min(reach + 1e-12, hi, b))
+        gap = s - last_end
+        lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
+        runs.append((s, e, lag))
+        if e * log_gamma - lag >= full:
+            return 1.0, runs, None
+        last_end = e
+    F = randomized._envelope(b, R, last_end, lag)
+    budget = (R - 1.0) * b - ((R - 1.0) * last_end - (b - last_end) * F)
+    if budget < 0.0:
+        return None
+    tail = ref_best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
+    return None if tail is None else (F, runs, tail)
+
+
+def ref_best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
+    """The tail test over the candidate table's slice from day b on."""
+    t, c = randomized._candidate_costs(g, b)
+    days, values = t[b - 1:], c[b - 1:]
+    admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
+    if admissible.size == 0:
+        return None
+    return int(days[admissible[np.argmin(values[admissible])]])
+
+
+def day_lags(runs: list[tuple[int, int, float]]) -> list[tuple[int, float]]:
+    """The (day, lag) of every day of the runs, as ``_tight_policy`` expands them."""
+    return [(d, lag) for s, e, lag in runs for d in range(s, e + 1)]
+
+
 def fill_instances(rng, count=300):
     """Random (g, b, R, levels): 25 levels, 12 of them within 3 epsilon of the water level."""
     for _ in range(count):
@@ -381,10 +432,13 @@ class TestCostFunction:
             g = build_cost_function(p_hat, b)
             reference = np.array(ref_cost_segments(p_hat, b))
             assert np.array_equal(np.column_stack((g.lo, g.hi, g.slope, g.intercept)), reference)
-            assert g._rows == tuple(map(tuple, reference.tolist()))
+            # the fill's walk reads the rows below b, their ends cut at b
+            assert randomized._walk_tables(g, b)[0] == [
+                (int(lo) + 1, int(min(hi, b)), slope, intercept)
+                for lo, hi, slope, intercept in reference.tolist() if lo < b]
         assert min(predictions[-1].probs) < 1e-15
         with pytest.raises(ValueError):
-            g.slope[0] = 0.5  # read-only: the cached rows could not follow a write
+            g.slope[0] = 0.5  # read-only: the cached walk rows could not follow a write
 
     @pytest.mark.parametrize("columns", [
         ([0, 3], [3, math.inf], [1.0], [1.0, 2.0]),
@@ -851,8 +905,12 @@ class TestWaterFill:
         lambda g, p: sufficient_condition_check(p, 4, 2, math.nan),
         lambda g, p: level_feasible(g, 4, 2.0, math.nan),
         lambda g, p: baseline_policy(p, 4, 2.0, "nope"),
+        # epsilon at max g runs no check, so b must be checked before the search
+        *(lambda g, p, b=b: minimal_water_level(g, b, 2.0, g.max_value())
+          for b in (-5, 0, 2.5, True)),
     ], ids=["onehot_fractional_y", "onehot_bool_y", "extension_fractional_y",
-            "sufficient_nan_c", "level_nan_h", "baseline_unknown_kind"])
+            "sufficient_nan_c", "level_nan_h", "baseline_unknown_kind",
+            "search_negative_b", "search_zero_b", "search_fractional_b", "search_bool_b"])
     def test_bad_input_raises_typed_error(self, call):
         p_hat = DayDistribution((3, 9), (0.5, 0.5))
         with pytest.raises(InvalidParamsError):
@@ -865,7 +923,8 @@ class TestWaterFill:
         lambda g, b: geometric_cdf(b, 2.0),
         lambda g, b: onehot_exact(b, 2.0, 5),
         lambda g, b: level_feasible(g, b, 2.0, 10.0),
-    ], ids=["exact", "published", "check", "geometric", "onehot", "level"])
+        lambda g, b: minimal_water_level(g, b, 2.0, g.max_value()),
+    ], ids=["exact", "published", "check", "geometric", "onehot", "level", "search"])
     def test_b_past_max_days_rejected_before_allocating(self, monkeypatch, call):
         # no array of 10^12 days can be built, so each call must raise first
         g = build_cost_function(one_hot(5), 10**12)
@@ -952,6 +1011,69 @@ class TestSingleFillPath:
 
 
 
+def walk_inputs(rng):
+    """(g, b) cost tables for the walk: dense contiguous supports, one-atom
+    predictions, tables with tiny or rounding-negative slopes, and sparse ones."""
+    for b in (2, 7, 50, 500):
+        for n in (max(b // 2, 1), b, 2 * b + 3):
+            yield build_cost_function(uniform_days(n), b), b
+        yield build_cost_function(one_hot(max(b // 3, 1)), b), b
+        yield build_cost_function(one_hot(3 * b), b), b
+    for label in ("gauss", "geom"):
+        yield build_cost_function(table_prediction(label), 500), 500
+    # the running tail mass past the last atoms rounds below 0 from day 3750 on
+    p_hat = make_distribution(FamilySpec(Family.GAUSSIAN_DISCRETIZED,
+                                         {"mean": 1800, "stddev": 240, "high": 6000}))
+    yield build_cost_function(p_hat, 4000), 4000
+    for tiny in (5e-324, 1e-300, 1e-17, -1e-17, -5e-324):
+        yield cost_table([(0, 3, 1.0, 4.0), (3, 4, tiny, 6.0), (4, 9, tiny, 6.5),
+                          (9, 10, 0.25, 4.0), (10, math.inf, 0.0, 6.0)]), 8
+    for _ in range(30):
+        b = int(rng.integers(2, 60))
+        yield build_cost_function(random_day_distribution(rng, max_day=int(rng.integers(2, 4 * b)),
+                                                          max_atoms=int(rng.integers(1, 40))), b), b
+    for _ in range(10):
+        g = tied_cost_function(rng)
+        yield g, int(rng.integers(2, g.support_end + 3))
+
+
+class TestFillWalk:
+    """The walk bit for bit against the per-row walk it replaced."""
+
+    def test_matches_per_row_walk(self, rng):
+        compared = partial = 0
+        inputs = [(g, b, R) for i, (g, b) in enumerate(walk_inputs(rng))
+                  for R in ((1.7, 2.5), (2.0, 4.0))[i % 2] if feasible_robustness(b, R)]
+        assert any(np.any(g.slope[g.lo < b] < 0.0) for g, b, _ in inputs)
+        for g, b, R in inputs:
+            costs = np.unique(randomized._candidate_costs(g, b)[1])
+            if costs.size > 16:
+                costs = costs[np.linspace(0, costs.size - 1, 16).astype(int)]
+            levels = [0.0, g.max_value(), math.inf]
+            for c in costs.tolist():
+                levels += [c, math.nextafter(c, -math.inf), c - 1e-12]
+            for h in levels:
+                got, want = randomized._fill_pass(g, b, R, h), ref_walk(g, b, R, h)
+                assert (got is None) == (want is None), (b, R, h)
+                if got is None:
+                    continue
+                compared += 1
+                partial += got[2] is not None
+                assert got[0] == want[0] and got[2] == want[2], (b, R, h)
+                assert day_lags(got[1]) == day_lags(want[1]), (b, R, h)
+                # one run per stretch: no run starts the day after the last one ends
+                assert all(s > e + 1 for (_, e, _), (s, _, _) in zip(got[1], got[1][1:]))
+        assert compared > 3000 and partial > 300, (compared, partial)
+
+    def test_published_mode_builds_no_candidate_table(self):
+        for p_hat, b in ((table_prediction("gauss"), 2000), (uniform_days(100), 500),
+                         (DayDistribution((30, 120), (0.7, 0.3)), 50)):
+            g = build_cost_function(p_hat, b)
+            water_fill(g, b, 2.0, exact=False)
+            assert g._candidates == {}
+            assert list(g._walks) == [b]
+
+
 @st.composite
 def sparse_instances(draw):
     """A 1-8 atom prediction on days up to 10^9, b up to 10^4 (half of them at most 200),
@@ -976,6 +1098,15 @@ class TestWaterFillAtScale:
         if b <= 200:
             _, exact = water_fill(g, b, R)
             assert exact <= published + 1e-9 * (1.0 + abs(published))
+
+    def test_published_at_b_400000_builds_no_candidate_table(self):
+        # the tail test reads the segments from b on; the O(b) candidate table
+        # it read before took 6.4 MB here, and is left to exact mode
+        b = 400_000
+        g = build_cost_function(one_hot(3 * b), b)
+        policy, _ = water_fill(g, b, 2.0, exact=False)
+        assert check_robustness(policy, b, 2.0).feasible
+        assert g._candidates == {}
 
 
 def uniform_days(n: int) -> DayDistribution:
@@ -1009,13 +1140,16 @@ class TestBestTailDay:
             probes = [int(rng.integers(1, g.support_end + 2)), g.support_end + 1]
             costs = [g(t) for t in probes]
             # levels and limits a hair below a cost or a day test the tolerances
-            levels = (-1.0, min(costs), max(costs) - 5e-13,
+            levels = (-1.0, min(costs), max(costs) - 5e-13, math.nextafter(min(costs), -math.inf),
                       float(rng.uniform(0.0, g.max_value())), 1e9)
-            limits = (b - 1.0, b - 5e-10, float(rng.integers(b, g.support_end + 12)), 1e18)
+            limits = [b - 1.0, b - 5e-10, float(rng.integers(b, g.support_end + 12)), 1e18]
+            for day in randomized._tail_days(g, b)[:3].tolist():
+                limits += [day, day - 1e-9, math.nextafter(day - 1e-9, -math.inf)]
             for h in levels:
                 for t_max in limits:
-                    assert (randomized._best_tail_day(g, b, h, t_max)
-                            == best_tail_day_reference(g, b, h, t_max))
+                    got = randomized._best_tail_day(g, b, h, t_max)
+                    assert got == best_tail_day_reference(g, b, h, t_max)
+                    assert got == ref_best_tail_day(g, b, h, t_max)
 
 
 def level_fill(g: CostFunction, b: int, R: float) -> StoppingDistribution:
@@ -1476,6 +1610,51 @@ class TestExactOutputs:
     def test_sparse_inputs_digest(self):
         assert exact_digest(sparse_cells()) == (
             "a220d47b0f3f3d76216a4dbe770ab118003df792a3d5ed53a4b57ef30e210030")
+
+
+def dense_cells():
+    """(g, b, R) for 12 seeded 1k-20k-atom predictions at b in {500, 2000}, shaped
+    like the benchmark's dense workload."""
+    rng = np.random.default_rng(18)
+    i = 0
+    for b in (500, 2000):
+        for family in (Family.UNIFORM, Family.GAUSSIAN_DISCRETIZED, Family.GEOMETRIC_TRUNCATED):
+            for atoms in (1000, 20_000):
+                n = int(round(atoms * rng.uniform(0.9, 1.0)))
+                if family is Family.UNIFORM:
+                    low = int(rng.integers(1, 50))
+                    params = {"low": low, "high": low + n - 1}
+                elif family is Family.GAUSSIAN_DISCRETIZED:
+                    params = {"mean": n * rng.uniform(0.4, 0.6),
+                              "stddev": n * rng.uniform(0.12, 0.2), "low": 1, "high": n}
+                else:
+                    params = {"rate": rng.uniform(2.0, 6.0) / n, "low": 1, "high": n}
+                g = build_cost_function(make_distribution(FamilySpec(family, params)), b)
+                yield g, b, (1.7, 2.0, 2.5)[i % 3]
+                i += 1
+
+
+def published_digest(cells) -> str:
+    """sha256 over the lines repr((support, objective, search)) of published
+    ``water_fill`` and its ``WaterLevelSearch``."""
+    digest = hashlib.sha256()
+    for g, b, R in cells:
+        policy, objective = water_fill(g, b, R, exact=False)
+        search = minimal_water_level(g, b, R, 1e-7 * g.max_value())
+        digest.update((repr((policy.support, objective, search)) + "\n").encode())
+    return digest.hexdigest()
+
+
+class TestPublishedOutputs:
+    """Published mode bit for bit: any change to the fill's walk or its tail test shows here."""
+
+    def test_table_cells_digest(self):
+        assert published_digest(table_cells()) == (
+            "92fe8d67aa730f52c0f951ffaf7b586eb99ec6ec1cc56fd5f5710ee878caa17c")
+
+    def test_dense_inputs_digest(self):
+        assert published_digest(dense_cells()) == (
+            "4d65e3b709bbe31796ef4aeaa133e11df2c047e904e2e40d90f4f591b8c7e24b")
 
 
 class TestStaircaseSimplex:
