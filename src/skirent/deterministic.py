@@ -50,12 +50,12 @@ def optimal_threshold(p: DayDistribution, b: int) -> tuple[Threshold, float]:
     """
     _check_b(b)
     days = p._days_arr
-    probs = p._mass_arr
     # running sums add in sequence, exactly as a day-by-day scan would
-    tail = np.append(np.cumsum(probs[::-1])[::-1], 0.0)  # mass on days[k:]
-    rent = np.concatenate(([0.0], np.cumsum(probs * days)))  # rent paid on days[:k]
+    tail = np.append(np.cumsum(p._mass_arr[::-1])[::-1], 0.0)  # mass on days[k:]
+    rent = p._day_weighted_cum  # rent paid on days[:k]
     candidates = np.concatenate(([1], days + 1))
-    costs = rent + tail * (b + candidates - 1)
+    # b joins the days in float: in int64, b + day can wrap past 2^63
+    costs = rent + tail * (float(b) + candidates - 1)
     k = int(np.argmin(costs))
     if k == len(days):
         return NEVER, float(costs[k])

@@ -282,8 +282,9 @@ class FamilySpec:
 
 
 def _check_b(b: int) -> None:
-    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b < 2:
-        raise InvalidParamsError(f"buy cost b must be an integer >= 2, got {b!r}")
+    """Reject a buy cost that is not an integer in [2, 2^63), the int64 range days have."""
+    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or not 2 <= b < 2**63:
+        raise InvalidParamsError(f"buy cost b must be an integer in [2, 2^63), got {b!r}")
 
 
 def _check_seed(seed: int) -> None:

@@ -56,9 +56,6 @@ class StoppingDistribution(_Pmf):
             return float(self._cum_moment[-1])
         return float(self._through(self._cum_moment, x))
 
-    def moment_at(self, xs: np.ndarray) -> np.ndarray:
-        return self._through(self._cum_moment, xs)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self._days_arr, size=size, p=self._mass_arr)
 
@@ -164,13 +161,30 @@ def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
 # Robustness verification
 
 
+def _early_excess(f: StoppingDistribution, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Day 1 and the support days below b, with mu(x) + (b-x) F(x) = E[C_Z(x)] - x on each.
+
+    Between support days F and mu are constant, so this falls by F(x) a day:
+    the slack (R-1) x minus it rises by R-1 + F(x) > 0, and the ratio 1 + it / x
+    falls.  So the least slack and the greatest ratio below b fall on these days,
+    read from the pmf's running sums after one search for b: O(support), not O(b).
+    """
+    k = int(np.searchsorted(f._days_arr, b))  # the support days below b
+    days = f._days_arr[:k]
+    excess = f._cum_moment[1:k + 1] + (b - days) * f._cum[1:k + 1]
+    if not k or days[0] != 1:  # day 1 without mass: mu(1) = F(1) = 0
+        days, excess = np.append(1, days), np.append(0.0, excess)
+    return days, excess
+
+
 @dataclass(frozen=True, eq=False)
 class RobustnessReport:
     """Constraint slacks of a candidate policy at robustness level R.
 
-    ``slacks[x-1]`` is the slack of day x's constraint, for x = 1..b-1.
+    ``slacks[i]`` is the slack of day ``days[i]``'s constraint, the days of ``_early_excess``.
     """
 
+    days: np.ndarray
     slacks: np.ndarray
     tail_slack: float
     feasible: bool
@@ -185,7 +199,7 @@ class RobustnessReport:
         """
         if self.feasible:
             return None
-        return int(np.argmin(np.append(self.tail_slack, self.slacks)))
+        return int(np.append(0, self.days)[np.argmin(np.append(self.tail_slack, self.slacks))])
 
 
 def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessReport:
@@ -193,13 +207,11 @@ def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessRep
     _check_b(b)
     _check_r(R)
     _check_scale(b)
-    xs = np.arange(1, b)
-    F = f.cdf_at(xs)
-    mu = f.moment_at(xs)
-    slacks = (R - 1.0) * xs - (mu + (b - xs) * F)
+    days, excess = _early_excess(f, b)
+    slacks = (R - 1.0) * days - excess
     tail_slack = (R - 1.0) * b - f.first_moment()
     feasible = bool(np.min(slacks, initial=tail_slack) >= -SLACK_TOL)
-    return RobustnessReport(slacks=slacks, tail_slack=tail_slack, feasible=feasible)
+    return RobustnessReport(days=days, slacks=slacks, tail_slack=tail_slack, feasible=feasible)
 
 
 def realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float:
@@ -207,20 +219,16 @@ def realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float
 
     Uses the closed form E[C_Z(x)] = mu(x) + (b-x) F(x) + x, which grows by
     (b-1) f(x+1) + 1 - F(x) >= 0 from day x to x+1.  From b on the ratio is
-    E[C_Z(x)] / b, so it peaks at the horizon; below b it is E[C_Z(x)] / x,
-    which falls between support days.  The ratio is never below 1, its value
-    on day 1 when day 1 carries no mass, so only the support days below b and
-    the horizon are evaluated.
+    E[C_Z(x)] / b, so it peaks at the horizon; below b it peaks on a day of
+    ``_early_excess``.
     """
     _check_b(b)
+    horizon = _as_int(horizon, "horizon")
     if horizon < b:
         raise InvalidParamsError("horizon must be at least b")
-    days = f._days_arr
-    xs = np.append(days[days < b], horizon)
-    F = f.cdf_at(xs)
-    mu = f.moment_at(xs)
-    ratios = (mu + (b - xs) * F + xs) / np.minimum(xs, b)
-    return float(ratios.max())
+    days, excess = _early_excess(f, b)
+    last = f.first_moment(horizon) + (b - horizon) * f.cdf(horizon) + horizon
+    return max(float(((excess + days) / days).max()), last / b)
 
 
 def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:

@@ -125,7 +125,8 @@ class TestWaterfillCommand:
 
     def test_failed_self_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(randomized, "check_robustness",
-                            lambda f, b, R: RobustnessReport(np.empty(0), -1.0, False))
+                            lambda f, b, R: RobustnessReport(np.empty(0, int), np.empty(0), -1.0,
+                                                             False))
         code, out, err = run_cli(capsys, "waterfill", "--dist", TWOPOINT,
                                  "--b", "50", "--r", "1.7", "--quiet")
         assert code == 1
@@ -491,7 +492,7 @@ def _numbers(*valid):
     return _either(valid, EXTREME + NON_FINITE + ("abc",))
 
 
-B = _either(("2", "3", "50", "200", "10000"), ("0", "-1", "1e300", "nan", "abc"))
+B = _either(("2", "3", "50", "200", "10000"), ("0", "-1", "1e300", "nan", "abc", str(2**63)))
 DISTS = _either((TWO_ATOM, TWOPOINT, '{"atoms": [[3, 0.5], [100000, 0.5]]}',
                  '{"atoms": [[9223372036854775807, 1.0]]}'),
                 ('{"atoms": [[9223372036854775808, 1.0]]}', '{"atoms": [[5, NaN]]}', "abc",

@@ -141,6 +141,13 @@ class TestOptimalThreshold:
         assert (t, cost) == (2, expected_cost_threshold(p, 50, 2))
         assert peak < 1_000_000, f"peak {peak} bytes"
 
+    def test_buy_cost_past_the_int64_range(self):
+        # b + day in int64 wrapped here, to a cost of -2.3e18
+        p = DayDistribution((2**62, 2**62 + 10), (0.5, 0.5))
+        assert optimal_threshold(p, 2**62) == (1, 2.0**62)
+        with pytest.raises(InvalidParamsError, match="2\\^63"):
+            optimal_threshold(p, 2**63)
+
     def test_tie_break_prefers_smallest_day(self):
         # both t=1 and t=2 cost b for a point mass far beyond b
         p = DayDistribution((100,), (1.0,))
