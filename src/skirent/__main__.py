@@ -1,0 +1,7 @@
+"""``python -m skirent``: the ``skirent`` command line."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

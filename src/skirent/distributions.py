@@ -172,41 +172,48 @@ def total_variation(p: DayDistribution, q: DayDistribution) -> float:
 
 
 class _Draws:
-    """The draws ``np.random.default_rng(seed)`` makes for ``integers`` and ``uniform``.
+    """The draws ``np.random.default_rng(seed)`` makes for ``integers``.
 
     Reads the PCG64 bit generator's raw 64-bit outputs in blocks, as Python
     ints, and redoes numpy's arithmetic on them, so the stream stays numpy's
     bit for bit without a ``Generator`` call per draw.  Bounds up to 2^32 take
     32-bit words, each raw output split low half first with the high half kept
-    for the next one; larger bounds and ``uniform`` take whole outputs.
+    in ``half`` for the next one; larger bounds take whole outputs, which leave
+    ``half`` alone.  ``perturb_wasserstein`` takes the common case inline and
+    hands the rest to ``below`` and ``settle``, the one copy of Lemire's method.
     """
 
     def __init__(self, seed: int) -> None:
         pcg = np.random.default_rng(seed).bit_generator
-        self._raw = itertools.chain.from_iterable(iter(lambda: pcg.random_raw(1024).tolist(), None))
-        self._half: int | None = None  # the kept high half of the last split output
+        blocks = iter(lambda: pcg.random_raw(1024).tolist(), None)
+        self.raw = itertools.chain.from_iterable(blocks).__next__  # the next raw output
+        self.half: int | None = None  # the kept high half of the last split output
 
     def below(self, n: int) -> int:
         """``integers(n)`` for n >= 1, by Lemire's method; n = 1 consumes no draw."""
         if n == 1:
             return 0
+        return self.settle(self._word(n) * n, n)
+
+    def settle(self, m: int, n: int) -> int:
+        """Finish ``below(n)`` from m, the product of its first word and n."""
         bits = 32 if n <= 2**32 else 64
         mask = (1 << bits) - 1
-        while True:
-            if bits == 64:
-                m = next(self._raw) * n
-            elif self._half is not None:
-                m, self._half = self._half * n, None
-            else:
-                raw = next(self._raw)
-                m, self._half = (raw & 0xFFFFFFFF) * n, raw >> 32
-            # numpy computes the rejection threshold only when the low word is below n
-            if m & mask >= n or m & mask >= (mask + 1 - n) % n:
-                return m >> bits
+        # numpy computes the rejection threshold only when the low word is below n
+        while m & mask < n and m & mask < (mask + 1 - n) % n:
+            m = self._word(n) * n
+        return m >> bits
 
-    def uniform(self, high: float) -> float:
-        """``uniform(0.0, high)``: the top 53 bits of one whole output, scaled."""
-        return 0.0 + high * ((next(self._raw) >> 11) * 2.0**-53)
+    def _word(self, n: int) -> int:
+        """The next word drawn for a bound of n: 32 bits up to 2^32, else 64."""
+        if n > 2**32:
+            return self.raw()
+        if self.half is None:
+            raw = self.raw()
+            self.half = raw >> 32
+            return raw & 0xFFFFFFFF
+        word, self.half = self.half, None
+        return word
 
 
 def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistribution:
@@ -229,30 +236,81 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     if p.max_day + moves * max_shift >= 2**63:
         raise InvalidParamsError(f"eta={eta} could shift days past the int64 range")
     draws = _Draws(seed)
+    next_raw = draws.raw
+    narrow = 2 <= max_shift <= 2**32  # 1 draws nothing, wider bounds take whole outputs
     mass = dict(zip(p._days_arr.tolist(), p._mass_arr.tolist()))
     atoms = list(mass)  # the days of positive mass, in insertion order
     budget = float(eta)
+    half = None  # draws.half, held in a local between hand-offs
+    # Each move draws what Generator's integers(len(atoms)), integers(1,
+    # max_shift + 1), integers(2) and uniform(0, cap) would.  A 32-bit draw
+    # below n keeps the high word of its first product with n unless the low
+    # word is below n; that rare case goes to draws.settle.
     for _ in range(moves):
         if budget <= 1e-12:
             break
-        src = atoms[draws.below(len(atoms))]
-        shift = 1 + draws.below(max_shift)
-        if draws.below(2):
-            shift = -shift
-        dest = max(1, src + shift)
-        dist = abs(dest - src)
-        if dist == 0:
-            continue
-        cap = min(budget / dist, mass[src])
-        delta = draws.uniform(cap)
+        n = len(atoms)  # below 2^32: a longer list would not fit in memory
+        if n == 1:
+            src = atoms[0]
+        else:
+            if half is None:
+                raw = next_raw()
+                m, half = (raw & 0xFFFFFFFF) * n, raw >> 32
+            else:
+                m, half = half * n, None
+            if m & 0xFFFFFFFF >= n:
+                src = atoms[m >> 32]
+            else:
+                draws.half = half
+                src = atoms[draws.settle(m, n)]
+                half = draws.half
+        if narrow:
+            if half is None:
+                raw = next_raw()
+                m, half = (raw & 0xFFFFFFFF) * max_shift, raw >> 32
+            else:
+                m, half = half * max_shift, None
+            if m & 0xFFFFFFFF >= max_shift:
+                shift = 1 + (m >> 32)
+            else:
+                draws.half = half
+                shift = 1 + draws.settle(m, max_shift)
+                half = draws.half
+        else:
+            shift = 1 + draws.below(max_shift)  # leaves draws.half alone
+        # integers(2) is the word's top bit: Lemire's method never rejects a power of two
+        if half is None:
+            raw = next_raw()
+            negative, half = raw & 0x80000000, raw >> 32
+        else:
+            negative, half = half >> 31, None
+        if negative:
+            dest = src - shift
+            if dest < 1:
+                dest = 1
+            dist = src - dest
+            if dist == 0:
+                continue
+        else:
+            dest = src + shift
+            dist = shift
+        cap = budget / dist
+        left = mass[src]
+        if left < cap:
+            cap = left
+        # uniform(0, cap): the top 53 bits of one whole output, scaled
+        delta = cap * ((next_raw() >> 11) * 2.0**-53)
         if delta <= 0.0:
             continue
-        mass[src] -= delta
-        revived = mass.get(dest) == 0.0
-        if dest not in mass:
+        left -= delta
+        mass[src] = left
+        old = mass.get(dest)
+        if old is None:
             atoms.append(dest)
-        mass[dest] = mass.get(dest, 0.0) + delta
-        if mass[src] == 0.0 or revived:
+            mass[dest] = delta
+        else:
+            mass[dest] = old + delta
+        if left == 0.0 or old == 0.0:
             # rare: a zeroed day leaves the list, a revived one keeps its old place
             atoms = [d for d, m in mass.items() if m > 0.0]
         budget -= delta * dist

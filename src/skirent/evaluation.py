@@ -185,6 +185,11 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
         if eta < 0:
             raise InvalidParamsError("eta values must be >= 0")
     etas = tuple(float(e) for e in etas)
+    if not etas:
+        raise InvalidParamsError("the eta grid is empty")
+    if len(set(etas)) < len(etas):
+        # rows are keyed by (eta, trial), so a repeated eta would duplicate keys
+        raise InvalidParamsError(f"the eta grid repeats a value: {list(etas)}")
     p_true = sweep_true_distribution()
     g_true = build_cost_function(p_true, b)
     _, best = optimal_threshold(p_true, b)

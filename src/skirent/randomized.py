@@ -571,13 +571,20 @@ class WaterLevelSearch:
 
 
 def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> WaterLevelSearch:
-    """Bisect [0, max g] down to width epsilon for the least feasible level."""
+    """Bisect [0, max g] down to width epsilon for the least feasible level.
+
+    epsilon must be at least the float spacing at max g: a narrower width can
+    never be reached once the ends are adjacent floats.
+    """
     _check_b(b)
     _check_r(R)
     _check_scale(b)
     _check_epsilon(epsilon)
     h_lo = 0.0
     h_hi = g.max_value()
+    if epsilon < math.ulp(h_hi):
+        raise InvalidParamsError(f"epsilon={epsilon!r} is below the float spacing at max g = "
+                                 f"{h_hi!r}; the least accepted is {math.ulp(h_hi)!r}")
     checks = 0
     while h_hi - h_lo > epsilon:
         mid = 0.5 * (h_lo + h_hi)

@@ -156,6 +156,15 @@ class TestWaterfillCommand:
         assert code == 2
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [("waterfill", "--published", "--dist", TWOPOINT,
+                                          "--b", "50", "--r", "1.7"),
+                                         ("experiment", "table")], ids=["waterfill", "table"])
+    def test_epsilon_below_float_spacing_exits_2(self, capsys, command):
+        # looped forever in the water-level bisection
+        code, out, err = run_cli(capsys, *command, "--epsilon", "5e-15")
+        assert code == 2
+        assert out == "" and "least accepted" in err and "Traceback" not in err
+
     def test_deterministic_output(self, capsys):
         args = ("waterfill", "--dist", TWOPOINT, "--b", "50", "--r", "1.7", "--quiet")
         _, out1, _ = run_cli(capsys, *args)
@@ -259,11 +268,14 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("argv", [("--etas", "nan"), ("--etas", "0,inf"),
                                       ("--etas", "abc"), ("--trials", "0"),
                                       ("--trials", "-2"), ("--etas", "1e19"),
-                                      ("--seed", "-1")])
+                                      ("--seed", "-1"), ("--etas", ","), ("--etas", ""),
+                                      ("--etas", "2,2"), ("--epsilon", "1e-30")])
     def test_bad_sweep_input_exits_2(self, capsys, argv):
         # --etas nan exited 1 with a ValueError traceback, --etas abc too, and
-        # --trials 0 exited 0 with a header-only CSV; --etas 1e19 died in
-        # rng.integers and --seed -1 in SeedSequence, both with tracebacks
+        # --trials 0, --etas , and --etas '' exited 0 with a header-only CSV;
+        # --etas 1e19 died in rng.integers and --seed -1 in SeedSequence, both
+        # with tracebacks; --etas 2,2 repeated row keys; --epsilon 1e-30 never
+        # ended its bisection
         argv = {"--etas": "0", "--trials": "1", "--seed": "0", argv[0]: argv[1]}
         code, out, err = run_cli(capsys, "experiment", "sweep", "--quiet",
                                  *(item for pair in argv.items() for item in pair))
@@ -435,6 +447,17 @@ def test_closed_stdout_exits_1_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_python_m_skirent_runs_the_cli():
+    # failed with "No module named skirent.__main__"
+    src = str(Path(skirent.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "skirent", "--version"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == f"skirent {skirent.__version__}\n"
 
 
 def run_cli_limited(argv: list[str], gib: float) -> subprocess.CompletedProcess:

@@ -76,6 +76,17 @@ def w1_reference(p: DayDistribution, q: DayDistribution) -> float:
 PERTURB_ETAS = (0.5, 2.0, 8.0, 20.0, 60.0)
 
 
+def draws_reading(transform):
+    """The perturbation's draw source, reading ``transform`` of each of numpy's raw outputs."""
+    class Draws(distributions._Draws):
+        def __init__(self, seed):
+            super().__init__(seed)
+            numpy_raw = self.raw
+            self.raw = lambda: transform(numpy_raw())
+
+    return Draws
+
+
 def dist_strategy():
     return st.dictionaries(st.integers(1, 80), st.floats(0.01, 1.0),
                            min_size=1, max_size=10).map(
@@ -392,16 +403,26 @@ class TestPerturbation:
             for eta in PERTURB_ETAS:
                 q = perturb_wasserstein(p, eta, seed)
                 assert q.support == perturb_reference(p, eta, seed).support
-        # past 2^32 the shift is drawn from whole 64-bit outputs
+        # at 2^31 + 1 the shift draw rejects about half its words, which the
+        # move loop hands to _Draws; past 2^32 it takes whole 64-bit outputs
         for seed in range(30):
             p = random_day_distribution(rng, max_day=80, max_atoms=3)
-            for eta in (2**32 + 0.5, 5e9, 3e12):
+            for eta in (2**31 + 0.5, 2**32 + 0.5, 5e9, 3e12):
                 q = perturb_wasserstein(p, eta, seed)
                 assert q.support == perturb_reference(p, eta, seed).support
 
     def test_matches_rebuilding_loop_when_atoms_empty(self, rng, monkeypatch):
-        # moving every drawn sliver whole empties atoms and refills emptied ones;
-        # neither side's uniform then draws, so both read the same integer stream
+        # moving drawn slivers whole empties atoms and refills emptied ones; when
+        # only some are whole, a partial sliver can also revive an emptied day.
+        # The move loop's uniform reads the top 53 bits of one raw output: where
+        # ``whole`` holds for them they read 2^53 instead, so the sliver is its
+        # whole cap.  Both sides spend one output on each uniform and read
+        # numpy's bits for the integers, so they read the same stream.
+        class WholeOutput(int):
+            def __rshift__(self, bits):
+                top = int(self) >> bits
+                return 2**53 if bits == 11 and whole(top) else top
+
         class WholeSliver:
             def __init__(self, seed):
                 self._rng = np.random.default_rng(seed)
@@ -410,20 +431,50 @@ class TestPerturbation:
                 return self._rng.integers(*args)
 
             def uniform(self, low, high):
-                return high
+                u = self._rng.random()  # the draw uniform(low, high) scales
+                return high if whole(int(u * 2**53)) else low + (high - low) * u
 
-        monkeypatch.setattr(distributions._Draws, "uniform", lambda self, high: high)
-        for seed in range(100):
-            p = random_day_distribution(rng, max_day=30, max_atoms=10)
-            for eta in PERTURB_ETAS:
+        monkeypatch.setattr(distributions, "_Draws", draws_reading(WholeOutput))
+        for whole in (lambda top: True, lambda top: top & 1):  # every sliver, odd draws
+            for seed in range(100):
+                p = random_day_distribution(rng, max_day=30, max_atoms=10)
+                for eta in PERTURB_ETAS:
+                    q = perturb_wasserstein(p, eta, seed)
+                    assert q.support == perturb_reference(p, eta, seed, WholeSliver).support
+
+    def test_matches_draw_source_when_words_reject(self, rng, monkeypatch):
+        # numpy's stream rejects a word for a bound n with odds below n/2^32, so
+        # the move loop hands a draw over to _Draws almost never.  Here a third
+        # of the raw outputs have their low half zeroed and a fifth their high
+        # half: a zero word is rejected for every n but a power of two.  The
+        # loop must then read what a rebuilding loop drawing every value from
+        # _Draws (checked against Generator below) reads.
+        Rejecting = draws_reading(lambda out: out & ~0xFFFFFFFF if out % 3 == 0
+                                  else out & 0xFFFFFFFF if out % 5 == 0 else out)
+
+        class RejectingGenerator:
+            def __init__(self, seed):
+                self._draws = Rejecting(seed)
+
+            def integers(self, low, high=None):
+                return self._draws.below(low) if high is None else low + self._draws.below(high - low)
+
+            def uniform(self, low, high):
+                return low + (high - low) * ((self._draws.raw() >> 11) * 2.0**-53)
+
+        monkeypatch.setattr(distributions, "_Draws", Rejecting)
+        for seed in range(50):
+            p = random_day_distribution(rng, max_day=80, max_atoms=20)
+            for eta in (*PERTURB_ETAS, 2**31 + 0.5, 5e9):
                 q = perturb_wasserstein(p, eta, seed)
-                assert q.support == perturb_reference(p, eta, seed, WholeSliver).support
+                assert q.support == perturb_reference(p, eta, seed, RejectingGenerator).support
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 - 1])
     def test_draws_match_generator(self, seed):
         # the perturbation's draw source against numpy's Generator on one seed, in
         # random interleavings long enough to cross raw blocks; integers(1) draws
-        # nothing, and 2^31 + 1 and 2^62 + 1 reject about half and a quarter of words
+        # nothing, and 2^31 + 1 and 2^62 + 1 reject about half and a quarter of
+        # words.  uniform is the move loop's inline read of one whole output.
         ns = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 7,
               2**62, 2**62 + 1, 2**63 - 1]
         caps = [0.0, 1e-300, 0.37, 1.0, 123.456, 1e300]
@@ -439,7 +490,7 @@ class TestPerturbation:
             elif kind == 2:
                 assert draws.below(2) == gen.integers(2)
             else:
-                assert draws.uniform(cap) == gen.uniform(0.0, cap)
+                assert cap * ((draws.raw() >> 11) * 2.0**-53) == gen.uniform(0.0, cap)
 
     def test_overshoot_is_typed(self, worked_example, monkeypatch):
         monkeypatch.setattr(distributions, "wasserstein1", lambda p, q: 1e9)

@@ -178,15 +178,19 @@ class TestPerturbationSweep:
 
     @pytest.mark.parametrize("kwargs", [
         {"eta_grid": [float("nan")]}, {"eta_grid": [0.0, float("inf")]}, {"eta_grid": ["2"]},
+        {"eta_grid": []}, {"eta_grid": [2.0, 4.0, 2]}, {"epsilon": 1e-30},
         {"n_trials": 0}, {"n_trials": -1}, {"n_trials": 1.5}, {"n_trials": True},
         {"R": float("nan")}, {"R": float("inf")},
         {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}],
-        ids=["eta_nan", "eta_inf", "eta_text", "trials_zero", "trials_negative",
+        ids=["eta_nan", "eta_inf", "eta_text", "eta_empty", "eta_repeated",
+             "epsilon_below_spacing", "trials_zero", "trials_negative",
              "trials_fraction", "trials_bool", "r_nan", "r_inf",
              "seed_negative", "seed_fraction", "seed_bool", "seed_text"])
     def test_bad_inputs_rejected(self, kwargs):
         # a NaN eta died in perturb_wasserstein with a ValueError, n_trials = 0
-        # returned no rows, and seed -1 died in SeedSequence with a ValueError
+        # and an empty grid returned no rows, a repeated eta repeated row keys,
+        # epsilon 1e-30 never ended its bisection, and seed -1 died in
+        # SeedSequence with a ValueError
         with pytest.raises(InvalidParamsError):
             run_perturbation_sweep(**{"eta_grid": (0.0,), "n_trials": 1, **kwargs})
 

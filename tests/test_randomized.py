@@ -884,6 +884,19 @@ class TestWaterFill:
         with pytest.raises(InvalidParamsError):
             water_fill(g, 3, 2.0, epsilon=0.0)
 
+    def test_epsilon_below_float_spacing_rejected(self):
+        # looped forever: once the ends are adjacent floats near max g = 79 the
+        # midpoint is one of them, and their distance stays ulp(79) > 5e-15
+        g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
+        floor = math.ulp(g.max_value())
+        for epsilon in (5e-15, 1e-300, math.nextafter(floor, 0.0)):
+            with pytest.raises(InvalidParamsError, match=repr(floor)):
+                minimal_water_level(g, 50, 1.7, epsilon)
+            with pytest.raises(InvalidParamsError, match=repr(floor)):
+                water_fill(g, 50, 1.7, epsilon, exact=False)
+        search = minimal_water_level(g, 50, 1.7, floor)
+        assert search.h_hi - search.h_lo <= floor
+
     def test_infeasible_problem(self):
         g = build_cost_function(one_hot(5), 8)
         with pytest.raises(InfeasibleError):
