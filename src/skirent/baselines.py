@@ -51,6 +51,7 @@ def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:
     four decimals; so k <= b <= l.
     """
     _check_b(b)
+    _check_finite(lam, "lambda")
     if not 0.0 < lam <= 1.0:
         raise InvalidParamsError("lambda must lie in (0, 1]")
     length = max(1, math.floor(lam * b + 1e-9) if high_branch else math.ceil(b / lam - 1e-9))

@@ -251,8 +251,8 @@ def cmd_experiment(args) -> int:
         etas = None
         if args.etas is not None:
             try:
-                etas = [float(x) for x in args.etas.split(",") if x != ""]
-            except ValueError:
+                etas = [float(x) for x in args.etas.split(",")]
+            except ValueError:  # an empty entry too: '2,,4' is not a grid of two
                 raise InvalidParamsError(
                     f"--etas must be comma-separated numbers, got {args.etas!r}") from None
         trials = args.trials if args.trials is not None else 25

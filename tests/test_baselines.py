@@ -126,6 +126,13 @@ class TestBranches:
             f = purohit_branch(b, lam, bool(rng.integers(2)))
             assert abs(sum(f.masses) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("lam", [None, "0.5", math.nan, math.inf])
+    @pytest.mark.parametrize("high", [True, False])
+    def test_rejects_non_number_lambda(self, lam, high):
+        # None and '0.5' raised a bare TypeError from the range comparison
+        with pytest.raises(InvalidParamsError, match="lambda"):
+            purohit_branch(50, lam, high)
+
     def test_branch_lengths_by_convention(self):
         b, lam = 50, lambda_from_r(50, 1.7)
         assert purohit_branch(b, lam, True).max_day == math.floor(lam * b)

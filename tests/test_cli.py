@@ -269,13 +269,14 @@ class TestExperimentCommand:
                                       ("--etas", "abc"), ("--trials", "0"),
                                       ("--trials", "-2"), ("--etas", "1e19"),
                                       ("--seed", "-1"), ("--etas", ","), ("--etas", ""),
-                                      ("--etas", "2,2"), ("--epsilon", "1e-30")])
+                                      ("--etas", "2,2"), ("--epsilon", "1e-30"),
+                                      ("--etas", "2,,4,"), ("--etas", ",3"), ("--etas", "3,")])
     def test_bad_sweep_input_exits_2(self, capsys, argv):
         # --etas nan exited 1 with a ValueError traceback, --etas abc too, and
         # --trials 0, --etas , and --etas '' exited 0 with a header-only CSV;
         # --etas 1e19 died in rng.integers and --seed -1 in SeedSequence, both
         # with tracebacks; --etas 2,2 repeated row keys; --epsilon 1e-30 never
-        # ended its bisection
+        # ended its bisection; --etas 2,,4, ran the grid [2, 4]
         argv = {"--etas": "0", "--trials": "1", "--seed": "0", argv[0]: argv[1]}
         code, out, err = run_cli(capsys, "experiment", "sweep", "--quiet",
                                  *(item for pair in argv.items() for item in pair))
