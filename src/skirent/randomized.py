@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -88,7 +87,8 @@ class CostFunction:
     the cost is the mean horizon.  Slopes are nonincreasing and lie in [0, 1]
     (up to rounding past the last atoms), so costs never fall within a row.
     The columns are read-only float arrays.  Per b, g keeps what the fill's
-    walk reads (``_walk_tables``) and, once exact mode asks for it, the O(b)
+    walk reads (``_walk_tables``), once the bisection asks for them the level
+    tables (``_settled_rows``), and once exact mode asks for it the O(b)
     candidate table (``_candidate_costs``).
     """
 
@@ -96,9 +96,10 @@ class CostFunction:
     hi: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
-    # per b, the rows below b, their level tables and the tail candidates' running
-    # minima (``_walk_tables``)
+    # per b, the rows below b and the tail candidates' running minima (``_walk_tables``)
     _walks: dict = field(init=False, repr=False, default_factory=dict)
+    # per b, the level tables over those rows (``_settled_rows``)
+    _levels: dict = field(init=False, repr=False, default_factory=dict)
     # per b, the candidate days and their costs (``_candidate_costs``)
     _candidates: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -439,8 +440,7 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
 # Water filling
 
 
-def _fill_pass(g: CostFunction, b: int, R: float, h: float, *,
-               bracket: tuple[float, float] | None = None
+def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: bool = False
                ) -> tuple[float, list[tuple[int, int, float]], int | None] | None:
     """Maximal mass allocation on days costing at most h; None if mass 1 does not fit.
 
@@ -458,26 +458,25 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *,
     on the cheapest day from b on within h whose (day - 1) (1 - F) fits in the
     moment budget left.
 
-    A ``bracket`` (lo, hi) with lo <= h <= hi skips the rows it settles, by the
-    tables of ``_walk_tables``: the leading rows wholly active from lo on tile
-    days 1..e as one run with lag 0, and the trailing rows idle below hi change
-    nothing.  The rows between are walked as without it, so the result is the same.
+    With ``skip_settled`` the level tables of ``_settled_rows`` settle rows at
+    h without reading them: the leading rows wholly active at h tile days 1..e
+    as one run with lag 0, and the trailing rows idle at h change nothing.  The
+    rows between are walked as without it, so the result is the same.
     """
     log_gamma, full = _log_gamma(b), _full_log(R)
-    walk = _walk_tables(g, b)
-    rows = walk.rows
+    rows = _walk_tables(g, b)[0]
     lag = 0.0
     start, last_end = 1, 0  # the open run holds days start..last_end, all tight
     runs = []
     full_day = _full_day(log_gamma, lag, full)
-    if bracket is not None:
-        k = bisect.bisect_right(walk.sure, bracket[0])
+    if skip_settled:
+        k, n = _settled_rows(g, b, h)
         if k:
             last_end = rows[k - 1][1]
             if last_end >= full_day:
                 e = rows[bisect.bisect_left(rows, full_day, key=itemgetter(1))][1]
                 return 1.0, [(1, e, 0.0)], None
-        rows = rows[k:bisect.bisect_right(walk.rest, bracket[1])]
+        rows = rows[k:n]
     for s, end, slope, intercept in rows:
         # costs never fall along a row: its active days are s .. e
         if slope > 0.0:
@@ -533,38 +532,48 @@ def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | Non
     and one comparison against the running minima of ``_walk_tables``.  Ties
     break toward the smaller day.
     """
-    walk = _walk_tables(g, b)
-    k = bisect.bisect_right(walk.tail_days, t_max + 1e-9)
-    return int(walk.first[k - 1]) if k and walk.low[k - 1] <= h + 1e-12 else None
+    _, days, low, first = _walk_tables(g, b)
+    k = bisect.bisect_right(days, t_max + 1e-9)
+    return int(first[k - 1]) if k and low[k - 1] <= h + 1e-12 else None
 
 
-class _Walk(NamedTuple):
-    """What the fill reads at b (``_walk_tables``), as Python sequences."""
-
-    rows: list[tuple[int, int, float, float]]  # (first day, min(hi, b), slope, intercept)
-    sure: memoryview  # of floats: from this level on, rows 0..i are wholly active
-    rest: memoryview  # of floats: below this level, rows i.. are all idle
-    tail_days: list[float]  # the ``_tail_days``
-    low: list[float]  # the running minimum of their costs
-    first: list[float]  # the first tail day that attains it
-
-
-def _walk_tables(g: CostFunction, b: int) -> _Walk:
+def _walk_tables(g: CostFunction, b: int) -> tuple[list[tuple[int, int, float, float]],
+                                                  list[float], list[float], list[float]]:
     """What the fill reads at b, built by the first walk and kept on g.
 
-    The rows with lo < b, and two level tables for a bracketed walk.  A row's
-    costs rise from its first day to its last (a row with slope <= 0 is its
-    intercept), so from its last day's cost on the walk keeps the whole row,
-    and below its first day's cost it keeps none of it.  Each cost is widened
-    by 1e-9 (1 + |slope day| + |intercept|), 1e-9 (1 + cost) on a built table:
-    far more than the rounding of the walk's day-space test, so a level past
-    it is settled by that test too, and a level within it is walked.  ``sure``
-    is the running maximum of the widened last-day costs from row 0, ``rest``
-    the running minimum of the widened first-day costs from the last row.
-    Also the ``_tail_days`` with the running minimum of their costs and the
-    first day that attains it.
+    The rows with lo < b as (first day, min(hi, b), slope, intercept), and the
+    ``_tail_days`` with the running minimum of their costs and the first day
+    that attains it, as Python lists.
     """
     if b not in g._walks:
+        k = int(np.searchsorted(g.lo, b))  # the rows with lo < b
+        rows = list(zip((g.lo[:k] + 1.0).astype(np.int64).tolist(),
+                        np.minimum(g.hi[:k], b).astype(np.int64).tolist(),
+                        g.slope[:k].tolist(), g.intercept[:k].tolist()))
+        days = _tail_days(g, b)
+        costs = g.values_at(days)
+        low = np.minimum.accumulate(costs)
+        # a day attains the running minimum first where its cost drops below it
+        drops = np.append(True, costs[1:] < low[:-1])
+        first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
+        g._walks[b] = rows, days.tolist(), low.tolist(), first.tolist()
+    return g._walks[b]
+
+
+def _settled_rows(g: CostFunction, b: int, h: float) -> tuple[int, int]:
+    """(k, n): the rows below b before k are wholly active at h, and those from n on idle.
+
+    A row's costs rise from its first day to its last (a row with slope <= 0 is
+    its intercept), so from its last day's cost on the walk keeps the whole
+    row, and below its first day's cost it keeps none of it.  Two level tables,
+    built at the first call for b and kept on g, answer by bisection: ``sure[i]``
+    is the running maximum of the last-day costs of rows 0..i, ``rest[i]`` the
+    running minimum of the first-day costs from row i on, each widened by
+    1e-9 (1 + |slope day| + |intercept|): far more than the rounding of the
+    walk's day-space test, so a level past it is settled by that test too, and
+    a level within it is walked.
+    """
+    if b not in g._levels:
         k = int(np.searchsorted(g.lo, b))  # the rows with lo < b
         starts, ends = g.lo[:k] + 1.0, np.minimum(g.hi[:k], b)
         slope, intercept = g.slope[:k], g.intercept[:k]
@@ -572,43 +581,32 @@ def _walk_tables(g: CostFunction, b: int) -> _Walk:
         margin = 1e-9 * (1.0 + np.abs(intercept))
         sure = np.maximum.accumulate(climb * ends * (1.0 + 1e-9) + intercept + margin)
         rest = np.minimum.accumulate((climb * starts * (1.0 - 1e-9) + intercept - margin)[::-1])
-        starts, ends = starts.astype(np.int64).tolist(), ends.astype(np.int64).tolist()
-        days = _tail_days(g, b)
-        costs = g.values_at(days)
-        low = np.minimum.accumulate(costs)
-        # a day attains the running minimum first where its cost drops below it
-        drops = np.append(True, costs[1:] < low[:-1])
-        first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
         # bisect reads a memoryview of floats nearly as fast as a list, with no list to build
-        g._walks[b] = _Walk(list(zip(starts, ends, slope.tolist(), intercept.tolist())),
-                            memoryview(sure), memoryview(rest[::-1].copy()),
-                            days.tolist(), low.tolist(), first.tolist())
-    return g._walks[b]
+        g._levels[b] = memoryview(sure), memoryview(rest[::-1].copy())
+    sure, rest = g._levels[b]
+    return bisect.bisect_right(sure, h), bisect.bisect_right(rest, h)
 
 
 def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
-                   bracket: tuple[float, float] | None = None) -> bool:
+                   skip_settled: bool = False) -> bool:
     """Whether total mass 1 fits on days costing at most h at robustness R.
 
     One pass over the segments below b: maximal early fill, then a tail test
     that asks for an admissible day d >= b with (d - 1) * remaining-mass within
     the leftover moment budget.  The first check at a given b keeps on g the
-    rows below b, two level tables over them, and a running-minimum table of
-    the tail candidates (``_walk_tables``, O(segments)); each check then walks
-    those rows once, extending one run per stretch of active rows, and answers
-    the tail test with one bisection.  No O(b) table is built.  A ``bracket``
-    (lo, hi) with lo <= h <= hi, such as a search's known ends, lets the walk
-    skip the rows that every level in it settles alike; the answer is the same.
+    rows below b and a running-minimum table of the tail candidates
+    (``_walk_tables``, O(segments)); each check then walks those rows once,
+    extending one run per stretch of active rows, and answers the tail test
+    with one bisection.  No O(b) table is built.  With ``skip_settled`` the
+    walk skips the leading rows wholly active at h and the trailing rows idle
+    at h, as the level tables of ``_settled_rows`` tell; the answer is the same.
     """
     _check_b(b)
     _check_r(R)
     _check_scale(b)
     if math.isnan(h):
         raise InvalidParamsError("the water level h must not be NaN")
-    if bracket is not None and not bracket[0] <= h <= bracket[1]:
-        raise InvalidParamsError(f"bracket {bracket!r} must hold the level h={h!r}, "
-                                 f"with no NaN end")
-    return _fill_pass(g, b, R, h, bracket=bracket) is not None
+    return _fill_pass(g, b, R, h, skip_settled=skip_settled) is not None
 
 
 @dataclass(frozen=True)
@@ -625,8 +623,8 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     """Bisect [0, max g] down to width epsilon for the least feasible level.
 
     epsilon must be at least the float spacing at max g: a narrower width can
-    never be reached once the ends are adjacent floats.  Each check walks only
-    the rows that the current ends leave open.
+    never be reached once the ends are adjacent floats.  Each check skips the
+    rows its level settles.
     """
     _check_b(b)
     _check_r(R)
@@ -641,7 +639,7 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     while h_hi - h_lo > epsilon:
         mid = 0.5 * (h_lo + h_hi)
         checks += 1
-        if level_feasible(g, b, R, mid, bracket=(h_lo, h_hi)):
+        if level_feasible(g, b, R, mid, skip_settled=True):
             h_hi = mid
         else:
             h_lo = mid
@@ -657,26 +655,31 @@ def _exact_level(g: CostFunction, b: int, R: float) -> float:
     max g, which admits every day) finds the least feasible one.  A midpoint,
     not the cost itself: the fill tests activity in day space, where a day's
     own cost can map back to just below that day, which drops it.  Returns
-    max g when no level is feasible.  Each probe's walk is bracketed by the
-    greatest level found infeasible and the least found feasible so far.
+    max g when no level is feasible.  The probes walk every row: there are
+    few of them, one per halving of the distinct costs, and the cost falls
+    after each atom d with b p(d) > P(Y >= d), which cuts the level tables of
+    ``_settled_rows`` short, so building them rarely pays here.
     """
     costs = np.unique(_candidate_costs(g, b)[1])
     levels = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value()).tolist()
     lo, hi = 0, len(levels) - 1  # levels[hi:] are feasible, levels[:lo] are not
-    h_lo, h_hi = -math.inf, math.inf  # the greatest level probed infeasible, the least feasible
     while lo < hi:
         mid = (lo + hi) // 2
-        if level_feasible(g, b, R, levels[mid], bracket=(h_lo, h_hi)):
-            hi, h_hi = mid, levels[mid]
+        if level_feasible(g, b, R, levels[mid]):
+            hi = mid
         else:
-            lo, h_lo = mid + 1, levels[mid]
+            lo = mid + 1
     return levels[lo]
 
 
 def _construct_at_level(g: CostFunction, b: int, R: float,
                         h: float) -> StoppingDistribution | None:
-    """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false."""
-    fill = _fill_pass(g, b, R, h, bracket=(h, h))
+    """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false.
+
+    Skips the rows h settles if a search has built the level tables at b; one
+    walk alone would not repay them.
+    """
+    fill = _fill_pass(g, b, R, h, skip_settled=b in g._levels)
     return None if fill is None else _tight_policy(b, R, *fill)
 
 

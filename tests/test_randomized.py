@@ -1,4 +1,3 @@
-import bisect
 import hashlib
 import math
 import os
@@ -1099,7 +1098,7 @@ class TestFillWalk:
     """The walk bit for bit against the per-row walk it replaced."""
 
     def test_matches_per_row_walk(self, rng):
-        compared = partial = skipped = bracketed_walks = 0
+        compared = partial = walks = skipped = 0
         inputs = [(g, b, R) for i, (g, b) in enumerate(walk_inputs(rng))
                   for R in ((1.7, 2.5), (2.0, 4.0))[i % 2] if feasible_robustness(b, R)]
         assert any(np.any(g.slope[g.lo < b] < 0.0) for g, b, _ in inputs)
@@ -1110,20 +1109,16 @@ class TestFillWalk:
             levels = [0.0, g.max_value(), math.inf]
             for c in costs.tolist():
                 levels += [c, math.nextafter(c, -math.inf), c - 1e-12]
-            levels.sort()
-            walk = randomized._walk_tables(g, b)
-            for i, h in enumerate(levels):
+            rows = randomized._walk_tables(g, b)[0]
+            for h in levels:
                 got, want = randomized._fill_pass(g, b, R, h), ref_walk(g, b, R, h)
                 assert (got is None) == (want is None), (b, R, h)
-                # a bracket around h skips rows, and the walk is the same bit for bit
-                below, above = levels[max(i - 1, 0)], levels[min(i + 1, len(levels) - 1)]
-                for bracket in ((h, h), (h, math.inf), (below, h), (below, above),
-                                (math.nextafter(h, -math.inf), math.nextafter(h, math.inf))):
-                    bracketed = randomized._fill_pass(g, b, R, h, bracket=bracket)
-                    assert repr(bracketed) == repr(got), (b, R, h, bracket)
-                    skipped += (bisect.bisect_right(walk.sure, bracket[0]) > 0
-                                or bisect.bisect_right(walk.rest, bracket[1]) < len(walk.rows))
-                    bracketed_walks += 1
+                # skipping the rows h settles leaves the walk the same bit for bit
+                settled = randomized._fill_pass(g, b, R, h, skip_settled=True)
+                assert repr(settled) == repr(got), (b, R, h)
+                walks += 1
+                k, n = randomized._settled_rows(g, b, h)
+                skipped += k > 0 or n < len(rows)
                 if got is None:
                     continue
                 compared += 1
@@ -1133,20 +1128,32 @@ class TestFillWalk:
                 # one run per stretch: no run starts the day after the last one ends
                 assert all(s > e + 1 for (_, e, _), (s, _, _) in zip(got[1], got[1][1:]))
         assert compared > 3000 and partial > 300, (compared, partial)
-        assert skipped > bracketed_walks // 4, (skipped, bracketed_walks)
+        assert skipped > walks // 4, (skipped, walks)
 
     def test_level_tables_bound_the_rows(self, rng):
         # sure[i]: rows 0..i wholly active; rest[i]: rows i.. all idle, under the
         # walk's own test, which is monotone in h: so each row at the ends of its
         # range in the sorted tables
         for g, b in walk_inputs(rng):
-            walk = randomized._walk_tables(g, b)
-            assert list(walk.sure) == sorted(walk.sure) and list(walk.rest) == sorted(walk.rest)
-            for i, row in enumerate(walk.rows):
-                for h in (walk.sure[i], walk.sure[-1]):
+            rows = randomized._walk_tables(g, b)[0]
+            randomized._settled_rows(g, b, math.inf)
+            sure, rest = g._levels[b]
+            assert list(sure) == sorted(sure) and list(rest) == sorted(rest)
+            for i, row in enumerate(rows):
+                for h in (sure[i], sure[-1]):
                     assert active_days([row], h) == [row[:2]], (b, i, h)
-                for h in (math.nextafter(walk.rest[i], -math.inf), walk.rest[0] - 1.0):
+                for h in (math.nextafter(rest[i], -math.inf), rest[0] - 1.0):
                     assert active_days([row], h) == [None], (b, i, h)
+
+    def test_only_the_published_search_builds_level_tables(self):
+        for p_hat, b in ((table_prediction("gauss"), 500), (uniform_days(100), 500),
+                         (DayDistribution((30, 120), (0.7, 0.3)), 50)):
+            g = build_cost_function(p_hat, b)
+            assert level_feasible(g, b, 2.0, g.max_value()) and g._levels == {}
+            water_fill(g, b, 2.0, exact=True)
+            assert g._levels == {}
+            water_fill(g, b, 2.0, exact=False)
+            assert list(g._levels) == [b]
 
     def test_published_mode_builds_no_candidate_table(self):
         for p_hat, b in ((table_prediction("gauss"), 2000), (uniform_days(100), 500),
@@ -1157,43 +1164,35 @@ class TestFillWalk:
             assert list(g._walks) == [b]
 
 
-class TestBracketedSearch:
-    """Both level searches hand each check the bracket they know, one walk per probe."""
+class TestSkippingSearch:
+    """One walk per probe: the bisection skips settled rows, the exact search does not."""
 
     @staticmethod
     def recorded(monkeypatch):
         calls = []
 
-        def recording(g, b, R, h, *, bracket=None):
-            calls.append((h, bracket, level_feasible(g, b, R, h, bracket=bracket)))
+        def recording(g, b, R, h, *, skip_settled=False):
+            calls.append((h, skip_settled, level_feasible(g, b, R, h, skip_settled=skip_settled)))
             return calls[-1][2]
 
         monkeypatch.setattr(randomized, "level_feasible", recording)
         return calls
 
-    @staticmethod
-    def assert_known_ends(calls, lo, hi):
-        """Each bracket is (the greatest level found infeasible, the least found
-        feasible) before its call, from the search's own start (lo, hi)."""
-        for h, bracket, feasible in calls:
-            assert bracket == (lo, hi) and lo <= h <= hi
-            lo, hi = (lo, h) if feasible else (h, hi)
-
-    def test_bisection_brackets_each_check(self, monkeypatch):
+    def test_bisection_skips_on_each_check(self, monkeypatch):
         calls = self.recorded(monkeypatch)
         for g, b, R in (*table_cells(), *dense_cells()):
             calls.clear()
             search = minimal_water_level(g, b, R, 1e-7 * g.max_value())
             assert len(calls) == search.checks
-            self.assert_known_ends(calls, 0.0, g.max_value())
+            assert all(skip for _, skip, _ in calls)
             assert all(feasible == level_feasible(g, b, R, h) for h, _, feasible in calls)
 
-    def test_exact_search_brackets_each_probe(self, monkeypatch):
+    def test_exact_search_walks_every_row(self, monkeypatch):
         calls = self.recorded(monkeypatch)
         for g, b, R in (*table_cells(), *sparse_cells()):
             calls.clear()
             level = randomized._exact_level(g, b, R)
-            # the probes of a binary search over the cost midpoints, unbracketed
+            # the probes of a binary search over the cost midpoints, walking every row
             costs = np.unique(randomized._candidate_costs(g, b)[1])
             levels = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value()).tolist()
             lo, hi, probes = 0, len(levels) - 1, []
@@ -1202,16 +1201,7 @@ class TestBracketedSearch:
                 probes.append(levels[mid])
                 lo, hi = (lo, mid) if level_feasible(g, b, R, levels[mid]) else (mid + 1, hi)
             assert [h for h, _, _ in calls] == probes and level == levels[lo]
-            self.assert_known_ends(calls, -math.inf, math.inf)
-
-    @pytest.mark.parametrize("bracket", [(10.5, 20.0), (0.0, 9.5), (math.nan, 20.0),
-                                         (0.0, math.nan), (math.nan, math.nan)],
-                             ids=["lo_above_h", "hi_below_h", "nan_lo", "nan_hi", "nan_both"])
-    def test_bracket_must_hold_h(self, bracket):
-        g = build_cost_function(DayDistribution((30, 120), (0.7, 0.3)), 50)
-        with pytest.raises(InvalidParamsError, match="bracket"):
-            level_feasible(g, 50, 1.7, 10.0, bracket=bracket)
-        assert level_feasible(g, 50, 1.7, 10.0, bracket=(10.0, 10.0)) is False
+            assert not any(skip for _, skip, _ in calls)
 
 
 @st.composite
