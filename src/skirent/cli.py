@@ -26,15 +26,13 @@ from .distributions import (
     total_variation,
     wasserstein1,
 )
-from .errors import InvalidParamsError, ScaleExceededError, SkirentError
+from .errors import InfeasibleError, InvalidParamsError, ScaleExceededError, SkirentError
 from .evaluation import consistency, run_consistency_table, run_perturbation_sweep
-from .oracle import MAX_HORIZON, brute_force_threshold, lp_instance_from_cost, lp_solve
+from .oracle import MAX_HORIZON, ONEHOT_PROPERTIES, PROPERTIES, draw_instance
 from .randomized import (
     build_cost_function,
     check_robustness,
     expected_policy_cost,
-    geometric_cdf,
-    onehot_exact,
     parse_policy,
     realized_worst_ratio,
     water_fill,
@@ -45,6 +43,7 @@ EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
 
 ORACLE_B_MAX = MAX_HORIZON // 4  # verify instances reach day 4b, the oracle's horizon
+ORACLE_CAP = f" (the LP oracle's horizon is 4b, capped at {MAX_HORIZON})"
 
 
 def _log(args, message: str) -> None:
@@ -279,23 +278,11 @@ def _verify_policy_file(args, lines: list[str]) -> int:
 def _verify_onehot(args, lines: list[str]) -> int:
     b = args.b
     if b > ORACLE_B_MAX:
-        raise InvalidParamsError(f"--b must be at most {ORACLE_B_MAX} with --onehot "
-                                 f"(the LP oracle's horizon is 4b, capped at {MAX_HORIZON})")
+        raise InvalidParamsError(f"--b must be at most {ORACLE_B_MAX} with --onehot{ORACLE_CAP}")
     r = args.r if args.r is not None else 2.0
-    failures = 0
-    for y in range(1, 3 * b + 1):
-        p = DayDistribution((y,), (1.0,))
-        g = build_cost_function(p, b)
-        exact = expected_policy_cost(onehot_exact(b, r, y), g)
-        _, lp_value = lp_solve(lp_instance_from_cost(g, b, r))
-        if abs(exact - lp_value) > 1e-6:
-            failures += 1
-            lines.append(f"[FAIL] y={y}: closed form {exact:.9f} vs LP {lp_value:.9f}")
-    if failures == 0:
-        lines.append(f"[PASS] closed-form one-hot optimum matches LP for y in 1..{3*b} "
-                     f"(b={b}, R={r})")
-        return EXIT_OK
-    return EXIT_COMPUTE
+    instances = [(DayDistribution((y,), (1.0,)), b, r) for y in range(1, 3 * b + 1)]
+    return _check_properties(lines, ONEHOT_PROPERTIES, instances,
+                             f"one-hots, y in 1..{3 * b} (b={b}, R={r})")
 
 
 def cmd_verify(args) -> int:
@@ -310,73 +297,38 @@ def _verify_grid(args, lines: list[str]) -> int:
     b_max = 12 if args.b_max is None else args.b_max
     n_inst = 200 if args.instances is None else args.instances
     if not 4 <= b_max <= ORACLE_B_MAX:
-        raise InvalidParamsError(f"--b-max must lie in [4, {ORACLE_B_MAX}] "
-                                 f"(the LP oracle's horizon is 4b, capped at {MAX_HORIZON})")
+        raise InvalidParamsError(f"--b-max must lie in [4, {ORACLE_B_MAX}]{ORACLE_CAP}")
     if n_inst < 1:
         raise InvalidParamsError("--instances must be >= 1")
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
-    failures = 0
+    return _check_properties(lines, PROPERTIES, [draw_instance(rng, b_max) for _ in range(n_inst)],
+                             f"seeded instances (b <= {b_max}, seed {seed})")
 
-    mismatch = 0
-    for _ in range(n_inst):
-        b = int(rng.integers(2, b_max + 1))
-        max_day = int(rng.integers(max(3, b), 4 * b + 1))
-        n = int(rng.integers(1, min(12, max_day) + 1))
-        days = np.sort(rng.choice(np.arange(1, max_day + 1), size=n, replace=False))
-        p = DayDistribution(days, rng.dirichlet(np.ones(n)))
-        fast = optimal_threshold(p, b)
-        slow = brute_force_threshold(p, b)
-        if fast[0] != slow[0] or abs(fast[1] - slow[1]) > 1e-9:
-            mismatch += 1
-    if mismatch == 0:
-        lines.append(f"[PASS] streaming threshold matches exhaustive scan "
-                     f"on {n_inst} instances")
-    else:
-        lines.append(f"[FAIL] threshold mismatch on {mismatch}/{n_inst} instances")
-        failures += 1
 
-    mismatch = 0
-    compared = 0
-    for _ in range(max(10, n_inst // 10)):
-        b = int(rng.integers(4, b_max + 1))
-        r = float(rng.choice([1.7, 2.0, 2.5]))
-        max_day = int(rng.integers(b, 4 * b + 1))
-        n = int(rng.integers(1, min(10, max_day) + 1))
-        days = np.sort(rng.choice(np.arange(1, max_day + 1), size=n, replace=False))
-        p = DayDistribution(days, rng.dirichlet(np.ones(n)))
-        g = build_cost_function(p, b)
-        try:
-            _, wf_obj = water_fill(g, b, r)
-        except SkirentError:
-            continue
-        _, lp_obj = lp_solve(lp_instance_from_cost(g, b, r))
-        compared += 1
-        if abs(wf_obj - lp_obj) > 1e-6:
-            mismatch += 1
-    if mismatch == 0:
-        lines.append(f"[PASS] water filling matches the LP oracle on {compared} instances")
-    else:
-        lines.append(f"[FAIL] water filling off the LP optimum "
-                     f"on {mismatch}/{compared} instances")
-        failures += 1
-
-    mismatch = 0
-    for b in range(2, b_max + 1):
-        for r in (1.7, 2.0, 2.5):
+def _check_properties(lines: list[str], properties: dict, instances: list, over: str) -> int:
+    """One [PASS]/[FAIL] line per property.  It fails on a failure message, on a
+    SkirentError that is not an agreed InfeasibleError, and on comparing nothing."""
+    for name, check in properties.items():
+        faults, infeasible = [], []
+        for instance in instances:
             try:
-                policy = geometric_cdf(b, r)
-            except SkirentError:
-                continue
-            if not check_robustness(policy, b, r).feasible:
-                mismatch += 1
-    if mismatch == 0:
-        lines.append("[PASS] closed-form stopping distributions satisfy their constraints")
-    else:
-        lines.append(f"[FAIL] {mismatch} closed-form distributions violate constraints")
-        failures += 1
-
-    return EXIT_OK if failures == 0 else EXIT_COMPUTE
+                faults.append(check(*instance))
+            except InfeasibleError as exc:  # no R-robust policy, and the oracle agrees
+                infeasible.append(exc)
+            except ScaleExceededError:  # an instance past the oracle's reach is bad input
+                raise
+            except SkirentError as exc:
+                faults.append(f"{type(exc).__name__}: {exc}")
+        faults = [fault for fault in faults if fault is not None]
+        compared = len(instances) - len(infeasible)
+        line = f"{name} on {compared} {over}"
+        if infeasible:
+            line += f"; {len(infeasible)} more agreed infeasible, the last: {infeasible[-1]}"
+        if faults:
+            line += f"; fails on {len(faults)}, the first: {faults[0]}"
+        lines.append(f"[{'FAIL' if faults or not compared else 'PASS'}] {line}")
+    return EXIT_COMPUTE if any(line.startswith("[FAIL]") for line in lines) else EXIT_OK
 
 
 # command -> (function, help, modes).  The first mode whose flag is given (or

@@ -1,4 +1,4 @@
-"""Independent brute-force verifiers: exhaustive threshold scan and a dense simplex."""
+"""Independent brute-force oracles (threshold scan, dense simplex) and properties against them."""
 from __future__ import annotations
 
 import math
@@ -6,10 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import NEVER, Threshold
+from .deterministic import NEVER, Threshold, optimal_threshold
 from .distributions import DayDistribution, _check_b, _check_finite
 from .errors import InfeasibleError, InvalidParamsError, ScaleExceededError
-from .randomized import CostFunction, StoppingDistribution
+from .randomized import (CostFunction, StoppingDistribution, build_cost_function, check_robustness,
+                         expected_policy_cost, feasible_robustness, geometric_cdf, onehot_exact,
+                         water_fill)
 
 MAX_HORIZON = 400
 
@@ -80,52 +82,33 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], n_cols: int, rule: str,
-                 blocked: set[int]) -> None:
+def _run_simplex(T: np.ndarray, basis: list[int], n_cols: int, blocked: set[int]) -> None:
     """Optimize the tableau in place; the last row holds reduced costs.
 
-    ``rule`` picks the entering column: 'bland' takes the lowest eligible index
-    (anti-cycling), 'dantzig' the most negative reduced cost.  The leaving row
-    minimizes the ratio, ties toward the lowest basis index.
+    Bland's rule: the entering column is the lowest eligible index (anti-cycling),
+    and the leaving row minimizes the ratio, ties toward the lowest basis index.
     """
     m = T.shape[0] - 1
     for _ in range(200000):
         red = T[m, :n_cols]
-        enter = -1
-        if rule == "bland":
-            for j in range(n_cols):
-                if j not in blocked and red[j] < -1e-10:
-                    enter = j
-                    break
-        else:
-            j = int(np.argmin(np.where([c in blocked for c in range(n_cols)], np.inf, red)))
-            if red[j] < -1e-10:
-                enter = j
+        enter = next((j for j in range(n_cols) if j not in blocked and red[j] < -1e-10), -1)
         if enter < 0:
             return
         col = T[:m, enter]
         rows = np.where(col > 1e-11)[0]
         if rows.size == 0:
             raise InfeasibleError("unbounded direction in simplex (malformed instance)")
-        best_key = None
-        leave = -1
-        for r in rows:
-            key = (T[r, -1] / col[r], basis[r])
-            if best_key is None or key < best_key:
-                best_key = key
-                leave = int(r)
-        _pivot(T, basis, leave, enter)
+        leave = min(rows, key=lambda r: (T[r, -1] / col[r], basis[r]))
+        _pivot(T, basis, int(leave), enter)
     raise InfeasibleError("simplex failed to converge")
 
 
-def lp_solve(inst: LpInstance, pivot_rule: str = "bland") -> tuple[StoppingDistribution, float]:
+def lp_solve(inst: LpInstance) -> tuple[StoppingDistribution, float]:
     """Solve the robust-stopping program with a dense two-phase textbook simplex.
 
     Raises InfeasibleError when no pmf satisfies the constraints and
     ScaleExceededError beyond the oracle's intended instance size.
     """
-    if pivot_rule not in ("bland", "dantzig"):
-        raise InvalidParamsError(f"unknown pivot rule {pivot_rule!r}")
     n = inst.N
     if n > MAX_HORIZON:
         raise ScaleExceededError(f"oracle horizon {n} exceeds {MAX_HORIZON}")
@@ -158,7 +141,7 @@ def lp_solve(inst: LpInstance, pivot_rule: str = "bland") -> tuple[StoppingDistr
     # phase 1: minimize the artificial variable
     T[m, art] = 1.0
     T[m, :] -= T[n_ub, :]
-    _run_simplex(T, basis, n_total, pivot_rule, blocked=set())
+    _run_simplex(T, basis, n_total, blocked=set())
     if -T[m, -1] > 1e-8:
         raise InfeasibleError("no stopping distribution satisfies the constraints")
     if art in basis:
@@ -174,7 +157,7 @@ def lp_solve(inst: LpInstance, pivot_rule: str = "bland") -> tuple[StoppingDistr
     for r, j in enumerate(basis):
         if T[m, j] != 0.0:
             T[m, :] -= T[m, j] * T[r, :]
-    _run_simplex(T, basis, n_total, pivot_rule, blocked={art})
+    _run_simplex(T, basis, n_total, blocked={art})
 
     x = np.zeros(n_total)
     for r, j in enumerate(basis):
@@ -187,3 +170,83 @@ def lp_solve(inst: LpInstance, pivot_rule: str = "bland") -> tuple[StoppingDistr
     value = float(np.asarray(inst.objective) @ f)
     pmf = ((d, m_) for d, m_ in enumerate(f, 1) if m_ > 1e-14)
     return StoppingDistribution.from_pairs(pmf), value
+
+
+def draw_instance(rng: np.random.Generator, b_max: int) -> tuple[DayDistribution, int, float]:
+    """A seeded (p, b, R): b in [2, b_max], R in {1.5, 1.7, 2, 2.5} (1.5 is feasible
+    only for b <= 5), and 1-12 atoms on days up to 4b, the LP oracle's horizon."""
+    b = int(rng.integers(2, b_max + 1))
+    R = float(rng.choice([1.5, 1.7, 2.0, 2.5]))
+    max_day = int(rng.integers(max(3, b), 4 * b + 1))
+    n = int(rng.integers(1, min(12, max_day) + 1))
+    days = np.sort(rng.choice(np.arange(1, max_day + 1), size=n, replace=False))
+    return DayDistribution(days, rng.dirichlet(np.ones(n))), b, R
+
+
+# Each property checks one instance (p, b, R) and returns a failure message, or
+# None when it holds.  It raises InfeasibleError when no R-robust policy exists
+# and the checked code and its oracle agree on that, so the instance compares
+# nothing; any other SkirentError it raises is a failure of the checked code.
+
+def threshold_matches_scan(p: DayDistribution, b: int, R: float) -> str | None:
+    """``optimal_threshold`` picks the exhaustive scan's buy day and cost (R is unused)."""
+    fast, slow = optimal_threshold(p, b), brute_force_threshold(p, b)
+    if fast[0] != slow[0] or abs(fast[1] - slow[1]) > 1e-9:
+        return f"b={b}: optimal_threshold gives {fast}, the exhaustive scan {slow}"
+    return None
+
+
+def _matches_lp(what: str, solve, p: DayDistribution, b: int, R: float) -> str | None:
+    """``solve(g)`` costs the LP optimum, and finds no policy exactly when the LP finds none."""
+    g = build_cost_function(p, b)
+    try:
+        optimum = lp_solve(lp_instance_from_cost(g, b, R))[1]
+    except InfeasibleError:
+        optimum = None
+    try:
+        cost = solve(g)
+    except InfeasibleError:
+        if optimum is None:
+            raise  # no R-robust policy, and the oracle agrees
+        cost = None
+    if cost is None or optimum is None or abs(cost - optimum) > 1e-6:
+        return f"b={b}, R={R}: {what} costs {cost}, the LP optimum is {optimum} (None: no policy)"
+    return None
+
+
+def water_fill_matches_lp(p: DayDistribution, b: int, R: float) -> str | None:
+    """Exact ``water_fill`` is cost-optimal: it matches the LP oracle."""
+    return _matches_lp("water_fill", lambda g: water_fill(g, b, R)[1], p, b, R)
+
+
+def onehot_matches_lp(p: DayDistribution, b: int, R: float) -> str | None:
+    """``onehot_exact`` is cost-optimal for a one-hot p: it matches the LP oracle."""
+    (y,) = p.days
+    return _matches_lp(f"onehot_exact at y={y}",
+                       lambda g: expected_policy_cost(onehot_exact(b, R, y), g), p, b, R)
+
+
+def geometric_robust_when_feasible(p: DayDistribution, b: int, R: float) -> str | None:
+    """``geometric_cdf`` is R-robust, and finds no policy exactly when
+    ``feasible_robustness`` fails (p is unused)."""
+    feasible = feasible_robustness(b, R)
+    try:
+        robust = check_robustness(geometric_cdf(b, R), b, R).feasible
+    except InfeasibleError:
+        if not feasible:
+            raise  # no R-robust policy, as feasible_robustness says
+        robust = None
+    if feasible and robust:
+        return None
+    return (f"b={b}, R={R}: feasible_robustness is {feasible}, and geometric_cdf's policy "
+            f"is robust: {robust} (None: no policy)")
+
+
+# the properties over any prediction, by the name verify prints for each
+PROPERTIES = {
+    "optimal_threshold matches the exhaustive scan": threshold_matches_scan,
+    "exact water filling matches the LP oracle": water_fill_matches_lp,
+    "geometric_cdf is R-robust exactly when feasible": geometric_robust_when_feasible,
+}
+# and over one-hot predictions
+ONEHOT_PROPERTIES = {"closed-form one-hot optimum matches the LP oracle": onehot_matches_lp}

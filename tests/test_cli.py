@@ -406,6 +406,26 @@ class TestVerifyCommand:
         assert code == 0
         assert "1..24" in out
 
+    def test_onehot_without_a_robust_policy_exits_1(self, capsys):
+        # every one-hot is infeasible at R = 1.1, so the sweep compares nothing
+        code, out, _ = run_cli(capsys, "verify", "--onehot", "--b", "8", "--r", "1.1")
+        assert code == 1
+        assert out.startswith("[FAIL]") and out.count("\n") == 1
+        assert "no R-robust policy exists for b=8, R=1.1" in out
+
+    def test_raising_water_fill_fails_the_grid(self, capsys, monkeypatch):
+        # the grid skipped every instance on which water_fill raised, and with
+        # all of them raising it printed [PASS] on 0 instances and exited 0
+        def broken(*args, **kwargs):
+            raise skirent.InvariantError("constructed policy failed its own robustness check")
+
+        monkeypatch.setattr(skirent.oracle, "water_fill", broken)
+        code, out, _ = run_cli(capsys, "verify", "--instances", "40", "--seed", "5")
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(fails) == 1 and "water filling" in fails[0] and "InvariantError" in fails[0]
+        assert out.count("[PASS]") == 2
+
 
 class TestRoundTrips:
     def test_emitted_distribution_parses(self, capsys):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skirent import (
     DayDistribution,
@@ -20,6 +22,7 @@ from skirent import (
     lp_instance_from_cost,
     lp_solve,
 )
+from skirent.oracle import MAX_HORIZON, ONEHOT_PROPERTIES, PROPERTIES, draw_instance
 from conftest import random_day_distribution
 
 
@@ -88,16 +91,6 @@ class TestLpSolve:
             witness = geometric_cdf(b, R)
             assert value <= expected_policy_cost(witness, g) + 1e-8
 
-    def test_pivot_rules_agree(self, rng):
-        for _ in range(25):
-            b = int(rng.integers(3, 10))
-            R = float(rng.choice([1.7, 2.0]))
-            p_hat = random_day_distribution(rng, max_day=3 * b)
-            inst = lp_instance_from_cost(build_cost_function(p_hat, b), b, R)
-            _, bland = lp_solve(inst, pivot_rule="bland")
-            _, dantzig = lp_solve(inst, pivot_rule="dantzig")
-            assert bland == pytest.approx(dantzig, abs=1e-8)
-
     def test_matches_scipy_reference(self, rng):
         for _ in range(40):
             b = int(rng.integers(3, 12))
@@ -145,3 +138,59 @@ class TestLpSolve:
             lp_instance_from_cost(g, 6, bad)
         with pytest.raises(InvalidParamsError, match="finite"):
             LpInstance(objective=(1.0,) * 24, b=6, R=bad, N=24)
+
+
+def least_feasible_r(b: int) -> float:
+    """The least R that ``feasible_robustness`` accepts at b."""
+    R = 1.0 + 1.0 / math.expm1(b * math.log1p(1.0 / (b - 1.0)))
+    while feasible_robustness(b, R):
+        R = math.nextafter(R, 0.0)
+    while not feasible_robustness(b, R):
+        R = math.nextafter(R, math.inf)
+    return R
+
+
+@st.composite
+def instances(draw):
+    """(p, b, R, y) inside the LP oracle's horizon: b up to MAX_HORIZON // 4, 1-12
+    atoms on days up to 4b, a one-hot day y up to 4b, and R in [1.2, 3] or the
+    least R with a robust policy at b."""
+    b = draw(st.integers(2, MAX_HORIZON // 4))
+    R = draw(st.one_of(st.floats(1.2, 3.0), st.just(least_feasible_r(b))))
+    days = draw(st.lists(st.integers(1, 4 * b), min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(days), max_size=len(days)))
+    total = sum(weights)
+    p = DayDistribution.from_pairs((d, w / total) for d, w in zip(days, weights))
+    return p, b, R, draw(st.integers(1, 4 * b))
+
+
+class TestProperties:
+    def test_properties_hold_on_drawn_instances(self):
+        # the cross-checks skirent verify runs, on drawn predictions and one-hots;
+        # an agreed InfeasibleError compares nothing, and any other error fails
+        compared = dict.fromkeys([*PROPERTIES, *ONEHOT_PROPERTIES], 0)
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+        @given(instances())
+        def check(instance):
+            p, b, R, y = instance
+            one_hot = DayDistribution((y,), (1.0,))
+            runs = [(name, prop, p) for name, prop in PROPERTIES.items()]
+            runs += [(name, prop, one_hot) for name, prop in ONEHOT_PROPERTIES.items()]
+            for name, prop, q in runs:
+                try:
+                    fault = prop(q, b, R)
+                except InfeasibleError:
+                    continue
+                assert fault is None, f"{name}: {fault}"
+                compared[name] += 1
+
+        check()
+        assert all(compared.values()), compared
+
+    def test_drawn_instances_stay_in_the_oracle_horizon(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p, b, R = draw_instance(rng, MAX_HORIZON // 4)
+            assert 2 <= b <= MAX_HORIZON // 4 and p.max_day <= 4 * b
+            lp_instance_from_cost(build_cost_function(p, b), b, R)

@@ -733,14 +733,6 @@ class TestOnehotExact:
             assert expected_policy_cost(pol, g) == pytest.approx(
                 y + b * p_star - phi, abs=1e-9)
 
-    def test_matches_lp_small_grid(self):
-        for b, R in ((4, 1.5), (4, 2.0), (6, 2.0)):
-            for y in range(1, 2 * b + 1):
-                pol = onehot_exact(b, R, y)
-                g = build_cost_function(one_hot(y), b)
-                _, lp_val = lp_solve(lp_instance_from_cost(g, b, R))
-                assert expected_policy_cost(pol, g) == pytest.approx(lp_val, abs=1e-6)
-
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
             onehot_exact(8, 1.5, 5)
