@@ -76,9 +76,12 @@ def lp_instance_from_cost(g: CostFunction, b: int, R: float) -> LpInstance:
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row, :] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r, :] -= T[r, col] * T[row, :]
+    # every other row with a nonzero in col, in one outer product: the same
+    # multiply and subtract per entry as row by row
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(factors)
+    T[rows] -= np.outer(factors[rows], T[row])
     basis[row] = col
 
 
@@ -89,17 +92,20 @@ def _run_simplex(T: np.ndarray, basis: list[int], n_cols: int, blocked: set[int]
     and the leaving row minimizes the ratio, ties toward the lowest basis index.
     """
     m = T.shape[0] - 1
+    eligible = np.ones(n_cols, dtype=bool)
+    eligible[list(blocked)] = False
     for _ in range(200000):
-        red = T[m, :n_cols]
-        enter = next((j for j in range(n_cols) if j not in blocked and red[j] < -1e-10), -1)
-        if enter < 0:
+        entering = np.flatnonzero(eligible & (T[m, :n_cols] < -1e-10))
+        if entering.size == 0:
             return
+        enter = int(entering[0])
         col = T[:m, enter]
-        rows = np.where(col > 1e-11)[0]
+        rows = np.flatnonzero(col > 1e-11)
         if rows.size == 0:
             raise InfeasibleError("unbounded direction in simplex (malformed instance)")
-        leave = min(rows, key=lambda r: (T[r, -1] / col[r], basis[r]))
-        _pivot(T, basis, int(leave), enter)
+        ratios = T[rows, -1] / col[rows]
+        tied = rows[ratios == ratios.min()]
+        _pivot(T, basis, min(tied.tolist(), key=basis.__getitem__), enter)
     raise InfeasibleError("simplex failed to converge")
 
 

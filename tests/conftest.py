@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from skirent import DayDistribution
+
+# Every Hypothesis test draws the same examples on every run and keeps no example
+# database, so Tier-1 is deterministic and replays no example from an earlier
+# run; a test's own settings(...) inherit both.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_day_distribution(rng: np.random.Generator, max_day: int = 60,

@@ -22,6 +22,7 @@ from skirent import (
     lp_instance_from_cost,
     lp_solve,
 )
+import skirent.oracle as oracle
 from skirent.oracle import MAX_HORIZON, ONEHOT_PROPERTIES, PROPERTIES, draw_instance
 from conftest import random_day_distribution
 
@@ -38,6 +39,32 @@ def scipy_reference(inst: LpInstance):
                                  b_ub=np.array(rhs), A_eq=np.ones((1, n)), b_eq=[1.0],
                                  bounds=(0, None), method="highs")
     return res.fun if res.success else None
+
+
+def ref_pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """The row-by-row pivot that ``oracle._pivot`` replaced."""
+    T[row, :] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r, :] -= T[r, col] * T[row, :]
+    basis[row] = col
+
+
+def ref_run_simplex(T: np.ndarray, basis: list[int], n_cols: int, blocked: set[int]) -> None:
+    """The scanning Bland's-rule loop that ``oracle._run_simplex`` replaced."""
+    m = T.shape[0] - 1
+    for _ in range(200000):
+        red = T[m, :n_cols]
+        enter = next((j for j in range(n_cols) if j not in blocked and red[j] < -1e-10), -1)
+        if enter < 0:
+            return
+        col = T[:m, enter]
+        rows = np.where(col > 1e-11)[0]
+        if rows.size == 0:
+            raise InfeasibleError("unbounded direction in simplex (malformed instance)")
+        leave = min(rows, key=lambda r: (T[r, -1] / col[r], basis[r]))
+        ref_pivot(T, basis, int(leave), enter)
+    raise InfeasibleError("simplex failed to converge")
 
 
 class TestBruteForce:
@@ -105,6 +132,32 @@ class TestLpSolve:
                 continue
             assert ref is not None
             assert value == pytest.approx(ref, abs=1e-7)
+
+    def test_matches_row_by_row_pivots(self, monkeypatch):
+        # the vectorised pivots do the same multiply and subtract per entry, so
+        # they take the same pivots and give the same bits
+        rng = np.random.default_rng(3)
+        instances = []
+        while len(instances) < 40:
+            p, b, R = draw_instance(rng, MAX_HORIZON // 4)
+            if b <= 40:
+                instances.append(lp_instance_from_cost(build_cost_function(p, b), b, R))
+
+        def solve_all():
+            out = []
+            for inst in instances:
+                try:
+                    policy, value = lp_solve(inst)
+                    out.append((policy.support, policy.masses, value))
+                except InfeasibleError as e:
+                    out.append(str(e))
+            return out
+
+        fast = solve_all()
+        monkeypatch.setattr(oracle, "_pivot", ref_pivot)
+        monkeypatch.setattr(oracle, "_run_simplex", ref_run_simplex)
+        assert solve_all() == fast
+        assert any(not isinstance(o, str) for o in fast) and any(isinstance(o, str) for o in fast)
 
     def test_infeasible_detected(self):
         g = build_cost_function(DayDistribution((5,), (1.0,)), 8)

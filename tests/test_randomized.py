@@ -1295,6 +1295,69 @@ class TestBestTailDay:
                     assert got == ref_best_tail_day(g, b, h, t_max)
 
 
+def tail_table_inputs():
+    """(g, b) with b inside a row, on a row end, past the last atom and at 2, the
+    dense cells, and atoms past 2^53, where a row's lo + 1 can round back onto lo."""
+    p_hat = DayDistribution((3, 10, 40), (0.5, 0.3, 0.2))
+    for b in (7, 10, 60, 2):
+        yield build_cost_function(p_hat, b), b
+    for g, b, _ in dense_cells():
+        yield g, b
+    for days in ((5, 2**53 + 1), (5, 2**60), (3, 2**53 - 1, 2**53 + 3, 2**60 + 5),
+                 (1, 9007199254740995)):
+        p_hat = DayDistribution(days, tuple([1.0 / len(days)] * len(days)))
+        for b in (2, 50):
+            yield build_cost_function(p_hat, b), b
+
+
+class TestTailTables:
+    def test_costs_and_minima_match_values_at(self):
+        for g, b in tail_table_inputs():
+            days = [float(b)] + [max(b, lo) + 1.0 for lo, hi in zip(g.lo.tolist(), g.hi.tolist())
+                                 if hi > b]
+            costs = g.values_at(np.array(days))
+            got_days, got_costs = randomized._tail_costs(g, b)
+            assert got_days.tolist() == days
+            assert got_costs.tobytes() == costs.tobytes()
+            low, first = [], []
+            for day, cost in zip(days, costs.tolist()):
+                if not low or cost < low[-1]:
+                    low.append(cost)
+                    first.append(day)
+                else:
+                    low.append(low[-1])
+                    first.append(first[-1])
+            _, walk_days, walk_low, walk_first = randomized._walk_tables(g, b)
+            assert [np.asarray(c).tobytes() for c in (walk_days, walk_low, walk_first)] == [
+                np.array(c).tobytes() for c in (days, low, first)]
+
+    def test_best_tail_day_matches_candidate_table(self):
+        for g, b in tail_table_inputs():
+            days, costs = randomized._tail_costs(g, b)
+            picks = np.unique(np.linspace(0, days.size - 1, 6).astype(int))
+            levels = [-1.0, 1e30]
+            limits = [b - 1.0, 1e30]
+            for i in picks.tolist():
+                levels += [costs[i], math.nextafter(costs[i], -math.inf), costs[i] - 5e-13]
+                limits += [days[i], days[i] - 1e-9, math.nextafter(days[i] - 1e-9, -math.inf)]
+            for h in levels:
+                for t_max in limits:
+                    assert (randomized._best_tail_day(g, b, h, t_max)
+                            == ref_best_tail_day(g, b, h, t_max)), (b, h, t_max)
+
+    def test_walk_tables_keep_under_1_mb(self):
+        # the tail tables of a 20k-day prediction took 1.95 MB as Python float lists
+        b = 500
+        g = build_cost_function(uniform_days(20_000), b)
+        tracemalloc.start()
+        try:
+            randomized._walk_tables(g, b)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
+
+
 def level_fill(g: CostFunction, b: int, R: float) -> StoppingDistribution:
     """The fill at the exact level: the warm start water_fill hands the LP."""
     return randomized._construct_at_level(g, b, R, randomized._exact_level(g, b, R))
