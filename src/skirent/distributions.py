@@ -140,6 +140,7 @@ class DayDistribution(_Pmf):
 
 def survival(p: DayDistribution, t: int) -> float:
     """Tail probability P[D >= t]; equals 1 for t = 1 and is nonincreasing in t."""
+    t = _as_int(t, "t")
     if t < 1:
         raise InvalidParamsError("t must be >= 1")
     return min(1.0, max(0.0, 1.0 - p.cdf(t - 1)))

@@ -86,23 +86,15 @@ class CostFunction:
     constant tail (support_end, inf, 0, tail_value): past the last support day
     the cost is the mean horizon.  Slopes are nonincreasing and lie in [0, 1]
     (up to rounding past the last atoms), so costs never fall within a row.
-    The columns are read-only float arrays.  Per b, g keeps what the fill's
-    walk reads (``_walk_tables``), once the bisection asks for them the level
-    tables (``_settled_rows``), and once exact mode asks for it the O(b)
-    candidate table (``_candidate_costs``).
+    The columns are read-only float arrays.  Per b, g keeps one ``_FillTable``,
+    everything a fill at b reads, built at the first walk at b.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
-    # per b, the rows below b as tuples, and the tail candidates' running minima as
-    # memoryviews of float arrays (``_walk_tables``)
-    _walks: dict = field(init=False, repr=False, default_factory=dict)
-    # per b, the level tables over those rows (``_settled_rows``)
-    _levels: dict = field(init=False, repr=False, default_factory=dict)
-    # per b, the candidate days and their costs (``_candidate_costs``)
-    _candidates: dict = field(init=False, repr=False, default_factory=dict)
+    _tables: dict = field(init=False, repr=False, default_factory=dict)  # b -> ``_FillTable``
 
     def __post_init__(self) -> None:
         columns = [np.array(c, dtype=float) for c in (self.lo, self.hi, self.slope, self.intercept)]
@@ -131,7 +123,7 @@ class CostFunction:
         return float(self.intercept[-1])
 
     def __call__(self, t: int) -> float:
-        if t < 1 or int(t) != t:
+        if _as_int(t, "day") < 1:
             raise InvalidParamsError("cost function is defined on positive integer days")
         return float(self.values_at(float(t)))
 
@@ -459,25 +451,26 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: boo
     on the cheapest day from b on within h whose (day - 1) (1 - F) fits in the
     moment budget left.
 
-    With ``skip_settled`` the level tables of ``_settled_rows`` settle rows at
-    h without reading them: the leading rows wholly active at h tile days 1..e
+    With ``skip_settled`` the level tables of ``_FillTable`` settle rows at h
+    without reading them: the leading rows wholly active at h tile days 1..e
     as one run with lag 0, and the trailing rows idle at h change nothing.  The
     rows between are walked as without it, so the result is the same.
     """
     log_gamma, full = _log_gamma(b), _full_log(R)
-    rows = _walk_tables(g, b)[0]
+    table = _fill_table(g, b)
+    rows = table.rows
     lag = 0.0
     start, last_end = 1, 0  # the open run holds days start..last_end, all tight
     runs = []
     full_day = _full_day(log_gamma, lag, full)
     if skip_settled:
-        k, n = _settled_rows(g, b, h)
+        k = bisect.bisect_right(table.sure, h)
         if k:
             last_end = rows[k - 1][1]
             if last_end >= full_day:
                 e = rows[bisect.bisect_left(rows, full_day, key=itemgetter(1))][1]
                 return 1.0, [(1, e, 0.0)], None
-        rows = rows[k:n]
+        rows = rows[k:bisect.bisect_right(table.rest, h)]
     for s, end, slope, intercept in rows:
         # costs never fall along a row: its active days are s .. e
         if slope > 0.0:
@@ -527,85 +520,96 @@ def _full_day(log_gamma: float, lag: float, full: float) -> int:
 def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
     """Cheapest day at or beyond b with cost within h and day within t_max.
 
-    The candidates are ``_tail_days``: a segment's cost rises, so only its
-    earliest day competes.  They rise, so those within t_max are a prefix, and
-    if any of them costs at most h, so does the prefix's cheapest: one bisection
-    and one comparison against the running minima of ``_walk_tables``.  Ties
-    break toward the smaller day.
+    The candidates are the tail days of ``_FillTable``: a segment's cost rises,
+    so only its earliest day competes.  They rise, so those within t_max are a
+    prefix, and if any of them costs at most h, so does the prefix's cheapest:
+    one bisection and one comparison against their running minima.  Ties break
+    toward the smaller day.
     """
-    _, days, low, first = _walk_tables(g, b)
-    k = bisect.bisect_right(days, t_max + 1e-9)
-    return int(first[k - 1]) if k and low[k - 1] <= h + 1e-12 else None
+    table = _fill_table(g, b)
+    k = bisect.bisect_right(table.days, t_max + 1e-9)
+    return int(table.first[k - 1]) if k and table.low[k - 1] <= h + 1e-12 else None
 
 
-def _walk_tables(g: CostFunction, b: int) -> tuple[list[tuple[int, int, float, float]],
-                                                  memoryview, memoryview, memoryview]:
-    """What the fill reads at b, built by the first walk and kept on g.
+class _FillTable:
+    """Everything a fill at one b reads, built by ``_fill_table`` and kept on g.
 
-    The rows with lo < b as (first day, min(hi, b), slope, intercept), and the
-    ``_tail_days`` with the running minimum of their costs and the first day
-    that attains it, as memoryviews of float arrays: bisect reads them nearly
-    as fast as lists, with no list to build.
+    - ``rows``: the rows with lo < b as (first day, min(hi, b), slope, intercept).
+    - ``sure``, ``rest``: the level tables over those rows.  A row's costs rise
+      from its first day to its last (a row with slope <= 0 is its intercept),
+      so from its last day's cost on the walk keeps the whole row, and below
+      its first day's cost it keeps none of it.  ``sure[i]`` is the running
+      maximum of the last-day costs of rows 0..i, ``rest[i]`` the running
+      minimum of the first-day costs from row i on, each widened by
+      1e-9 (1 + |slope day| + |intercept|): far more than the rounding of the
+      walk's day-space test, so a level past it is settled by that test too,
+      and a level within it is walked.
+    - ``days``, ``costs``: the tail days, day b and then each segment's first
+      day past b, which rise strictly, and their costs, bit for bit as
+      ``values_at`` gives them; ``low`` and ``first``: the running minimum of
+      those costs and the first day attaining it.
+    - ``candidates``: the O(b) table of exact mode, built at its first request.
+
+    The level and tail tables are memoryviews of float arrays: bisect reads them
+    nearly as fast as lists, with no list to build.  The table holds no
+    reference to g, so g and its tables die by reference counting.
     """
-    if b not in g._walks:
-        k = int(np.searchsorted(g.lo, b))  # the rows with lo < b
-        rows = list(zip((g.lo[:k] + 1.0).astype(np.int64).tolist(),
-                        np.minimum(g.hi[:k], b).astype(np.int64).tolist(),
-                        g.slope[:k].tolist(), g.intercept[:k].tolist()))
-        days, costs = _tail_costs(g, b)
-        low = np.minimum.accumulate(costs)
-        # a day attains the running minimum first where its cost drops below it
-        drops = np.append(True, costs[1:] < low[:-1])
-        first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
-        g._walks[b] = rows, memoryview(days), memoryview(low), memoryview(first)
-    return g._walks[b]
+
+    __slots__ = ("rows", "sure", "rest", "days", "costs", "low", "first", "_candidates")
+
+    def candidates(self, g: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+        """Every day below b, then the tail days, with their costs, read-only: the
+        support of some optimal policy, which an exact solve's level search and LP
+        read.  Days past b carry no early constraint, so within a segment the
+        earliest day dominates every later one (lower cost, lower moment)."""
+        if self._candidates is None:
+            head = np.arange(1.0, self.days[0])
+            t = np.concatenate((head, self.days))
+            c = np.concatenate((g.values_at(head), self.costs))
+            t.flags.writeable = c.flags.writeable = False
+            self._candidates = t, c
+        return self._candidates
 
 
-def _tail_costs(g: CostFunction, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_tail_days`` and their costs, bit for bit as ``values_at`` gives them.
+def _fill_table(g: CostFunction, b: int) -> _FillTable:
+    """The ``_FillTable`` of g at b, built at the first call for b: O(segments).
 
-    Day b lies on the first row with hi >= b.  Each later day is the first day
-    of its own row, so its cost is that row's multiply and add, with no search.
-    Past 2^53, lo + 1 can round back onto lo, a day of an earlier row: those
-    days keep ``values_at``'s cost.
+    Each tail day after b is the first day of its own row, so its cost is that
+    row's multiply and add, with no search; day b lies on the first row with
+    hi >= b.  Past 2^53, lo + 1 can round back onto lo, a day of an earlier
+    row: those days keep ``values_at``'s cost.
     """
-    days = _tail_days(g, b)
-    j = g.lo.size + 1 - days.size  # the rows past b, one per day after b
-    m = j - 1 if j and g.hi[j - 1] == days[0] else j  # day b's row
+    table = g._tables.get(b)
+    if table is not None:
+        return table
+    table = _FillTable()
+    k = int(np.searchsorted(g.lo, b))  # the rows with lo < b
+    starts, ends = g.lo[:k] + 1.0, np.minimum(g.hi[:k], b)
+    slope, intercept = g.slope[:k], g.intercept[:k]
+    table.rows = list(zip(starts.astype(np.int64).tolist(), ends.astype(np.int64).tolist(),
+                          slope.tolist(), intercept.tolist()))
+    climb = np.maximum(slope, 0.0)  # 0 on the rows whose cost is their intercept
+    margin = 1e-9 * (1.0 + np.abs(intercept))
+    table.sure = memoryview(np.maximum.accumulate(climb * ends * (1.0 + 1e-9) + intercept + margin))
+    rest = np.minimum.accumulate((climb * starts * (1.0 - 1e-9) + intercept - margin)[::-1])
+    table.rest = memoryview(rest[::-1].copy())
+    j = int(np.searchsorted(g.hi, b, "right"))  # the rows past b, one per day after b
+    days = np.append(float(b), np.maximum(b, g.lo[j:]) + 1.0)
+    m = j - 1 if j and g.hi[j - 1] == b else j  # day b's row
     costs = np.empty_like(days)
     costs[0] = g.slope[m] * days[0] + g.intercept[m]
     costs[1:] = g.slope[j:] * days[1:] + g.intercept[j:]
     if g.lo[-1] >= 2.0**53:  # below it every lo + 1 is exact
         off = days[1:] <= g.lo[j:]
         costs[1:][off] = g.values_at(days[1:][off])
-    return days, costs
-
-
-def _settled_rows(g: CostFunction, b: int, h: float) -> tuple[int, int]:
-    """(k, n): the rows below b before k are wholly active at h, and those from n on idle.
-
-    A row's costs rise from its first day to its last (a row with slope <= 0 is
-    its intercept), so from its last day's cost on the walk keeps the whole
-    row, and below its first day's cost it keeps none of it.  Two level tables,
-    built at the first call for b and kept on g, answer by bisection: ``sure[i]``
-    is the running maximum of the last-day costs of rows 0..i, ``rest[i]`` the
-    running minimum of the first-day costs from row i on, each widened by
-    1e-9 (1 + |slope day| + |intercept|): far more than the rounding of the
-    walk's day-space test, so a level past it is settled by that test too, and
-    a level within it is walked.
-    """
-    if b not in g._levels:
-        k = int(np.searchsorted(g.lo, b))  # the rows with lo < b
-        starts, ends = g.lo[:k] + 1.0, np.minimum(g.hi[:k], b)
-        slope, intercept = g.slope[:k], g.intercept[:k]
-        climb = np.maximum(slope, 0.0)  # 0 on the rows whose cost is their intercept
-        margin = 1e-9 * (1.0 + np.abs(intercept))
-        sure = np.maximum.accumulate(climb * ends * (1.0 + 1e-9) + intercept + margin)
-        rest = np.minimum.accumulate((climb * starts * (1.0 - 1e-9) + intercept - margin)[::-1])
-        # bisect reads a memoryview of floats nearly as fast as a list, with no list to build
-        g._levels[b] = memoryview(sure), memoryview(rest[::-1].copy())
-    sure, rest = g._levels[b]
-    return bisect.bisect_right(sure, h), bisect.bisect_right(rest, h)
+    low = np.minimum.accumulate(costs)
+    # a day attains the running minimum first where its cost drops below it
+    drops = np.append(True, costs[1:] < low[:-1])
+    first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
+    table.days, table.costs, table.low, table.first = map(memoryview, (days, costs, low, first))
+    table._candidates = None
+    g._tables[b] = table
+    return table
 
 
 def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
@@ -615,19 +619,24 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
     One pass over the segments below b: maximal early fill, then a tail test
     that asks for an admissible day d >= b with (d - 1) * remaining-mass within
     the leftover moment budget.  The first check at a given b keeps on g the
-    rows below b and a running-minimum table of the tail candidates, costed
-    from the rows' columns with no search (``_walk_tables``, O(segments)); each
-    check then walks those rows once, extending one run per stretch of active
-    rows, and answers the tail test with one bisection on a memoryview.  No
-    O(b) table is built.  With ``skip_settled`` the walk skips the leading rows
-    wholly active at h and the trailing rows idle at h, as the level tables of
-    ``_settled_rows`` tell; the answer is the same.
+    one ``_FillTable`` of b, O(segments): the rows below b, their level
+    tables, and a running-minimum table of the tail candidates.  Each check
+    then walks those rows once, extending one run per stretch of active rows,
+    and answers the tail test with one bisection on a memoryview.  No O(b)
+    table is built.  A bare check walks every row below b; with
+    ``skip_settled``, as every level search asks, the walk skips the leading
+    rows wholly active at h and the trailing rows idle at h, as the level
+    tables tell; the answer is the same.  h may be infinite, not NaN.
     """
     _check_b(b)
     _check_r(R)
     _check_scale(b)
-    if math.isnan(h):
-        raise InvalidParamsError("the water level h must not be NaN")
+    try:  # an isinstance test against numbers.Real would cost each check about 0.7 us
+        bad = isinstance(h, bool) or math.isnan(h)
+    except TypeError:  # not a number
+        bad = True
+    if bad:
+        raise InvalidParamsError(f"the water level h must be a number, not NaN, got {h!r}")
     return _fill_pass(g, b, R, h, skip_settled=skip_settled) is not None
 
 
@@ -677,17 +686,15 @@ def _exact_level(g: CostFunction, b: int, R: float) -> float:
     max g, which admits every day) finds the least feasible one.  A midpoint,
     not the cost itself: the fill tests activity in day space, where a day's
     own cost can map back to just below that day, which drops it.  Returns
-    max g when no level is feasible.  The probes walk every row: there are
-    few of them, one per halving of the distinct costs, and the cost falls
-    after each atom d with b p(d) > P(Y >= d), which cuts the level tables of
-    ``_settled_rows`` short, so building them rarely pays here.
+    max g when no level is feasible.  Each probe skips the rows its level
+    settles, as the bisection's checks do.
     """
-    costs = np.unique(_candidate_costs(g, b)[1])
+    costs = np.unique(_fill_table(g, b).candidates(g)[1])
     levels = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value()).tolist()
     lo, hi = 0, len(levels) - 1  # levels[hi:] are feasible, levels[:lo] are not
     while lo < hi:
         mid = (lo + hi) // 2
-        if level_feasible(g, b, R, levels[mid]):
+        if level_feasible(g, b, R, levels[mid], skip_settled=True):
             hi = mid
         else:
             lo = mid + 1
@@ -698,41 +705,10 @@ def _construct_at_level(g: CostFunction, b: int, R: float,
                         h: float) -> StoppingDistribution | None:
     """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false.
 
-    Skips the rows h settles if a search has built the level tables at b; one
-    walk alone would not repay them.
+    Skips the rows h settles, reading the level tables the search built.
     """
-    fill = _fill_pass(g, b, R, h, skip_settled=b in g._levels)
+    fill = _fill_pass(g, b, R, h, skip_settled=True)
     return None if fill is None else _tight_policy(b, R, *fill)
-
-
-def _candidate_days(g: CostFunction, b: int) -> np.ndarray:
-    """Support of some optimal policy, as floats: every day up to b, plus one
-    day per segment beyond b.
-
-    Days past b carry no early constraint, so within a segment the earliest day
-    dominates every later one (lower cost, lower moment); only those compete.
-    The rows reaching past b start at distinct days, all but the first at or
-    past b, so these days rise strictly.
-    """
-    return np.concatenate((np.arange(1.0, b), _tail_days(g, b)))
-
-
-def _tail_days(g: CostFunction, b: int) -> np.ndarray:
-    """The ``_candidate_days`` from b on: day b, then each segment's first day past b."""
-    j = int(np.searchsorted(g.hi, b, "right"))  # the rows past b
-    return np.append(float(b), np.maximum(b, g.lo[j:]) + 1.0)
-
-
-def _candidate_costs(g: CostFunction, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_candidate_days`` and their costs, read-only and kept on ``g`` per b: an
-    exact solve's level search and LP both read them.  Only exact mode builds
-    this O(b) table; the published fill reads ``_walk_tables``."""
-    if b not in g._candidates:
-        t = _candidate_days(g, b)
-        c = g.values_at(t)
-        t.flags.writeable = c.flags.writeable = False
-        g._candidates[b] = t, c
-    return g._candidates[b]
 
 
 def _lp_refine(g: CostFunction, b: int, R: float,

@@ -1,7 +1,8 @@
 """The exact refine LP of water filling, and the primal simplex that solves it.
 
-Over the candidate days t of a cost function (``randomized._candidate_days``),
-with costs c_t, the LP minimises sum c_t f_t subject to
+Over the candidate days t of a cost function
+(``randomized._FillTable.candidates``), with costs c_t, the LP minimises
+sum c_t f_t subject to
   row x = 1..b-1:  sum_{t <= x} (t-1+b-x) f_t + s_x = (R-1) x,
   the tail row:    sum_t (t-1) f_t + s_T = (R-1) b,
   the mass row:    sum_t f_t = 1,        with f, s >= 0.
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .randomized import (CostFunction, StoppingDistribution, _candidate_costs, _log_gamma,
+from .randomized import (CostFunction, StoppingDistribution, _fill_table, _log_gamma,
                          expected_policy_cost)
 
 _G, _C, _A = 0, 1, 3  # S + 2 X on a day below b
@@ -126,7 +127,7 @@ class Staircase:
 
     def __init__(self, g: CostFunction, b: int, R: float) -> None:
         self.b, self.R = b, R
-        self.t, self.c = _candidate_costs(g, b)
+        self.t, self.c = _fill_table(g, b).candidates(g)
         self.log_gamma = _log_gamma(b)
         self.days = np.arange(1, b)
         self.inv_growth = np.exp(-self.log_gamma * self.days)  # gamma^-x on days 1..b-1

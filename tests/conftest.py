@@ -1,6 +1,10 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from skirent import DayDistribution
 
@@ -9,6 +13,15 @@ from skirent import DayDistribution
 # run; a test's own settings(...) inherit both.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+# What Hypothesis still writes (its cache of constants read from the source) goes
+# to a temporary directory, removed when the session ends, not under the checkout.
+HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="skirent-hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def random_day_distribution(rng: np.random.Generator, max_day: int = 60,

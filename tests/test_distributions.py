@@ -218,6 +218,7 @@ class TestPmfCore:
 class TestSurvivalAndOpt:
     def test_survival_example(self, worked_example):
         assert survival(worked_example, 2) == pytest.approx(0.2, abs=1e-12)
+        assert survival(worked_example, 2.0) == survival(worked_example, 2)
 
     def test_survival_at_one(self, rng):
         for _ in range(20):
@@ -232,6 +233,12 @@ class TestSurvivalAndOpt:
         p = random_day_distribution(rng)
         vals = [survival(p, t) for t in range(1, p.max_day + 3)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    # before: 0.0 for NaN, TypeError for None and "a", and P[D >= 1] for True
+    @pytest.mark.parametrize("t", [math.nan, math.inf, None, "a", True, 2.5, 0])
+    def test_survival_rejects_a_day_that_is_no_positive_integer(self, worked_example, t):
+        with pytest.raises(InvalidParamsError):
+            survival(worked_example, t)
 
     def test_expected_opt_example(self, worked_example):
         # direct evaluation of the defining sum

@@ -1,3 +1,5 @@
+import bisect
+import gc
 import hashlib
 import math
 import os
@@ -6,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from typing import NamedTuple
 
@@ -319,10 +322,15 @@ def ref_walk(g: CostFunction, b: int, R: float,
     return None if tail is None else (F, runs, tail)
 
 
+def candidate_days(g: CostFunction, b: int) -> np.ndarray:
+    """Every day up to b, then each row's first day past b, read off the columns."""
+    return np.concatenate((np.arange(1.0, b + 1), np.maximum(b, g.lo[g.hi > b]) + 1.0))
+
+
 def ref_best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
-    """The tail test over the candidate table's slice from day b on."""
-    t, c = randomized._candidate_costs(g, b)
-    days, values = t[b - 1:], c[b - 1:]
+    """The tail test over the candidate days from b on, costed by ``values_at``."""
+    days = candidate_days(g, b)[b - 1:]
+    values = g.values_at(days)
     admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
     if admissible.size == 0:
         return None
@@ -448,7 +456,7 @@ class TestCostFunction:
             reference = np.array(ref_cost_segments(p_hat, b))
             assert np.array_equal(np.column_stack((g.lo, g.hi, g.slope, g.intercept)), reference)
             # the fill's walk reads the rows below b, their ends cut at b
-            assert randomized._walk_tables(g, b)[0] == [
+            assert randomized._fill_table(g, b).rows == [
                 (int(lo) + 1, int(min(hi, b)), slope, intercept)
                 for lo, hi, slope, intercept in reference.tolist() if lo < b]
         assert min(predictions[-1].probs) < 1e-15
@@ -956,13 +964,26 @@ class TestWaterFill:
         # epsilon at max g runs no check, so b must be checked before the search
         *(lambda g, p, b=b: minimal_water_level(g, b, 2.0, g.max_value())
           for b in (-5, 0, 2.5, True)),
+        # before: ValueError, OverflowError, TypeError and g(1) for g; TypeError for h
+        *(lambda g, p, t=t: g(t) for t in (math.nan, math.inf, "a", True, 2.5, 0)),
+        *(lambda g, p, h=h: level_feasible(g, 4, 2.0, h) for h in ("a", None, True)),
     ], ids=["onehot_fractional_y", "onehot_bool_y", "extension_fractional_y",
             "sufficient_nan_c", "level_nan_h", "baseline_unknown_kind",
-            "search_negative_b", "search_zero_b", "search_fractional_b", "search_bool_b"])
+            "search_negative_b", "search_zero_b", "search_fractional_b", "search_bool_b",
+            "cost_nan_day", "cost_inf_day", "cost_str_day", "cost_bool_day",
+            "cost_fractional_day", "cost_zero_day", "level_str_h", "level_none_h",
+            "level_bool_h"])
     def test_bad_input_raises_typed_error(self, call):
         p_hat = DayDistribution((3, 9), (0.5, 0.5))
         with pytest.raises(InvalidParamsError):
             call(build_cost_function(p_hat, 4), p_hat)
+
+    def test_infinite_levels_are_valid(self):
+        g = build_cost_function(DayDistribution((3, 9), (0.5, 0.5)), 4)
+        for skip in (False, True):
+            assert level_feasible(g, 4, 2.0, math.inf, skip_settled=skip)
+            assert not level_feasible(g, 4, 2.0, -math.inf, skip_settled=skip)
+        assert g(3.0) == g(np.int64(3)) == g(3)
 
     @pytest.mark.parametrize("call", [
         lambda g, b: water_fill(g, b, 2.0),
@@ -1095,13 +1116,13 @@ class TestFillWalk:
                   for R in ((1.7, 2.5), (2.0, 4.0))[i % 2] if feasible_robustness(b, R)]
         assert any(np.any(g.slope[g.lo < b] < 0.0) for g, b, _ in inputs)
         for g, b, R in inputs:
-            costs = np.unique(randomized._candidate_costs(g, b)[1])
+            costs = np.unique(g.values_at(candidate_days(g, b)))
             if costs.size > 16:
                 costs = costs[np.linspace(0, costs.size - 1, 16).astype(int)]
             levels = [0.0, g.max_value(), math.inf]
             for c in costs.tolist():
                 levels += [c, math.nextafter(c, -math.inf), c - 1e-12]
-            rows = randomized._walk_tables(g, b)[0]
+            table = randomized._fill_table(g, b)
             for h in levels:
                 got, want = randomized._fill_pass(g, b, R, h), ref_walk(g, b, R, h)
                 assert (got is None) == (want is None), (b, R, h)
@@ -1109,8 +1130,8 @@ class TestFillWalk:
                 settled = randomized._fill_pass(g, b, R, h, skip_settled=True)
                 assert repr(settled) == repr(got), (b, R, h)
                 walks += 1
-                k, n = randomized._settled_rows(g, b, h)
-                skipped += k > 0 or n < len(rows)
+                k, n = bisect.bisect_right(table.sure, h), bisect.bisect_right(table.rest, h)
+                skipped += k > 0 or n < len(table.rows)
                 if got is None:
                     continue
                 compared += 1
@@ -1127,37 +1148,55 @@ class TestFillWalk:
         # walk's own test, which is monotone in h: so each row at the ends of its
         # range in the sorted tables
         for g, b in walk_inputs(rng):
-            rows = randomized._walk_tables(g, b)[0]
-            randomized._settled_rows(g, b, math.inf)
-            sure, rest = g._levels[b]
+            table = randomized._fill_table(g, b)
+            sure, rest = table.sure, table.rest
             assert list(sure) == sorted(sure) and list(rest) == sorted(rest)
-            for i, row in enumerate(rows):
+            for i, row in enumerate(table.rows):
                 for h in (sure[i], sure[-1]):
                     assert active_days([row], h) == [row[:2]], (b, i, h)
                 for h in (math.nextafter(rest[i], -math.inf), rest[0] - 1.0):
                     assert active_days([row], h) == [None], (b, i, h)
 
-    def test_only_the_published_search_builds_level_tables(self):
+    def test_each_water_fill_keeps_one_table(self):
         for p_hat, b in ((table_prediction("gauss"), 500), (uniform_days(100), 500),
                          (DayDistribution((30, 120), (0.7, 0.3)), 50)):
-            g = build_cost_function(p_hat, b)
-            assert level_feasible(g, b, 2.0, g.max_value()) and g._levels == {}
-            water_fill(g, b, 2.0, exact=True)
-            assert g._levels == {}
-            water_fill(g, b, 2.0, exact=False)
-            assert list(g._levels) == [b]
+            for first_exact in (False, True):
+                g = build_cost_function(p_hat, b)
+                water_fill(g, b, 2.0, exact=first_exact)
+                table = g._tables[b]
+                assert list(g._tables) == [b]
+                assert (table._candidates is not None) == first_exact
+                water_fill(g, b, 2.0, exact=not first_exact)
+                assert list(g._tables) == [b] and g._tables[b] is table
+                assert table._candidates is not None
+                # another b gets a table of its own, and a bare check builds no candidates
+                assert level_feasible(g, 2 * b, 2.0, g.max_value())
+                assert list(g._tables) == [b, 2 * b] and g._tables[2 * b]._candidates is None
 
     def test_published_mode_builds_no_candidate_table(self):
         for p_hat, b in ((table_prediction("gauss"), 2000), (uniform_days(100), 500),
                          (DayDistribution((30, 120), (0.7, 0.3)), 50)):
             g = build_cost_function(p_hat, b)
             water_fill(g, b, 2.0, exact=False)
-            assert g._candidates == {}
-            assert list(g._walks) == [b]
+            assert g._tables[b]._candidates is None
+            assert list(g._tables) == [b]
+
+    def test_cost_function_dies_without_the_collector(self):
+        # a table holding g would make a cycle that only the collector frees
+        gc.disable()
+        try:
+            g = build_cost_function(table_prediction("gauss"), 500)
+            water_fill(g, 500, 2.0, exact=False)
+            water_fill(g, 500, 2.0)
+            dead = weakref.ref(g)
+            del g
+            assert dead() is None
+        finally:
+            gc.enable()
 
 
 class TestSkippingSearch:
-    """One walk per probe: the bisection skips settled rows, the exact search does not."""
+    """One walk per probe, and every probe of either search skips settled rows."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -1179,13 +1218,13 @@ class TestSkippingSearch:
             assert all(skip for _, skip, _ in calls)
             assert all(feasible == level_feasible(g, b, R, h) for h, _, feasible in calls)
 
-    def test_exact_search_walks_every_row(self, monkeypatch):
+    def test_exact_search_skips_on_each_probe(self, monkeypatch):
         calls = self.recorded(monkeypatch)
         for g, b, R in (*table_cells(), *sparse_cells()):
             calls.clear()
             level = randomized._exact_level(g, b, R)
-            # the probes of a binary search over the cost midpoints, walking every row
-            costs = np.unique(randomized._candidate_costs(g, b)[1])
+            # the probes of a binary search over the cost midpoints, each walking every row
+            costs = np.unique(g.values_at(candidate_days(g, b)))
             levels = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value()).tolist()
             lo, hi, probes = 0, len(levels) - 1, []
             while lo < hi:
@@ -1193,7 +1232,8 @@ class TestSkippingSearch:
                 probes.append(levels[mid])
                 lo, hi = (lo, mid) if level_feasible(g, b, R, levels[mid]) else (mid + 1, hi)
             assert [h for h, _, _ in calls] == probes and level == levels[lo]
-            assert not any(skip for _, skip, _ in calls)
+            assert all(skip for _, skip, _ in calls)
+            assert all(feasible == level_feasible(g, b, R, h) for h, _, feasible in calls)
 
 
 @st.composite
@@ -1232,7 +1272,7 @@ class TestWaterFillAtScale:
         g = build_cost_function(one_hot(3 * b), b)
         policy, _ = water_fill(g, b, 2.0, exact=False)
         assert check_robustness(policy, b, 2.0).feasible
-        assert g._candidates == {}
+        assert g._tables[b]._candidates is None
 
     # Open accuracy failures.  The check's direct formula (R-1) x - (mu(x) +
     # (b-x) F(x)) subtracts terms of up to 10^6, and its rounding passes
@@ -1286,7 +1326,7 @@ class TestBestTailDay:
             levels = (-1.0, min(costs), max(costs) - 5e-13, math.nextafter(min(costs), -math.inf),
                       float(rng.uniform(0.0, g.max_value())), 1e9)
             limits = [b - 1.0, b - 5e-10, float(rng.integers(b, g.support_end + 12)), 1e18]
-            for day in randomized._tail_days(g, b)[:3].tolist():
+            for day in randomized._fill_table(g, b).days[:3].tolist():
                 limits += [day, day - 1e-9, math.nextafter(day - 1e-9, -math.inf)]
             for h in levels:
                 for t_max in limits:
@@ -1316,9 +1356,9 @@ class TestTailTables:
             days = [float(b)] + [max(b, lo) + 1.0 for lo, hi in zip(g.lo.tolist(), g.hi.tolist())
                                  if hi > b]
             costs = g.values_at(np.array(days))
-            got_days, got_costs = randomized._tail_costs(g, b)
-            assert got_days.tolist() == days
-            assert got_costs.tobytes() == costs.tobytes()
+            table = randomized._fill_table(g, b)
+            assert table.days.tolist() == days
+            assert table.costs.tobytes() == costs.tobytes()
             low, first = [], []
             for day, cost in zip(days, costs.tolist()):
                 if not low or cost < low[-1]:
@@ -1327,13 +1367,21 @@ class TestTailTables:
                 else:
                     low.append(low[-1])
                     first.append(first[-1])
-            _, walk_days, walk_low, walk_first = randomized._walk_tables(g, b)
-            assert [np.asarray(c).tobytes() for c in (walk_days, walk_low, walk_first)] == [
+            assert [c.tobytes() for c in (table.days, table.low, table.first)] == [
                 np.array(c).tobytes() for c in (days, low, first)]
+
+    def test_candidates_match_values_at(self):
+        for g, b in tail_table_inputs():
+            days = candidate_days(g, b)
+            t, c = randomized._fill_table(g, b).candidates(g)
+            assert t.tobytes() == days.tobytes()
+            assert c.tobytes() == g.values_at(days).tobytes()
+            assert not (t.flags.writeable or c.flags.writeable)
 
     def test_best_tail_day_matches_candidate_table(self):
         for g, b in tail_table_inputs():
-            days, costs = randomized._tail_costs(g, b)
+            table = randomized._fill_table(g, b)
+            days, costs = np.asarray(table.days), np.asarray(table.costs)
             picks = np.unique(np.linspace(0, days.size - 1, 6).astype(int))
             levels = [-1.0, 1e30]
             limits = [b - 1.0, 1e30]
@@ -1346,15 +1394,17 @@ class TestTailTables:
                             == ref_best_tail_day(g, b, h, t_max)), (b, h, t_max)
 
     def test_walk_tables_keep_under_1_mb(self):
-        # the tail tables of a 20k-day prediction took 1.95 MB as Python float lists
+        # the tail tables of a 20k-day prediction took 1.95 MB as Python float lists;
+        # the whole table at b counts: rows, level tables and tail tables
         b = 500
         g = build_cost_function(uniform_days(20_000), b)
         tracemalloc.start()
         try:
-            randomized._walk_tables(g, b)
+            table = randomized._fill_table(g, b)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert len(table.rows) == b and len(table.sure) == b and len(table.days) > 19_000
         assert kept < 1_000_000
 
 
@@ -1466,7 +1516,7 @@ class TestExactRefine:
     def test_no_candidate_cutoff(self):
         b, R = 50, 1.7
         g = build_cost_function(uniform_days(21_000), b)
-        assert len(randomized._candidate_days(g, b)) > 20_000
+        assert len(randomized._fill_table(g, b).candidates(g)[0]) > 20_000
         refined = randomized._lp_refine(g, b, R, level_fill(g, b, R))
         assert check_robustness(refined, b, R).feasible
         published_obj = water_fill(g, b, R, exact=False)[1]
@@ -1589,7 +1639,7 @@ class TestExactRefine:
             except InfeasibleError:
                 return
             level = randomized._exact_level(g, b, R)
-            costs = np.unique(g.values_at(randomized._candidate_days(g, b)))
+            costs = np.unique(g.values_at(candidate_days(g, b)))
             midpoints = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value())
             i = int(np.flatnonzero(midpoints == level)[0])  # costs[i] is its lower cost
             assert level_feasible(g, b, R, level)
@@ -1678,7 +1728,7 @@ class TestExactRefine:
         g = build_cost_function(p_hat, b)
         assert not level_feasible(g, b, R, g(day))
         level = randomized._exact_level(g, b, R)
-        costs = np.unique(g.values_at(randomized._candidate_days(g, b)))
+        costs = np.unique(g.values_at(candidate_days(g, b)))
         assert costs[np.searchsorted(costs, level, side="right") - 1] == g(day)
         published = water_fill(g, b, R, exact=False)[0]
         assert randomized._construct_at_level(g, b, R, level).support == published.support
@@ -1696,7 +1746,7 @@ class TestExactRefine:
         fill = randomized._construct_at_level(g, b, R, g(34))
         assert 34 in fill.days
         level = randomized._exact_level(g, b, R)
-        costs = np.unique(g.values_at(randomized._candidate_days(g, b)))
+        costs = np.unique(g.values_at(candidate_days(g, b)))
         assert costs[np.searchsorted(costs, level, side="right") - 1] == g(34)
         assert randomized._construct_at_level(g, b, R, level).support == fill.support
 
@@ -1724,7 +1774,7 @@ def highs_objective(g: CostFunction, b: int, R: float) -> float:
     Columns are [f (n) | F (b-1) | M (b-1)]: F_x and M_x are the mass and the
     moment bought by day x, so row x reads M_x + (b-x) F_x <= (R-1) x.
     """
-    t = randomized._candidate_days(g, b)
+    t = candidate_days(g, b)
     n, k, x = t.size, b - 1, np.arange(1, b)
     f_col = x - 1
     F_col, M_col, later = n + f_col, n + k + f_col, x[1:] - 1
