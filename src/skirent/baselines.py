@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import MAX_DAYS, DayDistribution, survival, _check_b, _check_finite, _is_finite
+from .distributions import MAX_DAYS, DayDistribution, survival, _as_b, _check_finite, _is_finite
 from .errors import InvalidParamsError, InvalidRError, ScaleExceededError
 from .randomized import StoppingDistribution
 
@@ -23,7 +23,7 @@ def lambda_from_r(b: int, R: float) -> float:
     or is at most 1 + 1/b, where the mapping diverges (raw value inf), or when the
     produced parameter falls outside (0, 1].
     """
-    _check_b(b)
+    b = _as_b(b)
     if not _is_finite(R) or R <= 1.0 + 1.0 / b:
         raise InvalidRError(f"R={R!r} must be a finite number exceeding 1 + 1/b", math.inf)
     lam = 1.0 / b - math.log(1.0 - (1.0 + 1.0 / b) / R)  # positive: R > 1 + 1/b
@@ -34,7 +34,7 @@ def lambda_from_r(b: int, R: float) -> float:
 
 def r_from_lambda(b: int, lam: float) -> float:
     """Inverse mapping: the robustness level of a branch parameter in (1/b, 1]."""
-    _check_b(b)
+    b = _as_b(b)
     _check_finite(lam, "lambda")
     if not 1.0 / b < lam <= 1.0:
         raise InvalidParamsError(f"lambda must lie in (1/b, 1] = ({1.0 / b}, 1], got {lam}")
@@ -50,7 +50,7 @@ def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:
     l = ceil(b/lam), which reproduces the reference consistency figures to
     four decimals; so k <= b <= l.
     """
-    _check_b(b)
+    b = _as_b(b)
     _check_finite(lam, "lambda")
     if not 0.0 < lam <= 1.0:
         raise InvalidParamsError("lambda must lie in (0, 1]")

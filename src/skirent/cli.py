@@ -20,8 +20,8 @@ from .deterministic import (
 )
 from .distributions import (
     DayDistribution,
+    _as_int,
     _check_finite,
-    _check_seed,
     parse_distribution,
     total_variation,
     wasserstein1,
@@ -136,8 +136,7 @@ def _resolve_seed(args) -> int:
             seed = int(env) if env else 0
         except ValueError:
             raise InvalidParamsError(f"SKIRENT_SEED must be an integer, got {env!r}") from None
-    _check_seed(seed)
-    return seed
+    return _as_int(seed, "the seed", 0)
 
 
 def _validate_common(args) -> None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DayDistribution, expected_opt, survival, _check_b, _check_finite
+from .distributions import DayDistribution, expected_opt, survival, _as_b, _as_int, _check_finite
 from .errors import DegenerateTailError, InvalidParamsError
 
 #: Sentinel threshold meaning "rent forever".  Finite thresholds are positive ints.
@@ -19,24 +19,18 @@ def is_never(t: Threshold) -> bool:
     return t == NEVER
 
 
-def _check_threshold(t: Threshold) -> None:
-    if is_never(t):
-        return
-    try:  # int() raises on NaN, infinities and non-numbers
-        valid = not isinstance(t, bool) and int(t) == t and t >= 1
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise InvalidParamsError(f"threshold must be a positive integer or NEVER, got {t!r}")
+def _as_threshold(t: Threshold) -> Threshold:
+    """NEVER, or t as an int under ``_as_int``'s rule, at least 1."""
+    return NEVER if is_never(t) else _as_int(t, "threshold (a positive integer or NEVER)", 1)
 
 
 def expected_cost_threshold(p: DayDistribution, b: int, t: Threshold) -> float:
     """Expected cost of renting t-1 days then buying on day t (NEVER: rent forever)."""
-    _check_b(b)
-    _check_threshold(t)
+    b = _as_b(b)
+    t = _as_threshold(t)
     if is_never(t):
         return p.mean()
-    t = int(t)
+    t = min(t, p.max_day + 1)  # every day past the support costs the same, even past float range
     return p.partial_day_sum(t) + survival(p, t) * (b + t - 1)
 
 
@@ -48,7 +42,7 @@ def optimal_threshold(p: DayDistribution, b: int) -> tuple[Threshold, float]:
     toward the smallest buy day; buying strictly after the last support day is
     equivalent to never buying and is reported as NEVER.
     """
-    _check_b(b)
+    b = _as_b(b)
     days = p._days_arr
     # running sums add in sequence, exactly as a day-by-day scan would
     tail = np.append(np.cumsum(p._mass_arr[::-1])[::-1], 0.0)  # mass on days[k:]
@@ -76,22 +70,20 @@ def _tail_ratio(p: DayDistribution, b: int, t: int) -> float:
 
 def cr_bound_early(p: DayDistribution, b: int, t: Threshold) -> float:
     """Upper bound on the expected competitive ratio when the buy day is at most b."""
-    _check_b(b)
-    _check_threshold(t)
+    b = _as_b(b)
+    t = _as_threshold(t)
     if is_never(t) or t > b:
         raise InvalidParamsError("early-buy bound needs a finite threshold t <= b")
-    t = int(t)
     r = _tail_ratio(p, b, t)
     return 1.0 + ((b - 1) * r - (b - t)) / (t * r + (b - t))
 
 
 def cr_bound_late(p: DayDistribution, b: int, t: Threshold) -> float:
     """Upper bound on the expected competitive ratio when the buy day exceeds b."""
-    _check_b(b)
-    _check_threshold(t)
+    b = _as_b(b)
+    t = _as_threshold(t)
     if is_never(t) or t <= b:
         raise InvalidParamsError("late-buy bound needs a finite threshold t > b")
-    t = int(t)
     r = _tail_ratio(p, b, t)
     return (t - 1) / b + r
 
@@ -103,14 +95,13 @@ def sufficient_condition_check(p: DayDistribution, b: int, t: Threshold, C: floa
     denominator; a nonpositive one is reported as inapplicable).  For t >= b
     the late-buy condition applies.  At t = b either condition suffices.
     """
-    _check_b(b)
-    _check_threshold(t)
+    b = _as_b(b)
+    t = _as_threshold(t)
     _check_finite(C, "C")
     if C <= 1:
         raise InvalidParamsError("C must exceed 1")
     if is_never(t):
         raise InvalidParamsError("condition check needs a finite threshold")
-    t = int(t)
     r = _tail_ratio(p, b, t)
     alpha = t / b
     ok = False
@@ -129,8 +120,8 @@ def clamp_threshold(t_hat: Threshold, b: int, lam: float) -> int:
     NEVER is treated as +inf and clamps to the upper end.  Tiny float guards keep
     exact products like lam*b from rounding across an integer boundary.
     """
-    _check_b(b)
-    _check_threshold(t_hat)
+    b = _as_b(b)
+    t_hat = _as_threshold(t_hat)
     _check_finite(lam, "lambda")
     if not 0.0 < lam < 1.0:
         raise InvalidParamsError("lambda must lie in (0, 1)")
@@ -139,7 +130,7 @@ def clamp_threshold(t_hat: Threshold, b: int, lam: float) -> int:
     lo = max(1, lo)
     if is_never(t_hat):
         return hi
-    return min(max(int(t_hat), lo), hi)
+    return min(max(t_hat, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ def robust_consistent_bound(
     relative error theta (eta/OPT for the transport metric; b*eta/OPT for the
     total-variation metric) and is unavailable once that factor reaches 1.
     """
-    _check_b(b)
+    b = _as_b(b)
     _check_finite(eta, "eta")
     if eta < 0:
         raise InvalidParamsError("eta must be >= 0")

@@ -140,15 +140,14 @@ class DayDistribution(_Pmf):
 
 def survival(p: DayDistribution, t: int) -> float:
     """Tail probability P[D >= t]; equals 1 for t = 1 and is nonincreasing in t."""
-    t = _as_int(t, "t")
-    if t < 1:
-        raise InvalidParamsError("t must be >= 1")
+    # every day past the support has the same tail, also one past float range
+    t = min(_as_int(t, "t", 1), p.max_day + 1)
     return min(1.0, max(0.0, 1.0 - p.cdf(t - 1)))
 
 
 def expected_opt(p: DayDistribution, b: int) -> float:
     """Expected offline optimum E[min(D, b)] for buy cost b >= 2."""
-    _check_b(b)
+    b = _as_b(b)
     return p.partial_day_sum(b) + b * survival(p, b)
 
 
@@ -225,7 +224,7 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     is spent or a move cap is reached.  Deterministic for a given seed, and the
     result always satisfies W1(p, result) <= eta.
     """
-    _check_seed(seed)
+    seed = _as_int(seed, "the seed", 0)
     _check_finite(eta, "eta")
     if eta < 0:
         raise InvalidParamsError("eta must be >= 0")
@@ -340,16 +339,16 @@ class FamilySpec:
     params: Mapping[str, Any]
 
 
-def _check_b(b: int) -> None:
-    """Reject a buy cost that is not an integer in [2, 2^63), the int64 range days have."""
-    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or not 2 <= b < 2**63:
+def _as_b(b: Any) -> int:
+    """The buy cost as an int under ``_as_int``'s rule, in [2, 2^63), the int64 range days have.
+
+    A plain int, as nearly every call passes, costs one call: no ``_as_int`` frame.
+    """
+    if type(b) is not int:
+        b = _as_int(b, "buy cost b")
+    if not 2 <= b < 2**63:
         raise InvalidParamsError(f"buy cost b must be an integer in [2, 2^63), got {b!r}")
-
-
-def _check_seed(seed: int) -> None:
-    """Reject a seed numpy's generators would refuse: anything but an integer >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParamsError(f"the seed must be an integer >= 0, got {seed!r}")
+    return b
 
 
 def _is_finite(value: Any) -> bool:
@@ -361,8 +360,8 @@ def _is_finite(value: Any) -> bool:
 
 
 def _check_finite(value: float, what: str) -> None:
-    """Reject NaN, infinities and non-numbers; NaN would slip past every range check."""
-    if not _is_finite(value):
+    """Reject NaN, infinities, bools and non-numbers; NaN would slip past every range check."""
+    if isinstance(value, (bool, np.bool_)) or not _is_finite(value):
         raise InvalidParamsError(f"{what} must be a finite number, got {value!r}")
 
 
@@ -380,13 +379,21 @@ def _float_param(params: Mapping[str, Any], key: str) -> float:
         raise InvalidParamsError(f"parameter {key!r} must be a number, got {value!r}") from None
 
 
-def _as_int(value: Any, what: str) -> int:
-    """``value`` as an int; integral floats are accepted, anything else is rejected."""
+def _as_int(value: Any, what: str, least: int | None = None) -> int:
+    """The one integer rule: ``value`` as an int, at least ``least`` when given.
+
+    An int, a numpy integer or an integral float is accepted; a bool, a string,
+    None, a fraction, NaN or an infinity raises InvalidParamsError.
+    """
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        n = int(value)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        n = int(value)
+    else:
         raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    if least is not None and n < least:
+        raise InvalidParamsError(f"{what} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 def _int_param(params: Mapping[str, Any], key: str, default: int | None = None) -> int:
@@ -466,10 +473,7 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
             raise InvalidParamsError("two_point weights must sum to 1")
         return DayDistribution.from_pairs(atoms)
     if family is Family.ONE_HOT:
-        y = _int_param(params, "y")
-        if y < 1:
-            raise InvalidParamsError("y must be >= 1")
-        return DayDistribution((y,), (1.0,))
+        return DayDistribution((_as_int(_need(params, "y"), "parameter 'y'", 1),), (1.0,))
     if family is Family.CUSTOM:
         return DayDistribution.from_pairs(_parse_atoms(_need(params, "atoms")))
     raise InvalidParamsError(f"unknown family {spec.family!r}")

@@ -16,9 +16,9 @@ from .distributions import (
     FamilySpec,
     make_distribution,
     perturb_wasserstein,
-    _check_b,
+    _as_b,
+    _as_int,
     _check_finite,
-    _check_seed,
 )
 from .errors import InvalidParamsError
 from .randomized import (
@@ -101,7 +101,7 @@ def consistency(p: DayDistribution, f: StoppingDistribution, b: int) -> float:
     The minimum ranges over every buy day including never buying, so the ratio
     is at least 1.
     """
-    _check_b(b)
+    b = _as_b(b)
     g = build_cost_function(p, b)
     _, best = optimal_threshold(p, b)
     return expected_policy_cost(f, g) / best
@@ -176,9 +176,8 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
     always evaluated under the true distribution.  Each (eta, trial) pair gets
     its own child seed derived from the master seed, so runs are reproducible.
     """
-    _check_seed(seed)
-    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise InvalidParamsError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    seed = _as_int(seed, "the seed", 0)
+    n_trials = _as_int(n_trials, "n_trials", 1)
     etas = tuple(range(0, 21, 2)) if eta_grid is None else tuple(eta_grid)
     for eta in etas:
         _check_finite(eta, "eta")
@@ -214,7 +213,7 @@ def case_study_lambda_third(b: int) -> tuple[float, float]:
     the 4b/3 cost of the point-prediction deterministic comparator (which buys
     at b/3 or 3b).  With b divisible by 6 both values are exact: (7b/6, 4b/3).
     """
-    _check_b(b)
+    b = _as_b(b)
     if b % 6 != 0:
         raise InvalidParamsError("b must be divisible by 6 so all costs are exact")
     p = DayDistribution((2 * b // 3, 2 * b), (0.5, 0.5))

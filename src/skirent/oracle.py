@@ -7,11 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import NEVER, Threshold, optimal_threshold
-from .distributions import DayDistribution, _check_b, _check_finite
+from .distributions import DayDistribution, _as_b, _as_int, _check_finite
 from .errors import InfeasibleError, InvalidParamsError, ScaleExceededError
 from .randomized import (CostFunction, StoppingDistribution, build_cost_function, check_robustness,
                          expected_policy_cost, feasible_robustness, geometric_cdf, onehot_exact,
-                         water_fill)
+                         water_fill, _check_r)
 
 MAX_HORIZON = 400
 
@@ -23,7 +23,7 @@ def brute_force_threshold(p: DayDistribution, b: int) -> tuple[Threshold, float]
     cross-check each other.  Same tie-breaking: earliest buy day wins, and a
     buy day past the whole support is reported as NEVER.
     """
-    _check_b(b)
+    b = _as_b(b)
     support = list(zip(p.days, p.probs))
     max_day = p.days[-1]
     best_t = 1
@@ -50,12 +50,9 @@ class LpInstance:
     N: int
 
     def __post_init__(self) -> None:
-        _check_b(self.b)
-        _check_finite(self.R, "R")
-        if self.R <= 1:
-            raise InvalidParamsError("R must exceed 1")
-        if self.N < self.b:
-            raise InvalidParamsError("horizon N must be at least b")
+        object.__setattr__(self, "b", _as_b(self.b))
+        _check_r(self.R)
+        object.__setattr__(self, "N", _as_int(self.N, "horizon N", self.b))
         if len(self.objective) != self.N:
             raise InvalidParamsError("objective must list g(1..N)")
 

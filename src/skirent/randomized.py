@@ -11,7 +11,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .distributions import (MAX_DAYS, DayDistribution, _as_int, _check_b, _check_finite,
+from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _check_finite,
                             _parse_atoms, _Pmf)
 from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
 
@@ -123,8 +123,8 @@ class CostFunction:
         return float(self.intercept[-1])
 
     def __call__(self, t: int) -> float:
-        if _as_int(t, "day") < 1:
-            raise InvalidParamsError("cost function is defined on positive integer days")
+        if _as_int(t, "day", 1) > self.support_end:  # the tail, also past float range
+            return self.tail_value
         return float(self.values_at(float(t)))
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
@@ -145,7 +145,7 @@ def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
     c_k the rental prefix plus (b-1) a_k; past the last support day it is the
     constant mean horizon.
     """
-    _check_b(b)
+    b = _as_b(b)
     # accumulate subtracts in sequence, like a running tail_prob -= q; 1 - cumsum
     # rounds differently
     slope = np.subtract.accumulate(np.append(1.0, p_hat._mass_arr))
@@ -202,7 +202,7 @@ class RobustnessReport:
 
 def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessReport:
     """Evaluate mu(x) + (b-x) F(x) <= (R-1) x for x < b and mu(inf) <= (R-1) b."""
-    _check_b(b)
+    b = _as_b(b)
     _check_r(R)
     _check_scale(b)
     days, excess = _early_excess(f, b)
@@ -220,10 +220,10 @@ def realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float
     E[C_Z(x)] / b, so it peaks at the horizon; below b it peaks on a day of
     ``_early_excess``.
     """
-    _check_b(b)
-    horizon = _as_int(horizon, "horizon")
-    if horizon < b:
-        raise InvalidParamsError("horizon must be at least b")
+    b = _as_b(b)
+    # from the last support day on the cost is flat, so a horizon past it, even
+    # one past float range, gives the ratio of the day after it
+    horizon = min(_as_int(horizon, "horizon", b), f.max_day + 1)
     days, excess = _early_excess(f, b)
     last = f.first_moment(horizon) + (b - horizon) * f.cdf(horizon) + horizon
     return max(float(((excess + days) / days).max()), last / b)
@@ -293,7 +293,7 @@ def feasible_robustness(b: int, R: float) -> bool:
     The fill's own full-mass test on one tight run over days 1..b: the envelope
     must reach ``FULL_MASS`` by day b.
     """
-    _check_b(b)
+    b = _as_b(b)
     if R <= 1:
         return False
     return b * _log_gamma(b) >= _full_log(R)
@@ -307,7 +307,7 @@ def geometric_cdf(b: int, R: float) -> StoppingDistribution:
     so it needs the envelope to reach ``FULL_MASS`` by day b, i.e. R at least
     about 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.
     """
-    _check_b(b)
+    b = _as_b(b)
     _check_r(R)
     _check_scale(b)
     if not feasible_robustness(b, R):
@@ -323,11 +323,9 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
     eventually constant); and y past the envelope-saturation threshold: the
     envelope has reached 1 by day y+1-b.
     """
-    _check_b(b)
+    b = _as_b(b)
     _check_r(R)
-    y = _as_int(y, "y")
-    if y < 1:
-        raise InvalidParamsError("y must be >= 1")
+    y = _as_int(y, "y", 1)
     # the envelope reaches 1 on day log1p(1/(R-1)) / log(gamma), 1e-9 days to spare;
     # compared in log space, so a far-out y cannot overflow
     if y + 1 - b < math.log1p(1.0 / (R - 1.0)) / _log_gamma(b) - 1e-9:
@@ -381,10 +379,8 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
     is not cheaper to exceed.  Both caps come from running sums over the
     envelope, so the cost is O(b log b).
     """
-    _check_b(b)
-    y = _as_int(y, "y")
-    if y < 1:
-        raise InvalidParamsError("y must be >= 1")
+    b = _as_b(b)
+    y = _as_int(y, "y", 1)
     _check_r(R)
     _check_scale(b)
     if not feasible_robustness(b, R):
@@ -628,13 +624,15 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
     rows wholly active at h and the trailing rows idle at h, as the level
     tables tell; the answer is the same.  h may be infinite, not NaN.
     """
-    _check_b(b)
+    b = _as_b(b)
     _check_r(R)
     _check_scale(b)
     try:  # an isinstance test against numbers.Real would cost each check about 0.7 us
         bad = isinstance(h, bool) or math.isnan(h)
     except TypeError:  # not a number
         bad = True
+    except OverflowError:  # an int past float range: above every cost, as inf is
+        bad, h = False, math.inf if h > 0 else -math.inf
     if bad:
         raise InvalidParamsError(f"the water level h must be a number, not NaN, got {h!r}")
     return _fill_pass(g, b, R, h, skip_settled=skip_settled) is not None
@@ -657,7 +655,7 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     never be reached once the ends are adjacent floats.  Each check skips the
     rows its level settles.
     """
-    _check_b(b)
+    b = _as_b(b)
     _check_r(R)
     _check_scale(b)
     _check_epsilon(epsilon)
@@ -746,7 +744,7 @@ def water_fill(g: CostFunction, b: int, R: float,
     ``check_robustness``, with a RuntimeWarning naming its worst slack if it
     does not; a fill that fails it raises InvariantError.
     """
-    _check_b(b)
+    b = _as_b(b)
     _check_r(R)
     _check_scale(b)
     if epsilon is not None:

@@ -269,7 +269,7 @@ class TestBaselinePolicy:
         assert math.fsum(mix.masses) == pytest.approx(1.0, abs=1e-12)
         assert check_robustness(mix, b, R).feasible
 
-    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    @pytest.mark.parametrize("R", [math.nan, math.inf, True])
     def test_non_finite_r_rejected(self, R):
         # R = inf mapped to the branch parameter 1/b and returned a policy
         p_hat = DayDistribution((10,), (1.0,))

@@ -71,8 +71,9 @@ class TestExpectedCost:
         with pytest.raises(InvalidParamsError):
             expected_cost_threshold(worked_example, 3, 0)
 
-    @pytest.mark.parametrize("t", [math.nan, -math.inf, "abc", "5", None, 2.5],
-                             ids=["nan", "minus_inf", "text", "numeral", "none", "fraction"])
+    @pytest.mark.parametrize("t", [math.nan, -math.inf, "abc", "5", None, 2.5, True, 0],
+                             ids=["nan", "minus_inf", "text", "numeral", "none", "fraction",
+                                  "bool", "zero"])
     @pytest.mark.parametrize("call", [
         lambda p, t: expected_cost_threshold(p, 5, t), lambda p, t: exact_ecr(p, 5, t),
         lambda p, t: clamp_threshold(t, 5, 0.5), lambda p, t: cr_bound_early(p, 5, t),
@@ -86,6 +87,9 @@ class TestExpectedCost:
 
     def test_never_stays_valid(self, worked_example):
         assert expected_cost_threshold(worked_example, 5, math.inf) == worked_example.mean()
+        # a day past the support never buys; past float range it raised an OverflowError
+        assert (expected_cost_threshold(worked_example, 5, 10**400)
+                == expected_cost_threshold(worked_example, 5, 2**64) == worked_example.mean())
         assert clamp_threshold(NEVER, 5, 0.5) == 10
 
 
@@ -266,9 +270,9 @@ class TestRobustConsistentBound:
         expected = (rep.rho_hat + 0.05 * (3 + rep.clamped_t - 1) / opt) / denom
         assert rep.consistent_term == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_error_rejected(self, worked_example, eta):
-        # NaN and inf reported the consistency bound as unavailable
+        # NaN and inf reported the consistency bound as unavailable, True read as 1.0
         with pytest.raises(InvalidParamsError, match="finite"):
             robust_consistent_bound(worked_example, 3, 0.5, eta=eta)
 

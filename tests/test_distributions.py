@@ -16,14 +16,23 @@ from skirent import (
     FamilySpec,
     InvalidParamsError,
     InvariantError,
+    LpInstance,
     StoppingDistribution,
+    build_cost_function,
+    case_study_lambda_third,
+    expected_cost_threshold,
     expected_opt,
+    lp_solve,
     make_distribution,
+    onehot_exact,
     parse_distribution,
     perturb_wasserstein,
+    realized_worst_ratio,
+    run_perturbation_sweep,
     survival,
     total_variation,
     wasserstein1,
+    water_fill,
 )
 import skirent.distributions as distributions
 from skirent.randomized import parse_policy
@@ -390,9 +399,9 @@ class TestPerturbation:
         assert (perturb_wasserstein(worked_example, 3.0, np.uint64(42)).support
                 == perturb_wasserstein(worked_example, 3.0, 42).support)
 
-    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, True])
     def test_non_finite_budget_rejected(self, worked_example, eta):
-        # NaN died in math.ceil with a ValueError
+        # NaN died in math.ceil with a ValueError, and True was read as 1.0
         with pytest.raises(InvalidParamsError, match="finite"):
             perturb_wasserstein(worked_example, eta, seed=0)
 
@@ -553,3 +562,42 @@ class TestJson:
             parse_distribution("not json at all")
         with pytest.raises(InvalidParamsError):
             parse_distribution(json.dumps({"something": 1}))
+
+
+TWO_ATOMS = DayDistribution((3, 9), (0.5, 0.5))
+
+
+def _plain(solution):
+    """A (policy, value) pair as plain values, which compare with ==."""
+    policy, value = solution
+    return policy.support, value
+
+
+#: A call of each integer parameter, at an int value it accepts; each returns
+#: plain values, so the results of two forms of the value compare with ==.
+INTEGER_PARAMETERS = {
+    "b": (lambda b: (case_study_lambda_third(b),
+                     _plain(water_fill(build_cost_function(TWO_ATOMS, b), b, 2.0))), 6),
+    "seed": (lambda seed: perturb_wasserstein(TWO_ATOMS, 3.0, seed).support, 42),
+    "n_trials": (lambda n: run_perturbation_sweep(eta_grid=(0.0, 2.0), n_trials=n,
+                                                  seed=1).to_csv(), 2),
+    "day": (lambda day: build_cost_function(TWO_ATOMS, 4)(day), 5),
+    "y": (lambda y: onehot_exact(10, 2.0, y).support, 7),
+    "horizon": (lambda horizon: realized_worst_ratio(
+        StoppingDistribution((1, 3), (0.5, 0.5)), 4, horizon), 12),
+    "threshold": (lambda t: expected_cost_threshold(TWO_ATOMS, 4, t), 3),
+    "N": (lambda n: _plain(lp_solve(LpInstance(objective=(1.0, 2.0, 3.0, 4.0), b=2, R=2.0,
+                                               N=n))), 4),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+def test_integer_forms_give_identical_results(name):
+    # one integer rule: a numpy integer or an integral float reads as the int
+    # (b, seeds and n_trials rejected 6.0, 42.0 and 2.0, and N = 4.0 raised a bare
+    # TypeError); bools, fractions, text, None and values below the least are
+    # rejected in each parameter's own tests
+    call, value = INTEGER_PARAMETERS[name]
+    expected = call(value)
+    assert call(np.int64(value)) == expected
+    assert call(float(value)) == expected

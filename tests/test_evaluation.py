@@ -152,6 +152,11 @@ class TestPublishedOutputs:
         csv = run_perturbation_sweep(n_trials=2, seed=0).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == PUBLISHED_SWEEP_SHA256
 
+    def test_sweep_digest_from_integral_floats(self):
+        # seed and n_trials follow the integer rule days follow: 0.0 and 2.0 are 0 and 2
+        csv = run_perturbation_sweep(n_trials=2.0, seed=0.0).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == PUBLISHED_SWEEP_SHA256
+
 
 class TestPerturbationSweep:
     def test_row_count(self, small_sweep):
@@ -178,14 +183,15 @@ class TestPerturbationSweep:
 
     @pytest.mark.parametrize("kwargs", [
         {"eta_grid": [float("nan")]}, {"eta_grid": [0.0, float("inf")]}, {"eta_grid": ["2"]},
-        {"eta_grid": []}, {"eta_grid": [2.0, 4.0, 2]}, {"epsilon": 1e-30},
+        {"eta_grid": []}, {"eta_grid": [2.0, 4.0, 2]}, {"eta_grid": [True]}, {"epsilon": 1e-30},
         {"n_trials": 0}, {"n_trials": -1}, {"n_trials": 1.5}, {"n_trials": True},
+        {"n_trials": "3"}, {"n_trials": None},
         {"R": float("nan")}, {"R": float("inf")},
-        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}],
-        ids=["eta_nan", "eta_inf", "eta_text", "eta_empty", "eta_repeated",
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"}, {"seed": None}],
+        ids=["eta_nan", "eta_inf", "eta_text", "eta_empty", "eta_repeated", "eta_bool",
              "epsilon_below_spacing", "trials_zero", "trials_negative",
-             "trials_fraction", "trials_bool", "r_nan", "r_inf",
-             "seed_negative", "seed_fraction", "seed_bool", "seed_text"])
+             "trials_fraction", "trials_bool", "trials_text", "trials_none", "r_nan", "r_inf",
+             "seed_negative", "seed_fraction", "seed_bool", "seed_text", "seed_none"])
     def test_bad_inputs_rejected(self, kwargs):
         # a NaN eta died in perturb_wasserstein with a ValueError, n_trials = 0
         # and an empty grid returned no rows, a repeated eta repeated row keys,

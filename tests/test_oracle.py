@@ -177,12 +177,18 @@ class TestLpSolve:
         with pytest.raises(ScaleExceededError):
             lp_instance_from_cost(g, 4, 2.5e5 + 1)
 
+    @pytest.mark.parametrize("N", [2.5, True, "4", None, 1])
+    def test_horizon_n_must_be_an_integer_from_b(self, N):
+        # a float N reached np.zeros as a bare TypeError
+        with pytest.raises(InvalidParamsError, match="horizon N"):
+            LpInstance(objective=(1.0, 2.0, 3.0, 4.0), b=2, R=2.0, N=N)
+
     def test_horizon_formula(self):
         g = build_cost_function(DayDistribution((5,), (1.0,)), 6)
         inst = lp_instance_from_cost(g, 6, 2.0)
         assert inst.N == max(5, 8, 24)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_r_rejected(self, bad):
         # R = nan raised a bare ValueError and R = inf an OverflowError from the
         # horizon's ceil; LpInstance accepted R = nan

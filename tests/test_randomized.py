@@ -593,9 +593,11 @@ class TestRealizedWorstRatio:
         assert worst == pytest.approx((0.5 * (10**7 - 1) + 10) / 10, rel=1e-15)
         small = StoppingDistribution((1, 10**4), (0.5, 0.5))
         assert realized_worst_ratio(small, 10, 10**4) == ref_realized_worst_ratio(small, 10, 10**4)
+        # past the support the ratio stays put; past float range it raised an OverflowError
+        assert realized_worst_ratio(f, 10, 10**400) == realized_worst_ratio(f, 10, 2**64) == worst
 
     # before: nan, nan, 5.5 and a bare TypeError
-    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 12.5, "20"])
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 12.5, "20", True, None, 9])
     def test_horizon_must_be_an_integer(self, horizon):
         with pytest.raises(InvalidParamsError, match="horizon"):
             realized_worst_ratio(buy_day(3), 10, horizon)
@@ -935,10 +937,11 @@ class TestWaterFill:
         for solve in solvers:
             assert check_robustness(solve(threshold), b, threshold).feasible
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_inputs_rejected(self, worked_example, bad):
         # NaN passed every range check: epsilon=nan ran no bisection check and
-        # returned the policy at level max g, R=nan raised InfeasibleError
+        # returned the policy at level max g, R=nan raised InfeasibleError; True
+        # was read as 1.0
         g = build_cost_function(worked_example, 50)
         calls = [
             lambda: water_fill(g, 50, bad),
@@ -957,22 +960,26 @@ class TestWaterFill:
     @pytest.mark.parametrize("call", [
         lambda g, p: onehot_exact(10, 2.0, 1.5),
         lambda g, p: onehot_exact(10, 2.0, True),
+        *(lambda g, p, y=y: onehot_exact(10, 2.0, y) for y in ("3", None, 0)),
         lambda g, p: extension_condition_check(g, 4, 2.0, 7.5),
+        *(lambda g, p, y=y: extension_condition_check(g, 4, 2.0, y) for y in (True, 0)),
         lambda g, p: sufficient_condition_check(p, 4, 2, math.nan),
         lambda g, p: level_feasible(g, 4, 2.0, math.nan),
         lambda g, p: baseline_policy(p, 4, 2.0, "nope"),
         # epsilon at max g runs no check, so b must be checked before the search
         *(lambda g, p, b=b: minimal_water_level(g, b, 2.0, g.max_value())
-          for b in (-5, 0, 2.5, True)),
+          for b in (-5, 0, 2.5, True, 1, 1.0, "3", None)),
         # before: ValueError, OverflowError, TypeError and g(1) for g; TypeError for h
-        *(lambda g, p, t=t: g(t) for t in (math.nan, math.inf, "a", True, 2.5, 0)),
+        *(lambda g, p, t=t: g(t) for t in (math.nan, math.inf, "a", True, 2.5, 0, None)),
         *(lambda g, p, h=h: level_feasible(g, 4, 2.0, h) for h in ("a", None, True)),
-    ], ids=["onehot_fractional_y", "onehot_bool_y", "extension_fractional_y",
+    ], ids=["onehot_fractional_y", "onehot_bool_y", "onehot_str_y", "onehot_none_y",
+            "onehot_zero_y", "extension_fractional_y", "extension_bool_y", "extension_zero_y",
             "sufficient_nan_c", "level_nan_h", "baseline_unknown_kind",
             "search_negative_b", "search_zero_b", "search_fractional_b", "search_bool_b",
+            "search_one_b", "search_float_one_b", "search_str_b", "search_none_b",
             "cost_nan_day", "cost_inf_day", "cost_str_day", "cost_bool_day",
-            "cost_fractional_day", "cost_zero_day", "level_str_h", "level_none_h",
-            "level_bool_h"])
+            "cost_fractional_day", "cost_zero_day", "cost_none_day", "level_str_h",
+            "level_none_h", "level_bool_h"])
     def test_bad_input_raises_typed_error(self, call):
         p_hat = DayDistribution((3, 9), (0.5, 0.5))
         with pytest.raises(InvalidParamsError):
@@ -981,9 +988,13 @@ class TestWaterFill:
     def test_infinite_levels_are_valid(self):
         g = build_cost_function(DayDistribution((3, 9), (0.5, 0.5)), 4)
         for skip in (False, True):
-            assert level_feasible(g, 4, 2.0, math.inf, skip_settled=skip)
-            assert not level_feasible(g, 4, 2.0, -math.inf, skip_settled=skip)
+            # an int past float range raised a bare OverflowError; it reads as inf
+            for h in (math.inf, 2**64, 10**400):
+                assert level_feasible(g, 4, 2.0, h, skip_settled=skip)
+                assert not level_feasible(g, 4, 2.0, -h, skip_settled=skip)
         assert g(3.0) == g(np.int64(3)) == g(3)
+        # every day past the support costs the tail, also one past float range
+        assert g(10**400) == g(2**64) == g(10) == g.tail_value == 6.0
 
     @pytest.mark.parametrize("call", [
         lambda g, b: water_fill(g, b, 2.0),
@@ -1540,10 +1551,14 @@ class TestExactRefine:
         monkeypatch.setattr(randomized, "check_robustness",
                             lambda f, b, R: RobustnessReport(np.empty(0, int), np.empty(0), -1.0,
                                                              False))
-        for exact in (True, False):
+        # exact mode first drops the LP's vertex, which fails the check too
+        with pytest.warns(RuntimeWarning, match="exact refine's vertex fails"):
             with pytest.raises(InvariantError) as err:
-                water_fill(g, 50, 1.7, exact=exact)
-            assert isinstance(err.value, SkirentError)
+                water_fill(g, 50, 1.7)
+        assert isinstance(err.value, SkirentError)
+        with pytest.raises(InvariantError) as err:
+            water_fill(g, 50, 1.7, exact=False)
+        assert isinstance(err.value, SkirentError)
 
     def test_certificate_never_skips_a_kept_lp(self, monkeypatch, rng):
         instances = [(uniform_days(21_000), 50, 1.7),
