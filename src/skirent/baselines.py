@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import MAX_DAYS, DayDistribution, survival, _as_b, _check_finite, _is_finite
+from .distributions import MAX_DAYS, DayDistribution, survival, _as_b, _as_real
 from .errors import InvalidParamsError, InvalidRError, ScaleExceededError
 from .randomized import StoppingDistribution
 
@@ -24,8 +24,11 @@ def lambda_from_r(b: int, R: float) -> float:
     produced parameter falls outside (0, 1].
     """
     b = _as_b(b)
-    if not _is_finite(R) or R <= 1.0 + 1.0 / b:
-        raise InvalidRError(f"R={R!r} must be a finite number exceeding 1 + 1/b", math.inf)
+    try:
+        R = _as_real(R, "R", above=1.0 + 1.0 / b)
+    except InvalidParamsError:
+        raise InvalidRError(f"R={R!r} must be a finite number exceeding 1 + 1/b",
+                            math.inf) from None
     lam = 1.0 / b - math.log(1.0 - (1.0 + 1.0 / b) / R)  # positive: R > 1 + 1/b
     if not 0.0 < lam <= 1.0:
         raise InvalidRError(f"R={R} maps to branch parameter {lam} outside (0, 1]", lam)
@@ -35,9 +38,7 @@ def lambda_from_r(b: int, R: float) -> float:
 def r_from_lambda(b: int, lam: float) -> float:
     """Inverse mapping: the robustness level of a branch parameter in (1/b, 1]."""
     b = _as_b(b)
-    _check_finite(lam, "lambda")
-    if not 1.0 / b < lam <= 1.0:
-        raise InvalidParamsError(f"lambda must lie in (1/b, 1] = ({1.0 / b}, 1], got {lam}")
+    lam = _as_real(lam, "lambda", above=1.0 / b, most=1.0)
     return (1.0 + 1.0 / b) / -math.expm1(1.0 / b - lam)
 
 
@@ -51,9 +52,7 @@ def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:
     four decimals; so k <= b <= l.
     """
     b = _as_b(b)
-    _check_finite(lam, "lambda")
-    if not 0.0 < lam <= 1.0:
-        raise InvalidParamsError("lambda must lie in (0, 1]")
+    lam = _as_real(lam, "lambda", above=0.0, most=1.0)
     length = max(1, math.floor(lam * b + 1e-9) if high_branch else math.ceil(b / lam - 1e-9))
     if length > MAX_DAYS:  # the low branch spans ceil(b/lam) <= b^2 days
         raise ScaleExceededError(f"branch of {length} days exceeds {MAX_DAYS}")
@@ -80,8 +79,7 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float,
         kind = BaselineKind(kind)
     except ValueError:
         raise InvalidParamsError(f"unknown baseline kind {kind!r}") from None
-    _check_finite(R, "R")
-    lam = lambda_from_r(b, R)
+    lam = lambda_from_r(b, _as_real(R, "R"))
     p_high = survival(p_hat, b)
     if kind is BaselineKind.MAJORITY_BRANCH:
         return purohit_branch(b, lam, high_branch=p_high > 0.5)

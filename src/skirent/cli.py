@@ -13,7 +13,6 @@ from .baselines import BaselineKind, baseline_policy
 from .deterministic import (
     NEVER,
     clamp_threshold,
-    expected_cost_threshold,
     is_never,
     optimal_threshold,
     robust_consistent_bound,
@@ -21,7 +20,7 @@ from .deterministic import (
 from .distributions import (
     DayDistribution,
     _as_int,
-    _check_finite,
+    _as_real,
     parse_distribution,
     total_variation,
     wasserstein1,
@@ -142,20 +141,11 @@ def _resolve_seed(args) -> int:
 def _validate_common(args) -> None:
     if getattr(args, "b", None) is not None and args.b < 2:
         raise InvalidParamsError("--b must be >= 2")
-    if getattr(args, "r", None) is not None:
-        _check_finite(args.r, "--r")
-        if args.r <= 1:
-            raise InvalidParamsError("--r must exceed 1")
-    if getattr(args, "lam", None) is not None and not 0 < args.lam < 1:
-        raise InvalidParamsError("--lambda must lie in (0, 1)")
-    if getattr(args, "eta", None) is not None:
-        _check_finite(args.eta, "--eta")
-        if args.eta < 0:
-            raise InvalidParamsError("--eta must be >= 0")
-    if getattr(args, "epsilon", None) is not None:
-        _check_finite(args.epsilon, "--epsilon")
-        if args.epsilon <= 0:
-            raise InvalidParamsError("--epsilon must be > 0")
+    for flag, bounds in (("--r", {"above": 1.0}), ("--lambda", {"above": 0.0, "below": 1.0}),
+                         ("--eta", {"least": 0.0}), ("--epsilon", {"above": 0.0})):
+        value = getattr(args, FLAGS[flag][0], None)
+        if value is not None:
+            _as_real(value, flag, **bounds)
     if getattr(args, "trials", None) is not None and args.trials < 1:
         raise InvalidParamsError("--trials must be >= 1")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DayDistribution, expected_opt, survival, _as_b, _as_int, _check_finite
+from .distributions import DayDistribution, expected_opt, survival, _as_b, _as_int, _as_real
 from .errors import DegenerateTailError, InvalidParamsError
 
 #: Sentinel threshold meaning "rent forever".  Finite thresholds are positive ints.
@@ -97,9 +97,7 @@ def sufficient_condition_check(p: DayDistribution, b: int, t: Threshold, C: floa
     """
     b = _as_b(b)
     t = _as_threshold(t)
-    _check_finite(C, "C")
-    if C <= 1:
-        raise InvalidParamsError("C must exceed 1")
+    C = _as_real(C, "C", above=1.0)
     if is_never(t):
         raise InvalidParamsError("condition check needs a finite threshold")
     r = _tail_ratio(p, b, t)
@@ -122,9 +120,7 @@ def clamp_threshold(t_hat: Threshold, b: int, lam: float) -> int:
     """
     b = _as_b(b)
     t_hat = _as_threshold(t_hat)
-    _check_finite(lam, "lambda")
-    if not 0.0 < lam < 1.0:
-        raise InvalidParamsError("lambda must lie in (0, 1)")
+    lam = _as_real(lam, "lambda", above=0.0, below=1.0)
     lo = math.ceil(lam * b - 1e-9)
     hi = math.floor(b / lam + 1e-9)
     lo = max(1, lo)
@@ -164,9 +160,7 @@ def robust_consistent_bound(
     total-variation metric) and is unavailable once that factor reaches 1.
     """
     b = _as_b(b)
-    _check_finite(eta, "eta")
-    if eta < 0:
-        raise InvalidParamsError("eta must be >= 0")
+    eta = _as_real(eta, "eta", least=0.0)
     if metric not in ("wasserstein", "tv"):
         raise InvalidParamsError(f"unknown metric {metric!r}")
     t_hat, _ = optimal_threshold(p_hat, b)

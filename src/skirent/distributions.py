@@ -25,29 +25,28 @@ MAX_DAYS = 10**7
 class _Pmf:
     """Validated pmf over positive integer days, shared by both distribution classes.
 
-    Days (strictly increasing positive int64) and masses (finite, nonnegative,
-    summing to one within ``MASS_TOL``) are checked in bulk and stored as
-    read-only arrays; drift beyond ``RENORM_TRIGGER`` is renormalized away and
-    zero-mass days are dropped.  ``days``, ``support`` and the subclass's mass
-    tuple are views built on demand.  Instances are immutable and thread-safe.
+    Days (strictly increasing positive int64) and masses (finite, nonnegative
+    numbers, not bools, summing to one within ``MASS_TOL``) are checked in
+    bulk and stored as read-only arrays; drift beyond ``RENORM_TRIGGER`` is
+    renormalized away and zero-mass days are dropped.  ``days``, ``support``
+    and the subclass's mass tuple are views built on demand.  Instances are
+    immutable and thread-safe.
     """
 
     def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
-        day_arr = np.asarray(days)
-        masses = np.asarray(masses, dtype=float)
-        if day_arr.ndim != 1 or masses.shape != day_arr.shape:
+        day_arr, mass_arr = np.asarray(days), np.asarray(masses)
+        if day_arr.ndim != 1 or mass_arr.shape != day_arr.shape:
             raise InvalidParamsError("days and masses must be 1-d and of equal length")
-        if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
-            raise InvalidParamsError("masses must be nonnegative and finite")
+        # ``_as_real``'s rule in bulk: a numeric dtype, finite, and no bool
+        if (mass_arr.dtype.kind not in "iuf" or _holds_bool(masses)
+                or not np.all(np.isfinite(mass_arr)) or np.any(mass_arr < 0)):
+            raise InvalidParamsError("masses must be finite numbers >= 0")
+        masses = np.asarray(mass_arr, dtype=float)
         keep = masses > 0.0
         if not keep.any():  # checked before the days: numpy reads no days, (), as float64
             raise EmptySupportError("distribution has no support")
-        # numpy reads (True, 2) as the int64 days [1, 2], so only a bool left
-        # outside an array is still told apart from an int (neither bool type
-        # can be subclassed, so comparing types is an isinstance test)
         if (day_arr.dtype.kind not in "iu" or day_arr.dtype.kind == "u" and day_arr.max() >= 2**63
-                or not isinstance(days, np.ndarray)
-                and not {bool, np.bool_}.isdisjoint(map(type, days))):
+                or _holds_bool(days)):
             raise InvalidParamsError("days must be integers in the int64 range")
         day_arr = day_arr.astype(np.int64)
         if day_arr[0] < 1 or np.any(day_arr[1:] <= day_arr[:-1]):
@@ -74,7 +73,7 @@ class _Pmf:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]):
         """Build from ``(day, mass)`` pairs in any order; repeated days add up."""
-        pairs = sorted((_as_int(d, "day"), float(m)) for d, m in pairs)
+        pairs = sorted((_as_int(d, "day"), _as_real(m, "mass")) for d, m in pairs)
         days, which = np.unique([d for d, _ in pairs], return_inverse=True)
         # bincount adds in input order, so a repeated day's masses add smallest first
         return cls(days, np.bincount(which, [m for _, m in pairs]))
@@ -225,9 +224,7 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     result always satisfies W1(p, result) <= eta.
     """
     seed = _as_int(seed, "the seed", 0)
-    _check_finite(eta, "eta")
-    if eta < 0:
-        raise InvalidParamsError("eta must be >= 0")
+    eta = _as_real(eta, "eta", least=0.0)
     if eta == 0:
         return p
     moves = 10 * p._days_arr.size
@@ -240,7 +237,7 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     narrow = 2 <= max_shift <= 2**32  # 1 draws nothing, wider bounds take whole outputs
     mass = dict(zip(p._days_arr.tolist(), p._mass_arr.tolist()))
     atoms = list(mass)  # the days of positive mass, in insertion order
-    budget = float(eta)
+    budget = eta
     half = None  # draws.half, held in a local between hand-offs
     # Each move draws what Generator's integers(len(atoms)), integers(1,
     # max_shift + 1), integers(2) and uniform(0, cap) would.  A 32-bit draw
@@ -351,32 +348,18 @@ def _as_b(b: Any) -> int:
     return b
 
 
-def _is_finite(value: Any) -> bool:
-    """``math.isfinite``, but False for a non-number instead of a TypeError."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
-
-
-def _check_finite(value: float, what: str) -> None:
-    """Reject NaN, infinities, bools and non-numbers; NaN would slip past every range check."""
-    if isinstance(value, (bool, np.bool_)) or not _is_finite(value):
-        raise InvalidParamsError(f"{what} must be a finite number, got {value!r}")
-
-
 def _need(params: Mapping[str, Any], key: str) -> Any:
     if key not in params:
         raise InvalidParamsError(f"missing parameter {key!r}")
     return params[key]
 
 
-def _float_param(params: Mapping[str, Any], key: str) -> float:
-    value = _need(params, key)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidParamsError(f"parameter {key!r} must be a number, got {value!r}") from None
+def _holds_bool(values: ArrayLike) -> bool:
+    """Whether a tuple or list holds a bool, which numpy reads as the number 0 or 1.
+
+    Neither bool type can be subclassed, so comparing types is an isinstance test.
+    """
+    return not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, values))
 
 
 def _as_int(value: Any, what: str, least: int | None = None) -> int:
@@ -394,6 +377,34 @@ def _as_int(value: Any, what: str, least: int | None = None) -> int:
     if least is not None and n < least:
         raise InvalidParamsError(f"{what} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def _as_real(value: Any, what: str, *, above: float = -math.inf, least: float = -math.inf,
+             below: float = math.inf, most: float = math.inf) -> float:
+    """The one real-number rule: ``value`` as a finite Python float within the bounds.
+
+    An int, a float or a numpy integer or floating value is accepted; a bool, a
+    string, None, any other type, NaN, an infinity, or a value not above
+    ``above``, not below ``below``, under ``least`` or over ``most`` raises
+    InvalidParamsError.  A plain float takes no conversion: R is read so on
+    every check of the level bisection.
+    """
+    number = value
+    if type(value) is not float:
+        if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+            number = math.nan
+        else:
+            try:
+                number = float(value)
+            except OverflowError:  # an int past float range
+                number = math.inf
+    # the strict infinite defaults reject NaN and both infinities too
+    if not (above < number < below and least <= number <= most):
+        bounds = [f"{op} {bound}" for op, bound in ((">", above), (">=", least), ("<", below),
+                                                     ("<=", most)) if math.isfinite(bound)]
+        raise InvalidParamsError(f"{what} must be a finite number{' ' if bounds else ''}"
+                                 f"{' and '.join(bounds)}, got {value!r}")
+    return number
 
 
 def _int_param(params: Mapping[str, Any], key: str, default: int | None = None) -> int:
@@ -414,21 +425,13 @@ def _day_range(params: Mapping[str, Any], family: str) -> np.ndarray:
     return np.arange(low, high + 1)
 
 
-def _parse_atoms(entries: Any) -> list[tuple[int, float]]:
-    """Read a decoded ``[[day, mass], ...]`` list with float masses; the pmf checks the values."""
+def _parse_atoms(entries: Any) -> list:
+    """A decoded ``[[day, mass], ...]`` list, checked for shape; ``from_pairs`` reads the values."""
     if not isinstance(entries, list) or not entries:
         raise InvalidParamsError("expected a non-empty list of [day, mass] pairs")
-    pairs = []
-    for entry in entries:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InvalidParamsError("each entry must be a [day, mass] pair")
-        day, mass = entry
-        try:
-            mass = float(mass)
-        except (TypeError, ValueError):
-            raise InvalidParamsError(f"mass {mass!r} is not a number") from None
-        pairs.append((day, mass))
-    return pairs
+    if not all(isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in entries):
+        raise InvalidParamsError("each entry must be a [day, mass] pair")
+    return entries
 
 
 def make_distribution(spec: FamilySpec) -> DayDistribution:
@@ -444,10 +447,8 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
         days = _day_range(params, "uniform")
         return DayDistribution(days, np.full(days.size, 1.0 / days.size))
     if family is Family.GAUSSIAN_DISCRETIZED:
-        mean = _float_param(params, "mean")
-        stddev = _float_param(params, "stddev")
-        if stddev <= 0:
-            raise InvalidParamsError("stddev must be > 0")
+        mean = _as_real(_need(params, "mean"), "parameter 'mean'")
+        stddev = _as_real(_need(params, "stddev"), "parameter 'stddev'", above=0.0)
         days = _day_range(params, "gaussian")
         weights = np.exp(-0.5 * ((days - mean) / stddev) ** 2)
         total = float(weights.sum())
@@ -455,9 +456,7 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
             raise EmptySupportError("all gaussian mass truncated away")
         return DayDistribution(days, weights / total)
     if family is Family.GEOMETRIC_TRUNCATED:
-        rate = _float_param(params, "rate")
-        if not 0.0 < rate < 1.0:
-            raise InvalidParamsError("rate must lie in (0, 1)")
+        rate = _as_real(_need(params, "rate"), "parameter 'rate'", above=0.0, below=1.0)
         days = _day_range(params, "geometric")
         weights = (1.0 - rate) ** (days - 1)
         total = float(weights.sum())
@@ -468,9 +467,6 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
         atoms = _parse_atoms(_need(params, "atoms"))
         if len(atoms) != 2:
             raise InvalidParamsError("two_point needs exactly two atoms")
-        weight_total = sum(w for _, w in atoms)
-        if abs(weight_total - 1.0) > MASS_TOL:
-            raise InvalidParamsError("two_point weights must sum to 1")
         return DayDistribution.from_pairs(atoms)
     if family is Family.ONE_HOT:
         return DayDistribution((_as_int(_need(params, "y"), "parameter 'y'", 1),), (1.0,))

@@ -18,7 +18,7 @@ from .distributions import (
     perturb_wasserstein,
     _as_b,
     _as_int,
-    _check_finite,
+    _as_real,
 )
 from .errors import InvalidParamsError
 from .randomized import (
@@ -178,12 +178,8 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
     """
     seed = _as_int(seed, "the seed", 0)
     n_trials = _as_int(n_trials, "n_trials", 1)
-    etas = tuple(range(0, 21, 2)) if eta_grid is None else tuple(eta_grid)
-    for eta in etas:
-        _check_finite(eta, "eta")
-        if eta < 0:
-            raise InvalidParamsError("eta values must be >= 0")
-    etas = tuple(float(e) for e in etas)
+    etas = tuple(_as_real(eta, "eta", least=0.0)
+                 for eta in (range(0, 21, 2) if eta_grid is None else eta_grid))
     if not etas:
         raise InvalidParamsError("the eta grid is empty")
     if len(set(etas)) < len(etas):

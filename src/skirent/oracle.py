@@ -7,11 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import NEVER, Threshold, optimal_threshold
-from .distributions import DayDistribution, _as_b, _as_int, _check_finite
+from .distributions import DayDistribution, _as_b, _as_int, _as_real
 from .errors import InfeasibleError, InvalidParamsError, ScaleExceededError
 from .randomized import (CostFunction, StoppingDistribution, build_cost_function, check_robustness,
                          expected_policy_cost, feasible_robustness, geometric_cdf, onehot_exact,
-                         water_fill, _check_r)
+                         water_fill)
 
 MAX_HORIZON = 400
 
@@ -51,7 +51,7 @@ class LpInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", _as_b(self.b))
-        _check_r(self.R)
+        object.__setattr__(self, "R", _as_real(self.R, "R", above=1.0))
         object.__setattr__(self, "N", _as_int(self.N, "horizon N", self.b))
         if len(self.objective) != self.N:
             raise InvalidParamsError("objective must list g(1..N)")
@@ -64,7 +64,7 @@ def lp_instance_from_cost(g: CostFunction, b: int, R: float) -> LpInstance:
     worsens the tail moment, so N = max(support end, ceil((R-1)b)+2, 4b)
     preserves the optimum.
     """
-    _check_finite(R, "R")
+    R = _as_real(R, "R", above=1.0)
     n = max(g.support_end, math.ceil((R - 1.0) * b) + 2, 4 * b)
     if n > MAX_HORIZON:  # checked before the objective is built: a huge R makes n huge
         raise ScaleExceededError(f"oracle horizon {n} exceeds {MAX_HORIZON}")

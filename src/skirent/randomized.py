@@ -11,24 +11,12 @@ from operator import itemgetter
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _check_finite,
+from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _as_real,
                             _parse_atoms, _Pmf)
 from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
 FULL_MASS = 1.0 - 1e-15  # a fill or closed form holding this much mass is full
-
-
-def _check_r(R: float) -> None:
-    _check_finite(R, "R")
-    if R <= 1:
-        raise InvalidParamsError("R must exceed 1")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    _check_finite(epsilon, "epsilon")
-    if epsilon <= 0:
-        raise InvalidParamsError("epsilon must be > 0")
 
 
 def _check_scale(b: int) -> None:
@@ -203,7 +191,7 @@ class RobustnessReport:
 def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessReport:
     """Evaluate mu(x) + (b-x) F(x) <= (R-1) x for x < b and mu(inf) <= (R-1) b."""
     b = _as_b(b)
-    _check_r(R)
+    R = _as_real(R, "R", above=1.0)
     _check_scale(b)
     days, excess = _early_excess(f, b)
     slacks = (R - 1.0) * days - excess
@@ -294,7 +282,7 @@ def feasible_robustness(b: int, R: float) -> bool:
     must reach ``FULL_MASS`` by day b.
     """
     b = _as_b(b)
-    if R <= 1:
+    if _as_real(R, "R") <= 1:
         return False
     return b * _log_gamma(b) >= _full_log(R)
 
@@ -308,7 +296,7 @@ def geometric_cdf(b: int, R: float) -> StoppingDistribution:
     about 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.
     """
     b = _as_b(b)
-    _check_r(R)
+    R = _as_real(R, "R", above=1.0)
     _check_scale(b)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
@@ -324,7 +312,7 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
     envelope has reached 1 by day y+1-b.
     """
     b = _as_b(b)
-    _check_r(R)
+    R = _as_real(R, "R", above=1.0)
     y = _as_int(y, "y", 1)
     # the envelope reaches 1 on day log1p(1/(R-1)) / log(gamma), 1e-9 days to spare;
     # compared in log space, so a far-out y cannot overflow
@@ -381,7 +369,7 @@ def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
     """
     b = _as_b(b)
     y = _as_int(y, "y", 1)
-    _check_r(R)
+    R = _as_real(R, "R", above=1.0)
     _check_scale(b)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
@@ -625,7 +613,7 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
     tables tell; the answer is the same.  h may be infinite, not NaN.
     """
     b = _as_b(b)
-    _check_r(R)
+    R = _as_real(R, "R", above=1.0)
     _check_scale(b)
     try:  # an isinstance test against numbers.Real would cost each check about 0.7 us
         bad = isinstance(h, bool) or math.isnan(h)
@@ -656,9 +644,9 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     rows its level settles.
     """
     b = _as_b(b)
-    _check_r(R)
+    R = _as_real(R, "R", above=1.0)
     _check_scale(b)
-    _check_epsilon(epsilon)
+    epsilon = _as_real(epsilon, "epsilon", above=0.0)
     h_lo = 0.0
     h_hi = g.max_value()
     if epsilon < math.ulp(h_hi):
@@ -745,10 +733,10 @@ def water_fill(g: CostFunction, b: int, R: float,
     does not; a fill that fails it raises InvariantError.
     """
     b = _as_b(b)
-    _check_r(R)
+    R = _as_real(R, "R", above=1.0)
     _check_scale(b)
     if epsilon is not None:
-        _check_epsilon(epsilon)
+        epsilon = _as_real(epsilon, "epsilon", above=0.0)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
     if exact:

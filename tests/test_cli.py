@@ -140,12 +140,15 @@ class TestWaterfillCommand:
         # every atom's mass truncated away: an empty support is bad input too
         '{"family": "gaussian_discretized", "params": {"mean": 100000, "stddev": 1, "high": 10}}',
         '{"family": "geometric_truncated", "params": {"rate": 0.9, "low": 400, "high": 401}}',
+        # these two were read as numbers and exited 0
+        '{"atoms": [[3, true]]}',
+        '{"family": "gaussian_discretized", "params": {"mean": "50", "stddev": true, "high": 99}}',
     ])
     def test_bad_distribution_exits_2(self, capsys, dist):
-        code, out, err = run_cli(capsys, "waterfill", "--dist", dist,
-                                 "--b", "50", "--r", "1.7")
-        assert code == 2
-        assert out == "" and err.startswith("error:")
+        for command in (("waterfill", "--r", "1.7"), ("threshold",)):
+            code, out, err = run_cli(capsys, *command, "--dist", dist, "--b", "50")
+            assert code == 2
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, value", [("--r", "inf"), ("--r", "nan"),
                                              ("--epsilon", "nan"), ("--epsilon", "inf")])

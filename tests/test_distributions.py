@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skirent import (
+    BaselineKind,
     DayDistribution,
     EmptySupportError,
     Family,
@@ -18,17 +19,30 @@ from skirent import (
     InvariantError,
     LpInstance,
     StoppingDistribution,
+    baseline_policy,
     build_cost_function,
     case_study_lambda_third,
+    check_robustness,
+    clamp_threshold,
     expected_cost_threshold,
     expected_opt,
+    extension_condition_check,
+    feasible_robustness,
+    geometric_cdf,
+    level_feasible,
+    lp_instance_from_cost,
     lp_solve,
     make_distribution,
+    minimal_water_level,
     onehot_exact,
     parse_distribution,
     perturb_wasserstein,
+    purohit_branch,
+    r_from_lambda,
     realized_worst_ratio,
+    robust_consistent_bound,
     run_perturbation_sweep,
+    sufficient_condition_check,
     survival,
     total_variation,
     wasserstein1,
@@ -167,14 +181,16 @@ class TestPmfCore:
         ((1, 2), (0.5, 0.4)),
         ((1, 2, 3), (0.5, 0.5)),
         ((1, 2**63), (0.5, 0.5)),  # died converting the days to int64 with an OverflowError
+        ((1, 2), (True, 0.0)),  # read as the masses 1.0 and 0.0
+        ((1, 2), ("0.5", "0.5")),  # read as the masses 0.5 and 0.5
     ], ids=["decreasing", "repeated", "day0", "bool_day", "float_day", "nan_mass",
             "negative_mass", "tiny_negative_mass", "inf_mass", "mass_over", "mass_under",
-            "length_mismatch", "day_past_int64"])
+            "length_mismatch", "day_past_int64", "bool_mass", "text_masses"])
     def test_rejects(self, pmf, days, masses):
         with pytest.raises(InvalidParamsError):
             pmf(days, masses)
-        if days == (True, 2):
-            return  # numpy reads it as the valid int64 days [1, 2]; see test_rejects_arrays
+        if bool in map(type, days + masses):
+            return  # numpy reads True as a valid day 1 or mass 1.0; see test_rejects_arrays
         with pytest.raises(InvalidParamsError):
             pmf(np.asarray(days), np.asarray(masses))
 
@@ -183,7 +199,11 @@ class TestPmfCore:
         (np.array([True]), np.array([1.0])),
         (np.array([[1, 2]]), np.array([[0.5, 0.5]])),
         (np.array([1, 2**63], dtype=np.uint64), np.array([0.5, 0.5])),
-    ], ids=["float_days", "bool_days", "2d_days", "uint64_past_int64"])
+        (np.array([1, 2]), np.array([True, False])),
+        (np.array([1]), np.array(["1"])),
+        (np.array([1]), np.array([1.0], dtype=object)),
+    ], ids=["float_days", "bool_days", "2d_days", "uint64_past_int64", "bool_masses",
+            "text_masses", "object_masses"])
     def test_rejects_arrays(self, pmf, days, masses):
         with pytest.raises(InvalidParamsError):
             pmf(days, masses)
@@ -601,3 +621,64 @@ def test_integer_forms_give_identical_results(name):
     expected = call(value)
     assert call(np.int64(value)) == expected
     assert call(float(value)) == expected
+
+
+COSTS = build_cost_function(TWO_ATOMS, 6)
+
+#: A call of each real parameter, at a value it accepts; each returns plain values
+#: or frozen dataclasses, so the results of two forms of the value compare with ==.
+REAL_PARAMETERS = {
+    "R water_fill": (lambda R: _plain(water_fill(COSTS, 6, R)), 2),
+    "R level_feasible": (lambda R: level_feasible(COSTS, 6, R, 3.0), 2),
+    "R minimal_water_level": (lambda R: minimal_water_level(COSTS, 6, R, 1e-3), 2),
+    "R check_robustness": (lambda R: check_robustness(
+        StoppingDistribution((1, 3), (0.5, 0.5)), 4, R).worst(), 2),
+    "R feasible_robustness": (lambda R: feasible_robustness(50, R), 2),
+    "R geometric_cdf": (lambda R: geometric_cdf(10, R).support, 2),
+    "R onehot_exact": (lambda R: onehot_exact(10, R, 7).support, 2),
+    "R extension_condition_check": (lambda R: extension_condition_check(COSTS, 6, R, 20), 2),
+    "R baseline_policy": (lambda R: baseline_policy(TWO_ATOMS, 6, R, BaselineKind.MIXTURE)
+                          .support, 3),
+    "R LpInstance": (lambda R: _plain(lp_solve(LpInstance(objective=(1.0, 2.0, 3.0, 4.0), b=2,
+                                                          R=R, N=4))), 2),
+    "R lp_instance_from_cost": (lambda R: lp_instance_from_cost(COSTS, 6, R), 2),
+    "epsilon minimal_water_level": (lambda eps: minimal_water_level(COSTS, 6, 2.0, eps), 1),
+    "eta perturb_wasserstein": (lambda eta: perturb_wasserstein(TWO_ATOMS, eta, 42).support, 3),
+    "eta sweep grid": (lambda eta: run_perturbation_sweep(eta_grid=(0.0, eta), n_trials=1,
+                                                          seed=1).to_csv(), 2),
+    "eta robust_consistent_bound": (lambda eta: robust_consistent_bound(TWO_ATOMS, 6, 0.5, eta),
+                                    1),
+    "lambda clamp_threshold": (lambda lam: clamp_threshold(5, 10, lam), 0.5),
+    "lambda purohit_branch": (lambda lam: purohit_branch(6, lam, True).support, 1),
+    "lambda r_from_lambda": (lambda lam: r_from_lambda(6, lam), 1),
+    "C": (lambda C: sufficient_condition_check(TWO_ATOMS, 6, 4, C), 2),
+    "mean": (lambda mean: make_distribution(FamilySpec(
+        Family.GAUSSIAN_DISCRETIZED, {"mean": mean, "stddev": 3, "high": 20})).support, 10),
+    "stddev": (lambda sd: make_distribution(FamilySpec(
+        Family.GAUSSIAN_DISCRETIZED, {"mean": 10, "stddev": sd, "high": 20})).support, 3),
+    "rate": (lambda rate: make_distribution(FamilySpec(
+        Family.GEOMETRIC_TRUNCATED, {"rate": rate, "high": 20})).support, 0.5),
+    "mass of an atom": (lambda m: parse_distribution({"atoms": [[3, m]]}).support, 1),
+    "masses of a pmf": (lambda m: StoppingDistribution((3,), (m,)).support, 1),
+}
+
+
+@pytest.mark.parametrize("name", REAL_PARAMETERS)
+def test_real_forms_give_identical_results(name):
+    # one real rule: an int and a numpy number read as the float
+    call, value = REAL_PARAMETERS[name]
+    expected = call(float(value))
+    assert call(np.float64(value)) == expected
+    if float(value).is_integer():
+        assert call(int(value)) == expected
+
+
+@pytest.mark.parametrize("name", REAL_PARAMETERS)
+@pytest.mark.parametrize("bad", [True, np.True_, "1.7", None, math.nan, math.inf, -math.inf],
+                         ids=["true", "np_true", "text", "none", "nan", "inf", "minus_inf"])
+def test_bad_real_forms_rejected(name, bad):
+    # atom masses and family parameters read True and "50" as numbers, a pmf read
+    # a mass "1" as 1.0, and feasible_robustness raised a bare TypeError on "2"
+    call, _ = REAL_PARAMETERS[name]
+    with pytest.raises(InvalidParamsError, match="finite number"):
+        call(bad)

@@ -937,7 +937,7 @@ class TestWaterFill:
         for solve in solvers:
             assert check_robustness(solve(threshold), b, threshold).feasible
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, np.True_, "1.7", None])
     def test_non_finite_inputs_rejected(self, worked_example, bad):
         # NaN passed every range check: epsilon=nan ran no bisection check and
         # returned the policy at level max g, R=nan raised InfeasibleError; True
@@ -945,13 +945,14 @@ class TestWaterFill:
         g = build_cost_function(worked_example, 50)
         calls = [
             lambda: water_fill(g, 50, bad),
-            lambda: water_fill(g, 50, 2.0, epsilon=bad),
-            lambda: water_fill(g, 50, 2.0, epsilon=bad, exact=False),
             lambda: minimal_water_level(g, 50, bad, 1e-3),
             lambda: minimal_water_level(g, 50, 2.0, bad),
             lambda: level_feasible(g, 50, bad, 10.0),
             lambda: check_robustness(buy_day(4), 50, bad),
         ]
+        if bad is not None:  # water_fill's default epsilon
+            calls += [lambda: water_fill(g, 50, 2.0, epsilon=bad),
+                      lambda: water_fill(g, 50, 2.0, epsilon=bad, exact=False)]
         for call in calls:
             with pytest.raises(InvalidParamsError, match="finite"):
                 call()
