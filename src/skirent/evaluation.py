@@ -126,6 +126,12 @@ def _score_policies(p_hat: DayDistribution, g_hat: CostFunction, g_true: CostFun
     return rows
 
 
+def _plain(x):
+    """A numpy scalar as the Python number it holds, so that metadata serialises to
+    JSON: an int R stays an int; any other value as it is."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def run_consistency_table(b: int = 50, R: float = 1.7,
                           epsilon: float | None = None) -> ExperimentResult:
     """Evaluate water-filling and both baselines on the five reference families.
@@ -133,6 +139,7 @@ def run_consistency_table(b: int = 50, R: float = 1.7,
     Follows the published experimental procedure: level-restricted water
     filling and the source algorithm's branch lengths.
     """
+    b = _as_b(b)
     rows = []
     for label, spec in TABLE_FAMILIES:
         p = make_distribution(spec)
@@ -140,7 +147,8 @@ def run_consistency_table(b: int = 50, R: float = 1.7,
         _, best = optimal_threshold(p, b)
         rows += _score_policies(p, g, g, best, b, R, epsilon, family=label)
     return ExperimentResult(rows=tuple(rows),
-                            metadata={"b": b, "R": R, "epsilon": epsilon, "n_trials": 1,
+                            metadata={"b": b, "R": _plain(R), "epsilon": _plain(epsilon),
+                                      "n_trials": 1,
                                       "rounding": "purohit", "exact": False})
 
 
@@ -176,6 +184,7 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
     always evaluated under the true distribution.  Each (eta, trial) pair gets
     its own child seed derived from the master seed, so runs are reproducible.
     """
+    b = _as_b(b)
     seed = _as_int(seed, "the seed", 0)
     n_trials = _as_int(n_trials, "n_trials", 1)
     etas = tuple(_as_real(eta, "eta", least=0.0)
@@ -195,7 +204,7 @@ def run_perturbation_sweep(b: int = 50, R: float = 1.7,
             rows += _score_policies(p_hat, build_cost_function(p_hat, b), g_true, best,
                                     b, R, epsilon, family="gauss90", eta=eta, trial=trial)
     return ExperimentResult(rows=tuple(rows),
-                            metadata={"b": b, "R": R, "epsilon": epsilon,
+                            metadata={"b": b, "R": _plain(R), "epsilon": _plain(epsilon),
                                       "n_trials": n_trials, "seed": seed,
                                       "eta_grid": list(etas), "rounding": "purohit",
                                       "exact": False})

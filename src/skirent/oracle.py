@@ -1,4 +1,5 @@
-"""Independent brute-force oracles (threshold scan, dense simplex) and properties against them."""
+"""Independent brute-force oracles (threshold scan, dense simplex, per-row fill walk) and
+properties against them."""
 from __future__ import annotations
 
 import math
@@ -9,8 +10,9 @@ import numpy as np
 from .deterministic import NEVER, Threshold, optimal_threshold
 from .distributions import DayDistribution, _as_b, _as_int, _as_real
 from .errors import InfeasibleError, InvalidParamsError, ScaleExceededError
-from .randomized import (CostFunction, StoppingDistribution, build_cost_function, check_robustness,
-                         expected_policy_cost, feasible_robustness, geometric_cdf, onehot_exact,
+from .randomized import (CostFunction, StoppingDistribution, _envelope, _fill_pass, _full_log,
+                         _log_gamma, build_cost_function, check_robustness, expected_policy_cost,
+                         feasible_robustness, geometric_cdf, minimal_water_level, onehot_exact,
                          water_fill)
 
 MAX_HORIZON = 400
@@ -175,6 +177,56 @@ def lp_solve(inst: LpInstance) -> tuple[StoppingDistribution, float]:
     return StoppingDistribution.from_pairs(pmf), value
 
 
+def ref_best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
+    """The tail test over every candidate day from b on (day b, then each row's first
+    day past b), costed by ``values_at``: the cheapest within h and t_max."""
+    days = np.append(float(b), np.maximum(b, g.lo[g.hi > b]) + 1.0)
+    values = g.values_at(days)
+    admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
+    if admissible.size == 0:
+        return None
+    return int(days[admissible[np.argmin(values[admissible])]])
+
+
+def ref_walk(g: CostFunction, b: int, R: float,
+             h: float) -> tuple[float, list[tuple[int, int, float]], int | None] | None:
+    """The per-row fill walk that ``_fill_pass`` replaced: each row of g below b tested
+    in day space, one run per active row, and the tail test of ``ref_best_tail_day``."""
+    log_gamma, full = _log_gamma(b), _full_log(R)
+    lag = 0.0
+    last_end = 0
+    runs = []
+    for lo, hi, slope, intercept in zip(*(c.tolist() for c in (g.lo, g.hi, g.slope, g.intercept))):
+        if lo >= b:
+            break
+        if slope > 0.0:
+            reach = (h - intercept) / slope
+            if reach + 1e-12 < lo + 1:
+                continue
+        elif intercept <= h:
+            reach = math.inf
+        else:
+            continue
+        s, e = int(lo) + 1, math.floor(min(reach + 1e-12, hi, b))
+        gap = s - last_end
+        lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
+        runs.append((s, e, lag))
+        if e * log_gamma - lag >= full:
+            return 1.0, runs, None
+        last_end = e
+    F = _envelope(b, R, last_end, lag)
+    budget = (R - 1.0) * b - ((R - 1.0) * last_end - (b - last_end) * F)
+    if budget < 0.0:
+        return None
+    tail = ref_best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
+    return None if tail is None else (F, runs, tail)
+
+
+def _day_lags(runs: list[tuple[int, int, float]]) -> list[tuple[int, float]]:
+    """The (day, lag) of every day of the runs (s, e, lag), as ``_tight_policy`` expands them."""
+    return [(d, lag) for s, e, lag in runs for d in range(s, e + 1)]
+
+
 def draw_instance(rng: np.random.Generator, b_max: int) -> tuple[DayDistribution, int, float]:
     """A seeded (p, b, R): b in [2, b_max], R in {1.5, 1.7, 2, 2.5} (1.5 is feasible
     only for b <= 5), and 1-12 atoms on days up to 4b, the LP oracle's horizon."""
@@ -245,11 +297,32 @@ def geometric_robust_when_feasible(p: DayDistribution, b: int, R: float) -> str 
             f"is robust: {robust} (None: no policy)")
 
 
+def fill_matches_walk(p: DayDistribution, b: int, R: float) -> str | None:
+    """The fill as the published search runs it (``skip_settled``) gives the per-row
+    walk's full mass, tail day and runs, day by day, bit for bit: at 0, at each
+    distinct cost of a candidate day and the float just below it, at max g, and
+    at the published water level when R admits a robust policy."""
+    g = build_cost_function(p, b)
+    days = np.concatenate((np.arange(1.0, b + 1), np.maximum(b, g.lo[g.hi > b]) + 1.0))
+    costs = np.unique(g.values_at(days)).tolist()
+    levels = [0.0, *costs, *(math.nextafter(c, -math.inf) for c in costs), g.max_value()]
+    if feasible_robustness(b, R):
+        levels.append(minimal_water_level(g, b, R, 1e-7 * g.max_value()).level)
+    for h in levels:
+        got, want = _fill_pass(g, b, R, h, skip_settled=True), ref_walk(g, b, R, h)
+        if (got is None) != (want is None) or got is not None and (
+                got[0] != want[0] or got[2] != want[2] or _day_lags(got[1]) != _day_lags(want[1])):
+            return (f"b={b}, R={R}, h={h!r}: the fill gives {got}, the per-row walk {want} "
+                    f"(None: mass 1 does not fit)")
+    return None
+
+
 # the properties over any prediction, by the name verify prints for each
 PROPERTIES = {
     "optimal_threshold matches the exhaustive scan": threshold_matches_scan,
     "exact water filling matches the LP oracle": water_fill_matches_lp,
     "geometric_cdf is R-robust exactly when feasible": geometric_robust_when_feasible,
+    "the published fill matches the per-row reference walk": fill_matches_walk,
 }
 # and over one-hot predictions
 ONEHOT_PROPERTIES = {"closed-form one-hot optimum matches the LP oracle": onehot_matches_lp}

@@ -6,7 +6,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -435,48 +434,87 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: boo
     on the cheapest day from b on within h whose (day - 1) (1 - F) fits in the
     moment budget left.
 
-    With ``skip_settled`` the level tables of ``_FillTable`` settle rows at h
-    without reading them: the leading rows wholly active at h tile days 1..e
-    as one run with lag 0, and the trailing rows idle at h change nothing.  The
-    rows between are walked as without it, so the result is the same.
+    A bare pass tests every row below b.  With ``skip_settled`` the tables of
+    ``_FillTable`` settle the rows that h leaves no doubt about: the leading
+    rows wholly active at h tile days 1..e as one run with lag 0, the trailing
+    rows idle at h change nothing, and between them the walk jumps over each
+    stretch of surely idle rows, and across each stretch of surely wholly
+    active rows, which opens a run at most once and reaches the full mass at
+    the first row ending on or after the full day.  Only the rows within the
+    tables' margin take the day-space test, so the result is the same.
     """
     log_gamma, full = _log_gamma(b), _full_log(R)
     table = _fill_table(g, b)
-    rows = table.rows
     lag = 0.0
     start, last_end = 1, 0  # the open run holds days start..last_end, all tight
     runs = []
     full_day = _full_day(log_gamma, lag, full)
-    if skip_settled:
-        k = bisect.bisect_right(table.sure, h)
-        if k:
-            last_end = rows[k - 1][1]
-            if last_end >= full_day:
-                e = rows[bisect.bisect_left(rows, full_day, key=itemgetter(1))][1]
-                return 1.0, [(1, e, 0.0)], None
-        rows = rows[k:bisect.bisect_right(table.rest, h)]
-    for s, end, slope, intercept in rows:
-        # costs never fall along a row: its active days are s .. e
-        if slope > 0.0:
-            reach = (h - intercept) / slope + 1e-12
-            if reach < s:
+    if not skip_settled:
+        for s, end, slope, intercept in table.rows():
+            # costs never fall along a row: its active days are s .. e
+            if slope > 0.0:
+                reach = (h - intercept) / slope + 1e-12
+                if reach < s:
+                    continue
+                e = end if reach >= end else math.floor(reach)
+            elif intercept <= h:
+                e = end
+            else:
                 continue
-            e = end if reach >= end else math.floor(reach)
-        elif intercept <= h:
-            e = end
-        else:
-            continue
-        if s != last_end + 1:
-            if last_end:
-                runs.append((start, last_end, lag))
-            gap = s - last_end
-            lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
-            start = s
-            full_day = _full_day(log_gamma, lag, full)
-        if e >= full_day:
-            runs.append((start, e, lag))
-            return 1.0, runs, None
-        last_end = e
+            if s != last_end + 1:
+                if last_end:
+                    runs.append((start, last_end, lag))
+                gap = s - last_end
+                lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
+                start = s
+                full_day = _full_day(log_gamma, lag, full)
+            if e >= full_day:
+                runs.append((start, e, lag))
+                return 1.0, runs, None
+            last_end = e
+    else:
+        starts, ends, tree = table.starts, table.ends, table.tree
+        idle, whole = 2 * table.size, 3 * table.size  # leaf 0 of each tree
+        i = bisect.bisect_right(table.sure, h)
+        if i:
+            last_end = ends[i - 1]
+            if last_end >= full_day:
+                return 1.0, [(1, ends[bisect.bisect_left(ends, full_day)], 0.0)], None
+        n = bisect.bisect_right(table.rest, h)
+        while i < n:
+            if h < tree[idle + i]:  # surely idle: on to the next row that may be active
+                i = _first_at_most(tree, idle + i + 1, h, idle) - idle
+                continue
+            if h >= -tree[whole + i]:  # rows i..j-1 surely wholly active
+                j = _first_at_most(tree, whole + i + 1, -h, idle) - whole
+                e = ends[j - 1]
+            else:  # within the margin: the day-space test
+                j, slope, intercept = i + 1, table.slopes[i], table.intercepts[i]
+                e = end = ends[i]
+                if slope > 0.0:
+                    reach = (h - intercept) / slope + 1e-12
+                    if reach < starts[i]:
+                        i = j
+                        continue
+                    if reach < end:
+                        e = math.floor(reach)
+                elif intercept > h:
+                    i = j
+                    continue
+            s = starts[i]
+            if s != last_end + 1:
+                if last_end:
+                    runs.append((start, last_end, lag))
+                gap = s - last_end
+                lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
+                start = s
+                full_day = _full_day(log_gamma, lag, full)
+            if e >= full_day:  # the first row of i..j-1 ending on or after it
+                m = bisect.bisect_left(ends, full_day, i, j - 1)
+                runs.append((start, e if m == j - 1 else ends[m], lag))
+                return 1.0, runs, None
+            last_end = e
+            i = j
     if last_end:
         runs.append((start, last_end, lag))
     F = _envelope(b, R, last_end, lag)
@@ -515,31 +553,73 @@ def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | Non
     return int(table.first[k - 1]) if k and table.low[k - 1] <= h + 1e-12 else None
 
 
+def _first_at_most(tree: memoryview, p: int, x: float, leaves: int) -> int:
+    """The first leaf from leaf p on whose value is at most x, as a node of ``tree``;
+    one must exist within p's half of the tree.
+
+    ``tree`` is a min tree with its leaves at nodes ``leaves`` on, node q the
+    minimum of nodes 2q and 2q + 1.  The search skips each subtree whose
+    minimum is above x, on to the next subtree to its right, then descends
+    into the first that is not: O(log leaves) reads.
+    """
+    while tree[p] > x:
+        while p & 1:  # a right child: its parent's subtree ends here too
+            p >>= 1
+        p += 1
+    while p < leaves:
+        p <<= 1
+        if tree[p] > x:
+            p += 1
+    return p
+
+
 class _FillTable:
     """Everything a fill at one b reads, built by ``_fill_table`` and kept on g.
 
-    - ``rows``: the rows with lo < b as (first day, min(hi, b), slope, intercept).
-    - ``sure``, ``rest``: the level tables over those rows.  A row's costs rise
-      from its first day to its last (a row with slope <= 0 is its intercept),
-      so from its last day's cost on the walk keeps the whole row, and below
-      its first day's cost it keeps none of it.  ``sure[i]`` is the running
-      maximum of the last-day costs of rows 0..i, ``rest[i]`` the running
-      minimum of the first-day costs from row i on, each widened by
-      1e-9 (1 + |slope day| + |intercept|): far more than the rounding of the
-      walk's day-space test, so a level past it is settled by that test too,
-      and a level within it is walked.
+    - ``starts``, ``ends``, ``slopes``, ``intercepts``: the rows with lo < b as
+      columns: first day, min(hi, b), slope and intercept.  ``rows()`` zips
+      them into the tuple list the bare walk reads, built at its first call.
+    - The level tables.  A row's costs rise from its first day to its last (a
+      row with slope <= 0 is its intercept), so from its last day's cost on
+      the walk keeps the whole row, and below its first day's cost it keeps
+      none of it.  Each of those costs is widened by 1e-9 (1 + |slope day| +
+      |intercept|): far more than the rounding of the walk's day-space test,
+      so a level past it is settled by that test too, and a row whose
+      widened costs bracket the level takes that test.
+      - ``sure[i]``: the running maximum of the widened last-day costs of
+        rows 0..i; ``rest[i]``: the running minimum of the widened first-day
+        costs from row i on.
+      - ``tree``: two min trees (see ``_first_at_most``) as the halves of
+        one, over ``size`` leaves each.  Node 2 roots the idle tree, whose
+        leaf j, node 2 size + j, is row j's widened first-day cost, so below
+        it the row is surely idle; its padding leaves are inf.  Node 3 roots
+        the whole tree, whose leaf j, node 3 size + j, is minus row j's
+        widened last-day cost, so from minus it on the row is surely wholly
+        active; its padding leaves are -inf.  ``size`` exceeds the row
+        count, so a search of the whole tree stops at its first padding leaf
+        at the latest, and one of the idle tree never reaches a padding leaf.
     - ``days``, ``costs``: the tail days, day b and then each segment's first
       day past b, which rise strictly, and their costs, bit for bit as
       ``values_at`` gives them; ``low`` and ``first``: the running minimum of
       those costs and the first day attaining it.
     - ``candidates``: the O(b) table of exact mode, built at its first request.
 
-    The level and tail tables are memoryviews of float arrays: bisect reads them
-    nearly as fast as lists, with no list to build.  The table holds no
-    reference to g, so g and its tables die by reference counting.
+    The columns, level tables and tail tables are read-only memoryviews of
+    arrays: bisect and the walk read them nearly as fast as lists, with no
+    list to build.  The table holds no reference to g, so g and its tables die
+    by reference counting.
     """
 
-    __slots__ = ("rows", "sure", "rest", "days", "costs", "low", "first", "_candidates")
+    __slots__ = ("starts", "ends", "slopes", "intercepts", "sure", "rest", "size", "tree",
+                 "days", "costs", "low", "first", "_rows", "_candidates")
+
+    def rows(self) -> list[tuple[int, int, float, float]]:
+        """The rows below b as (first day, end, slope, intercept) tuples, which the
+        bare walk reads faster than the zipped columns."""
+        if self._rows is None:
+            self._rows = list(zip(*(c.tolist() for c in (self.starts, self.ends, self.slopes,
+                                                          self.intercepts))))
+        return self._rows
 
     def candidates(self, g: CostFunction) -> tuple[np.ndarray, np.ndarray]:
         """Every day below b, then the tail days, with their costs, read-only: the
@@ -555,13 +635,18 @@ class _FillTable:
         return self._candidates
 
 
+def _read_only(array: np.ndarray) -> memoryview:
+    return memoryview(array).toreadonly()
+
+
 def _fill_table(g: CostFunction, b: int) -> _FillTable:
     """The ``_FillTable`` of g at b, built at the first call for b: O(segments).
 
-    Each tail day after b is the first day of its own row, so its cost is that
-    row's multiply and add, with no search; day b lies on the first row with
-    hi >= b.  Past 2^53, lo + 1 can round back onto lo, a day of an earlier
-    row: those days keep ``values_at``'s cost.
+    Both trees are one array, built a level at a time with one numpy call.
+    Each tail day after b is the first day of its own row, so its cost
+    is that row's multiply and add, with no search; day b lies on the first
+    row with hi >= b.  Past 2^53, lo + 1 can round back onto lo, a day of an
+    earlier row: those days keep ``values_at``'s cost.
     """
     table = g._tables.get(b)
     if table is not None:
@@ -570,13 +655,25 @@ def _fill_table(g: CostFunction, b: int) -> _FillTable:
     k = int(np.searchsorted(g.lo, b))  # the rows with lo < b
     starts, ends = g.lo[:k] + 1.0, np.minimum(g.hi[:k], b)
     slope, intercept = g.slope[:k], g.intercept[:k]
-    table.rows = list(zip(starts.astype(np.int64).tolist(), ends.astype(np.int64).tolist(),
-                          slope.tolist(), intercept.tolist()))
+    table.starts, table.ends = (_read_only(c.astype(np.int64)) for c in (starts, ends))
+    table.slopes, table.intercepts = _read_only(slope), _read_only(intercept)
     climb = np.maximum(slope, 0.0)  # 0 on the rows whose cost is their intercept
     margin = 1e-9 * (1.0 + np.abs(intercept))
-    table.sure = memoryview(np.maximum.accumulate(climb * ends * (1.0 + 1e-9) + intercept + margin))
-    rest = np.minimum.accumulate((climb * starts * (1.0 - 1e-9) + intercept - margin)[::-1])
-    table.rest = memoryview(rest[::-1].copy())
+    lows = climb * starts * (1.0 - 1e-9) + intercept - margin
+    highs = climb * ends * (1.0 + 1e-9) + intercept + margin
+    table.sure = _read_only(np.maximum.accumulate(highs))
+    table.rest = _read_only(np.minimum.accumulate(lows[::-1])[::-1].copy())
+    size = 1 << k.bit_length()
+    tree = np.empty(4 * size)
+    tree[0] = math.nan  # node 0 is no node
+    tree[2 * size:2 * size + k], tree[2 * size + k:3 * size] = lows, math.inf
+    np.negative(highs, out=tree[3 * size:3 * size + k])
+    tree[3 * size + k:] = -math.inf
+    level = 2 * size
+    while level > 1:
+        np.minimum(tree[level:2 * level:2], tree[level + 1:2 * level:2], out=tree[level // 2:level])
+        level //= 2
+    table.size, table.tree = size, _read_only(tree)
     j = int(np.searchsorted(g.hi, b, "right"))  # the rows past b, one per day after b
     days = np.append(float(b), np.maximum(b, g.lo[j:]) + 1.0)
     m = j - 1 if j and g.hi[j - 1] == b else j  # day b's row
@@ -590,8 +687,8 @@ def _fill_table(g: CostFunction, b: int) -> _FillTable:
     # a day attains the running minimum first where its cost drops below it
     drops = np.append(True, costs[1:] < low[:-1])
     first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
-    table.days, table.costs, table.low, table.first = map(memoryview, (days, costs, low, first))
-    table._candidates = None
+    table.days, table.costs, table.low, table.first = map(_read_only, (days, costs, low, first))
+    table._rows = table._candidates = None
     g._tables[b] = table
     return table
 
@@ -603,14 +700,16 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
     One pass over the segments below b: maximal early fill, then a tail test
     that asks for an admissible day d >= b with (d - 1) * remaining-mass within
     the leftover moment budget.  The first check at a given b keeps on g the
-    one ``_FillTable`` of b, O(segments): the rows below b, their level
-    tables, and a running-minimum table of the tail candidates.  Each check
-    then walks those rows once, extending one run per stretch of active rows,
-    and answers the tail test with one bisection on a memoryview.  No O(b)
-    table is built.  A bare check walks every row below b; with
-    ``skip_settled``, as every level search asks, the walk skips the leading
-    rows wholly active at h and the trailing rows idle at h, as the level
-    tables tell; the answer is the same.  h may be infinite, not NaN.
+    one ``_FillTable`` of b, O(segments): the rows below b as columns, their
+    level tables and trees, and a running-minimum table of the tail
+    candidates.  Each check extends one run per stretch of active rows and
+    answers the tail test with one bisection on a memoryview.  No O(b) table
+    is built.  A bare check walks every row below b, O(rows).  With
+    ``skip_settled``, as every level search asks, the level tables settle the
+    leading rows wholly active at h and the trailing rows idle at h, and the
+    walk jumps over each stretch between them of rows surely idle or surely
+    wholly active, one tree search a stretch: O((stretches + margin rows)
+    log rows).  The answer is the same.  h may be infinite, not NaN.
     """
     b = _as_b(b)
     R = _as_real(R, "R", above=1.0)
@@ -640,8 +739,9 @@ def minimal_water_level(g: CostFunction, b: int, R: float, epsilon: float) -> Wa
     """Bisect [0, max g] down to width epsilon for the least feasible level.
 
     epsilon must be at least the float spacing at max g: a narrower width can
-    never be reached once the ends are adjacent floats.  Each check skips the
-    rows its level settles.
+    never be reached once the ends are adjacent floats.  Each check is one
+    ``level_feasible`` call with ``skip_settled``, which jumps over the
+    stretches of rows its level settles.
     """
     b = _as_b(b)
     R = _as_real(R, "R", above=1.0)
@@ -672,7 +772,7 @@ def _exact_level(g: CostFunction, b: int, R: float) -> float:
     max g, which admits every day) finds the least feasible one.  A midpoint,
     not the cost itself: the fill tests activity in day space, where a day's
     own cost can map back to just below that day, which drops it.  Returns
-    max g when no level is feasible.  Each probe skips the rows its level
+    max g when no level is feasible.  Each probe jumps over the rows its level
     settles, as the bisection's checks do.
     """
     costs = np.unique(_fill_table(g, b).candidates(g)[1])
@@ -691,7 +791,7 @@ def _construct_at_level(g: CostFunction, b: int, R: float,
                         h: float) -> StoppingDistribution | None:
     """The maximal-fill policy at level h; None exactly when ``level_feasible`` is false.
 
-    Skips the rows h settles, reading the level tables the search built.
+    Jumps over the rows h settles, reading the tables the search built.
     """
     fill = _fill_pass(g, b, R, h, skip_settled=True)
     return None if fill is None else _tight_policy(b, R, *fill)

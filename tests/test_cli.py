@@ -344,7 +344,7 @@ class TestVerifyCommand:
     def test_default_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--instances", "40", "--seed", "5")
         assert code == 0
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 4
         assert "[FAIL]" not in out
 
     @pytest.mark.parametrize("argv", [("--b-max", "3"), ("--b-max", "101"),
@@ -429,7 +429,7 @@ class TestVerifyCommand:
         assert code == 1
         fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
         assert len(fails) == 1 and "water filling" in fails[0] and "InvariantError" in fails[0]
-        assert out.count("[PASS]") == 2
+        assert out.count("[PASS]") == 3
 
 
 class TestRoundTrips:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -90,10 +91,23 @@ class TestExperimentResult:
     def test_json_mirror_has_metadata(self):
         res = ExperimentResult(rows=(ResultRow("f", "p", 0.0, 0, 1.5, 2.0),),
                                metadata={"b": 50})
-        import json
         obj = json.loads(res.to_json())
         assert obj["metadata"]["b"] == 50
         assert obj["rows"][0]["consistency"] == 1.5
+
+    @pytest.mark.parametrize("R", [np.int64(2), np.float64(1.7)], ids=["int64_r", "float64_r"])
+    @pytest.mark.parametrize("run", [
+        run_consistency_table,
+        lambda **kw: run_perturbation_sweep(eta_grid=(0.0,), n_trials=1, **kw)],
+        ids=["table", "sweep"])
+    def test_numpy_inputs_serialise_as_python_inputs(self, run, R):
+        # metadata kept a numpy b or R raw, and to_json raised "Object of type
+        # int64 is not JSON serializable"
+        got = json.loads(run(b=np.int64(50), R=R).to_json())["metadata"]
+        want = json.loads(run(b=50, R=R.item()).to_json())["metadata"]
+        assert json.dumps(got) == json.dumps(want)
+        assert type(got["b"]) is int and type(got["R"]) is type(R.item())
+        assert ('"R": 2,' in json.dumps(got)) == isinstance(R, np.integer)
 
 
 @pytest.fixture(scope="module")

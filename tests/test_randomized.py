@@ -1,4 +1,3 @@
-import bisect
 import gc
 import hashlib
 import math
@@ -51,6 +50,7 @@ from skirent import (
 )
 from skirent.evaluation import TABLE_FAMILIES
 from skirent.distributions import MAX_DAYS
+from skirent.oracle import _day_lags, ref_best_tail_day, ref_walk
 from skirent.randomized import CostFunction, parse_policy
 from conftest import random_day_distribution
 
@@ -287,54 +287,9 @@ def ref_construct_at_level(g: CostFunction, b: int, R: float, h: float) -> dict[
     return pmf
 
 
-def ref_walk(g: CostFunction, b: int, R: float,
-             h: float) -> tuple[float, list[tuple[int, int, float]], int | None] | None:
-    """The per-row fill walk that ``_fill_pass`` replaced: one run per active row,
-    and the tail test over the O(b) candidate table.  Kept verbatim apart from
-    the names and the rows it reads."""
-    log_gamma, full = randomized._log_gamma(b), randomized._full_log(R)
-    lag = 0.0
-    last_end = 0
-    runs = []
-    for lo, hi, slope, intercept in segments_with_tail(g):
-        if lo >= b:
-            break
-        if slope > 0.0:
-            reach = (h - intercept) / slope
-            if reach + 1e-12 < lo + 1:
-                continue
-        elif intercept <= h:
-            reach = math.inf
-        else:
-            continue
-        s, e = int(lo) + 1, math.floor(min(reach + 1e-12, hi, b))
-        gap = s - last_end
-        lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
-        runs.append((s, e, lag))
-        if e * log_gamma - lag >= full:
-            return 1.0, runs, None
-        last_end = e
-    F = randomized._envelope(b, R, last_end, lag)
-    budget = (R - 1.0) * b - ((R - 1.0) * last_end - (b - last_end) * F)
-    if budget < 0.0:
-        return None
-    tail = ref_best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
-    return None if tail is None else (F, runs, tail)
-
-
 def candidate_days(g: CostFunction, b: int) -> np.ndarray:
     """Every day up to b, then each row's first day past b, read off the columns."""
     return np.concatenate((np.arange(1.0, b + 1), np.maximum(b, g.lo[g.hi > b]) + 1.0))
-
-
-def ref_best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
-    """The tail test over the candidate days from b on, costed by ``values_at``."""
-    days = candidate_days(g, b)[b - 1:]
-    values = g.values_at(days)
-    admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
-    if admissible.size == 0:
-        return None
-    return int(days[admissible[np.argmin(values[admissible])]])
 
 
 def active_days(rows: list[tuple[int, int, float, float]], h: float) -> list[tuple[int, int] | None]:
@@ -348,11 +303,6 @@ def active_days(rows: list[tuple[int, int, float, float]], h: float) -> list[tup
             reach, active = math.inf, intercept <= h
         days.append((s, math.floor(min(reach + 1e-12, end))) if active else None)
     return days
-
-
-def day_lags(runs: list[tuple[int, int, float]]) -> list[tuple[int, float]]:
-    """The (day, lag) of every day of the runs, as ``_tight_policy`` expands them."""
-    return [(d, lag) for s, e, lag in runs for d in range(s, e + 1)]
 
 
 def fill_instances(rng, count=300):
@@ -455,10 +405,15 @@ class TestCostFunction:
             g = build_cost_function(p_hat, b)
             reference = np.array(ref_cost_segments(p_hat, b))
             assert np.array_equal(np.column_stack((g.lo, g.hi, g.slope, g.intercept)), reference)
-            # the fill's walk reads the rows below b, their ends cut at b
-            assert randomized._fill_table(g, b).rows == [
-                (int(lo) + 1, int(min(hi, b)), slope, intercept)
-                for lo, hi, slope, intercept in reference.tolist() if lo < b]
+            # the fill's walk reads the rows below b, their ends cut at b, as columns
+            # and, for the bare walk, as tuples
+            rows = [(int(lo) + 1, int(min(hi, b)), slope, intercept)
+                    for lo, hi, slope, intercept in reference.tolist() if lo < b]
+            table = randomized._fill_table(g, b)
+            columns = (table.starts, table.ends, table.slopes, table.intercepts)
+            assert [c.tolist() for c in columns] == [list(c) for c in zip(*rows)]
+            assert all(c.readonly for c in columns)
+            assert table._rows is None and table.rows() == rows and table.rows() is table._rows
         assert min(predictions[-1].probs) < 1e-15
         with pytest.raises(ValueError):
             g.slope[0] = 0.5  # read-only: the cached walk rows could not follow a write
@@ -1093,6 +1048,15 @@ class TestSingleFillPath:
 
 
 
+def u_shaped(n: int = 3000) -> DayDistribution:
+    """Days 1..n, light through n/3 and heavy to 2n/3: at b = 2n/3 the cost climbs
+    from day 1 to day n/3, then falls below its start by day b, so a level
+    between admits the rows at both ends and leaves the middle idle."""
+    days = np.arange(1, n + 1)
+    weights = 0.5 + (days <= n // 3) + 8.0 * ((n // 3 < days) & (days <= 2 * n // 3))
+    return DayDistribution(days, weights / weights.sum())
+
+
 def walk_inputs(rng):
     """(g, b) cost tables for the walk: dense contiguous supports, one-atom
     predictions, tables with tiny or rounding-negative slopes, and sparse ones."""
@@ -1101,6 +1065,11 @@ def walk_inputs(rng):
             yield build_cost_function(uniform_days(n), b), b
         yield build_cost_function(one_hot(max(b // 3, 1)), b), b
         yield build_cost_function(one_hot(3 * b), b), b
+    # dense at b = 2000: a cost that falls across a 1000-day support, so one long
+    # idle stretch before the active rows, and active rows at both ends of an
+    # idle middle
+    yield build_cost_function(uniform_days(1000), 2000), 2000
+    yield build_cost_function(u_shaped(), 2000), 2000
     for label in ("gauss", "geom"):
         yield build_cost_function(table_prediction(label), 500), 500
     # the running tail mass past the last atoms rounds below 0 from day 3750 on
@@ -1122,8 +1091,16 @@ def walk_inputs(rng):
 class TestFillWalk:
     """The walk bit for bit against the per-row walk it replaced."""
 
-    def test_matches_per_row_walk(self, rng):
-        compared = partial = walks = skipped = 0
+    def test_matches_per_row_walk(self, rng, monkeypatch):
+        compared = partial = jumps = interior = 0
+        jumped = []  # per jump, the tree it reads (0 idle, 1 whole) and the first row it skips
+        first_at_most = randomized._first_at_most
+
+        def recording(tree, p, x, leaves):
+            jumped.append(divmod(p - leaves, leaves // 2))
+            return first_at_most(tree, p, x, leaves)
+
+        monkeypatch.setattr(randomized, "_first_at_most", recording)
         inputs = [(g, b, R) for i, (g, b) in enumerate(walk_inputs(rng))
                   for R in ((1.7, 2.5), (2.0, 4.0))[i % 2] if feasible_robustness(b, R)]
         assert any(np.any(g.slope[g.lo < b] < 0.0) for g, b, _ in inputs)
@@ -1134,26 +1111,30 @@ class TestFillWalk:
             levels = [0.0, g.max_value(), math.inf]
             for c in costs.tolist():
                 levels += [c, math.nextafter(c, -math.inf), c - 1e-12]
-            table = randomized._fill_table(g, b)
+            rows = randomized._fill_table(g, b).rows()
             for h in levels:
                 got, want = randomized._fill_pass(g, b, R, h), ref_walk(g, b, R, h)
                 assert (got is None) == (want is None), (b, R, h)
-                # skipping the rows h settles leaves the walk the same bit for bit
+                # jumping over the rows that h settles leaves the walk the same bit for bit
+                jumped.clear()
                 settled = randomized._fill_pass(g, b, R, h, skip_settled=True)
                 assert repr(settled) == repr(got), (b, R, h)
-                walks += 1
-                k, n = bisect.bisect_right(table.sure, h), bisect.bisect_right(table.rest, h)
-                skipped += k > 0 or n < len(table.rows)
+                if jumped:
+                    # a jump is interior when a row before the one it starts from is
+                    # active or partial at h
+                    active = [i for i, days in enumerate(active_days(rows, h)) if days]
+                    jumps += len(jumped)
+                    interior += sum(bool(active) and active[0] < i - 1 for _, i in jumped)
                 if got is None:
                     continue
                 compared += 1
                 partial += got[2] is not None
                 assert got[0] == want[0] and got[2] == want[2], (b, R, h)
-                assert day_lags(got[1]) == day_lags(want[1]), (b, R, h)
+                assert _day_lags(got[1]) == _day_lags(want[1]), (b, R, h)
                 # one run per stretch: no run starts the day after the last one ends
                 assert all(s > e + 1 for (_, e, _), (s, _, _) in zip(got[1], got[1][1:]))
         assert compared > 3000 and partial > 300, (compared, partial)
-        assert skipped > walks // 4, (skipped, walks)
+        assert jumps > 2500 and interior > 1400, (jumps, interior)
 
     def test_level_tables_bound_the_rows(self, rng):
         # sure[i]: rows 0..i wholly active; rest[i]: rows i.. all idle, under the
@@ -1163,11 +1144,33 @@ class TestFillWalk:
             table = randomized._fill_table(g, b)
             sure, rest = table.sure, table.rest
             assert list(sure) == sorted(sure) and list(rest) == sorted(rest)
-            for i, row in enumerate(table.rows):
-                for h in (sure[i], sure[-1]):
+            rows = table.rows()
+            n, size, tree = len(rows), table.size, np.asarray(table.tree)
+            # the trees' leaves: row i's widened first-day cost, then minus its
+            # widened last-day cost; both padded past the rows
+            idle, whole = tree[2 * size:3 * size], -tree[3 * size:]
+            assert size > n and not tree.flags.writeable
+            assert np.all(idle[n:] == math.inf) and np.all(whole[n:] == math.inf)
+            # each internal node is the least of its two children
+            assert np.array_equal(tree[1:2 * size], np.minimum(tree[2::2], tree[3::2]))
+            assert np.array_equal(rest, np.minimum.accumulate(idle[:n][::-1])[::-1])
+            assert np.array_equal(sure, np.maximum.accumulate(whole[:n]))
+            for i, (row, first, last) in enumerate(zip(rows, idle.tolist(), whole.tolist())):
+                for h in (sure[i], sure[-1], last):
                     assert active_days([row], h) == [row[:2]], (b, i, h)
-                for h in (math.nextafter(rest[i], -math.inf), rest[0] - 1.0):
+                for h in (math.nextafter(rest[i], -math.inf), rest[0] - 1.0,
+                          math.nextafter(first, -math.inf)):
                     assert active_days([row], h) == [None], (b, i, h)
+            # a padding leaf never stops a search of the idle tree that starts in the
+            # rows at a level some later row may take, and stops one of the whole
+            # tree at row n, past every row
+            for i in range(n):
+                h = rest[i]
+                j = randomized._first_at_most(table.tree, 2 * size + i, h, 2 * size) - 2 * size
+                assert j < n and idle[j] <= h and np.all(idle[i:j] > h), (b, i)
+                j = randomized._first_at_most(table.tree, 3 * size + i, -math.inf,
+                                              2 * size) - 3 * size
+                assert j == n, (b, i)
 
     def test_each_water_fill_keeps_one_table(self):
         for p_hat, b in ((table_prediction("gauss"), 500), (uniform_days(100), 500),
@@ -1181,9 +1184,13 @@ class TestFillWalk:
                 water_fill(g, b, 2.0, exact=not first_exact)
                 assert list(g._tables) == [b] and g._tables[b] is table
                 assert table._candidates is not None
-                # another b gets a table of its own, and a bare check builds no candidates
+                # both searches jump over the columns: no row tuples are built
+                assert table._rows is None
+                # another b gets a table of its own, and a bare check builds no candidates,
+                # only the row tuples it walks
                 assert level_feasible(g, 2 * b, 2.0, g.max_value())
                 assert list(g._tables) == [b, 2 * b] and g._tables[2 * b]._candidates is None
+                assert g._tables[2 * b]._rows is not None
 
     def test_published_mode_builds_no_candidate_table(self):
         for p_hat, b in ((table_prediction("gauss"), 2000), (uniform_days(100), 500),
@@ -1407,7 +1414,7 @@ class TestTailTables:
 
     def test_walk_tables_keep_under_1_mb(self):
         # the tail tables of a 20k-day prediction took 1.95 MB as Python float lists;
-        # the whole table at b counts: rows, level tables and tail tables
+        # the whole table at b counts: row columns, level tables, trees and tail tables
         b = 500
         g = build_cost_function(uniform_days(20_000), b)
         tracemalloc.start()
@@ -1416,7 +1423,7 @@ class TestTailTables:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(table.rows) == b and len(table.sure) == b and len(table.days) > 19_000
+        assert len(table.ends) == b and len(table.sure) == b and len(table.days) > 19_000
         assert kept < 1_000_000
 
 
