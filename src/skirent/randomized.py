@@ -434,87 +434,67 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: boo
     on the cheapest day from b on within h whose (day - 1) (1 - F) fits in the
     moment budget left.
 
-    A bare pass tests every row below b.  With ``skip_settled`` the tables of
-    ``_FillTable`` settle the rows that h leaves no doubt about: the leading
-    rows wholly active at h tile days 1..e as one run with lag 0, the trailing
-    rows idle at h change nothing, and between them the walk jumps over each
-    stretch of surely idle rows, and across each stretch of surely wholly
-    active rows, which opens a run at most once and reaches the full mass at
-    the first row ending on or after the full day.  Only the rows within the
-    tables' margin take the day-space test, so the result is the same.
+    One loop walks the columns of ``_FillTable``.  A bare pass runs it over
+    every row below b with both jumps off, so each row takes the day-space
+    test.  With ``skip_settled`` the tables settle the rows that h leaves no
+    doubt about: the leading rows wholly active at h tile days 1..e as one
+    run with lag 0, the trailing rows idle at h change nothing, and between
+    them the walk jumps over each stretch of surely idle rows, and across
+    each stretch of surely wholly active rows, which opens a run at most
+    once and reaches the full mass at the first row ending on or after the
+    full day.  Only the rows within the tables' margin take the day-space
+    test, so the result is the same.
     """
     log_gamma, full = _log_gamma(b), _full_log(R)
     table = _fill_table(g, b)
+    starts, ends, slopes, intercepts = table.starts, table.ends, table.slopes, table.intercepts
+    tree, idle, whole = table.tree, 2 * table.size, 3 * table.size  # leaf 0 of each tree
     lag = 0.0
     start, last_end = 1, 0  # the open run holds days start..last_end, all tight
     runs = []
     full_day = _full_day(log_gamma, lag, full)
-    if not skip_settled:
-        for s, end, slope, intercept in table.rows():
-            # costs never fall along a row: its active days are s .. e
-            if slope > 0.0:
-                reach = (h - intercept) / slope + 1e-12
-                if reach < s:
-                    continue
-                e = end if reach >= end else math.floor(reach)
-            elif intercept <= h:
-                e = end
-            else:
-                continue
-            if s != last_end + 1:
-                if last_end:
-                    runs.append((start, last_end, lag))
-                gap = s - last_end
-                lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
-                start = s
-                full_day = _full_day(log_gamma, lag, full)
-            if e >= full_day:
-                runs.append((start, e, lag))
-                return 1.0, runs, None
-            last_end = e
-    else:
-        starts, ends, tree = table.starts, table.ends, table.tree
-        idle, whole = 2 * table.size, 3 * table.size  # leaf 0 of each tree
+    i, n = 0, len(ends)
+    if skip_settled:
         i = bisect.bisect_right(table.sure, h)
         if i:
             last_end = ends[i - 1]
             if last_end >= full_day:
                 return 1.0, [(1, ends[bisect.bisect_left(ends, full_day)], 0.0)], None
         n = bisect.bisect_right(table.rest, h)
-        while i < n:
-            if h < tree[idle + i]:  # surely idle: on to the next row that may be active
-                i = _first_at_most(tree, idle + i + 1, h, idle) - idle
-                continue
-            if h >= -tree[whole + i]:  # rows i..j-1 surely wholly active
-                j = _first_at_most(tree, whole + i + 1, -h, idle) - whole
-                e = ends[j - 1]
-            else:  # within the margin: the day-space test
-                j, slope, intercept = i + 1, table.slopes[i], table.intercepts[i]
-                e = end = ends[i]
-                if slope > 0.0:
-                    reach = (h - intercept) / slope + 1e-12
-                    if reach < starts[i]:
-                        i = j
-                        continue
-                    if reach < end:
-                        e = math.floor(reach)
-                elif intercept > h:
+    while i < n:
+        if skip_settled and h < tree[idle + i]:  # surely idle: to the next row that may be active
+            i = _first_at_most(tree, idle + i + 1, h, idle) - idle
+            continue
+        if skip_settled and h >= -tree[whole + i]:  # rows i..j-1 surely wholly active
+            j = _first_at_most(tree, whole + i + 1, -h, idle) - whole
+            e = ends[j - 1]
+        else:  # the day-space test; costs never fall along a row, so its active days are s..e
+            j, slope, intercept = i + 1, slopes[i], intercepts[i]
+            e = end = ends[i]
+            if slope > 0.0:
+                reach = (h - intercept) / slope + 1e-12
+                if reach < starts[i]:
                     i = j
                     continue
-            s = starts[i]
-            if s != last_end + 1:
-                if last_end:
-                    runs.append((start, last_end, lag))
-                gap = s - last_end
-                lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
-                start = s
-                full_day = _full_day(log_gamma, lag, full)
-            if e >= full_day:  # the first row of i..j-1 ending on or after it
-                m = bisect.bisect_left(ends, full_day, i, j - 1)
-                runs.append((start, e if m == j - 1 else ends[m], lag))
-                return 1.0, runs, None
-            last_end = e
-            i = j
+                if reach < end:
+                    e = math.floor(reach)
+            elif intercept > h:
+                i = j
+                continue
+        s = starts[i]
+        if s != last_end + 1:
+            if last_end:
+                runs.append((start, last_end, lag))
+            gap = s - last_end
+            lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
+            start = s
+            full_day = _full_day(log_gamma, lag, full)
+        if e >= full_day:  # the first row of i..j-1 ending on or after it
+            m = bisect.bisect_left(ends, full_day, i, j - 1)
+            runs.append((start, e if m == j - 1 else ends[m], lag))
+            return 1.0, runs, None
+        last_end = e
+        i = j
     if last_end:
         runs.append((start, last_end, lag))
     F = _envelope(b, R, last_end, lag)
@@ -577,8 +557,7 @@ class _FillTable:
     """Everything a fill at one b reads, built by ``_fill_table`` and kept on g.
 
     - ``starts``, ``ends``, ``slopes``, ``intercepts``: the rows with lo < b as
-      columns: first day, min(hi, b), slope and intercept.  ``rows()`` zips
-      them into the tuple list the bare walk reads, built at its first call.
+      columns: first day, min(hi, b), slope and intercept, which every walk reads.
     - The level tables.  A row's costs rise from its first day to its last (a
       row with slope <= 0 is its intercept), so from its last day's cost on
       the walk keeps the whole row, and below its first day's cost it keeps
@@ -611,15 +590,7 @@ class _FillTable:
     """
 
     __slots__ = ("starts", "ends", "slopes", "intercepts", "sure", "rest", "size", "tree",
-                 "days", "costs", "low", "first", "_rows", "_candidates")
-
-    def rows(self) -> list[tuple[int, int, float, float]]:
-        """The rows below b as (first day, end, slope, intercept) tuples, which the
-        bare walk reads faster than the zipped columns."""
-        if self._rows is None:
-            self._rows = list(zip(*(c.tolist() for c in (self.starts, self.ends, self.slopes,
-                                                          self.intercepts))))
-        return self._rows
+                 "days", "costs", "low", "first", "_candidates")
 
     def candidates(self, g: CostFunction) -> tuple[np.ndarray, np.ndarray]:
         """Every day below b, then the tail days, with their costs, read-only: the
@@ -688,7 +659,7 @@ def _fill_table(g: CostFunction, b: int) -> _FillTable:
     drops = np.append(True, costs[1:] < low[:-1])
     first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
     table.days, table.costs, table.low, table.first = map(_read_only, (days, costs, low, first))
-    table._rows = table._candidates = None
+    table._candidates = None
     g._tables[b] = table
     return table
 
@@ -704,12 +675,14 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
     level tables and trees, and a running-minimum table of the tail
     candidates.  Each check extends one run per stretch of active rows and
     answers the tail test with one bisection on a memoryview.  No O(b) table
-    is built.  A bare check walks every row below b, O(rows).  With
-    ``skip_settled``, as every level search asks, the level tables settle the
-    leading rows wholly active at h and the trailing rows idle at h, and the
-    walk jumps over each stretch between them of rows surely idle or surely
-    wholly active, one tree search a stretch: O((stretches + margin rows)
-    log rows).  The answer is the same.  h may be infinite, not NaN.
+    is built.  A bare check walks every row below b over those columns,
+    O(rows).  With ``skip_settled``, as every level search asks, the same
+    walk starts after the leading rows wholly active at h and stops at the
+    trailing rows idle at h, which the level tables settle, and jumps over
+    each stretch between them of rows surely idle or surely wholly active,
+    one tree search a stretch: O((stretches + margin rows) log rows).  The
+    answer is the same.  h may be infinite, not NaN; any other number is
+    read as a Python float, so a numpy level walks as its float does.
     """
     b = _as_b(b)
     R = _as_real(R, "R", above=1.0)
@@ -722,7 +695,7 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
         bad, h = False, math.inf if h > 0 else -math.inf
     if bad:
         raise InvalidParamsError(f"the water level h must be a number, not NaN, got {h!r}")
-    return _fill_pass(g, b, R, h, skip_settled=skip_settled) is not None
+    return _fill_pass(g, b, R, float(h), skip_settled=skip_settled) is not None
 
 
 @dataclass(frozen=True)

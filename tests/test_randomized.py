@@ -63,9 +63,6 @@ class Segment(NamedTuple):
     slope: float
     intercept: float
 
-    def value(self, t: float) -> float:
-        return self.slope * t + self.intercept
-
 
 def segments_with_tail(g: CostFunction) -> tuple[Segment, ...]:
     """The rows of ``g``, its constant tail last."""
@@ -97,21 +94,6 @@ def direct_costs(p_hat: DayDistribution, b: int, t: int) -> float:
     rent = sum(q * d for d, q in p_hat.support if d < t)
     buy = sum(q for d, q in p_hat.support if d >= t) * (b + t - 1)
     return rent + buy
-
-
-def best_tail_day_reference(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
-    """The per-segment loop that the array-backed tail-day search replaced."""
-    best: tuple[float, int] | None = None
-    for seg in segments_with_tail(g):
-        day = max(b, seg.lo + 1)
-        if day > seg.hi or day > t_max + 1e-9:
-            continue
-        value = seg.value(day)
-        if value <= h + 1e-12:
-            cand = (value, day)
-            if best is None or cand < best:
-                best = cand
-    return best[1] if best else None
 
 
 def tied_cost_function(rng) -> CostFunction:
@@ -280,7 +262,7 @@ def ref_construct_at_level(g: CostFunction, b: int, R: float, h: float) -> dict[
         if budget < 0.0:
             return None
         t_max = 1.0 + budget / m_tail
-        day = randomized._best_tail_day(g, b, h, t_max)
+        day = ref_best_tail_day(g, b, h, t_max)
         if day is None:
             return None
         pmf[day] = pmf.get(day, 0.0) + m_tail
@@ -406,17 +388,15 @@ class TestCostFunction:
             reference = np.array(ref_cost_segments(p_hat, b))
             assert np.array_equal(np.column_stack((g.lo, g.hi, g.slope, g.intercept)), reference)
             # the fill's walk reads the rows below b, their ends cut at b, as columns
-            # and, for the bare walk, as tuples
             rows = [(int(lo) + 1, int(min(hi, b)), slope, intercept)
                     for lo, hi, slope, intercept in reference.tolist() if lo < b]
             table = randomized._fill_table(g, b)
             columns = (table.starts, table.ends, table.slopes, table.intercepts)
             assert [c.tolist() for c in columns] == [list(c) for c in zip(*rows)]
             assert all(c.readonly for c in columns)
-            assert table._rows is None and table.rows() == rows and table.rows() is table._rows
         assert min(predictions[-1].probs) < 1e-15
         with pytest.raises(ValueError):
-            g.slope[0] = 0.5  # read-only: the cached walk rows could not follow a write
+            g.slope[0] = 0.5  # read-only: the cached walk tables could not follow a write
 
     @pytest.mark.parametrize("columns", [
         ([0, 3], [3, math.inf], [1.0], [1.0, 2.0]),
@@ -948,6 +928,13 @@ class TestWaterFill:
             for h in (math.inf, 2**64, 10**400):
                 assert level_feasible(g, 4, 2.0, h, skip_settled=skip)
                 assert not level_feasible(g, 4, 2.0, -h, skip_settled=skip)
+            # a numpy level walks as its Python float: on a row of slope 5e-324 the
+            # level over the slope overflows to inf, silently for a float and with a
+            # RuntimeWarning for a numpy float
+            tiny = cost_table([(0, 3, 1.0, 4.0), (3, 4, 5e-324, 6.0), (4, 9, 5e-324, 6.5),
+                               (9, 10, 0.25, 4.0), (10, math.inf, 0.0, 6.0)])
+            assert (level_feasible(tiny, 8, 2.0, np.float64(6.2), skip_settled=skip)
+                    == level_feasible(tiny, 8, 2.0, 6.2, skip_settled=skip))
         assert g(3.0) == g(np.int64(3)) == g(3)
         # every day past the support costs the tail, also one past float range
         assert g(10**400) == g(2**64) == g(10) == g.tail_value == 6.0
@@ -1111,9 +1098,13 @@ class TestFillWalk:
             levels = [0.0, g.max_value(), math.inf]
             for c in costs.tolist():
                 levels += [c, math.nextafter(c, -math.inf), c - 1e-12]
-            rows = randomized._fill_table(g, b).rows()
+            table = randomized._fill_table(g, b)
+            rows = list(zip(table.starts, table.ends, table.slopes, table.intercepts))
             for h in levels:
+                jumped.clear()
                 got, want = randomized._fill_pass(g, b, R, h), ref_walk(g, b, R, h)
+                # the bare pass is the same loop with both jumps off
+                assert not jumped, (b, R, h)
                 assert (got is None) == (want is None), (b, R, h)
                 # jumping over the rows that h settles leaves the walk the same bit for bit
                 jumped.clear()
@@ -1144,7 +1135,7 @@ class TestFillWalk:
             table = randomized._fill_table(g, b)
             sure, rest = table.sure, table.rest
             assert list(sure) == sorted(sure) and list(rest) == sorted(rest)
-            rows = table.rows()
+            rows = list(zip(table.starts, table.ends, table.slopes, table.intercepts))
             n, size, tree = len(rows), table.size, np.asarray(table.tree)
             # the trees' leaves: row i's widened first-day cost, then minus its
             # widened last-day cost; both padded past the rows
@@ -1184,13 +1175,9 @@ class TestFillWalk:
                 water_fill(g, b, 2.0, exact=not first_exact)
                 assert list(g._tables) == [b] and g._tables[b] is table
                 assert table._candidates is not None
-                # both searches jump over the columns: no row tuples are built
-                assert table._rows is None
-                # another b gets a table of its own, and a bare check builds no candidates,
-                # only the row tuples it walks
+                # another b gets a table of its own, and a bare check builds no candidates
                 assert level_feasible(g, 2 * b, 2.0, g.max_value())
                 assert list(g._tables) == [b, 2 * b] and g._tables[2 * b]._candidates is None
-                assert g._tables[2 * b]._rows is not None
 
     def test_published_mode_builds_no_candidate_table(self):
         for p_hat, b in ((table_prediction("gauss"), 2000), (uniform_days(100), 500),
@@ -1350,7 +1337,6 @@ class TestBestTailDay:
             for h in levels:
                 for t_max in limits:
                     got = randomized._best_tail_day(g, b, h, t_max)
-                    assert got == best_tail_day_reference(g, b, h, t_max)
                     assert got == ref_best_tail_day(g, b, h, t_max)
 
 
