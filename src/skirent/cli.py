@@ -76,7 +76,7 @@ def _load_dist(source: str) -> DayDistribution:
 
 # flag -> (argparse dest, its other argparse keywords); every flag is declared here once
 FLAGS = {
-    "--config": ("config", {"help": "JSON config file; flags override its values"}),
+    "--config": ("config", {"help": "JSON config file keyed by flag names; flags override it"}),
     "--out": ("out", {"help": "also write the result to this path"}),
     "--quiet": ("quiet", {"action": "store_true", "help": "suppress progress logs"}),
     "--dist": ("dist", {"help": "distribution as inline JSON or a file path"}),
@@ -103,16 +103,17 @@ FLAGS = {
                             "help": "sweep the closed-form one-hot optimum against the LP"}),
 }
 COMMON = ("--config", "--out", "--quiet")  # every command takes these
-CONFIG_KEYS = {"b", "r", "lambda", "epsilon", "seed", "dist", "out", "format", "etas", "trials"}
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str],
                        args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from a JSON config file (flags always win).
+    """Fill unset flags from a JSON config file whose keys are flag names (flags always win).
 
-    The values are parsed again as flags, so they get the flags' typing and
-    choices: a string goes in as it is, anything else as its JSON text, and a
-    value the flag would reject exits 2 through argparse.
+    A key naming no flag of the command, or naming ``config``, exits 2.  A
+    switch takes true or false.  Other values are parsed again as flags, so
+    they get the flags' typing and choices: a string goes in as it is,
+    anything else as its JSON text, and a value the flag would reject exits 2
+    through argparse.
     """
     if not getattr(args, "config", None):
         return args
@@ -120,10 +121,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str],
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise InvalidParamsError("the config file must hold a JSON object")
-    extra = [f"--{key}={value if isinstance(value, str) else json.dumps(value)}"
-             for key, value in conf.items()
-             if key in CONFIG_KEYS  # a flag this command lacks reads as False, not None
-             and getattr(args, FLAGS[f"--{key}"][0], False) is None]
+    flags = [flag for flag in _flags_of(args.command) if flag != "--config"]
+    extra = []
+    for key, value in conf.items():
+        flag = f"--{key}"
+        if flag not in flags:
+            keys = ", ".join(flag[2:] for flag in flags)
+            raise InvalidParamsError(f"config key {key!r} is not one of the keys "
+                                     f"'{args.command}' takes: {keys}")
+        dest, keywords = FLAGS[flag]
+        if keywords.get("action") == "store_true":
+            if not isinstance(value, bool):
+                raise InvalidParamsError(f"config key {key!r} is a switch: true or false, "
+                                         f"got {value!r}")
+            if value:
+                extra.append(flag)
+        elif getattr(args, dest) is None:
+            extra.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
     return parser.parse_args([*argv, *extra]) if extra else args
 
 
@@ -372,6 +386,13 @@ def _pick_mode(args) -> str:
     return mode
 
 
+def _flags_of(command: str) -> list[str]:
+    """The flags a command takes: the common ones and those its modes read, in ``FLAGS`` order."""
+    modes = COMMANDS[command][2].values()
+    reads = {flag for flags in modes for flag in (*flags[0], *flags[1])}
+    return [flag for flag in FLAGS if flag in COMMON or flag in reads]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skirent", description="Robust and consistent "
                                      "ski-rental policies from distributional advice")
@@ -381,10 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)  # no --eta for --etas
         if positional := [m for m in modes if m and m not in FLAGS]:
             sp.add_argument("which", choices=positional)
-        reads = {flag for flags in modes.values() for flag in (*flags[0], *flags[1])}
-        for flag, (dest, keywords) in FLAGS.items():
-            if flag in COMMON or flag in reads:
-                sp.add_argument(flag, dest=dest, **keywords)
+        for flag in _flags_of(name):
+            dest, keywords = FLAGS[flag]
+            sp.add_argument(flag, dest=dest, **keywords)
     return parser
 
 

@@ -1,5 +1,5 @@
-"""Independent brute-force oracles (threshold scan, dense simplex, per-row fill walk) and
-properties against them."""
+"""Independent brute-force oracles (threshold scan, dense simplex, per-row fill walk and
+the day-by-day policy it records) and properties against them."""
 from __future__ import annotations
 
 import math
@@ -9,11 +9,11 @@ import numpy as np
 
 from .deterministic import NEVER, Threshold, optimal_threshold
 from .distributions import DayDistribution, _as_b, _as_int, _as_real
-from .errors import InfeasibleError, InvalidParamsError, ScaleExceededError
-from .randomized import (CostFunction, StoppingDistribution, _envelope, _fill_pass, _full_log,
-                         _log_gamma, build_cost_function, check_robustness, expected_policy_cost,
-                         feasible_robustness, geometric_cdf, minimal_water_level, onehot_exact,
-                         water_fill)
+from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
+from .randomized import (CostFunction, StoppingDistribution, _construct_at_level, _envelope,
+                         _fill_pass, _full_log, _log_gamma, build_cost_function,
+                         check_robustness, expected_policy_cost, feasible_robustness,
+                         geometric_cdf, minimal_water_level, onehot_exact, water_fill)
 
 MAX_HORIZON = 400
 
@@ -66,6 +66,7 @@ def lp_instance_from_cost(g: CostFunction, b: int, R: float) -> LpInstance:
     worsens the tail moment, so N = max(support end, ceil((R-1)b)+2, 4b)
     preserves the optimum.
     """
+    b = _as_b(b)
     R = _as_real(R, "R", above=1.0)
     n = max(g.support_end, math.ceil((R - 1.0) * b) + 2, 4 * b)
     if n > MAX_HORIZON:  # checked before the objective is built: a huge R makes n huge
@@ -177,10 +178,31 @@ def lp_solve(inst: LpInstance) -> tuple[StoppingDistribution, float]:
     return StoppingDistribution.from_pairs(pmf), value
 
 
+def candidate_days(g: CostFunction, b: int) -> np.ndarray:
+    """Every day up to b, then each row's first day past b: a segment's cost rises, so
+    past b, where no early constraint binds, only its first day competes."""
+    return np.concatenate((np.arange(1.0, b + 1), np.maximum(b, g.lo[g.hi > b]) + 1.0))
+
+
+def active_days(s: int, end: int | float, slope: float, intercept: float,
+                h: float) -> tuple[int, int] | None:
+    """The days s..e of a row (first day s, last day at most end, cost slope t + intercept)
+    whose cost is within h, as the walk tests them in day space; None if there are none."""
+    if slope > 0.0:
+        reach = (h - intercept) / slope
+        if reach + 1e-12 < s:
+            return None
+    elif intercept <= h:
+        reach = math.inf
+    else:
+        return None
+    return s, math.floor(min(reach + 1e-12, end))
+
+
 def ref_best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | None:
-    """The tail test over every candidate day from b on (day b, then each row's first
-    day past b), costed by ``values_at``: the cheapest within h and t_max."""
-    days = np.append(float(b), np.maximum(b, g.lo[g.hi > b]) + 1.0)
+    """The tail test over every candidate day from b on, costed by ``values_at``: the
+    cheapest within h and t_max."""
+    days = candidate_days(g, b)[b - 1:]
     values = g.values_at(days)
     admissible = np.flatnonzero((days <= t_max + 1e-9) & (values <= h + 1e-12))
     if admissible.size == 0:
@@ -188,10 +210,10 @@ def ref_best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | 
     return int(days[admissible[np.argmin(values[admissible])]])
 
 
-def ref_walk(g: CostFunction, b: int, R: float,
-             h: float) -> tuple[float, list[tuple[int, int, float]], int | None] | None:
-    """The per-row fill walk that ``_fill_pass`` replaced: each row of g below b tested
-    in day space, one run per active row, and the tail test of ``ref_best_tail_day``."""
+def _ref_runs(g: CostFunction, b: int, R: float,
+              h: float) -> tuple[list[tuple[int, int, float]], bool]:
+    """The per-row walk's runs (s, e, lag) at level h, one per active row of g below b,
+    and whether the last one reaches the full mass."""
     log_gamma, full = _log_gamma(b), _full_log(R)
     lag = 0.0
     last_end = 0
@@ -199,27 +221,79 @@ def ref_walk(g: CostFunction, b: int, R: float,
     for lo, hi, slope, intercept in zip(*(c.tolist() for c in (g.lo, g.hi, g.slope, g.intercept))):
         if lo >= b:
             break
-        if slope > 0.0:
-            reach = (h - intercept) / slope
-            if reach + 1e-12 < lo + 1:
-                continue
-        elif intercept <= h:
-            reach = math.inf
-        else:
+        days = active_days(int(lo) + 1, min(hi, b), slope, intercept, h)
+        if days is None:
             continue
-        s, e = int(lo) + 1, math.floor(min(reach + 1e-12, hi, b))
+        s, e = days
         gap = s - last_end
         lag += gap * log_gamma - math.log1p(gap / (b - 1.0))
         runs.append((s, e, lag))
         if e * log_gamma - lag >= full:
-            return 1.0, runs, None
+            return runs, True
         last_end = e
+    return runs, False
+
+
+def ref_walk(g: CostFunction, b: int, R: float,
+             h: float) -> tuple[float, list[tuple[int, int, float]], int | None] | None:
+    """The per-row fill walk that ``_fill_pass`` replaced: each row of g below b tested
+    in day space, one run per active row, and the tail test of ``ref_best_tail_day``."""
+    runs, full = _ref_runs(g, b, R, h)
+    if full:
+        return 1.0, runs, None
+    last_end, lag = runs[-1][1:] if runs else (0, 0.0)
     F = _envelope(b, R, last_end, lag)
     budget = (R - 1.0) * b - ((R - 1.0) * last_end - (b - last_end) * F)
     if budget < 0.0:
         return None
     tail = ref_best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
     return None if tail is None else (F, runs, tail)
+
+
+def ref_policy(g: CostFunction, b: int, R: float, h: float) -> dict[int, float] | None:
+    """The maximal-fill policy at level h as {day: mass}, recorded day by day over
+    ``ref_walk``'s runs with no envelope; None if mass 1 does not fit.
+
+    Every early constraint stays tight.  A run's first day s takes the slack
+    (R-1) s - (mu + (b-s) F) over b - 1, which must agree with the mass that
+    restores tightness after the gap since the last tight day; each later day
+    takes (F + R - 1)/(b - 1).  The fill is full once F >= 1 - 1e-15, or at the
+    end of the runs when the walk finds them full.  Otherwise 1 - F goes on
+    ``ref_best_tail_day``'s day, within the moment budget that the recorded F
+    and mu leave.
+    """
+    runs, full = _ref_runs(g, b, R, h)
+    F = mu = 0.0
+    pmf: dict[int, float] = {}
+    last_end = 0
+    for s, e, _ in runs:
+        for x in range(s, e + 1):
+            m = (F + R - 1.0) / (b - 1.0)
+            if x == s:
+                slack = (R - 1.0) * s - (mu + (b - s) * F)
+                if slack <= 0.0:
+                    continue
+                gap_mass, m = m * (s - last_end), slack / (b - 1.0)
+                if abs(m - gap_mass) > 1e-9 * (1.0 + gap_mass):
+                    raise InvariantError(f"fill lost tightness at day {s}: "
+                                         f"slack mass {m} vs gap mass {gap_mass}")
+            pmf[x] = min(m, 1.0 - F)
+            mu += (x - 1.0) * pmf[x]
+            F += pmf[x]
+            if F >= 1.0 - 1e-15:
+                return pmf
+        last_end = e
+    if full:  # the walk's envelope holds the full mass on this day, where F rounds short of it
+        day = last_end
+    else:
+        budget = (R - 1.0) * b - mu
+        if budget < 0.0:
+            return None
+        day = ref_best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
+        if day is None:
+            return None
+    pmf[day] = pmf.get(day, 0.0) + (1.0 - F)
+    return pmf
 
 
 def _day_lags(runs: list[tuple[int, int, float]]) -> list[tuple[int, float]]:
@@ -297,14 +371,34 @@ def geometric_robust_when_feasible(p: DayDistribution, b: int, R: float) -> str 
             f"is robust: {robust} (None: no policy)")
 
 
+def exact_no_worse_than_published(p: DayDistribution, b: int, R: float) -> str | None:
+    """Exact ``water_fill`` costs at most the published fill, within 1e-9 (1 + |published|),
+    and the two find no policy together."""
+    g = build_cost_function(p, b)
+    try:
+        published = water_fill(g, b, R, exact=False)[1]
+    except InfeasibleError:
+        published = None
+    try:
+        exact = water_fill(g, b, R)[1]
+    except InfeasibleError:
+        if published is None:
+            raise  # no R-robust policy, in either mode
+        exact = None
+    if exact is None or published is None or exact > published + 1e-9 * (1.0 + abs(published)):
+        return (f"b={b}, R={R}: exact water_fill costs {exact}, the published fill {published} "
+                f"(None: no policy)")
+    return None
+
+
 def fill_matches_walk(p: DayDistribution, b: int, R: float) -> str | None:
     """The fill as the published search runs it (``skip_settled``) gives the per-row
-    walk's full mass, tail day and runs, day by day, bit for bit: at 0, at each
-    distinct cost of a candidate day and the float just below it, at max g, and
-    at the published water level when R admits a robust policy."""
+    walk's full mass, tail day and runs, day by day, bit for bit, and its policy is
+    ``ref_policy``'s: the same days, masses within 1e-12.  At 0, at each distinct
+    cost of a candidate day and the float just below it, at max g, and at the
+    published water level when R admits a robust policy."""
     g = build_cost_function(p, b)
-    days = np.concatenate((np.arange(1.0, b + 1), np.maximum(b, g.lo[g.hi > b]) + 1.0))
-    costs = np.unique(g.values_at(days)).tolist()
+    costs = np.unique(g.values_at(candidate_days(g, b))).tolist()
     levels = [0.0, *costs, *(math.nextafter(c, -math.inf) for c in costs), g.max_value()]
     if feasible_robustness(b, R):
         levels.append(minimal_water_level(g, b, R, 1e-7 * g.max_value()).level)
@@ -314,6 +408,12 @@ def fill_matches_walk(p: DayDistribution, b: int, R: float) -> str | None:
                 got[0] != want[0] or got[2] != want[2] or _day_lags(got[1]) != _day_lags(want[1])):
             return (f"b={b}, R={R}, h={h!r}: the fill gives {got}, the per-row walk {want} "
                     f"(None: mass 1 does not fit)")
+        policy, recorded = _construct_at_level(g, b, R, h), ref_policy(g, b, R, h)
+        if (policy is None) != (recorded is None) or policy is not None and (
+                policy.days != tuple(sorted(recorded))
+                or max(abs(m - recorded[d]) for d, m in policy.support) > 1e-12):
+            return (f"b={b}, R={R}, h={h!r}: the fill's policy is {policy}, the recorded "
+                    f"policy {recorded} (None: mass 1 does not fit)")
     return None
 
 
@@ -322,6 +422,7 @@ PROPERTIES = {
     "optimal_threshold matches the exhaustive scan": threshold_matches_scan,
     "exact water filling matches the LP oracle": water_fill_matches_lp,
     "geometric_cdf is R-robust exactly when feasible": geometric_robust_when_feasible,
+    "exact water filling is no worse than published": exact_no_worse_than_published,
     "the published fill matches the per-row reference walk": fill_matches_walk,
 }
 # and over one-hot predictions

@@ -340,11 +340,82 @@ class TestExperimentCommand:
                               "--r", "1.7", "--quiet")[1]
 
 
+ONE_ATOM = '{"atoms": [[5, 1.0]]}'
+
+
+class TestConfigFile:
+    """Config keys are flag names: a key the command takes acts as its flag."""
+
+    @staticmethod
+    def run_with(capsys, tmp_path, conf, *argv):
+        conf_file = tmp_path / "conf.json"
+        conf_file.write_text(json.dumps(conf))
+        return run_cli(capsys, *argv, "--config", str(conf_file))
+
+    @pytest.mark.parametrize("argv, conf, flags", [
+        (("threshold", "--dist", ONE_ATOM, "--b", "10"), {"lambda": 0.5, "eta": 3},
+         ("--lambda", "0.5", "--eta", "3")),
+        (("threshold", "--dist", ONE_ATOM, "--b", "10", "--lambda", "0.5"),
+         {"eta": 0.2, "metric": "tv"}, ("--eta", "0.2", "--metric", "tv")),
+        (("clamp", "--b", "50", "--lambda", "0.5"), {"t-hat": 40}, ("--t-hat", "40")),
+        (("baseline", "--dist", TWOPOINT, "--b", "50", "--r", "1.7"), {"kind": "mixture"},
+         ("--kind", "mixture")),
+        (("metrics", "--dist", TWO_ATOM), {"dist2": TWOPOINT}, ("--dist2", TWOPOINT)),
+        (("metrics", "--dist", TWO_ATOM, "--b", "6"), {"policy": "policy.json"},
+         ("--policy", "policy.json")),
+        (("verify", "--seed", "5"), {"b-max": 6, "instances": 3},
+         ("--b-max", "6", "--instances", "3")),
+        (("verify", "--b", "4"), {"onehot": True}, ("--onehot",)),
+        (("waterfill", "--dist", TWOPOINT, "--b", "50", "--r", "1.7", "--quiet"),
+         {"published": True}, ("--published",)),
+    ], ids=["lambda_eta", "metric", "t_hat", "kind", "dist2", "policy", "b_max_instances",
+            "onehot", "published"])
+    def test_each_key_acts_as_its_flag(self, capsys, tmp_path, monkeypatch, argv, conf, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "policy.json").write_text(json.dumps({"pmf": [[6, 1.0]]}))
+        code, out, err = self.run_with(capsys, tmp_path, conf, *argv)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, *flags)[1]
+
+    def test_quiet_key_silences_the_logs(self, capsys, tmp_path):
+        code, out, err = self.run_with(capsys, tmp_path, {"quiet": True, "etas": "0",
+                                                          "trials": 1}, "experiment", "sweep")
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("argv, conf, key", [
+        (("experiment", "sweep"), {"trails": 5, "etas": "0"}, "'trails'"),
+        (("experiment", "table"), {"config": "other.json"}, "'config'"),
+        (("experiment", "sweep", "--etas", "0"), {"lambda": 0.5}, "'lambda'"),
+        (("threshold", "--dist", ONE_ATOM, "--b", "10"), {"trials": 3}, "'trials'"),
+        (("experiment", "table"), {"quiet": 1}, "switch"),
+        (("experiment", "table"), {"quiet": "true"}, "switch"),
+    ], ids=["misspelt", "config", "lambda_on_sweep", "trials_on_threshold", "switch_number",
+            "switch_text"])
+    def test_key_the_command_does_not_take_exits_2(self, capsys, tmp_path, argv, conf, key):
+        code, out, err = self.run_with(capsys, tmp_path, conf, *argv, "--quiet")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and key in err
+
+    def test_flags_on_the_command_line_win(self, capsys, tmp_path):
+        argv = ("threshold", "--dist", ONE_ATOM, "--b", "10", "--eta", "1")
+        conf = {"lambda": 0.5, "eta": 3, "quiet": False}
+        code, out, err = self.run_with(capsys, tmp_path, conf, *argv, "--quiet")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, "--lambda", "0.5")[1]
+        assert out != run_cli(capsys, *argv[:-2], "--lambda", "0.5", "--eta", "3")[1]
+        # a false switch sets nothing
+        code, out, _ = self.run_with(capsys, tmp_path, {"published": False}, "waterfill",
+                                     "--dist", TWOPOINT, "--b", "50", "--r", "1.7", "--quiet")
+        assert code == 0
+        assert out == run_cli(capsys, "waterfill", "--dist", TWOPOINT, "--b", "50", "--r",
+                              "1.7", "--quiet")[1]
+
+
 class TestVerifyCommand:
     def test_default_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--instances", "40", "--seed", "5")
         assert code == 0
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
 
     @pytest.mark.parametrize("argv", [("--b-max", "3"), ("--b-max", "101"),
@@ -428,7 +499,9 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--instances", "40", "--seed", "5")
         assert code == 1
         fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
-        assert len(fails) == 1 and "water filling" in fails[0] and "InvariantError" in fails[0]
+        # the LP comparison and exact against published both run water_fill
+        assert len(fails) == 2
+        assert all("water filling" in fail and "InvariantError" in fail for fail in fails)
         assert out.count("[PASS]") == 3
 
 

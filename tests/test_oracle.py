@@ -183,6 +183,18 @@ class TestLpSolve:
         with pytest.raises(InvalidParamsError, match="horizon N"):
             LpInstance(objective=(1.0, 2.0, 3.0, 4.0), b=2, R=2.0, N=N)
 
+    @pytest.mark.parametrize("b, error", [(10.0, None), (np.int64(10), None),
+                                          ("10", InvalidParamsError), (2.5, InvalidParamsError),
+                                          (True, InvalidParamsError), (1, InvalidParamsError)])
+    def test_buy_cost_read_as_an_integer(self, b, error):
+        # b = 10.0 raised a bare TypeError from the horizon's range, and "10" and 2.5 too
+        g = build_cost_function(DayDistribution((5,), (1.0,)), 10)
+        if error is None:
+            assert lp_instance_from_cost(g, b, 2.0) == lp_instance_from_cost(g, 10, 2.0)
+        else:
+            with pytest.raises(error, match="buy cost b"):
+                lp_instance_from_cost(g, b, 2.0)
+
     def test_horizon_formula(self):
         g = build_cost_function(DayDistribution((5,), (1.0,)), 6)
         inst = lp_instance_from_cost(g, 6, 2.0)

@@ -50,24 +50,19 @@ from skirent import (
 )
 from skirent.evaluation import TABLE_FAMILIES
 from skirent.distributions import MAX_DAYS
-from skirent.oracle import _day_lags, ref_best_tail_day, ref_walk
+from skirent.oracle import (_day_lags, active_days, candidate_days, ref_best_tail_day,
+                            ref_policy, ref_walk)
 from skirent.randomized import CostFunction, parse_policy
 from conftest import random_day_distribution
 
 
 class Segment(NamedTuple):
-    """One row of a cost table, as the reference loops below read it."""
+    """One row of a cost table, as ``ref_cost_segments`` builds it."""
 
     lo: int
     hi: float
     slope: float
     intercept: float
-
-
-def segments_with_tail(g: CostFunction) -> tuple[Segment, ...]:
-    """The rows of ``g``, its constant tail last."""
-    columns = (g.lo.tolist(), g.hi.tolist(), g.slope.tolist(), g.intercept.tolist())
-    return tuple(Segment(int(lo), hi, slope, intercept) for lo, hi, slope, intercept in zip(*columns))
 
 
 def cost_table(rows) -> CostFunction:
@@ -179,112 +174,6 @@ def ref_extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> 
         if g(t) < ref - 1e-9:
             return False
     return True
-
-
-# The recording fill pass and construction that _construct_at_level replaced,
-# kept verbatim apart from the names.
-
-
-def ref_active_end(seg: Segment, h: float) -> float:
-    """Last integer day of the segment whose cost is at most h (lo if none)."""
-    if seg.slope > 0.0:
-        e = (h - seg.intercept) / seg.slope
-        if e + 1e-12 < seg.lo + 1:
-            return seg.lo
-        return min(math.floor(e + 1e-12), seg.hi)
-    return seg.hi if seg.intercept <= h else seg.lo
-
-
-def ref_fill_pass(g: CostFunction, b: int, R: float, h: float,
-                  record: bool) -> tuple[bool, float, float, dict[int, float] | None]:
-    """Maximal mass allocation on days <= b whose cost is within level h.
-
-    Keeps every early constraint tight: an atom at each active run's first day
-    restores tightness after a gap, then a geometric step (closed form when not
-    recording) rides the tight recurrence to the run's end.  Returns
-    (reached_full_mass, F, mu, pmf-or-None).
-    """
-    gamma = 1.0 + 1.0 / (b - 1.0)
-    F = 0.0
-    mu = 0.0
-    pmf: dict[int, float] | None = {} if record else None
-    last_end = 0  # constraints are saturated through this day
-    for seg in segments_with_tail(g):
-        if seg.lo >= b:
-            break
-        e = min(ref_active_end(seg, h), b)
-        s_day = seg.lo + 1
-        if e < s_day:
-            continue
-        slack = (R - 1.0) * s_day - (mu + (b - s_day) * F)
-        if slack > 0.0:
-            m = slack / (b - 1.0)
-            # the slack form must agree with the tight-state gap formula
-            alt = (R - 1.0 + F) * (s_day - last_end) / (b - 1.0)
-            if abs(m - alt) > 1e-9 * (1.0 + alt):
-                raise InvariantError(f"fill lost tightness at day {s_day}: "
-                                     f"slack mass {m} vs gap mass {alt}")
-            m = min(m, 1.0 - F)
-            if pmf is not None and m > 0.0:
-                pmf[s_day] = pmf.get(s_day, 0.0) + m
-            mu += (s_day - 1.0) * m
-            F += m
-            if F >= 1.0 - 1e-15:
-                return True, 1.0, mu, pmf
-        if pmf is None:
-            new_f = (F + R - 1.0) * gamma ** (e - s_day) - (R - 1.0)
-            if new_f >= 1.0 - 1e-15:
-                return True, 1.0, mu, None
-            F = new_f
-            mu = (R - 1.0) * e - (b - e) * F
-        else:
-            for x in range(s_day + 1, int(e) + 1):
-                m = min((F + R - 1.0) / (b - 1.0), 1.0 - F)
-                if m <= 0.0:
-                    break
-                pmf[x] = pmf.get(x, 0.0) + m
-                mu += (x - 1.0) * m
-                F += m
-                if F >= 1.0 - 1e-15:
-                    return True, 1.0, mu, pmf
-        last_end = int(e)
-    return False, F, mu, pmf
-
-
-def ref_construct_at_level(g: CostFunction, b: int, R: float, h: float) -> dict[int, float] | None:
-    """Materialize the maximal-fill policy at level h (None if h is infeasible)."""
-    reached, F, mu, pmf = ref_fill_pass(g, b, R, h, record=True)
-    if pmf is None:
-        raise InvariantError("recording fill pass returned no pmf")
-    if not reached:
-        m_tail = 1.0 - F
-        budget = (R - 1.0) * b - mu
-        if budget < 0.0:
-            return None
-        t_max = 1.0 + budget / m_tail
-        day = ref_best_tail_day(g, b, h, t_max)
-        if day is None:
-            return None
-        pmf[day] = pmf.get(day, 0.0) + m_tail
-    return pmf
-
-
-def candidate_days(g: CostFunction, b: int) -> np.ndarray:
-    """Every day up to b, then each row's first day past b, read off the columns."""
-    return np.concatenate((np.arange(1.0, b + 1), np.maximum(b, g.lo[g.hi > b]) + 1.0))
-
-
-def active_days(rows: list[tuple[int, int, float, float]], h: float) -> list[tuple[int, int] | None]:
-    """Per walk row, its active days (s, e) at level h as ``ref_walk`` tests them, or None."""
-    days = []
-    for s, end, slope, intercept in rows:
-        if slope > 0.0:
-            reach = (h - intercept) / slope
-            active = reach + 1e-12 >= s
-        else:
-            reach, active = math.inf, intercept <= h
-        days.append((s, math.floor(min(reach + 1e-12, end))) if active else None)
-    return days
 
 
 def fill_instances(rng, count=300):
@@ -997,7 +886,7 @@ class TestSingleFillPath:
         for g, b, R, levels in fill_instances(rng):
             for h in levels:
                 policy = randomized._construct_at_level(g, b, R, h)
-                reference = ref_construct_at_level(g, b, R, h)
+                reference = ref_policy(g, b, R, h)
                 assert (policy is None) == (reference is None)
                 if policy is None:
                     continue
@@ -1113,7 +1002,7 @@ class TestFillWalk:
                 if jumped:
                     # a jump is interior when a row before the one it starts from is
                     # active or partial at h
-                    active = [i for i, days in enumerate(active_days(rows, h)) if days]
+                    active = [i for i, row in enumerate(rows) if active_days(*row, h)]
                     jumps += len(jumped)
                     interior += sum(bool(active) and active[0] < i - 1 for _, i in jumped)
                 if got is None:
@@ -1148,10 +1037,10 @@ class TestFillWalk:
             assert np.array_equal(sure, np.maximum.accumulate(whole[:n]))
             for i, (row, first, last) in enumerate(zip(rows, idle.tolist(), whole.tolist())):
                 for h in (sure[i], sure[-1], last):
-                    assert active_days([row], h) == [row[:2]], (b, i, h)
+                    assert active_days(*row, h) == row[:2], (b, i, h)
                 for h in (math.nextafter(rest[i], -math.inf), rest[0] - 1.0,
                           math.nextafter(first, -math.inf)):
-                    assert active_days([row], h) == [None], (b, i, h)
+                    assert active_days(*row, h) is None, (b, i, h)
             # a padding leaf never stops a search of the idle tree that starts in the
             # rows at a level some later row may take, and stops one of the whole
             # tree at row n, past every row

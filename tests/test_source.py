@@ -22,3 +22,27 @@ def test_every_imported_name_is_read(path):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == []
+
+
+# The checked entry points the oracle calls, and the float helpers that a bit-for-bit
+# reference walk must share with the fill it checks.  A reference that read the
+# fill's own tables, policy or tail test would check that code against itself.
+ORACLE_READS_FROM_RANDOMIZED = [
+    "CostFunction", "StoppingDistribution", "_construct_at_level", "_envelope", "_fill_pass",
+    "_full_log", "_log_gamma", "build_cost_function", "check_robustness", "expected_policy_cost",
+    "feasible_robustness", "geometric_cdf", "minimal_water_level", "onehot_exact", "water_fill"]
+
+
+def test_oracle_stays_independent_of_the_fill():
+    tree = ast.parse((Path(skirent.__file__).parent / "oracle.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    sources = [node.module or "" for node in imports if isinstance(node, ast.ImportFrom)]
+    imported = [alias.name for node in imports for alias in node.names]
+    assert not any("staircase" in name for name in (*sources, *imported))
+    # one import from randomized, of names: no module object to reach the rest through
+    assert sources.count("randomized") == 1
+    assert not any(name.endswith("randomized") for name in imported)
+    names = [alias.name for node in imports
+             if isinstance(node, ast.ImportFrom) and node.module == "randomized"
+             for alias in node.names]
+    assert sorted(names) == sorted(ORACLE_READS_FROM_RANDOMIZED)
