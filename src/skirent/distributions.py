@@ -1,13 +1,15 @@
 """Finite discrete distributions over skiing days: construction, metrics, perturbation."""
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -170,34 +172,148 @@ def total_variation(p: DayDistribution, q: DayDistribution) -> float:
     return 0.5 * sum(np.abs(p._masses_on(days) - q._masses_on(days)).tolist())
 
 
-class _Draws:
-    """The draws ``np.random.default_rng(seed)`` makes for ``integers``.
+_BLOCK = 1024  # raw outputs read at once
+#: A batch is decoded from at least this many outputs: a block's last few go on to
+#: the next block rather than into a batch of their own, which costs as many numpy calls.
+_CARRY = 64
+#: The first batch's moves at most.  The batches double from there: a small budget
+#: runs out within a few hundred moves, and decoding the rest of a block is waste.
+_FIRST_BATCH = 128
+#: The most low words that Lemire's method may reject for a 32-bit shift bound, one
+#: in 64, before its batches would end within a few moves at a rejected word.  A
+#: bound that rejects more has each batch laid out over the words it rejects.
+_FEW_REJECTS = 2**32 // 64
 
-    Reads the PCG64 bit generator's raw 64-bit outputs in blocks, as Python
-    ints, and redoes numpy's arithmetic on them, so the stream stays numpy's
-    bit for bit without a ``Generator`` call per draw.  Bounds up to 2^32 take
-    32-bit words, each raw output split low half first with the high half kept
-    in ``half`` for the next one; larger bounds take whole outputs, which leave
-    ``half`` alone.  ``perturb_wasserstein`` takes the common case inline and
-    hands the rest to ``below`` and ``settle``, the one copy of Lemire's method.
+
+class _Layout(NamedTuple):
+    """Where a batch's moves read their draws, as offsets from its first output.
+
+    Word offsets count the 32-bit words of the batch's outputs, low half first.
+    ``starts`` and ``halves`` give the stream at each move's start and after the
+    last one: the output offset, and the word offset of the kept half (-1 for the
+    half kept when the batch began, which is no word of the batch; -2 for none).
+    """
+
+    starts: list[int]
+    halves: list[int]
+    ends: list[int]  # per move: the outputs read by its end, its uniform's last
+    words: np.ndarray  # per move: the source word, the sign word, then a 32-bit shift's word
+    outputs: np.ndarray  # per move: the uniform's output, then a wider shift's output
+
+
+def _layout(shift_bits: int, kept: bool, size: int, taken: list[bool] | None = None,
+            most: int = _BLOCK + _CARRY) -> _Layout:
+    """The layout of the first ``most`` moves, or those that fit in ``size`` outputs, from
+    a start with a half kept or not, for a shift drawn from nothing (a bound of 1:
+    ``shift_bits`` 0), a word (32) or a whole output (64).
+
+    A move reads its source word, its shift and its sign word, as
+    ``_Draws._word`` takes words, and then one whole output for its uniform.  A
+    32-bit shift reads on past the words that Lemire's method rejects, those
+    with ``taken[i]`` false; without ``taken`` it rejects none, and the layout
+    repeats every two moves (five outputs) for 32-bit shifts and every move
+    otherwise.  ``taken`` must end in a true entry, past the ``size`` outputs.
+    """
+    pos, half = 0, -1 if kept else -2
+    starts, halves, rows = [], [], []  # rows: each move's source, sign, shift and uniform
+    while len(rows) < 4 * most and pos < size:
+        start = pos, half
+        if half == -2:  # the source word: the next output's low half, its high half kept
+            src, half, pos = 2 * pos, 2 * pos + 1, pos + 1
+        else:  # or the kept half
+            src, half = half, -2
+        shift = 0
+        if shift_bits == 32:
+            # the words run on from the kept half, else from the next output's low half
+            shift = 2 * pos if half == -2 else half
+            while taken is not None and not taken[shift]:
+                shift += 1
+            pos, half = shift // 2 + 1, -2 if shift % 2 else shift + 1
+        elif shift_bits == 64:
+            shift, pos = pos, pos + 1
+        if half == -2:  # the sign word, read as the source word is
+            sign, half, pos = 2 * pos, 2 * pos + 1, pos + 1
+        else:
+            sign, half = half, -2
+        if pos >= size:  # no room for the uniform: the next batch starts with this move
+            pos, half = start
+            break
+        starts.append(start[0])
+        halves.append(start[1])
+        rows += src, sign, shift, pos
+        pos += 1
+    src, sign, shift, unit = np.array(rows, np.intp).reshape(-1, 4).T
+    return _Layout(starts + [pos], halves + [half], (unit + 1).tolist(),
+                   np.column_stack([src, sign] + [shift] * (shift_bits == 32)),
+                   np.column_stack([unit] + [shift] * (shift_bits == 64)))
+
+
+@functools.cache
+def _regular_layout(shift_bits: int, kept: bool) -> _Layout:
+    """``_layout`` with every shift word taken, for the longest block, ``_BLOCK + _CARRY``."""
+    return _layout(shift_bits, kept, _BLOCK + _CARRY)
+
+
+def _high_product(x: np.ndarray, n: int) -> np.ndarray:
+    """The high 64 bits of each x * n, for uint64 x and n < 2^64, from 32-bit halves."""
+    n_low, n_high = np.uint64(n & 0xFFFFFFFF), np.uint64(n >> 32)
+    x_low, x_high = x & 0xFFFFFFFF, x >> 32
+    middle = (x_low * n_low >> 32) + (x_high * n_low & 0xFFFFFFFF) + x_low * n_high
+    return x_high * n_high + (x_high * n_low >> 32) + (middle >> 32)
+
+
+class _Draws:
+    """The draws ``np.random.default_rng(seed)`` makes for ``integers`` and ``uniform``.
+
+    Reads the PCG64 bit generator's raw 64-bit outputs a block at a time and
+    redoes numpy's arithmetic on them, so the stream stays numpy's bit for bit
+    without a ``Generator`` call per draw.  Bounds up to 2^32 take 32-bit words,
+    each output split low half first with the high half kept in ``half`` for the
+    next word; larger bounds and uniforms take whole outputs, which leave
+    ``half`` alone.
+
+    ``moves`` decodes a batch of ``perturb_wasserstein``'s moves from the rest of
+    a block at once, with numpy.  A move that reads its draws otherwise calls
+    ``redo``, which reads them one at a time through ``below``, the one copy of
+    Lemire's method, and ends the batch there.
     """
 
     def __init__(self, seed: int) -> None:
-        pcg = np.random.default_rng(seed).bit_generator
-        blocks = iter(lambda: pcg.random_raw(1024).tolist(), None)
-        self.raw = itertools.chain.from_iterable(blocks).__next__  # the next raw output
+        self._pcg = np.random.PCG64(seed)  # default_rng(seed)'s bit generator
+        self._load(self._block())
         self.half: int | None = None  # the kept high half of the last split output
+        self._longest = _FIRST_BATCH  # the next batch's moves at most
+
+    def _block(self) -> np.ndarray:
+        """The next ``_BLOCK`` raw outputs."""
+        return self._pcg.random_raw(_BLOCK)
+
+    def _load(self, outs: np.ndarray) -> None:
+        self._outs, self._pos = outs, 0
+        self._words = outs.astype("<u8", copy=False).view("<u4")
+
+    def raw(self) -> int:
+        """The next raw output."""
+        if self._pos == self._outs.size:
+            self._load(self._block())
+        self._pos += 1
+        return int(self._outs[self._pos - 1])
+
+    @staticmethod
+    def _unit(out):
+        """uniform(0, 1)'s draw from raw output(s) ``out``: the top 53 bits, scaled."""
+        return (out >> 11) * 2.0**-53
+
+    def unit(self) -> float:
+        return self._unit(self.raw())
 
     def below(self, n: int) -> int:
         """``integers(n)`` for n >= 1, by Lemire's method; n = 1 consumes no draw."""
         if n == 1:
             return 0
-        return self.settle(self._word(n) * n, n)
-
-    def settle(self, m: int, n: int) -> int:
-        """Finish ``below(n)`` from m, the product of its first word and n."""
         bits = 32 if n <= 2**32 else 64
         mask = (1 << bits) - 1
+        m = self._word(n) * n
         # numpy computes the rejection threshold only when the low word is below n
         while m & mask < n and m & mask < (mask + 1 - n) % n:
             m = self._word(n) * n
@@ -213,6 +329,84 @@ class _Draws:
             return raw & 0xFFFFFFFF
         word, self.half = self.half, None
         return word
+
+    def moves(self, max_shift: int, limit: int) -> Iterator[tuple[int, int, float]]:
+        """The next at most ``limit`` moves' draws, decoded from the rest of the block.
+
+        Each is a source word, a shift drawn as ``1 + below(max_shift)`` and
+        signed by the sign word's top bit (``below(2)``: Lemire's method never
+        rejects a power of two), and a uniform(0, 1) draw.  Where Lemire's
+        method rejects the shift's word, the source word reads 0, which no
+        caller may take for a regular one.  The stream moves past the batch.
+        """
+        bits = 0 if max_shift == 1 else 32 if max_shift <= 2**32 else 64
+        rejects = (1 << bits) % max_shift  # the low words that Lemire's method rejects
+        most = min(limit, self._longest)
+        reach = 8 * most  # words to lay out over rejections: twice what most moves read at odds 1/2
+        carry = self._outs.size - self._pos < _CARRY
+        while True:
+            if carry:  # the unread outputs go on to the front of the next block
+                self._load(np.concatenate((self._outs[self._pos:], self._block())))
+            outs, start, half = self._outs, self._pos, self.half
+            words = self._words[2 * start:]
+            if bits == 32 and rejects > _FEW_REJECTS:
+                span = words[:reach]
+                taken = (span * np.uint64(max_shift) & np.uint64(0xFFFFFFFF) >= rejects).tolist()
+                layout = _layout(bits, half is not None, span.size // 2, taken + [True], most)
+            else:
+                layout = _regular_layout(bits, half is not None)
+            count = min(most, bisect.bisect(layout.ends, outs.size - start))
+            if count:
+                break
+            carry, reach = True, 2 * reach  # not one move fits: read on
+        self._longest *= 2
+        drawn = words[layout.words[:count]]
+        if half is not None:
+            drawn[0, 0] = half  # in place of what offset -1 gathered
+        read = outs[start:][layout.outputs[:count]]
+        negative = drawn[:, 1] >= 2**31
+        if bits == 0:
+            shifts = np.where(negative, -1, 1)
+        else:
+            if bits == 32:
+                m = drawn[:, 2].astype(np.uint64) * np.uint64(max_shift)
+                high, low = m >> 32, m & 0xFFFFFFFF
+            else:
+                high, low = _high_product(read[:, 1], max_shift), read[:, 1] * np.uint64(max_shift)
+            if rejects:
+                drawn[low < rejects, 0] = 0
+            shifts = (high + 1).view(np.int64)
+            np.negative(shifts, out=shifts, where=negative)
+
+        def state_at(k: int) -> tuple[int, int | None]:
+            """The stream at the start of the batch's move k: the next output, the kept half."""
+            at = layout.halves[k]
+            kept = None if at == -2 else half if at == -1 else int(words[at])
+            return start + layout.starts[k], kept
+
+        self._pos, self.half = state_at(count)
+        self._state_at, self._srcs = state_at, drawn[:, 0].tolist()
+        self._unread = iter(self._srcs)
+        return zip(self._unread, shifts.tolist(), self._unit(read[:, 0]).tolist())
+
+    @property
+    def batch_size(self) -> int:
+        """The moves of the last batch, up to a redone one."""
+        return len(self._srcs)
+
+    def redo(self, n: int, max_shift: int) -> tuple[int, int]:
+        """The current move's ``below(n)`` and signed shift, drawn one at a time from its
+        start; the stream stops just past its sign, and the batch ends with it.
+
+        Only a batch's own block is read before a redo, so its moves' starts are
+        in the current block.
+        """
+        k = len(self._srcs) - operator.length_hint(self._unread) - 1  # zip has taken move k
+        del self._srcs[k + 1:]
+        self._pos, self.half = self._state_at(k)
+        src = self.below(n)
+        shift = 1 + self.below(max_shift)
+        return src, -shift if self.below(2) else shift
 
 
 def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistribution:
@@ -233,86 +427,71 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     if p.max_day + moves * max_shift >= 2**63:
         raise InvalidParamsError(f"eta={eta} could shift days past the int64 range")
     draws = _Draws(seed)
-    next_raw = draws.raw
-    narrow = 2 <= max_shift <= 2**32  # 1 draws nothing, wider bounds take whole outputs
     mass = dict(zip(p._days_arr.tolist(), p._mass_arr.tolist()))
     atoms = list(mass)  # the days of positive mass, in insertion order
+    n = len(atoms)  # below 2^32: a longer list would not fit in memory
+    # the least low word of a source word's product with n that the loop takes as is:
+    # n, and none at n = 1, which draws no source word
+    least = n if n > 1 else 2**32
     budget = eta
-    half = None  # draws.half, held in a local between hand-offs
     # Each move draws what Generator's integers(len(atoms)), integers(1,
-    # max_shift + 1), integers(2) and uniform(0, cap) would.  A 32-bit draw
-    # below n keeps the high word of its first product with n unless the low
-    # word is below n; that rare case goes to draws.settle.
-    for _ in range(moves):
-        if budget <= 1e-12:
-            break
-        n = len(atoms)  # below 2^32: a longer list would not fit in memory
-        if n == 1:
-            src = atoms[0]
-        else:
-            if half is None:
-                raw = next_raw()
-                m, half = (raw & 0xFFFFFFFF) * n, raw >> 32
-            else:
-                m, half = half * n, None
-            if m & 0xFFFFFFFF >= n:
+    # max_shift + 1), integers(2) and uniform(0, cap) would, decoded a batch at a
+    # time by draws.moves.  A move that draws otherwise is redone a draw at a
+    # time: one at n = 1, which draws no source; one whose source word Lemire's
+    # method could reject for n, or whose shift word it rejects; and one from
+    # day 1 back, which moves nothing and so draws no uniform.
+    while moves and budget > 1e-12:
+        for word, shift, unit in draws.moves(max_shift, moves):
+            if budget <= 1e-12:
+                break
+            m = word * n
+            if m & 0xFFFFFFFF >= least:
                 src = atoms[m >> 32]
             else:
-                draws.half = half
-                src = atoms[draws.settle(m, n)]
-                half = draws.half
-        if narrow:
-            if half is None:
-                raw = next_raw()
-                m, half = (raw & 0xFFFFFFFF) * max_shift, raw >> 32
+                index, shift = draws.redo(n, max_shift)
+                src = atoms[index]
+                if src == 1 and shift < 0:
+                    continue  # moves nothing, and draws no uniform
+                unit = draws.unit()
+            if shift < 0:
+                dest = src + shift
+                if dest < 1:
+                    if src == 1:  # the batch read a uniform that this move does not draw
+                        draws.redo(n, max_shift)
+                        continue
+                    dest = 1
+                dist = src - dest
             else:
-                m, half = half * max_shift, None
-            if m & 0xFFFFFFFF >= max_shift:
-                shift = 1 + (m >> 32)
-            else:
-                draws.half = half
-                shift = 1 + draws.settle(m, max_shift)
-                half = draws.half
-        else:
-            shift = 1 + draws.below(max_shift)  # leaves draws.half alone
-        # integers(2) is the word's top bit: Lemire's method never rejects a power of two
-        if half is None:
-            raw = next_raw()
-            negative, half = raw & 0x80000000, raw >> 32
-        else:
-            negative, half = half >> 31, None
-        if negative:
-            dest = src - shift
-            if dest < 1:
-                dest = 1
-            dist = src - dest
-            if dist == 0:
+                dest = src + shift
+                dist = shift
+            cap = budget / dist
+            left = mass[src]
+            if left < cap:
+                cap = left
+            delta = cap * unit
+            if delta <= 0.0:
                 continue
-        else:
-            dest = src + shift
-            dist = shift
-        cap = budget / dist
-        left = mass[src]
-        if left < cap:
-            cap = left
-        # uniform(0, cap): the top 53 bits of one whole output, scaled
-        delta = cap * ((next_raw() >> 11) * 2.0**-53)
-        if delta <= 0.0:
-            continue
-        left -= delta
-        mass[src] = left
-        old = mass.get(dest)
-        if old is None:
-            atoms.append(dest)
-            mass[dest] = delta
-        else:
-            mass[dest] = old + delta
-        if left == 0.0 or old == 0.0:
-            # rare: a zeroed day leaves the list, a revived one keeps its old place
-            atoms = [d for d, m in mass.items() if m > 0.0]
-        budget -= delta * dist
-    days = sorted(d for d, m in mass.items() if m > 0.0)  # unique Python ints
-    out = DayDistribution(np.array(days), np.array([mass[d] for d in days]))
+            left -= delta
+            mass[src] = left
+            old = mass.get(dest)
+            if old is None:
+                atoms.append(dest)
+                n = least = n + 1
+                mass[dest] = delta
+            else:
+                mass[dest] = old + delta
+            if left == 0.0 or old == 0.0:
+                # rare: a zeroed day leaves the list, a revived one keeps its old place
+                atoms = [d for d, m in mass.items() if m > 0.0]
+                n = len(atoms)
+                least = n if n > 1 else 2**32
+            budget -= delta * dist
+        moves -= draws.batch_size
+    days = np.fromiter(mass, np.int64, len(mass))
+    masses = np.fromiter(mass.values(), float, len(mass))
+    days, masses = days[masses > 0.0], masses[masses > 0.0]
+    order = np.argsort(days)  # the days are unique
+    out = DayDistribution(days[order], masses[order])
     moved = wasserstein1(p, out)
     if moved > eta + 1e-9:
         raise InvariantError(f"perturbation overshot the budget: {moved} > {eta}")

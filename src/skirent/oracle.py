@@ -1,5 +1,6 @@
 """Independent brute-force oracles (threshold scan, dense simplex, per-row fill walk and
-the day-by-day policy it records) and properties against them."""
+the day-by-day policy it records, the perturbation's move loop on numpy's Generator)
+and properties against them."""
 from __future__ import annotations
 
 import math
@@ -7,9 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import BaselineKind, baseline_policy
 from .deterministic import NEVER, Threshold, optimal_threshold
-from .distributions import DayDistribution, _as_b, _as_int, _as_real
-from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
+from .distributions import (DayDistribution, _as_b, _as_int, _as_real, perturb_wasserstein,
+                            wasserstein1)
+from .errors import (InfeasibleError, InvalidParamsError, InvalidRError, InvariantError,
+                     ScaleExceededError)
 from .randomized import (CostFunction, StoppingDistribution, _construct_at_level, _envelope,
                          _fill_pass, _full_log, _log_gamma, build_cost_function,
                          check_robustness, expected_policy_cost, feasible_robustness,
@@ -301,6 +305,45 @@ def _day_lags(runs: list[tuple[int, int, float]]) -> list[tuple[int, float]]:
     return [(d, lag) for s, e, lag in runs for d in range(s, e + 1)]
 
 
+def perturb_reference(p: DayDistribution, eta: float, seed: int,
+                      make_rng=None) -> DayDistribution:
+    """The perturbation's move loop as first written: every value drawn from
+    ``make_rng(seed)``, numpy's ``default_rng`` when None (looked up on a call:
+    ``numpy.random`` takes 5 MB to import), and the atom list rebuilt on every move."""
+    if eta < 0:
+        raise InvalidParamsError("eta must be >= 0")
+    if eta == 0:
+        return p
+    rng = (make_rng or np.random.default_rng)(seed)
+    mass = {d: m for d, m in zip(p.days, p.probs)}
+    budget = float(eta)
+    max_shift = max(1, math.ceil(eta))
+    for _ in range(10 * len(p.days)):
+        if budget <= 1e-12:
+            break
+        atoms = [d for d, m in mass.items() if m > 0.0]
+        src = atoms[int(rng.integers(len(atoms)))]
+        shift = int(rng.integers(1, max_shift + 1))
+        if rng.integers(2):
+            shift = -shift
+        dest = max(1, src + shift)
+        dist = abs(dest - src)
+        if dist == 0:
+            continue
+        cap = min(budget / dist, mass[src])
+        delta = float(rng.uniform(0.0, cap))
+        if delta <= 0.0:
+            continue
+        mass[src] -= delta
+        mass[dest] = mass.get(dest, 0.0) + delta
+        budget -= delta * dist
+    out = DayDistribution.from_pairs((d, m) for d, m in mass.items() if m > 0.0)
+    moved = wasserstein1(p, out)
+    if moved > eta + 1e-9:
+        raise InvariantError(f"perturbation overshot the budget: {moved} > {eta}")
+    return out
+
+
 def draw_instance(rng: np.random.Generator, b_max: int) -> tuple[DayDistribution, int, float]:
     """A seeded (p, b, R): b in [2, b_max], R in {1.5, 1.7, 2, 2.5} (1.5 is feasible
     only for b <= 5), and 1-12 atoms on days up to 4b, the LP oracle's horizon."""
@@ -417,6 +460,36 @@ def fill_matches_walk(p: DayDistribution, b: int, R: float) -> str | None:
     return None
 
 
+def perturbation_matches_generator(p: DayDistribution, b: int, R: float) -> str | None:
+    """``perturb_wasserstein`` gives ``perturb_reference``'s support and moves p by at
+    most its budget: at eta 0.5, a shift bound of 1, and at eta (R - 1) b, each with
+    seed b."""
+    for eta in (0.5, (R - 1.0) * b):
+        got, want = perturb_wasserstein(p, eta, b), perturb_reference(p, eta, b)
+        if got.support != want.support:
+            return (f"b={b}, eta={eta}: perturb_wasserstein gives {got}, numpy's Generator "
+                    f"move loop {want}")
+        moved = wasserstein1(p, got)
+        if moved > eta + 1e-9:
+            return f"b={b}, eta={eta}: the perturbation moved p by {moved}"
+    return None
+
+
+def baselines_are_robust(p: DayDistribution, b: int, R: float) -> str | None:
+    """Both ``baseline_policy`` kinds pass ``check_robustness`` at R; an R that their
+    branch parameter rejects (``lambda_from_r``'s InvalidRError) compares nothing."""
+    for kind in BaselineKind:
+        try:
+            policy = baseline_policy(p, b, R, kind)
+        except InvalidRError as exc:
+            raise InfeasibleError(f"the baselines take no R={R} at b={b}: {exc}") from None
+        report = check_robustness(policy, b, R)
+        if not report.feasible:
+            return (f"b={b}, R={R}: the {kind.value} baseline is not R-robust, "
+                    f"worst slack {report.worst()} at day {report.violated_index()} (0: the tail)")
+    return None
+
+
 # the properties over any prediction, by the name verify prints for each
 PROPERTIES = {
     "optimal_threshold matches the exhaustive scan": threshold_matches_scan,
@@ -424,6 +497,9 @@ PROPERTIES = {
     "geometric_cdf is R-robust exactly when feasible": geometric_robust_when_feasible,
     "exact water filling is no worse than published": exact_no_worse_than_published,
     "the published fill matches the per-row reference walk": fill_matches_walk,
+    "perturb_wasserstein matches numpy's Generator move loop within its budget":
+        perturbation_matches_generator,
+    "both baselines are R-robust": baselines_are_robust,
 }
 # and over one-hot predictions
 ONEHOT_PROPERTIES = {"closed-form one-hot optimum matches the LP oracle": onehot_matches_lp}

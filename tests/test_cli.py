@@ -415,7 +415,7 @@ class TestVerifyCommand:
     def test_default_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--instances", "40", "--seed", "5")
         assert code == 0
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 7
         assert "[FAIL]" not in out
 
     @pytest.mark.parametrize("argv", [("--b-max", "3"), ("--b-max", "101"),
@@ -502,7 +502,7 @@ class TestVerifyCommand:
         # the LP comparison and exact against published both run water_fill
         assert len(fails) == 2
         assert all("water filling" in fail and "InvariantError" in fail for fail in fails)
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 5
 
 
 class TestRoundTrips:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -49,45 +50,10 @@ from skirent import (
     water_fill,
 )
 import skirent.distributions as distributions
+from skirent.evaluation import sweep_true_distribution
+from skirent.oracle import perturb_reference
 from skirent.randomized import parse_policy
 from conftest import random_day_distribution
-
-
-def perturb_reference(p: DayDistribution, eta: float, seed: int,
-                      make_rng=np.random.default_rng) -> DayDistribution:
-    """The perturbation loop that rebuilt the atom list on every move, on numpy's Generator."""
-    if eta < 0:
-        raise InvalidParamsError("eta must be >= 0")
-    if eta == 0:
-        return p
-    rng = make_rng(seed)
-    mass = {d: m for d, m in zip(p.days, p.probs)}
-    budget = float(eta)
-    max_shift = max(1, math.ceil(eta))
-    for _ in range(10 * len(p.days)):
-        if budget <= 1e-12:
-            break
-        atoms = [d for d, m in mass.items() if m > 0.0]
-        src = atoms[int(rng.integers(len(atoms)))]
-        shift = int(rng.integers(1, max_shift + 1))
-        if rng.integers(2):
-            shift = -shift
-        dest = max(1, src + shift)
-        dist = abs(dest - src)
-        if dist == 0:
-            continue
-        cap = min(budget / dist, mass[src])
-        delta = float(rng.uniform(0.0, cap))
-        if delta <= 0.0:
-            continue
-        mass[src] -= delta
-        mass[dest] = mass.get(dest, 0.0) + delta
-        budget -= delta * dist
-    out = DayDistribution.from_pairs((d, m) for d, m in mass.items() if m > 0.0)
-    moved = wasserstein1(p, out)
-    if moved > eta + 1e-9:
-        raise InvariantError(f"perturbation overshot the budget: {moved} > {eta}")
-    return out
 
 
 def w1_reference(p: DayDistribution, q: DayDistribution) -> float:
@@ -100,14 +66,59 @@ PERTURB_ETAS = (0.5, 2.0, 8.0, 20.0, 60.0)
 
 
 def draws_reading(transform):
-    """The perturbation's draw source, reading ``transform`` of each of numpy's raw outputs."""
+    """The perturbation's draw source, reading ``transform`` of each block of numpy's raw
+    outputs, a uint64 array, where it reads a block."""
     class Draws(distributions._Draws):
-        def __init__(self, seed):
-            super().__init__(seed)
-            numpy_raw = self.raw
-            self.raw = lambda: transform(numpy_raw())
+        def _block(self):
+            return transform(super()._block())
 
     return Draws
+
+
+def zero_halves(outs):
+    """A third of the raw outputs with the low half zeroed, a fifth with the high half."""
+    return np.where(outs % 3 == 0, outs >> 32 << 32,
+                    np.where(outs % 5 == 0, outs & 0xFFFFFFFF, outs))
+
+
+#: A stream on which Lemire's method rejects a word for every n but a power of two
+#: (a zero word) far more often than numpy's: a perturbation then redraws all the time.
+Rejecting = draws_reading(zero_halves)
+
+
+class RejectingGenerator:
+    """The ``integers`` and ``uniform`` of numpy's Generator, drawn through a ``Rejecting``
+    draw source one value at a time (checked against Generator below)."""
+
+    def __init__(self, seed):
+        self._draws = Rejecting(seed)
+
+    def integers(self, low, high=None):
+        return self._draws.below(low) if high is None else low + self._draws.below(high - low)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self._draws.unit()
+
+
+class IndexedDraws(distributions._Draws):
+    """A draw source whose raw output i is ((2i + 1) << 32) | 2i: each 32-bit word
+    holds its own offset, and each output twice its own."""
+
+    def __init__(self):
+        self._read = 0
+        super().__init__(0)
+
+    def _block(self):
+        i = np.arange(self._read, self._read + distributions._BLOCK, dtype=np.uint64)
+        self._read += distributions._BLOCK
+        return (2 * i + 1) << np.uint64(32) | 2 * i
+
+
+def wide_prediction(rng, atoms: int) -> DayDistribution:
+    """``atoms`` atoms on days 1 to 2 * ``atoms``, day 1 among them: 10 moves an atom
+    read several blocks of raw outputs, and moves from day 1 back draw no uniform."""
+    days = np.append(1, np.sort(rng.choice(np.arange(2, 2 * atoms + 1), atoms - 1, replace=False)))
+    return DayDistribution(days, rng.dirichlet(np.ones(atoms)))
 
 
 def dist_strategy():
@@ -439,25 +450,54 @@ class TestPerturbation:
             for eta in PERTURB_ETAS:
                 q = perturb_wasserstein(p, eta, seed)
                 assert q.support == perturb_reference(p, eta, seed).support
-        # at 2^31 + 1 the shift draw rejects about half its words, which the
-        # move loop hands to _Draws; past 2^32 it takes whole 64-bit outputs
+        # at 2^31 + 1 the shift draw rejects about half its words, so its moves are
+        # read a draw at a time; past 2^32 the shift takes whole 64-bit outputs
         for seed in range(30):
             p = random_day_distribution(rng, max_day=80, max_atoms=3)
             for eta in (2**31 + 0.5, 2**32 + 0.5, 5e9, 3e12):
                 q = perturb_wasserstein(p, eta, seed)
                 assert q.support == perturb_reference(p, eta, seed).support
 
+    @pytest.mark.parametrize("stream", ["numpy", "rejecting"])
+    def test_matches_rebuilding_loop_across_blocks(self, rng, monkeypatch, stream):
+        # 300 and more atoms make 3,000 and more moves, so batches cross blocks of raw
+        # outputs; on the rejecting stream, moves redone a draw at a time land on
+        # block edges too
+        make_rng = np.random.default_rng
+        if stream == "rejecting":
+            monkeypatch.setattr(distributions, "_Draws", Rejecting)
+            make_rng = RejectingGenerator
+        for seed, atoms in enumerate((300, 340)):
+            p = wide_prediction(rng, atoms)
+            for eta in (0.5, 8.0, 60.0, 2**31 + 0.5):
+                q = perturb_wasserstein(p, eta, seed)
+                assert q.support == perturb_reference(p, eta, seed, make_rng).support
+
+    def test_sweep_perturbations_digest(self):
+        # the sweep CSV prints 6 significant digits; this pins every bit of the
+        # perturbed predictions at the ten nonzero sweep budgets
+        p = sweep_true_distribution()
+        digest = hashlib.sha256()
+        for eta in range(2, 21, 2):
+            for seed in range(5):
+                digest.update((repr(perturb_wasserstein(p, eta, seed).support) + "\n").encode())
+        assert digest.hexdigest() == (
+            "c4bc4e995cd79d86870a288a60e76012cadc38acb6fbd54de84f99471c58eaf7")
+
     def test_matches_rebuilding_loop_when_atoms_empty(self, rng, monkeypatch):
         # moving drawn slivers whole empties atoms and refills emptied ones; when
         # only some are whole, a partial sliver can also revive an emptied day.
-        # The move loop's uniform reads the top 53 bits of one raw output: where
-        # ``whole`` holds for them they read 2^53 instead, so the sliver is its
-        # whole cap.  Both sides spend one output on each uniform and read
-        # numpy's bits for the integers, so they read the same stream.
-        class WholeOutput(int):
-            def __rshift__(self, bits):
-                top = int(self) >> bits
-                return 2**53 if bits == 11 and whole(top) else top
+        # A uniform reads the top 53 bits of one raw output, where _Draws._unit
+        # scales them: where ``whole`` holds for them it reads 1.0 instead, so the
+        # sliver is its whole cap.  Both sides spend one output on each uniform
+        # and read numpy's bits for the integers, so they read the same stream.
+        class WholeUnits(distributions._Draws):
+            @staticmethod
+            def _unit(out):
+                top = out >> 11
+                if isinstance(out, np.ndarray):  # a decoded batch's uniforms
+                    return np.where(whole(top), 1.0, top * 2.0**-53)
+                return 1.0 if whole(top) else top * 2.0**-53
 
         class WholeSliver:
             def __init__(self, seed):
@@ -470,7 +510,7 @@ class TestPerturbation:
                 u = self._rng.random()  # the draw uniform(low, high) scales
                 return high if whole(int(u * 2**53)) else low + (high - low) * u
 
-        monkeypatch.setattr(distributions, "_Draws", draws_reading(WholeOutput))
+        monkeypatch.setattr(distributions, "_Draws", WholeUnits)
         for whole in (lambda top: True, lambda top: top & 1):  # every sliver, odd draws
             for seed in range(100):
                 p = random_day_distribution(rng, max_day=30, max_atoms=10)
@@ -480,24 +520,9 @@ class TestPerturbation:
 
     def test_matches_draw_source_when_words_reject(self, rng, monkeypatch):
         # numpy's stream rejects a word for a bound n with odds below n/2^32, so
-        # the move loop hands a draw over to _Draws almost never.  Here a third
-        # of the raw outputs have their low half zeroed and a fifth their high
-        # half: a zero word is rejected for every n but a power of two.  The
-        # loop must then read what a rebuilding loop drawing every value from
-        # _Draws (checked against Generator below) reads.
-        Rejecting = draws_reading(lambda out: out & ~0xFFFFFFFF if out % 3 == 0
-                                  else out & 0xFFFFFFFF if out % 5 == 0 else out)
-
-        class RejectingGenerator:
-            def __init__(self, seed):
-                self._draws = Rejecting(seed)
-
-            def integers(self, low, high=None):
-                return self._draws.below(low) if high is None else low + self._draws.below(high - low)
-
-            def uniform(self, low, high):
-                return low + (high - low) * ((self._draws.raw() >> 11) * 2.0**-53)
-
+        # a move is redrawn a draw at a time almost never.  On the Rejecting
+        # stream a zero word is common, and the loop must read what a rebuilding
+        # loop drawing every value from _Draws (checked against Generator below) reads.
         monkeypatch.setattr(distributions, "_Draws", Rejecting)
         for seed in range(50):
             p = random_day_distribution(rng, max_day=80, max_atoms=20)
@@ -505,12 +530,49 @@ class TestPerturbation:
                 q = perturb_wasserstein(p, eta, seed)
                 assert q.support == perturb_reference(p, eta, seed, RejectingGenerator).support
 
+    @pytest.mark.parametrize("kept", [False, True])
+    @pytest.mark.parametrize("shift_bits,rejecting", [(0, False), (32, False), (32, True),
+                                                      (64, False)])
+    def test_layout_reads_where_draws_do(self, shift_bits, rejecting, kept):
+        # a batch gathers its moves' draws where _Draws reads them one at a time: the
+        # source, shift and sign words through _word, a shift past every word that
+        # ``taken`` rejects, a wider shift's and the uniform's outputs through raw
+        size = 300
+        order = random.Random(shift_bits + rejecting + 2 * kept)
+        taken = [order.random() < 0.5 for _ in range(2 * size)] + [True] if rejecting else None
+        layout = distributions._layout(shift_bits, kept, size, taken)
+        draws = IndexedDraws()
+        draws.half = 2**32 - 1 if kept else None
+        offset = {2**32 - 1: -1, None: -2}  # of the half kept at the start, and of none
+
+        def output():
+            return (draws.raw() & 0xFFFFFFFF) // 2
+
+        words, outputs = [], []
+        for start, half in zip(layout.starts, layout.halves):
+            assert (draws._pos, offset.get(draws.half, draws.half)) == (start, half)
+            if len(words) == len(layout.ends):
+                break
+            src = draws._word(2)
+            src = offset.get(src, src)
+            shift = []
+            if shift_bits == 32:
+                shift = [draws._word(2)]
+                while rejecting and not taken[shift[0]]:
+                    shift = [draws._word(2)]
+            wide = [output()] if shift_bits == 64 else []
+            words.append([src, draws._word(2), *shift])
+            outputs.append([output(), *wide])
+        assert len(words) > size // 4
+        assert (layout.words.tolist(), layout.outputs.tolist()) == (words, outputs)
+        assert layout.ends == [units[0] + 1 for units in outputs]
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 - 1])
     def test_draws_match_generator(self, seed):
         # the perturbation's draw source against numpy's Generator on one seed, in
         # random interleavings long enough to cross raw blocks; integers(1) draws
         # nothing, and 2^31 + 1 and 2^62 + 1 reject about half and a quarter of
-        # words.  uniform is the move loop's inline read of one whole output.
+        # words.  uniform is _Draws.unit, one whole output scaled.
         ns = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40 + 7,
               2**62, 2**62 + 1, 2**63 - 1]
         caps = [0.0, 1e-300, 0.37, 1.0, 123.456, 1e300]
@@ -526,7 +588,7 @@ class TestPerturbation:
             elif kind == 2:
                 assert draws.below(2) == gen.integers(2)
             else:
-                assert cap * ((draws.raw() >> 11) * 2.0**-53) == gen.uniform(0.0, cap)
+                assert cap * draws.unit() == gen.uniform(0.0, cap)
 
     def test_overshoot_is_typed(self, worked_example, monkeypatch):
         monkeypatch.setattr(distributions, "wasserstein1", lambda p, q: 1e9)
