@@ -100,7 +100,7 @@ FLAGS = {
     "--b-max": ("b_max", {"type": int, "help": "largest b of the grid (default 12)"}),
     "--instances": ("instances", {"type": int, "help": "grid instances (default 200)"}),
     "--onehot": ("onehot", {"action": "store_true",
-                            "help": "sweep the closed-form one-hot optimum against the LP"}),
+                            "help": "sweep onehot_exact, the exact fill of a one-hot, against the LP"}),
 }
 COMMON = ("--config", "--out", "--quiet")  # every command takes these
 

@@ -392,7 +392,8 @@ def water_fill_matches_lp(p: DayDistribution, b: int, R: float) -> str | None:
 
 
 def onehot_matches_lp(p: DayDistribution, b: int, R: float) -> str | None:
-    """``onehot_exact`` is cost-optimal for a one-hot p: it matches the LP oracle."""
+    """``onehot_exact``, exact water filling on a one-hot p, is cost-optimal: it matches
+    the LP oracle."""
     (y,) = p.days
     return _matches_lp(f"onehot_exact at y={y}",
                        lambda g: expected_policy_cost(onehot_exact(b, R, y), g), p, b, R)
@@ -502,4 +503,5 @@ PROPERTIES = {
     "both baselines are R-robust": baselines_are_robust,
 }
 # and over one-hot predictions
-ONEHOT_PROPERTIES = {"closed-form one-hot optimum matches the LP oracle": onehot_matches_lp}
+ONEHOT_PROPERTIES = {
+    "onehot_exact (exact water filling on a one-hot) matches the LP oracle": onehot_matches_lp}

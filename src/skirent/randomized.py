@@ -15,7 +15,7 @@ from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _as_real,
 from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
-FULL_MASS = 1.0 - 1e-15  # a fill or closed form holding this much mass is full
+FULL_MASS = 1.0 - 1e-15  # a run of tight days holding this much mass is full
 
 
 def _check_scale(b: int) -> None:
@@ -292,14 +292,18 @@ def geometric_cdf(b: int, R: float) -> StoppingDistribution:
     Optimal whenever the stopping-cost function is nondecreasing over the
     placement range.  It is the full fill of the one tight run over days 1..b,
     so it needs the envelope to reach ``FULL_MASS`` by day b, i.e. R at least
-    about 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.
+    about 1 + 1/((b/(b-1))^b - 1); smaller R admits no robust policy.  Like a
+    fill, a policy that fails ``check_robustness`` raises InvariantError.
     """
     b = _as_b(b)
     R = _as_real(R, "R", above=1.0)
     _check_scale(b)
     if not feasible_robustness(b, R):
         raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    return _tight_policy(b, R, 1.0, [(1, b, 0.0)], None)
+    policy = _tight_policy(b, R, 1.0, [(1, b, 0.0)], None)
+    if not check_robustness(policy, b, R).feasible:
+        raise InvariantError("geometric policy failed its own robustness check")
+    return policy
 
 
 def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool:
@@ -329,87 +333,6 @@ def extension_condition_check(g: CostFunction, b: int, R: float, y: int) -> bool
     firsts = np.maximum(g.lo + 1.0, y + 1.0)
     firsts = firsts[firsts <= np.minimum(g.hi, last)]
     return not np.any(g.values_at(firsts) < ref - 1e-9)
-
-
-def _min_p_reaching(eval_fn, breakpoints: np.ndarray, target: float) -> float:
-    """Smallest p in [0, 1] with eval_fn(p) >= target, or 1 if eval_fn(1) falls short.
-
-    ``eval_fn`` takes an array of p, and must be continuous, nondecreasing, and
-    affine between consecutive breakpoints, so the crossing is solved exactly on
-    its piece.  Where ``feasible_robustness`` holds, the callers' targets hold at
-    p = 1, the whole envelope, so a shortfall there is rounding.
-    """
-    bps = np.unique(np.clip(np.append([0.0, 1.0], breakpoints), 0.0, 1.0))
-    values = eval_fn(bps)
-    i = int(np.argmax(values >= min(target, values[-1])))
-    if i == 0:
-        return float(bps[0])
-    prev, cur, f_prev, f_cur = (float(v) for v in (bps[i - 1], bps[i], values[i - 1], values[i]))
-    if f_cur <= f_prev:
-        return cur
-    return prev + (target - f_prev) / (f_cur - f_prev) * (cur - prev)
-
-
-def _capped_sum(G: np.ndarray, p):
-    """sum_x min(G[x], p) for nondecreasing G, at each p, from G's running sums."""
-    k = np.searchsorted(G, p, side="right")  # G[:k] <= p < G[k:]
-    return np.cumsum(np.append(0.0, G))[k] + (G.size - k) * p
-
-
-def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
-    """Exact optimal stopping distribution for a point prediction at day y.
-
-    Below-b predictions cap the CDF at the smallest prefix level whose tight
-    continuation still reaches mass 1 by day b; at-or-above-b predictions cap
-    the front-loaded envelope and park the leftover mass just past y, with the
-    cap chosen as the smallest level that satisfies the tail-moment budget and
-    is not cheaper to exceed.  Both caps come from running sums over the
-    envelope, so the cost is O(b log b).
-    """
-    b = _as_b(b)
-    y = _as_int(y, "y", 1)
-    R = _as_real(R, "R", above=1.0)
-    _check_scale(b)
-    if not feasible_robustness(b, R):
-        raise InfeasibleError(f"no R-robust policy exists for b={b}, R={R}")
-    G = _envelope(b, R, np.arange(b + 1))  # G[x] for x = 0..b
-
-    if y <= b - 1:
-        head = G[1:y + 1]
-        log_gamma = _log_gamma(b)
-
-        def tight(x, s):
-            """CDF at days x > y of the continuation that keeps days y+1..x tight."""
-            grow = np.expm1((x - y - 1) * log_gamma)  # gamma^(x-y-1) - 1
-            return (grow + 1.0) * ((R - 1.0) * (y + 1) + s) / (b - 1.0) + (R - 1.0) * grow
-
-        p_star = _min_p_reaching(lambda p: tight(b, _capped_sum(head, p)), head, FULL_MASS)
-        cont = tight(np.arange(y + 1, b + 1), float(_capped_sum(head, p_star)))
-        reached = np.flatnonzero(cont >= FULL_MASS)
-        if reached.size:
-            cont = cont[:reached[0] + 1]
-        cdf = np.concatenate((np.minimum(G[:y + 1], p_star), cont))
-    else:
-        envelope = G[1:]
-
-        def phi(p):
-            return (y - b) * p + _capped_sum(envelope, p)
-
-        m = min(y - b + 1, b)
-        p_cheap = min(G[m], 1.0)
-        delta = max(y * FULL_MASS - (R - 1.0) * b, 0.0)
-        p_star = _min_p_reaching(phi, envelope, max(delta, float(phi(p_cheap))))
-        cdf = np.minimum(G, p_star)
-
-    masses = np.diff(np.minimum(cdf, 1.0))  # cdf[x] for days x = 0..len-1
-    days = np.arange(1, cdf.size)
-    if y >= b and p_star < FULL_MASS:
-        # flat at p_star through y, remaining atom just past the prediction
-        days, masses = np.append(days, y + 1), np.append(masses, 1.0 - p_star)
-    elif cdf[-1] < 1.0 - 1e-9:
-        raise InfeasibleError("prefix construction failed to accumulate full mass")
-    keep = masses > 1e-15
-    return StoppingDistribution(days[keep], masses[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -834,3 +757,16 @@ def water_fill(g: CostFunction, b: int, R: float,
     if not check_robustness(policy, b, R).feasible:
         raise InvariantError("constructed policy failed its own robustness check")
     return policy, expected_policy_cost(policy, g)
+
+
+def onehot_exact(b: int, R: float, y: int) -> StoppingDistribution:
+    """Exact optimal stopping distribution for a point prediction at day y.
+
+    The exact ``water_fill`` of the one-hot's cost function, so it is checked
+    as every fill is; published mode's level-restricted fill is not optimal on
+    every one-hot.
+    """
+    b = _as_b(b)
+    y = _as_int(y, "y", 1)
+    R = _as_real(R, "R", above=1.0)
+    return water_fill(build_cost_function(DayDistribution((y,), (1.0,)), b), b, R)[0]

@@ -538,9 +538,13 @@ class TestExtensionCondition:
 
 class TestOnehotExact:
     def test_long_flat_tail_equals_geometric(self):
+        cases = []
         for b, R in ((6, 2.0), (10, 1.7), (25, 1.7)):
             thr = b - 1 + math.log(R / (R - 1)) / math.log(b / (b - 1))
-            y = math.ceil(thr) + 2
+            cases.append((b, R, math.ceil(thr) + 2))
+        # far-out predictions, up to the last int64 day
+        cases += [(50, 2.0, 10**15), (50, 1.7, 2**62), (3367, 2.0, 10**12), (6, 2.0, 2**63 - 1)]
+        for b, R, y in cases:
             pol = onehot_exact(b, R, y)
             geo = geometric_cdf(b, R)
             assert pol.days == geo.days
@@ -599,17 +603,9 @@ class TestOnehotExact:
         for y in ys:
             assert check_robustness(onehot_exact(b, R, y), b, R).feasible, y
 
-    def test_capped_sum_matches_loop(self, rng):
-        # running sums add in another order than the loop, so allow a few ulps
-        for _ in range(50):
-            G = np.sort(rng.uniform(0.0, 1.5, size=int(rng.integers(1, 200))))
-            ps = np.concatenate((G, rng.uniform(-0.1, 1.6, size=20), [0.0, 1.0]))
-            got = randomized._capped_sum(G, ps)
-            for p, value in zip(ps, got):
-                assert value == pytest.approx(sum(min(x, p) for x in G), rel=1e-13, abs=1e-13)
-
     def test_time_grows_linearly(self):
-        # phi re-summed all b envelope values at each of b breakpoints: slope 2
+        # the exact fill of a one-hot reads its O(b) candidate days a bounded number
+        # of times: slope 2 means some pass re-reads them once per day
         sizes = (500, 1000, 2000)
         times = []
         for b in sizes:
@@ -1174,10 +1170,19 @@ class TestWaterFillAtScale:
     # SLACK_TOL; in long double the same formula puts every worst slack here
     # within -1.2e-10.  A more accurate check flips these.
     @pytest.mark.parametrize("R", [1.7, 2.0, 2.5])
-    @pytest.mark.xfail(reason="the check's rounding, not the policy: worst slacks of "
+    @pytest.mark.xfail(raises=InvariantError,
+                       reason="the check's rounding, not the policy: worst slacks of "
                               "-1.9e-9 to -7.3e-9 against SLACK_TOL = 1e-9")
     def test_geometric_at_b_1000000_passes_its_check(self, R):
         assert check_robustness(geometric_cdf(10**6, R), 10**6, R).feasible
+
+    @pytest.mark.parametrize("b, R", [(400_000, 1.7), (600_000, 2.0), (10**6, 2.0), (10**6, 2.5)],
+                             ids=["b400000_R1.7", "b600000_R2", "b1000000_R2", "b1000000_R2.5"])
+    @pytest.mark.xfail(raises=InvariantError,
+                       reason="the check's rounding, not the policy: the one-hot at 3b "
+                              "reads worst slacks of -1.5e-9 to -7.3e-9 against SLACK_TOL = 1e-9")
+    def test_onehot_at_3b_passes_its_check(self, b, R):
+        assert check_robustness(onehot_exact(b, R, 3 * b), b, R).feasible
 
     @pytest.mark.parametrize("b, p_hat", [
         (10**6, one_hot(1)),

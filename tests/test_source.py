@@ -46,3 +46,19 @@ def test_oracle_stays_independent_of_the_fill():
              if isinstance(node, ast.ImportFrom) and node.module == "randomized"
              for alias in node.names]
     assert sorted(names) == sorted(ORACLE_READS_FROM_RANDOMIZED)
+
+
+def test_every_private_helper_is_used():
+    # a module-level private function or class that only tests call is dead code
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(skirent.__file__).parent.glob("*.py")}
+    uses = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and not any(name == node.name
+                          and not (where == module and node.lineno <= line <= node.end_lineno)
+                          for where, line, name in uses)]
+    assert unused == []
