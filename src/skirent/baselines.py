@@ -1,6 +1,7 @@
 """Point-prediction-style randomized baselines adapted to distributional inputs."""
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -42,38 +43,64 @@ def r_from_lambda(b: int, lam: float) -> float:
     return (1.0 + 1.0 / b) / -math.expm1(1.0 / b - lam)
 
 
-def _branch_masses(b: int, lam: float, high_branch: bool) -> np.ndarray:
-    """Masses of the branch distribution on days 1..len, zeros kept.
+#: Branches of at most this many days are cached.  A cached branch holds five
+#: arrays of its length, so the cache's 16 branches take at most about 10 MB.
+_CACHED_DAYS = 2**14
 
-    The high (long-horizon) branch spreads over {1..k}, the low branch over
-    {1..l}; weights are ((b-1)/b)^(len-i) with normalizer b(1 - (1-1/b)^len).
+
+class _Branch:
+    """A branch's masses on days 1..len, zeros kept and read-only, and its pmf when asked for.
+
+    Weights are ((b-1)/b)^(len-i) with normalizer b(1 - (1-1/b)^len), so a branch
+    depends on b and its length alone.
+    """
+
+    def __init__(self, b: int, length: int) -> None:
+        q = (b - 1.0) / b
+        weights = q ** np.arange(length - 1, -1, -1, dtype=float)
+        self.masses = weights / (b * (1.0 - q ** length))
+        self.masses.flags.writeable = False
+
+    @functools.cached_property
+    def policy(self) -> StoppingDistribution:
+        return StoppingDistribution(np.arange(1, self.masses.size + 1), self.masses)
+
+
+_cached_branch = functools.lru_cache(maxsize=16)(_Branch)
+
+
+def _branch(b: int, lam: float, high_branch: bool) -> _Branch:
+    """The high (long-horizon) branch over {1..k} or the low one over {1..l}.
+
     The lengths follow the source algorithm, k = floor(lam*b) and
     l = ceil(b/lam), which reproduces the reference consistency figures to
-    four decimals; so k <= b <= l.
+    four decimals; so k <= b <= l.  The length is checked against ``MAX_DAYS``
+    before the cache is read, and only short branches are kept in it.
     """
     b = _as_b(b)
     lam = _as_real(lam, "lambda", above=0.0, most=1.0)
     length = max(1, math.floor(lam * b + 1e-9) if high_branch else math.ceil(b / lam - 1e-9))
     if length > MAX_DAYS:  # the low branch spans ceil(b/lam) <= b^2 days
         raise ScaleExceededError(f"branch of {length} days exceeds {MAX_DAYS}")
-    q = (b - 1.0) / b
-    weights = q ** np.arange(length - 1, -1, -1, dtype=float)
-    return weights / (b * (1.0 - q ** length))
+    return (_cached_branch if length <= _CACHED_DAYS else _Branch)(b, length)
 
 
 def purohit_branch(b: int, lam: float, high_branch: bool) -> StoppingDistribution:
-    """Geometric-weights branch distribution for long (y >= b) or short horizons."""
-    masses = _branch_masses(b, lam, high_branch)
-    return StoppingDistribution(np.arange(1, masses.size + 1), masses)
+    """Geometric-weights branch distribution for long (y >= b) or short horizons.
+
+    The pmf is immutable, and a branch of at most 2^14 days is shared between calls.
+    """
+    return _branch(b, lam, high_branch).policy
 
 
 def baseline_policy(p_hat: DayDistribution, b: int, R: float,
                     kind: BaselineKind) -> StoppingDistribution:
     """Branch (or blend) the two point-prediction distributions by P[D >= b].
 
-    The majority rule builds only the long-horizon branch when that
-    probability strictly exceeds 1/2, and only the short one otherwise; the
-    mixture blends the two branches' masses day by day.
+    The majority rule returns only the long-horizon branch when that
+    probability strictly exceeds 1/2, and only the short one otherwise: the
+    immutable pmf of ``purohit_branch``, which may be shared between calls.  The
+    mixture blends the two branches' masses day by day into a pmf of its own.
     """
     try:
         kind = BaselineKind(kind)
@@ -84,8 +111,8 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float,
     if kind is BaselineKind.MAJORITY_BRANCH:
         return purohit_branch(b, lam, high_branch=p_high > 0.5)
     # both branches sit on days 1..len, and the high one is never the longer
-    high = _branch_masses(b, lam, high_branch=True)
-    masses = (1.0 - p_high) * _branch_masses(b, lam, high_branch=False)
+    high = _branch(b, lam, high_branch=True).masses
+    masses = (1.0 - p_high) * _branch(b, lam, high_branch=False).masses
     masses[:high.size] += p_high * high
     # the pmf drops the days whose masses underflow at the front of a long branch
     return StoppingDistribution(np.arange(1, masses.size + 1), masses)

@@ -39,27 +39,33 @@ class _Pmf:
         day_arr, mass_arr = np.asarray(days), np.asarray(masses)
         if day_arr.ndim != 1 or mass_arr.shape != day_arr.shape:
             raise InvalidParamsError("days and masses must be 1-d and of equal length")
-        # ``_as_real``'s rule in bulk: a numeric dtype, finite, and no bool
-        if (mass_arr.dtype.kind not in "iuf" or _holds_bool(masses)
-                or not np.all(np.isfinite(mass_arr)) or np.any(mass_arr < 0)):
+        # ``_as_real``'s rule in bulk: a numeric dtype and no bool, then finite values
+        if mass_arr.dtype.kind not in "iuf" or _holds_bool(masses):
             raise InvalidParamsError("masses must be finite numbers >= 0")
-        masses = np.asarray(mass_arr, dtype=float)
-        keep = masses > 0.0
-        if not keep.any():  # checked before the days: numpy reads no days, (), as float64
+        masses = np.array(mass_arr, dtype=float)  # a copy of its own, which _store freezes
+        least = masses.min(initial=math.inf)  # NaN if any mass is NaN
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past float range
+            total = float(masses.sum())
+        if not (least >= 0.0 and total < math.inf):
+            raise InvalidParamsError("masses must be finite numbers >= 0, with a finite sum")
+        if total == 0.0:  # checked before the days: numpy reads no days, (), as float64
             raise EmptySupportError("distribution has no support")
         if (day_arr.dtype.kind not in "iu" or day_arr.dtype.kind == "u" and day_arr.max() >= 2**63
                 or _holds_bool(days)):
             raise InvalidParamsError("days must be integers in the int64 range")
         day_arr = day_arr.astype(np.int64)
-        if day_arr[0] < 1 or np.any(day_arr[1:] <= day_arr[:-1]):
+        # compared, not differenced: a step from a day to one 2^63 below it wraps in np.diff
+        if day_arr[0] < 1 or (day_arr[1:] <= day_arr[:-1]).any():
             raise InvalidParamsError("days must be strictly increasing positive integers")
-        total = float(masses.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidParamsError(f"masses sum to {total}, not 1")
+        if least == 0.0:  # zero-mass days are dropped
+            keep = masses > 0.0
+            day_arr, masses = day_arr[keep], masses[keep]
         if abs(total - 1.0) > RENORM_TRIGGER:
-            masses = masses / total
-        self._store(_days_arr=day_arr[keep], _mass_arr=masses[keep])
-        self._store(_cum=np.cumsum(np.append(0.0, self._mass_arr)))  # [0, F(d_1), F(d_2), ...]
+            masses /= total
+        self._store(_days_arr=day_arr, _mass_arr=masses,
+                    _cum=_running_sum(masses))  # [0, F(d_1), F(d_2), ...]
 
     def _store(self, **arrays: np.ndarray) -> None:
         for name, array in arrays.items():
@@ -109,7 +115,7 @@ class DayDistribution(_Pmf):
 
     def __init__(self, days: ArrayLike, probs: ArrayLike) -> None:
         super().__init__(days, probs)
-        self._store(_day_weighted_cum=np.cumsum(np.append(0.0, self._mass_arr * self._days_arr)))
+        self._store(_day_weighted_cum=_running_sum(self._mass_arr * self._days_arr))
 
     @cached_property
     def probs(self) -> tuple[float, ...]:
@@ -248,7 +254,7 @@ def _layout(shift_bits: int, kept: bool, size: int, taken: list[bool] | None = N
                    np.column_stack([unit] + [shift] * (shift_bits == 64)))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=6)  # a shift of 0, 32 or 64 bits, with a half kept or not
 def _regular_layout(shift_bits: int, kept: bool) -> _Layout:
     """``_layout`` with every shift word taken, for the longest block, ``_BLOCK + _CARRY``."""
     return _layout(shift_bits, kept, _BLOCK + _CARRY)
@@ -539,6 +545,15 @@ def _holds_bool(values: ArrayLike) -> bool:
     Neither bool type can be subclassed, so comparing types is an isinstance test.
     """
     return not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, values))
+
+
+def _running_sum(values: np.ndarray) -> np.ndarray:
+    """The zero-led running sum [0, v_1, v_1 + v_2, ...], bit for bit
+    ``np.cumsum(np.append(0.0, values))`` without the appended copy."""
+    out = np.empty(values.size + 1)
+    out[0] = 0.0
+    values.cumsum(out=out[1:])
+    return out
 
 
 def _as_int(value: Any, what: str, least: int | None = None) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _as_real,
-                            _parse_atoms, _Pmf)
+                            _parse_atoms, _Pmf, _running_sum)
 from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
 
 SLACK_TOL = 1e-9  # robustness slacks are accepted down to this
@@ -33,7 +33,7 @@ class StoppingDistribution(_Pmf):
 
     def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
         super().__init__(days, masses)
-        self._store(_cum_moment=np.cumsum(np.append(0.0, self._mass_arr * (self._days_arr - 1))))
+        self._store(_cum_moment=_running_sum(self._mass_arr * (self._days_arr - 1)))
 
     @cached_property
     def masses(self) -> tuple[float, ...]:

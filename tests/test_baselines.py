@@ -234,6 +234,8 @@ class TestBaselinePolicy:
         assert f.support == purohit_branch(50, lambda_from_r(50, 1e300), True).support
 
     def test_one_pmf_per_call(self, monkeypatch):
+        # the majority rule builds its branch's pmf once and then shares it; the
+        # mixture blends the branches' cached masses into one new pmf per call
         built = []
 
         def counting(days, masses):
@@ -241,10 +243,15 @@ class TestBaselinePolicy:
             return StoppingDistribution(days, masses)
 
         monkeypatch.setattr(baselines, "StoppingDistribution", counting)
+        baselines._cached_branch.cache_clear()
         p_hat = DayDistribution((10, 90), (0.4, 0.6))
-        for kind in BaselineKind:
+        first = baseline_policy(p_hat, 50, 1.7, BaselineKind.MAJORITY_BRANCH)
+        assert len(built) == 1
+        assert baseline_policy(p_hat, 50, 1.7, BaselineKind.MAJORITY_BRANCH) is first
+        assert len(built) == 1
+        for _ in range(3):
             built.clear()
-            baseline_policy(p_hat, 50, 1.7, kind)
+            baseline_policy(p_hat, 50, 1.7, BaselineKind.MIXTURE)
             assert len(built) == 1
 
     def test_mixture_survives_underflowing_branch_masses(self):
@@ -276,3 +283,38 @@ class TestBaselinePolicy:
         for kind in BaselineKind:
             with pytest.raises(InvalidParamsError, match="finite"):
                 baseline_policy(p_hat, 50, R, kind)
+
+
+class TestBranchCache:
+    def test_size_cap_read_before_the_cache(self, monkeypatch):
+        # R = 1e300 gives a 2500-day low branch at b = 50, short enough to be cached
+        p_hat = DayDistribution((10,), (1.0,))
+        for kind in BaselineKind:
+            baseline_policy(p_hat, 50, 1e300, kind)
+        assert baselines._cached_branch.cache_info().currsize > 0
+        monkeypatch.setattr(baselines, "MAX_DAYS", 1000)
+        for kind in BaselineKind:
+            with pytest.raises(ScaleExceededError):
+                baseline_policy(p_hat, 50, 1e300, kind)
+
+    def test_long_branch_not_retained(self):
+        # at b = 200 and R = 1e300 the low branch spans 40000 > 2^14 days
+        b, lam = 200, lambda_from_r(200, 1e300)
+        baselines._cached_branch.cache_clear()
+        low = purohit_branch(b, lam, high_branch=False)
+        assert low.max_day > 2**14
+        assert purohit_branch(b, lam, high_branch=False) is not low
+        baseline_policy(DayDistribution((10,), (1.0,)), b, 1e300, BaselineKind.MIXTURE)
+        assert baselines._cached_branch.cache_info().currsize == 1  # the 1-day high branch
+
+    def test_cached_branch_is_read_only(self):
+        b, lam = 50, lambda_from_r(50, 1.7)
+        f = purohit_branch(b, lam, high_branch=True)
+        assert purohit_branch(b, lam, high_branch=True) is f
+        arrays = [f._days_arr, f._mass_arr, f._cum, f._cum_moment,
+                  baselines._branch(b, lam, high_branch=True).masses]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        with pytest.raises(AttributeError):
+            f._mass_arr = np.ones(1)

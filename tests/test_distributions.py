@@ -188,22 +188,28 @@ class TestPmfCore:
         ((1, 2), (1.1, -0.1)),
         ((1, 2), (1.0 + 5e-13, -5e-13)),  # tiny negatives are rejected, not clipped
         ((1, 2), (1.0, math.inf)),
+        ((1, 2), (1.0, -math.inf)),
+        ((1, 2), (1e308, 1e308)),  # finite masses whose float sum overflows
         ((1, 2), (0.5, 0.6)),
         ((1, 2), (0.5, 0.4)),
         ((1, 2, 3), (0.5, 0.5)),
         ((1, 2**63), (0.5, 0.5)),  # died converting the days to int64 with an OverflowError
         ((1, 2), (True, 0.0)),  # read as the masses 1.0 and 0.0
         ((1, 2), ("0.5", "0.5")),  # read as the masses 0.5 and 0.5
+        ((1, -2**63, -1, 2), (0.25,) * 4),  # the step 1 -> -2^63 wraps to + in int64
     ], ids=["decreasing", "repeated", "day0", "bool_day", "float_day", "nan_mass",
-            "negative_mass", "tiny_negative_mass", "inf_mass", "mass_over", "mass_under",
-            "length_mismatch", "day_past_int64", "bool_mass", "text_masses"])
+            "negative_mass", "tiny_negative_mass", "inf_mass", "minus_inf_mass",
+            "sum_overflows", "mass_over", "mass_under", "length_mismatch", "day_past_int64",
+            "bool_mass", "text_masses", "wrapping_day_step"])
     def test_rejects(self, pmf, days, masses):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidParamsError) as err:
             pmf(days, masses)
+        assert err.type is InvalidParamsError
         if bool in map(type, days + masses):
             return  # numpy reads True as a valid day 1 or mass 1.0; see test_rejects_arrays
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidParamsError) as err:
             pmf(np.asarray(days), np.asarray(masses))
+        assert err.type is InvalidParamsError
 
     @pytest.mark.parametrize("days, masses", [
         (np.array([1.0, 2.0]), np.array([0.5, 0.5])),
@@ -216,8 +222,33 @@ class TestPmfCore:
     ], ids=["float_days", "bool_days", "2d_days", "uint64_past_int64", "bool_masses",
             "text_masses", "object_masses"])
     def test_rejects_arrays(self, pmf, days, masses):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidParamsError) as err:
             pmf(days, masses)
+        assert err.type is InvalidParamsError
+
+    def test_input_arrays_stay_writeable_and_unaliased(self, pmf):
+        for masses in ([0.25, 0.25, 0.5], [0.25, 0.0, 0.75], [0.25, 0.25, 0.5 + 5e-10]):
+            day_arr, mass_arr = np.array([1, 3, 4]), np.array(masses)
+            dist = pmf(day_arr, mass_arr)
+            assert day_arr.flags.writeable and mass_arr.flags.writeable
+            assert not np.shares_memory(dist._days_arr, day_arr)
+            assert not np.shares_memory(dist._mass_arr, mass_arr)
+            support = dist.support
+            day_arr[0], mass_arr[0] = 2, 7.0
+            assert dist.support == support
+
+    def test_running_sums_match_appended_cumsum(self, pmf, rng):
+        # bit for bit np.cumsum(np.append(0.0, x)), the form they were built with
+        days = np.sort(rng.choice(np.arange(1, 10**6), size=300, replace=False))
+        masses = rng.dirichlet(np.ones(300))
+        masses[::5] = 0.0
+        dist = pmf(days, masses / masses.sum())
+        x, d = dist._mass_arr, dist._days_arr
+        sums = {"_cum": x, "_cum_moment": x * (d - 1), "_day_weighted_cum": x * d}
+        found = [name for name in sums if hasattr(dist, name)]
+        assert len(found) == 2
+        for name in found:
+            assert getattr(dist, name).tobytes() == np.cumsum(np.append(0.0, sums[name])).tobytes()
 
     def test_arrays_and_tuples_agree(self, pmf, rng):
         # zero masses dropped and a drift past the trigger renormalized away
@@ -246,8 +277,9 @@ class TestPmfCore:
     @pytest.mark.parametrize("days, masses", [((), ()), ((1, 2), (0.0, 0.0))],
                              ids=["no_days", "all_zero"])
     def test_empty_support(self, pmf, days, masses):
-        with pytest.raises(EmptySupportError):
-            pmf(days, masses)
+        for args in ((days, masses), (np.array(days, dtype=int), np.array(masses))):
+            with pytest.raises(EmptySupportError):
+                pmf(*args)
         assert issubclass(EmptySupportError, InvalidParamsError)
 
     def test_from_pairs_merges_repeated_days(self, pmf):

@@ -62,3 +62,21 @@ def test_every_private_helper_is_used():
                           and not (where == module and node.lineno <= line <= node.end_lineno)
                           for where, line, name in uses)]
     assert unused == []
+
+
+def test_every_cache_is_bounded():
+    # an unbounded cache keeps an entry for every distinct argument it has seen
+    unbounded = []
+    for path in Path(skirent.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [f"{path.name}:{node.lineno}" for alias in node.names
+                              if alias.name == "cache"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                unbounded.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and "lru_cache" in ast.unparse(node.func):
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if any(isinstance(size, ast.Constant) and size.value is None for size in sizes):
+                    unbounded.append(f"{path.name}:{node.lineno}")
+    assert unbounded == []
