@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -170,16 +171,10 @@ def cmd_threshold(args) -> int:
     payload = {"t_star": _threshold_json(t_star), "cost": cost}
     if args.lam is not None:
         eta = args.eta if args.eta is not None else 0.0
-        report = robust_consistent_bound(p_hat, args.b, args.lam, eta,
-                                         metric=args.metric or "wasserstein")
-        payload["clamped_t"] = report.clamped_t
-        payload["bound_report"] = {
-            "robust_term": report.robust_term,
-            "consistent_term": report.consistent_term,
-            "binding": report.binding,
-            "theta": report.theta,
-            "rho_hat": report.rho_hat,
-        }
+        report = asdict(robust_consistent_bound(p_hat, args.b, args.lam, eta,
+                                                metric=args.metric or "wasserstein"))
+        payload["clamped_t"] = report.pop("clamped_t")
+        payload["bound_report"] = report
     _emit(args, payload)
     return EXIT_OK
 

@@ -171,18 +171,14 @@ def robust_consistent_bound(
 
     if metric == "wasserstein":
         theta = eta / opt_hat
-        if theta < 1.0:
-            consistent = (rho_hat + b * theta) / (1.0 - theta)
-        else:
-            theta = None
-            consistent = None
+        shift = b * theta
     else:
         theta = b * eta / opt_hat
-        if theta < 1.0:
-            consistent = (rho_hat + eta * (b + t_clamped - 1) / opt_hat) / (1.0 - theta)
-        else:
-            theta = None
-            consistent = None
+        shift = eta * (b + t_clamped - 1) / opt_hat
+    if theta < 1.0:
+        consistent = (rho_hat + shift) / (1.0 - theta)
+    else:
+        theta = consistent = None
 
     binding = "consistent" if consistent is not None and consistent < robust else "robust"
     return BoundReport(

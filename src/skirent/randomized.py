@@ -19,7 +19,9 @@ FULL_MASS = 1.0 - 1e-15  # a run of tight days holding this much mass is full
 
 
 def _check_scale(b: int) -> None:
-    """Reject a b whose arrays of b days would pass ``MAX_DAYS``, before any is built."""
+    """Reject a b above ``MAX_DAYS``: before a fill or closed form builds arrays of b
+    days, and in the checks and level searches, which build none, to keep them to
+    the b that ``water_fill`` accepts."""
     if b > MAX_DAYS:
         raise ScaleExceededError(f"b={b} needs arrays of b days, over {MAX_DAYS}")
 
@@ -85,15 +87,16 @@ class CostFunction:
 
     def __post_init__(self) -> None:
         columns = [np.array(c, dtype=float) for c in (self.lo, self.hi, self.slope, self.intercept)]
-        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
-            raise InvalidParamsError("cost function columns must be 1-d and of equal length")
         lo, hi, slope, intercept = columns
+        # ndarray methods: the np.any/np.all wrappers cost about a microsecond a call
+        if lo.ndim != 1 or any(c.shape != lo.shape for c in columns):
+            raise InvalidParamsError("cost function columns must be 1-d and of equal length")
         if lo.size < 2:
             raise InvalidParamsError("cost function needs a row before its constant tail")
-        if (lo[0] != 0.0 or np.any(lo[1:] != hi[:-1]) or np.any(hi <= lo)
-                or np.any(lo != np.floor(lo)) or hi[-1] != math.inf):
+        if (lo[0] != 0.0 or hi[-1] != math.inf or (lo[1:] != hi[:-1]).any()
+                or (hi <= lo).any() or (np.floor(lo) != lo).any()):
             raise InvalidParamsError("cost function rows must tile (0, inf) at integer days")
-        if not (np.all(np.isfinite(slope)) and np.all(np.isfinite(intercept))):
+        if not (np.isfinite(slope).all() and np.isfinite(intercept).all()):
             raise InvalidParamsError("cost function slopes and intercepts must be finite")
         if slope[-1] != 0.0:
             raise InvalidParamsError("cost function must end in a constant tail")
@@ -266,11 +269,8 @@ def _tight_policy(b: int, R: float, F: float, runs: list[tuple[int, int, float]]
     if cdf.size:
         cdf[-1] = F
     masses = np.diff(cdf, prepend=0.0)
-    if tail is not None:
-        if days.size and days[-1] == tail:
-            masses[-1] += 1.0 - F
-        else:
-            days, masses = np.append(days, tail), np.append(masses, 1.0 - F)
+    if tail is not None:  # a tail follows the last run day (see ``_fill_pass``)
+        days, masses = np.append(days, tail), np.append(masses, 1.0 - F)
     return StoppingDistribution(days, masses)
 
 
@@ -355,7 +355,10 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: boo
     Returns (F, runs, tail), runs the active (s, e, lag); the last may outlast
     the full mass.  A full fill has F = 1 and no tail; a partial one puts 1 - F
     on the cheapest day from b on within h whose (day - 1) (1 - F) fits in the
-    moment budget left.
+    moment budget left.  That tail test alone places it: its bound on the day,
+    1 + budget / (1 - F), is below 1 < b when the budget is below 0, and is 1
+    when a run ends on day b, whose budget is exactly 0.0.  So a tail always
+    follows the last run day.
 
     One loop walks the columns of ``_FillTable``.  A bare pass runs it over
     every row below b with both jumps off, so each row takes the day-space
@@ -422,8 +425,6 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: boo
         runs.append((start, last_end, lag))
     F = _envelope(b, R, last_end, lag)
     budget = (R - 1.0) * b - ((R - 1.0) * last_end - (b - last_end) * F)  # minus the first moment
-    if budget < 0.0:
-        return None
     tail = _best_tail_day(g, b, h, 1.0 + budget / (1.0 - F))
     return None if tail is None else (F, runs, tail)
 

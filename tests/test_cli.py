@@ -511,6 +511,21 @@ class TestRoundTrips:
         again = parse_distribution(p.to_json())
         assert again.support == p.support
 
+    @pytest.mark.parametrize("argv", [
+        ("threshold", "--dist", TWOPOINT, "--b", "50", "--lambda", "0.5", "--eta", "2"),
+        ("waterfill", "--dist", TWOPOINT, "--b", "50", "--r", "2"),
+        ("metrics", "--dist", TWOPOINT, "--dist2", TWO_ATOM),
+    ], ids=["threshold", "waterfill", "metrics"])
+    def test_dist_file_reads_as_its_inline_json(self, capsys, tmp_path, argv):
+        from_files = list(argv)
+        for i in range(1, len(argv)):
+            if argv[i - 1] in ("--dist", "--dist2"):
+                path = tmp_path / f"{argv[i - 1][2:]}.json"
+                path.write_text(argv[i])
+                from_files[i] = str(path)
+        inline = run_cli(capsys, *argv)
+        assert inline[0] == 0 and run_cli(capsys, *from_files) == inline
+
 
 class TestPublishedFlag:
     def test_published_policy_is_level_restricted(self, capsys):

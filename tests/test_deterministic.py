@@ -276,6 +276,10 @@ class TestRobustConsistentBound:
         with pytest.raises(InvalidParamsError, match="finite"):
             robust_consistent_bound(worked_example, 3, 0.5, eta=eta)
 
+    def test_unknown_metric_rejected(self, worked_example):
+        with pytest.raises(InvalidParamsError, match="unknown metric 'l1'"):
+            robust_consistent_bound(worked_example, 3, 0.5, eta=0.0, metric="l1")
+
     def test_binding_selects_smaller(self, worked_example):
         rep = robust_consistent_bound(worked_example, 3, 0.9, eta=0.0)
         smaller = min(rep.robust_term, rep.consistent_term)

@@ -212,6 +212,10 @@ class TestStoppingDistribution:
         assert again.days == f.days
         assert all(abs(a - c) < 1e-12 for a, c in zip(again.masses, f.masses))
 
+    def test_policy_without_pmf_rejected(self):
+        with pytest.raises(InvalidParamsError, match="'pmf' key"):
+            parse_policy({})
+
 
 class TestCostFunction:
     def test_one_hot_shape(self):
@@ -287,24 +291,42 @@ class TestCostFunction:
         with pytest.raises(ValueError):
             g.slope[0] = 0.5  # read-only: the cached walk tables could not follow a write
 
-    @pytest.mark.parametrize("columns", [
-        ([0, 3], [3, math.inf], [1.0], [1.0, 2.0]),
-        ([], [], [], []),
-        ([0], [math.inf], [0.0], [2.0]),
-        ([[0, 3]], [[3, math.inf]], [[1.0, 0.0]], [[1.0, 2.0]]),
-        ([1, 3], [3, math.inf], [1.0, 0.0], [1.0, 2.0]),
-        ([0, 4], [3, math.inf], [1.0, 0.0], [1.0, 2.0]),
-        ([0, 3, 3], [3, 3, math.inf], [1.0, 0.5, 0.0], [1.0, 1.5, 2.0]),
-        ([0, 2.5], [2.5, math.inf], [1.0, 0.0], [1.0, 2.0]),
-        ([0, 3], [3, 9], [1.0, 0.0], [1.0, 2.0]),
-        ([0, 3], [3, math.inf], [1.0, 0.5], [1.0, 2.0]),
-        ([0, 3], [3, math.inf], [math.nan, 0.0], [1.0, 2.0]),
-        ([0, 3], [3, math.inf], [1.0, 0.0], [1.0, math.inf]),
-    ], ids=["unequal", "empty", "tail_only", "two_dim", "not_from_zero", "gap", "empty_row",
-            "fractional_day", "no_infinite_end", "sloped_tail", "nan_slope", "infinite_intercept"])
-    def test_rejects_malformed_tables(self, columns):
-        with pytest.raises(InvalidParamsError):
+    SHAPE = "cost function columns must be 1-d and of equal length"
+    ROW = "cost function needs a row before its constant tail"
+    TILE = "cost function rows must tile (0, inf) at integer days"
+    FINITE = "cost function slopes and intercepts must be finite"
+
+    @pytest.mark.parametrize("columns, message", [
+        (([0, 3], [3, math.inf], [1.0], [1.0, 2.0]), SHAPE),
+        (([0, 3], [3, math.inf], [1.0, 0.0], [1.0, 2.0, 3.0]), SHAPE),
+        (([], [], [], []), ROW),
+        (([0], [math.inf], [0.0], [2.0]), ROW),
+        (([[0, 3]], [[3, math.inf]], [[1.0, 0.0]], [[1.0, 2.0]]), SHAPE),
+        (([1, 3], [3, math.inf], [1.0, 0.0], [1.0, 2.0]), TILE),
+        (([0, 4], [3, math.inf], [1.0, 0.0], [1.0, 2.0]), TILE),
+        (([0, 3, 6], [4, 6, math.inf], [1.0, 0.5, 0.0], [1.0, 1.5, 2.0]), TILE),
+        (([0, 3, 3], [3, 3, math.inf], [1.0, 0.5, 0.0], [1.0, 1.5, 2.0]), TILE),
+        (([0, 2.5], [2.5, math.inf], [1.0, 0.0], [1.0, 2.0]), TILE),
+        (([0, 3], [3, 9], [1.0, 0.0], [1.0, 2.0]), TILE),
+        (([0, 3], [3, math.inf], [1.0, 0.5], [1.0, 2.0]),
+         "cost function must end in a constant tail"),
+        (([0, 3], [3, math.inf], [math.nan, 0.0], [1.0, 2.0]), FINITE),
+        (([0, 3], [3, math.inf], [-math.inf, 0.0], [1.0, 2.0]), FINITE),
+        (([0, 3], [3, math.inf], [1.0, 0.0], [1.0, math.inf]), FINITE),
+    ], ids=["unequal", "unequal_intercept", "empty", "tail_only", "two_dim", "not_from_zero",
+            "gap", "overlap", "empty_row", "fractional_day", "no_infinite_end", "sloped_tail",
+            "nan_slope", "infinite_slope", "infinite_intercept"])
+    def test_rejects_malformed_tables(self, columns, message):
+        with pytest.raises(InvalidParamsError) as caught:
             CostFunction(*columns)
+        assert type(caught.value) is InvalidParamsError and str(caught.value) == message
+
+    def test_stores_read_only_copies(self):
+        columns = [np.array(c, dtype=float) for c in ([0, 3], [3, math.inf], [1.0, 0.0], [1.0, 2.0])]
+        g = CostFunction(*columns)
+        for stored, given in zip((g.lo, g.hi, g.slope, g.intercept), columns):
+            assert not stored.flags.writeable and given.flags.writeable
+            assert not np.shares_memory(stored, given)
 
 
 class TestRobustnessCheck:
@@ -460,6 +482,10 @@ class TestGeometricCdf:
                 continue
             x0 = math.ceil(math.log(R / (R - 1)) / math.log(b / (b - 1)) - 1e-12)
             assert geometric_cdf(b, R).max_day == x0
+
+    @pytest.mark.parametrize("R", [1, 0.5])
+    def test_no_robustness_at_or_below_1(self, R):
+        assert feasible_robustness(50, R) is False
 
     def test_infeasible_r_raises(self):
         # below 1 + 1/((b/(b-1))^b - 1) no robust policy exists at all
@@ -1011,6 +1037,42 @@ class TestFillWalk:
                 assert all(s > e + 1 for (_, e, _), (s, _, _) in zip(got[1], got[1][1:]))
         assert compared > 3000 and partial > 300, (compared, partial)
         assert jumps > 2500 and interior > 1400, (jumps, interior)
+
+    def test_tail_follows_the_last_run_day(self, rng, monkeypatch):
+        # _tight_policy appends a partial fill's tail as a day of its own, and
+        # _fill_pass leaves a negative moment budget to the tail test: both rest on
+        # a tail at or after b and after the last run day, and on a day bound
+        # 1 + budget / (1 - F) of at most 1 finding no tail
+        tail_tests = []  # per tail test: its day bound and the day it found
+        best_tail_day = randomized._best_tail_day
+
+        def recording(g, b, h, t_max):
+            tail_tests.append((t_max, best_tail_day(g, b, h, t_max)))
+            return tail_tests[-1][1]
+
+        monkeypatch.setattr(randomized, "_best_tail_day", recording)
+        inputs = [(g, b, R) for g, b, R, _ in fill_instances(rng)]
+        inputs += [(g, b, R) for i, (g, b) in enumerate(walk_inputs(rng))
+                   for R in ((1.7, 2.5), (2.0, 4.0))[i % 2] if feasible_robustness(b, R)]
+        partial = 0
+        for g, b, R in inputs:
+            costs = np.unique(g.values_at(candidate_days(g, b))).tolist()
+            for h in (*costs, *(math.nextafter(c, -math.inf) for c in costs)):
+                fill = randomized._fill_pass(g, b, R, h, skip_settled=True)
+                if fill is None or fill[2] is None:
+                    continue
+                partial += 1
+                _, runs, tail = fill
+                # so no run ends on day b, and the tail never shares a run's day
+                assert tail >= b and (not runs or runs[-1][1] < b), (b, R, h, fill)
+            # a budget below 0 (a rounding, as tight runs leave mu <= (R - 1) b)
+            # gives a bound below 1
+            for t_max in (math.nextafter(1.0, -math.inf), -1e300, -math.inf):
+                assert best_tail_day(g, b, math.inf, t_max) is None, (b, t_max)
+        assert partial > 4000, partial
+        # a bound of exactly 1 is a run that ended on day b, whose budget is exactly 0.0
+        no_room = [day for t_max, day in tail_tests if t_max <= 1.0]
+        assert no_room == [None] * len(no_room) and len(no_room) > 3000, len(no_room)
 
     def test_level_tables_bound_the_rows(self, rng):
         # sure[i]: rows 0..i wholly active; rest[i]: rows i.. all idle, under the
