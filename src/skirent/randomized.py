@@ -23,7 +23,7 @@ def _check_scale(b: int) -> None:
     days, and in the checks and level searches, which build none, to keep them to
     the b that ``water_fill`` accepts."""
     if b > MAX_DAYS:
-        raise ScaleExceededError(f"b={b} needs arrays of b days, over {MAX_DAYS}")
+        raise ScaleExceededError(f"b={b} is above {MAX_DAYS}, the largest b water_fill accepts")
 
 
 class StoppingDistribution(_Pmf):
