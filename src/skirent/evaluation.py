@@ -9,7 +9,7 @@ from typing import Iterable
 import numpy as np
 
 from .baselines import BaselineKind, baseline_policy
-from .deterministic import expected_cost_threshold, optimal_threshold
+from .deterministic import NEVER, clamp_threshold, expected_cost_threshold, optimal_threshold
 from .distributions import (
     DayDistribution,
     Family,
@@ -214,15 +214,15 @@ def case_study_lambda_third(b: int) -> tuple[float, float]:
     """Two-atom horizon study at clamp parameter 1/3.
 
     The horizon is 2b/3 or 2b with equal probability.  Returns the expected
-    cost of the best buy day inside the clamp interval [b/3, 3b] together with
-    the 4b/3 cost of the point-prediction deterministic comparator (which buys
-    at b/3 or 3b).  With b divisible by 6 both values are exact: (7b/6, 4b/3).
+    cost of the best buy day inside the clamp interval [b/3, 3b], which is
+    ``clamp_threshold``'s at lambda = 1/3, together with the 4b/3 cost of the
+    point-prediction deterministic comparator (which buys at b/3 or 3b).  With
+    b divisible by 6 both values are exact: (7b/6, 4b/3).
     """
     b = _as_b(b)
     if b % 6 != 0:
         raise InvalidParamsError("b must be divisible by 6 so all costs are exact")
     p = DayDistribution((2 * b // 3, 2 * b), (0.5, 0.5))
-    lo = math.ceil(b / 3 - 1e-9)
-    hi = math.floor(3 * b + 1e-9)
+    lo, hi = clamp_threshold(1, b, 1 / 3), clamp_threshold(NEVER, b, 1 / 3)
     best = min(expected_cost_threshold(p, b, t) for t in range(lo, hi + 1))
     return best, 4.0 * b / 3.0

@@ -358,7 +358,24 @@ def draw_instance(rng: np.random.Generator, b_max: int) -> tuple[DayDistribution
 # Each property checks one instance (p, b, R) and returns a failure message, or
 # None when it holds.  It raises InfeasibleError when no R-robust policy exists
 # and the checked code and its oracle agree on that, so the instance compares
-# nothing; any other SkirentError it raises is a failure of the checked code.
+# nothing (``_agreeing`` runs the two sides so); any other SkirentError it raises
+# is a failure of the checked code.
+
+def _agreeing(reference, checked) -> tuple:
+    """``reference()`` and ``checked()``, each None where it raises InfeasibleError;
+    when both raise, the checked side's error propagates."""
+    try:
+        want = reference()
+    except InfeasibleError:
+        want = None
+    try:
+        got = checked()
+    except InfeasibleError:
+        if want is None:
+            raise
+        got = None
+    return want, got
+
 
 def threshold_matches_scan(p: DayDistribution, b: int, R: float) -> str | None:
     """``optimal_threshold`` picks the exhaustive scan's buy day and cost (R is unused)."""
@@ -371,16 +388,8 @@ def threshold_matches_scan(p: DayDistribution, b: int, R: float) -> str | None:
 def _matches_lp(what: str, solve, p: DayDistribution, b: int, R: float) -> str | None:
     """``solve(g)`` costs the LP optimum, and finds no policy exactly when the LP finds none."""
     g = build_cost_function(p, b)
-    try:
-        optimum = lp_solve(lp_instance_from_cost(g, b, R))[1]
-    except InfeasibleError:
-        optimum = None
-    try:
-        cost = solve(g)
-    except InfeasibleError:
-        if optimum is None:
-            raise  # no R-robust policy, and the oracle agrees
-        cost = None
+    optimum, cost = _agreeing(lambda: lp_solve(lp_instance_from_cost(g, b, R))[1],
+                              lambda: solve(g))
     if cost is None or optimum is None or abs(cost - optimum) > 1e-6:
         return f"b={b}, R={R}: {what} costs {cost}, the LP optimum is {optimum} (None: no policy)"
     return None
@@ -419,16 +428,8 @@ def exact_no_worse_than_published(p: DayDistribution, b: int, R: float) -> str |
     """Exact ``water_fill`` costs at most the published fill, within 1e-9 (1 + |published|),
     and the two find no policy together."""
     g = build_cost_function(p, b)
-    try:
-        published = water_fill(g, b, R, exact=False)[1]
-    except InfeasibleError:
-        published = None
-    try:
-        exact = water_fill(g, b, R)[1]
-    except InfeasibleError:
-        if published is None:
-            raise  # no R-robust policy, in either mode
-        exact = None
+    published, exact = _agreeing(lambda: water_fill(g, b, R, exact=False)[1],
+                                 lambda: water_fill(g, b, R)[1])
     if exact is None or published is None or exact > published + 1e-9 * (1.0 + abs(published)):
         return (f"b={b}, R={R}: exact water_fill costs {exact}, the published fill {published} "
                 f"(None: no policy)")

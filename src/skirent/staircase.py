@@ -97,7 +97,9 @@ def _taken(prices: list[float], cut: float, bland: bool) -> int:
 
 
 class _Basis(NamedTuple):
-    """A basis as pieces: the runs of one kind over days 1..b-1, each C day alone."""
+    """A basis as pieces: the maximal runs of one kind over days 1..b-1, each C day
+    alone.  No two neighbours share a kind other than C: ``warm_basis`` puts a gap
+    between runs, and ``_set_bit`` merges a changed day into a neighbour of its kind."""
 
     pieces: list  # (kind, first day, last day), in day order
     starts: list[int]  # the pieces' first days
@@ -448,20 +450,16 @@ class Staircase:
     def _prices(self, dual: _Dual, i: int, days) -> list[float]:
         """Prices on ``days`` of piece i: f's, c_t + E - (e - t) W, off an A run;
         along one the slack's, (b-1) y_x = (b-1) (W_x - W_{x+1}), with each W
-        by the run's closed form and W_b = y_T."""
-        pieces, b = dual.basis.pieces, self.b
-        kind, _, e = pieces[i]
-        W = dual.W[i]
+        by the run's closed form, W_b = y_T, and W_{e+1} the next piece's W: that
+        piece is no A run (``_Basis``), so W is constant along it."""
+        kind, _, e = dual.basis.pieces[i]
+        b, W = self.b, dual.W[i]
         if kind != _A:
             c, E = self.c_at, dual.E[i]
             return [c[t - 1] + (E - (e - t) * W) for t in days]
         expm1, inv_growth, H = self.expm1, self.inv_growth, self.H
-        H_e, after = H[e], dual.y_T
-        if e < b - 1:  # W on the next piece's first day
-            kind, _, last = pieces[i + 1]
-            after = dual.W[i + 1]
-            if kind == _A:
-                after += expm1[last - e - 1] * after + inv_growth[e] * (H[e + 1] - H[last])
+        H_e = H[e]
+        after = dual.W[i + 1] if e < b - 1 else dual.y_T
         return [(b - 1.0) * (W + (expm1[e - x] * W + inv_growth[x - 1] * (H[x] - H_e))
                              - (W + (expm1[e - x - 1] * W + inv_growth[x] * (H[x + 1] - H_e))
                                 if x < e else after)) for x in days]

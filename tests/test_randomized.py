@@ -2059,6 +2059,57 @@ class TestStaircaseSimplex:
                     randomized._lp_refine(g, b, R, level_fill(g, b, R))
         assert seen["bases"] > 100 and seen["vertices"] > 100, seen
 
+    def test_bases_are_maximal_pieces(self, monkeypatch):
+        # ``_prices`` reads W past an A run's end from the next piece, which it
+        # takes to be no A run: every basis's pieces tile days 1..b-1, and no
+        # two neighbours share a kind other than C
+        seen = {"warm": 0, "pivot": 0}
+        warm_basis, pivot = staircase.Staircase.warm_basis, staircase.Staircase.pivot
+
+        def checked(basis, b, how):
+            seen[how] += 1
+            kinds, starts, ends = zip(*basis.pieces)
+            assert list(starts) == basis.starts == [1, *(e + 1 for e in ends[:-1])], basis
+            assert ends[-1] == b - 1 and all(s <= e for s, e in zip(starts, ends)), basis
+            assert all(kind != after or kind == staircase._C
+                       for kind, after in zip(kinds, kinds[1:])), basis
+            return basis
+
+        monkeypatch.setattr(staircase.Staircase, "warm_basis",
+                            lambda self, fill: checked(warm_basis(self, fill), self.b, "warm"))
+        monkeypatch.setattr(staircase.Staircase, "pivot",
+                            lambda self, *args: checked(pivot(self, *args), self.b, "pivot"))
+        for g, b, R in (*table_cells(), *sparse_cells()):
+            water_fill(g, b, R)
+        assert seen["warm"] > 50 and seen["pivot"] > 500, seen
+
+    def test_step_that_nothing_blocks_is_unbounded(self):
+        g = build_cost_function(table_prediction("geom"), 50)
+        lp = staircase.Staircase(g, 50, 2.0)
+        basis = lp.warm_basis(level_fill(g, 50, 2.0))
+        entering = lp.entering(lp.dual(basis), 1e-12 * (1.0 + float(np.abs(lp.c).max())), False)
+        assert entering >= 0
+        vertex = lp.primal(basis, entering)
+        unbounded = vertex._replace(blocking=[(value, abs(change), number)
+                                              for value, change, number in vertex.blocking])
+        with pytest.raises(ArithmeticError, match="unbounded step"):
+            lp.leaving(unbounded)
+
+    def test_infeasible_basic_solution_warns_and_keeps_the_fill(self, monkeypatch):
+        # the geom fill's first pricing fails, so the simplex solves for a vertex
+        g = build_cost_function(table_prediction("geom"), 50)
+        fill = level_fill(g, 50, 2.0)
+        primal = staircase.Staircase.primal
+
+        def below_zero(self, *args):
+            vertex = primal(self, *args)
+            return vertex._replace(blocking=[(-1.0, -1.0, 0), *vertex.blocking])
+
+        monkeypatch.setattr(staircase.Staircase, "primal", below_zero)
+        with pytest.warns(RuntimeWarning, match=r"stopped after 0 pivots on a numerical "
+                                                r"breakdown \(basic solution infeasible\)"):
+            assert randomized._lp_refine(g, 50, 2.0, fill) is fill
+
     def test_pricing_picks_what_every_price_picks(self, rng):
         # the pricing probes each stretch of one piece and one cost row at its
         # ends; on random bases and duals it must pick what the per-day prices,
@@ -2144,8 +2195,9 @@ class TestStaircaseSimplex:
         ([[1.0, 0.0]], "singular"),
         ([[1.0, 0.0, 0.0], [2.0, 0.0, 3.0]], "singular"),
         ([[1.0, 1.0, 2.0], [2.0, 2.0, 4.0]], "singular"),
+        ([[1e10, 1e-300, 0.0], [0.0, 0.0, 1.0]], "singular"),
         ([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]], "not square"),
-    ], ids=["zero_pivot", "zero_column", "singular_pair", "three_rows"])
+    ], ids=["zero_pivot", "zero_column", "singular_pair", "overflow", "three_rows"])
     def test_solve_unknowns_rejects_singular_and_larger_bases(self, rows, message):
         with pytest.raises(ArithmeticError, match=message):
             staircase._solve_unknowns(rows, 1)
