@@ -16,8 +16,8 @@ from .errors import (InfeasibleError, InvalidParamsError, InvalidRError, Invaria
                      ScaleExceededError)
 from .randomized import (CostFunction, StoppingDistribution, _construct_at_level, _envelope,
                          _fill_pass, _full_log, _log_gamma, build_cost_function,
-                         check_robustness, expected_policy_cost, feasible_robustness,
-                         geometric_cdf, minimal_water_level, onehot_exact, water_fill)
+                         check_robustness, feasible_robustness, geometric_cdf,
+                         minimal_water_level, water_fill)
 
 MAX_HORIZON = 400
 
@@ -385,27 +385,16 @@ def threshold_matches_scan(p: DayDistribution, b: int, R: float) -> str | None:
     return None
 
 
-def _matches_lp(what: str, solve, p: DayDistribution, b: int, R: float) -> str | None:
-    """``solve(g)`` costs the LP optimum, and finds no policy exactly when the LP finds none."""
+def water_fill_matches_lp(p: DayDistribution, b: int, R: float) -> str | None:
+    """Exact ``water_fill`` is cost-optimal: it matches the LP oracle, and finds no
+    policy exactly when the LP finds none."""
     g = build_cost_function(p, b)
     optimum, cost = _agreeing(lambda: lp_solve(lp_instance_from_cost(g, b, R))[1],
-                              lambda: solve(g))
+                              lambda: water_fill(g, b, R)[1])
     if cost is None or optimum is None or abs(cost - optimum) > 1e-6:
-        return f"b={b}, R={R}: {what} costs {cost}, the LP optimum is {optimum} (None: no policy)"
+        return (f"b={b}, R={R}, days {p.days}: water_fill costs {cost}, the LP optimum is "
+                f"{optimum} (None: no policy)")
     return None
-
-
-def water_fill_matches_lp(p: DayDistribution, b: int, R: float) -> str | None:
-    """Exact ``water_fill`` is cost-optimal: it matches the LP oracle."""
-    return _matches_lp("water_fill", lambda g: water_fill(g, b, R)[1], p, b, R)
-
-
-def onehot_matches_lp(p: DayDistribution, b: int, R: float) -> str | None:
-    """``onehot_exact``, exact water filling on a one-hot p, is cost-optimal: it matches
-    the LP oracle."""
-    (y,) = p.days
-    return _matches_lp(f"onehot_exact at y={y}",
-                       lambda g: expected_policy_cost(onehot_exact(b, R, y), g), p, b, R)
 
 
 def geometric_robust_when_feasible(p: DayDistribution, b: int, R: float) -> str | None:
@@ -505,4 +494,4 @@ PROPERTIES = {
 }
 # and over one-hot predictions
 ONEHOT_PROPERTIES = {
-    "onehot_exact (exact water filling on a one-hot) matches the LP oracle": onehot_matches_lp}
+    "onehot_exact (exact water filling on a one-hot) matches the LP oracle": water_fill_matches_lp}

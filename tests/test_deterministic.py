@@ -192,6 +192,19 @@ class TestCrBounds:
         with pytest.raises(DegenerateTailError):
             cr_bound_early(p, 5, 2)
 
+    @pytest.mark.parametrize("call, t, match", [
+        (cr_bound_early, 6, "early-buy bound needs a finite threshold t <= b"),
+        (cr_bound_early, NEVER, "early-buy bound needs a finite threshold t <= b"),
+        (cr_bound_late, 5, "late-buy bound needs a finite threshold t > b"),
+        (cr_bound_late, NEVER, "late-buy bound needs a finite threshold t > b"),
+        (lambda p, b, t: sufficient_condition_check(p, b, t, 2.0), NEVER,
+         "condition check needs a finite threshold")],
+        ids=["early_past_b", "early_never", "late_at_b", "late_never", "sufficient_never"])
+    def test_threshold_outside_the_bound_is_rejected(self, worked_example, call, t, match):
+        with pytest.raises(InvalidParamsError, match=match) as raised:
+            call(worked_example, 5, t)
+        assert raised.type is InvalidParamsError
+
 
 class TestSufficientCondition:
     def test_late_condition_at_b2(self):

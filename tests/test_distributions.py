@@ -100,6 +100,34 @@ class RejectingGenerator:
         return low + (high - low) * self._draws.unit()
 
 
+def fixed_uniforms(value, pick):
+    """A draw source and a Generator stand-in whose uniform(0, 1) reads ``value`` where
+    ``pick`` holds for the top 53 bits of its raw output, and numpy's draw elsewhere.
+    A uniform reads those bits of one raw output, where ``_Draws._unit`` scales
+    them; both sides spend one output on each uniform and read numpy's bits for
+    the integers, so they read the same stream."""
+    class Draws(distributions._Draws):
+        @staticmethod
+        def _unit(out):
+            top = out >> 11
+            if isinstance(out, np.ndarray):  # a decoded batch's uniforms
+                return np.where(pick(top), value, top * 2.0**-53)
+            return value if pick(top) else top * 2.0**-53
+
+    class Generator:
+        def __init__(self, seed):
+            self._rng = np.random.default_rng(seed)
+
+        def integers(self, *args):
+            return self._rng.integers(*args)
+
+        def uniform(self, low, high):
+            u = self._rng.random()  # the draw uniform(low, high) scales
+            return low + (high - low) * (value if pick(int(u * 2**53)) else u)
+
+    return Draws, Generator
+
+
 class IndexedDraws(distributions._Draws):
     """A draw source whose raw output i is ((2i + 1) << 32) | 2i: each 32-bit word
     holds its own offset, and each output twice its own."""
@@ -519,36 +547,26 @@ class TestPerturbation:
     def test_matches_rebuilding_loop_when_atoms_empty(self, rng, monkeypatch):
         # moving drawn slivers whole empties atoms and refills emptied ones; when
         # only some are whole, a partial sliver can also revive an emptied day.
-        # A uniform reads the top 53 bits of one raw output, where _Draws._unit
-        # scales them: where ``whole`` holds for them it reads 1.0 instead, so the
-        # sliver is its whole cap.  Both sides spend one output on each uniform
-        # and read numpy's bits for the integers, so they read the same stream.
-        class WholeUnits(distributions._Draws):
-            @staticmethod
-            def _unit(out):
-                top = out >> 11
-                if isinstance(out, np.ndarray):  # a decoded batch's uniforms
-                    return np.where(whole(top), 1.0, top * 2.0**-53)
-                return 1.0 if whole(top) else top * 2.0**-53
-
-        class WholeSliver:
-            def __init__(self, seed):
-                self._rng = np.random.default_rng(seed)
-
-            def integers(self, *args):
-                return self._rng.integers(*args)
-
-            def uniform(self, low, high):
-                u = self._rng.random()  # the draw uniform(low, high) scales
-                return high if whole(int(u * 2**53)) else low + (high - low) * u
-
-        monkeypatch.setattr(distributions, "_Draws", WholeUnits)
+        # A uniform that reads 1.0 makes the sliver its whole cap
         for whole in (lambda top: True, lambda top: top & 1):  # every sliver, odd draws
+            draws, generator = fixed_uniforms(1.0, whole)
+            monkeypatch.setattr(distributions, "_Draws", draws)
             for seed in range(100):
                 p = random_day_distribution(rng, max_day=30, max_atoms=10)
                 for eta in PERTURB_ETAS:
                     q = perturb_wasserstein(p, eta, seed)
-                    assert q.support == perturb_reference(p, eta, seed, WholeSliver).support
+                    assert q.support == perturb_reference(p, eta, seed, generator).support
+
+    def test_matches_rebuilding_loop_when_slivers_are_empty(self, rng, monkeypatch):
+        # a uniform reads 0.0 with odds 2^-53, and its sliver moves nothing: neither
+        # loop may then list the destination as an atom, which later moves would draw
+        draws, generator = fixed_uniforms(0.0, lambda top: top & 1)
+        monkeypatch.setattr(distributions, "_Draws", draws)
+        for seed in range(100):
+            p = random_day_distribution(rng, max_day=30, max_atoms=10)
+            for eta in PERTURB_ETAS:
+                q = perturb_wasserstein(p, eta, seed)
+                assert q.support == perturb_reference(p, eta, seed, generator).support
 
     def test_matches_draw_source_when_words_reject(self, rng, monkeypatch):
         # numpy's stream rejects a word for a bound n with odds below n/2^32, so
@@ -662,14 +680,31 @@ class TestJson:
         with pytest.raises(InvalidParamsError, match="integer"):
             parse_policy({"pmf": [[1.5, 0.5], [2.7, 0.5]]})
 
-    @pytest.mark.parametrize("text", [
-        '{"family": "nope", "params": {}}',
-        '{"family": "uniform", "params": [1, 5]}',
-        '{"family": "gaussian_discretized", "params": {"mean": "x", "stddev": 1, "high": 5}}',
-    ])
-    def test_rejects_bad_family_spec(self, text):
-        with pytest.raises(InvalidParamsError):
+    @pytest.mark.parametrize("text, match", [
+        *(pytest.param(text, match, id=text) for text, match in [
+            ('{"family": "nope", "params": {}}', "unknown family 'nope'"),
+            ('{"family": "uniform", "params": [1, 5]}', "family params must be an object"),
+            ('{"family": "gaussian_discretized", "params": {"mean": "x", "stddev": 1, '
+             '"high": 5}}', "parameter 'mean' must be a finite number")]),
+        pytest.param('{"family": "uniform", "params": {"low": 2}}', "missing parameter 'high'",
+                     id="range_without_high"),
+        pytest.param('{"family": "custom", "params": {"atoms": {"3": 1.0}}}', "non-empty list",
+                     id="atoms_not_a_list"),
+        pytest.param('{"family": "custom", "params": {"atoms": []}}', "non-empty list",
+                     id="atoms_empty"),
+        pytest.param('{"family": "custom", "params": {"atoms": [[3, 0.5], [4, 0.5, 1]]}}',
+                     "pair", id="entry_of_three"),
+        pytest.param('{"family": "custom", "params": {"atoms": [3]}}', "pair",
+                     id="entry_not_a_pair"),
+        pytest.param('{"family": "two_point", "params": {"atoms": [[3, 1.0]]}}',
+                     "exactly two atoms", id="two_point_of_one"),
+        pytest.param('{"family": "two_point", "params": {"atoms": [[1, 0.2], [2, 0.3], '
+                     '[3, 0.5]]}}', "exactly two atoms", id="two_point_of_three"),
+        pytest.param('[[3, 1.0]]', "must be an object", id="not_an_object")])
+    def test_rejects_bad_family_spec(self, text, match):
+        with pytest.raises(InvalidParamsError, match=match) as raised:
             parse_distribution(text)
+        assert raised.type is InvalidParamsError
 
     def test_rejects_garbage(self):
         with pytest.raises(InvalidParamsError):
@@ -768,11 +803,14 @@ def test_real_forms_give_identical_results(name):
 
 
 @pytest.mark.parametrize("name", REAL_PARAMETERS)
-@pytest.mark.parametrize("bad", [True, np.True_, "1.7", None, math.nan, math.inf, -math.inf],
-                         ids=["true", "np_true", "text", "none", "nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("bad", [True, np.True_, "1.7", None, math.nan, math.inf, -math.inf,
+                                 10**400],
+                         ids=["true", "np_true", "text", "none", "nan", "inf", "minus_inf",
+                              "int_past_float_range"])
 def test_bad_real_forms_rejected(name, bad):
     # atom masses and family parameters read True and "50" as numbers, a pmf read
-    # a mass "1" as 1.0, and feasible_robustness raised a bare TypeError on "2"
+    # a mass "1" as 1.0, and feasible_robustness raised a bare TypeError on "2";
+    # an int past float range reads as an infinity
     call, _ = REAL_PARAMETERS[name]
     with pytest.raises(InvalidParamsError, match="finite number"):
         call(bad)

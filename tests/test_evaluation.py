@@ -191,6 +191,13 @@ class TestPerturbationSweep:
         again = run_perturbation_sweep(eta_grid=(0.0, 4.0), n_trials=3, seed=11)
         assert again.to_csv() == small_sweep.to_csv()
 
+    @pytest.mark.parametrize("policy, eta", [("nope", None), ("water_fill", 2.0)],
+                             ids=["unknown_policy", "eta_off_the_grid"])
+    def test_mean_over_no_rows_is_rejected(self, small_sweep, policy, eta):
+        with pytest.raises(InvalidParamsError, match="no rows for policy") as raised:
+            small_sweep.mean_consistency(policy, eta)
+        assert raised.type is InvalidParamsError
+
     def test_seed_changes_results(self, small_sweep):
         other = run_perturbation_sweep(eta_grid=(0.0, 4.0), n_trials=3, seed=12)
         assert other.to_csv() != small_sweep.to_csv()

@@ -12,6 +12,7 @@ from skirent import (
     InvalidParamsError,
     LpInstance,
     ScaleExceededError,
+    StoppingDistribution,
     brute_force_threshold,
     build_cost_function,
     check_robustness,
@@ -235,7 +236,107 @@ def instances(draw):
     return p, b, R, draw(st.integers(1, 4 * b))
 
 
+def late_threshold(real):
+    """``optimal_threshold`` answering one day late."""
+    def threshold(p, b):
+        t, cost = real(p, b)
+        return t + 1, cost
+    return threshold
+
+
+def costlier_exact(real):
+    """``water_fill`` costing 1e-3 more in exact mode."""
+    def fill(g, b, R, epsilon=None, exact=True):
+        policy, cost = real(g, b, R, epsilon, exact)
+        return policy, cost + 1e-3 if exact else cost
+    return fill
+
+
+def later_tail(real):
+    """``_fill_pass`` putting its tail one day later."""
+    def fill_pass(*args, **kwargs):
+        fill = real(*args, **kwargs)
+        return fill if fill is None or fill[2] is None else (*fill[:2], fill[2] + 1)
+    return fill_pass
+
+
+def later_last_mass(real):
+    """``_construct_at_level`` moving its last day's mass one day later."""
+    def construct(*args):
+        policy = real(*args)
+        if policy is None:
+            return None
+        *rest, (day, mass) = policy.support
+        return StoppingDistribution.from_pairs([*rest, (day + 1, mass)])
+    return construct
+
+
+def extra_atom(real):
+    """``perturb_wasserstein`` adding an atom of mass 1e-9 past its last day."""
+    def perturb(p, eta, seed):
+        q = real(p, eta, seed)
+        return DayDistribution.from_pairs([*((d, m * (1.0 - 1e-9)) for d, m in q.support),
+                                           (q.max_day + 1, 1e-9)])
+    return perturb
+
+
+def far_one_hot(real):
+    """A perturbation that moves all of p 100 days past its last day, whatever eta."""
+    return lambda p, eta, seed: DayDistribution((p.max_day + 100,), (1.0,))
+
+
+def buy_day_one(real):
+    """A policy builder that always buys on day 1."""
+    return lambda *args: StoppingDistribution((1,), (1.0,))
+
+
+#: Each property with the names it reads in ``skirent.oracle`` replaced by wrong
+#: answers, once per comparison it makes.  At b = 10 and R = 2 every property
+#: compares the two-point prediction and the one-hot at day 15.
+TWO_POINT = DayDistribution((4, 15), (0.5, 0.5))
+WRONG_ANSWERS = [
+    pytest.param("optimal_threshold matches the exhaustive scan", TWO_POINT,
+                 {"optimal_threshold": late_threshold}, id="threshold_a_day_late"),
+    pytest.param("exact water filling matches the LP oracle", TWO_POINT,
+                 {"water_fill": costlier_exact}, id="lp_costlier_exact"),
+    pytest.param("onehot_exact (exact water filling on a one-hot) matches the LP oracle",
+                 DayDistribution((15,), (1.0,)), {"water_fill": costlier_exact},
+                 id="onehot_lp_costlier_exact"),
+    pytest.param("geometric_cdf is R-robust exactly when feasible", TWO_POINT,
+                 {"geometric_cdf": buy_day_one}, id="geometric_buys_on_day_1"),
+    pytest.param("exact water filling is no worse than published", TWO_POINT,
+                 {"water_fill": costlier_exact}, id="exact_costlier"),
+    pytest.param("the published fill matches the per-row reference walk", TWO_POINT,
+                 {"_fill_pass": later_tail}, id="fill_tail_a_day_late"),
+    pytest.param("the published fill matches the per-row reference walk", TWO_POINT,
+                 {"_construct_at_level": later_last_mass}, id="policy_mass_a_day_late"),
+    pytest.param("perturb_wasserstein matches numpy's Generator move loop within its budget",
+                 TWO_POINT, {"perturb_wasserstein": extra_atom}, id="perturbation_extra_atom"),
+    # the reference agrees on the support, so that the budget is compared
+    pytest.param("perturb_wasserstein matches numpy's Generator move loop within its budget",
+                 TWO_POINT, {"perturb_wasserstein": far_one_hot, "perturb_reference": far_one_hot},
+                 id="perturbation_over_budget"),
+    pytest.param("both baselines are R-robust", TWO_POINT, {"baseline_policy": buy_day_one},
+                 id="baselines_buy_on_day_1"),
+]
+
+
 class TestProperties:
+    @pytest.mark.parametrize("name, p, wrong", WRONG_ANSWERS)
+    def test_wrong_answer_fails_its_property(self, monkeypatch, name, p, wrong):
+        # a property that cannot fail checks nothing
+        prop = {**PROPERTIES, **ONEHOT_PROPERTIES}[name]
+        assert prop(p, 10, 2.0) is None
+        for attr, make in wrong.items():
+            monkeypatch.setattr(oracle, attr, make(getattr(oracle, attr)))
+        fault = prop(p, 10, 2.0)
+        assert isinstance(fault, str) and fault.startswith("b=10")
+        if name in ONEHOT_PROPERTIES:  # a one-hot's failure names its day
+            assert "days (15,)" in fault
+
+    def test_every_property_has_a_wrong_answer(self):
+        assert {case.values[0] for case in WRONG_ANSWERS} == {*PROPERTIES, *ONEHOT_PROPERTIES}
+
     def test_properties_hold_on_drawn_instances(self):
         # the cross-checks skirent verify runs, on drawn predictions and one-hots;
         # an agreed InfeasibleError compares nothing, and any other error fails

@@ -1252,7 +1252,9 @@ class TestWaterFillAtScale:
         (10**6, one_hot(1)),
         (400_000, DayDistribution((1000, 10**6), (0.5, 0.5))),
         (400_000, uniform_days(100)),
-    ], ids=["one_hot_1_at_1000000", "two_point_at_400000", "uniform_100_at_400000"])
+        (500_000, DayDistribution((250_000, 1_500_000), (0.5, 0.5))),
+    ], ids=["one_hot_1_at_1000000", "two_point_at_400000", "uniform_100_at_400000",
+            "two_point_half_b_3b_at_500000"])
     @pytest.mark.xfail(raises=InvariantError,
                        reason="the check's rounding, not the policy: the fill at the "
                               "bisected level reads slacks below -1e-9")

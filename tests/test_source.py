@@ -29,8 +29,8 @@ def test_every_imported_name_is_read(path):
 # fill's own tables, policy or tail test would check that code against itself.
 ORACLE_READS_FROM_RANDOMIZED = [
     "CostFunction", "StoppingDistribution", "_construct_at_level", "_envelope", "_fill_pass",
-    "_full_log", "_log_gamma", "build_cost_function", "check_robustness", "expected_policy_cost",
-    "feasible_robustness", "geometric_cdf", "minimal_water_level", "onehot_exact", "water_fill"]
+    "_full_log", "_log_gamma", "build_cost_function", "check_robustness", "feasible_robustness",
+    "geometric_cdf", "minimal_water_level", "water_fill"]
 
 
 def test_oracle_stays_independent_of_the_fill():
