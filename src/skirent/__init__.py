@@ -47,7 +47,6 @@ from .evaluation import (
     run_perturbation_sweep,
     sweep_true_distribution,
 )
-from .oracle import LpInstance, brute_force_threshold, lp_instance_from_cost, lp_solve
 from .randomized import (
     CostFunction,
     RobustnessReport,

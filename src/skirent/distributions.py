@@ -664,9 +664,7 @@ def make_distribution(spec: FamilySpec) -> DayDistribution:
         return DayDistribution.from_pairs(atoms)
     if family is Family.ONE_HOT:
         return DayDistribution((_as_int(_need(params, "y"), "parameter 'y'", 1),), (1.0,))
-    if family is Family.CUSTOM:
-        return DayDistribution.from_pairs(_parse_atoms(_need(params, "atoms")))
-    raise InvalidParamsError(f"unknown family {spec.family!r}")
+    return DayDistribution.from_pairs(_parse_atoms(_need(params, "atoms")))  # the family left: custom
 
 
 def parse_distribution(source: str | Mapping[str, Any]) -> DayDistribution:

@@ -308,8 +308,9 @@ def _day_lags(runs: list[tuple[int, int, float]]) -> list[tuple[int, float]]:
 def perturb_reference(p: DayDistribution, eta: float, seed: int,
                       make_rng=None) -> DayDistribution:
     """The perturbation's move loop as first written: every value drawn from
-    ``make_rng(seed)``, numpy's ``default_rng`` when None (looked up on a call:
-    ``numpy.random`` takes 5 MB to import), and the atom list rebuilt on every move."""
+    ``make_rng(seed)``, numpy's ``default_rng`` when None, and the atom list rebuilt on
+    every move.  ``default_rng`` is looked up on a call: the CLI loads this module for
+    every command, and ``numpy.random`` takes about 6 MB to import."""
     if eta < 0:
         raise InvalidParamsError("eta must be >= 0")
     if eta == 0:

@@ -17,7 +17,6 @@ from skirent import (
     DayDistribution,
     InfeasibleError,
     baseline_policy,
-    brute_force_threshold,
     build_cost_function,
     case_study_lambda_third,
     check_robustness,
@@ -29,8 +28,6 @@ from skirent import (
     feasible_robustness,
     geometric_cdf,
     level_feasible,
-    lp_instance_from_cost,
-    lp_solve,
     minimal_water_level,
     onehot_exact,
     optimal_threshold,
@@ -41,6 +38,7 @@ from skirent import (
     wasserstein1,
     water_fill,
 )
+from skirent.oracle import brute_force_threshold, lp_instance_from_cost, lp_solve
 from conftest import random_day_distribution
 
 PAPER_TABLE = {

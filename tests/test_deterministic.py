@@ -9,7 +9,6 @@ from skirent import (
     DayDistribution,
     DegenerateTailError,
     InvalidParamsError,
-    brute_force_threshold,
     clamp_threshold,
     cr_bound_early,
     cr_bound_late,
@@ -24,6 +23,7 @@ from skirent import (
     total_variation,
     wasserstein1,
 )
+from skirent.oracle import brute_force_threshold
 from conftest import random_day_distribution
 
 E_RATIO = math.e / (math.e - 1.0)

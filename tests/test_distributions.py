@@ -18,7 +18,6 @@ from skirent import (
     FamilySpec,
     InvalidParamsError,
     InvariantError,
-    LpInstance,
     StoppingDistribution,
     baseline_policy,
     build_cost_function,
@@ -31,8 +30,6 @@ from skirent import (
     feasible_robustness,
     geometric_cdf,
     level_feasible,
-    lp_instance_from_cost,
-    lp_solve,
     make_distribution,
     minimal_water_level,
     onehot_exact,
@@ -51,7 +48,7 @@ from skirent import (
 )
 import skirent.distributions as distributions
 from skirent.evaluation import sweep_true_distribution
-from skirent.oracle import perturb_reference
+from skirent.oracle import LpInstance, lp_instance_from_cost, lp_solve, perturb_reference
 from skirent.randomized import parse_policy
 from conftest import random_day_distribution
 

@@ -1,4 +1,9 @@
+import builtins
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,21 +15,20 @@ from skirent import (
     DayDistribution,
     InfeasibleError,
     InvalidParamsError,
-    LpInstance,
+    InvariantError,
     ScaleExceededError,
     StoppingDistribution,
-    brute_force_threshold,
     build_cost_function,
     check_robustness,
     expected_policy_cost,
     feasible_robustness,
     geometric_cdf,
     is_never,
-    lp_instance_from_cost,
-    lp_solve,
 )
 import skirent.oracle as oracle
-from skirent.oracle import MAX_HORIZON, ONEHOT_PROPERTIES, PROPERTIES, draw_instance
+from skirent.oracle import (MAX_HORIZON, ONEHOT_PROPERTIES, PROPERTIES, LpInstance,
+                            brute_force_threshold, draw_instance, lp_instance_from_cost,
+                            lp_solve)
 from conftest import random_day_distribution
 
 
@@ -290,6 +294,22 @@ def buy_day_one(real):
     return lambda *args: StoppingDistribution((1,), (1.0,))
 
 
+def no_policy(real):
+    """A policy builder that finds no policy."""
+    def build(*args):
+        raise InfeasibleError("no policy")
+    return build
+
+
+def no_exact_policy(real):
+    """``water_fill`` finding no policy in exact mode."""
+    def fill(g, b, R, epsilon=None, exact=True):
+        if exact:
+            raise InfeasibleError("no policy")
+        return real(g, b, R, epsilon, exact)
+    return fill
+
+
 #: Each property with the names it reads in ``skirent.oracle`` replaced by wrong
 #: answers, once per comparison it makes.  At b = 10 and R = 2 every property
 #: compares the two-point prediction and the one-hot at day 15.
@@ -299,13 +319,20 @@ WRONG_ANSWERS = [
                  {"optimal_threshold": late_threshold}, id="threshold_a_day_late"),
     pytest.param("exact water filling matches the LP oracle", TWO_POINT,
                  {"water_fill": costlier_exact}, id="lp_costlier_exact"),
+    # the checked side finds no policy where its reference finds one
+    pytest.param("exact water filling matches the LP oracle", TWO_POINT,
+                 {"water_fill": no_exact_policy}, id="lp_exact_finds_no_policy"),
     pytest.param("onehot_exact (exact water filling on a one-hot) matches the LP oracle",
                  DayDistribution((15,), (1.0,)), {"water_fill": costlier_exact},
                  id="onehot_lp_costlier_exact"),
     pytest.param("geometric_cdf is R-robust exactly when feasible", TWO_POINT,
                  {"geometric_cdf": buy_day_one}, id="geometric_buys_on_day_1"),
+    pytest.param("geometric_cdf is R-robust exactly when feasible", TWO_POINT,
+                 {"geometric_cdf": no_policy}, id="geometric_finds_no_policy"),
     pytest.param("exact water filling is no worse than published", TWO_POINT,
                  {"water_fill": costlier_exact}, id="exact_costlier"),
+    pytest.param("exact water filling is no worse than published", TWO_POINT,
+                 {"water_fill": no_exact_policy}, id="exact_finds_no_policy"),
     pytest.param("the published fill matches the per-row reference walk", TWO_POINT,
                  {"_fill_pass": later_tail}, id="fill_tail_a_day_late"),
     pytest.param("the published fill matches the per-row reference walk", TWO_POINT,
@@ -366,3 +393,95 @@ class TestProperties:
             p, b, R = draw_instance(rng, MAX_HORIZON // 4)
             assert 2 <= b <= MAX_HORIZON // 4 and p.max_day <= 4 * b
             lp_instance_from_cost(build_cost_function(p, b), b, R)
+
+
+class TestGuards:
+    def test_objective_must_list_every_day(self):
+        with pytest.raises(InvalidParamsError, match="objective"):
+            LpInstance(objective=(1.0, 2.0, 3.0), b=2, R=2.0, N=4)
+
+    def test_unbounded_direction_raises(self):
+        # the entering column has no positive entry, so no row limits the step
+        T = np.array([[-1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(InfeasibleError, match="unbounded"):
+            oracle._run_simplex(T, [1], 2, blocked=set())
+
+    def test_simplex_that_never_converges_raises(self, monkeypatch):
+        # a pivot that changes nothing leaves the same column entering on every
+        # pass; the pass cap is cut from 200000 to 3
+        monkeypatch.setattr(oracle, "_pivot", lambda *args: None)
+        monkeypatch.setattr(oracle, "range", lambda n: builtins.range(3), raising=False)
+        T = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(InfeasibleError, match="converge"):
+            oracle._run_simplex(T, [1], 2, blocked=set())
+
+    def test_non_normalized_solution_raises(self, monkeypatch):
+        real = oracle._run_simplex
+
+        def doubled(T, basis, n_cols, blocked):
+            real(T, basis, n_cols, blocked)
+            if blocked:  # phase 2 ends with every basic value doubled
+                T[:-1, -1] *= 2.0
+
+        monkeypatch.setattr(oracle, "_run_simplex", doubled)
+        g = build_cost_function(TWO_POINT, 10)
+        with pytest.raises(InfeasibleError, match="non-normalized"):
+            lp_solve(lp_instance_from_cost(g, 10, 2.0))
+
+    def test_perturb_reference_rejects_negative_eta_and_keeps_p_at_zero(self):
+        with pytest.raises(InvalidParamsError, match="eta"):
+            oracle.perturb_reference(TWO_POINT, -0.5, 0)
+        assert oracle.perturb_reference(TWO_POINT, 0.0, 0) is TWO_POINT
+
+    def test_ref_walk_finds_no_tail_past_its_moment_budget(self, monkeypatch):
+        # a run that ends past b overspends the moment budget; with F past 1 the
+        # budget over 1 - F would still admit a tail day
+        monkeypatch.setattr(oracle, "_ref_runs", lambda *args: ([(2, 11, 0.4)], False))
+        g = build_cost_function(TWO_POINT, 10)
+        assert oracle.ref_walk(g, 10, 2.0, g.max_value()) is None
+
+    def test_ref_policy_rejects_runs_that_lose_tightness(self, monkeypatch):
+        # a run that places no day makes its end pass for the last tight day
+        monkeypatch.setattr(oracle, "_ref_runs",
+                            lambda *args: ([(2, 1, 0.0), (5, 6, 0.0)], False))
+        g = build_cost_function(TWO_POINT, 10)
+        with pytest.raises(InvariantError, match="tightness at day 5"):
+            oracle.ref_policy(g, 10, 2.0, g.max_value())
+
+    def test_ref_policy_places_nothing_on_a_run_start_without_slack(self, monkeypatch):
+        # a run that starts inside the last one has no slack on its first day
+        g = build_cost_function(TWO_POINT, 10)
+        monkeypatch.setattr(oracle, "_ref_runs", lambda *args: ([(1, 4, 0.0)], False))
+        first = oracle.ref_policy(g, 10, 2.0, g.max_value())
+        monkeypatch.setattr(oracle, "_ref_runs",
+                            lambda *args: ([(1, 4, 0.0), (2, 5, 0.0)], False))
+        assert oracle.ref_policy(g, 10, 2.0, g.max_value())[2] == first[2]
+
+
+LIBRARY_SCRIPT = """
+import sys
+import skirent
+loaded = ['skirent.oracle' in sys.modules]
+g = skirent.build_cost_function(skirent.DayDistribution((30, 120), (0.7, 0.3)), 50)
+skirent.water_fill(g, 50, 1.7, exact=False)
+skirent.water_fill(g, 50, 1.7)
+loaded.append('skirent.oracle' in sys.modules)
+skirent.run_perturbation_sweep(eta_grid=(0.0, 2.0), n_trials=1)
+loaded.append('skirent.oracle' in sys.modules)
+import skirent.cli
+loaded.append('skirent.oracle' in sys.modules)
+print(*loaded)
+"""
+
+
+def test_library_leaves_the_oracle_unloaded():
+    # the oracle checks the library, so the library does not load it: the package,
+    # a published and an exact fill and a sweep leave it out, and the verify front
+    # end loads it
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False False True"

@@ -39,8 +39,6 @@ from skirent import (
     feasible_robustness,
     geometric_cdf,
     level_feasible,
-    lp_instance_from_cost,
-    lp_solve,
     make_distribution,
     minimal_water_level,
     onehot_exact,
@@ -50,8 +48,8 @@ from skirent import (
 )
 from skirent.evaluation import TABLE_FAMILIES
 from skirent.distributions import MAX_DAYS
-from skirent.oracle import (_day_lags, active_days, candidate_days, ref_best_tail_day,
-                            ref_policy, ref_walk)
+from skirent.oracle import (_day_lags, active_days, candidate_days, lp_instance_from_cost,
+                            lp_solve, ref_best_tail_day, ref_policy, ref_walk)
 from skirent.randomized import CostFunction, parse_policy
 from conftest import random_day_distribution
 

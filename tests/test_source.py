@@ -1,5 +1,7 @@
 """Checks on the package's source text, read with ``ast`` rather than imported."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,24 @@ def test_every_cache_is_bounded():
                 if any(isinstance(size, ast.Constant) and size.value is None for size in sizes):
                     unbounded.append(f"{path.name}:{node.lineno}")
     assert unbounded == []
+
+
+def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "import math  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """A function docstring."""\n'
+        '    s = """a string over\n'
+        'two lines"""\n'
+        "    return math.sqrt(x) + len(s)\n")
+    tool = Path(skirent.__file__).resolve().parents[2] / "tools" / "code_lines.py"
+    proc = subprocess.run([sys.executable, str(tool), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["5", "mod.py", "5", "total"]
