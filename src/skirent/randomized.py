@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -75,8 +76,12 @@ class CostFunction:
     constant tail (support_end, inf, 0, tail_value): past the last support day
     the cost is the mean horizon.  Slopes are nonincreasing and lie in [0, 1]
     (up to rounding past the last atoms), so costs never fall within a row.
-    The columns are read-only float arrays.  Per b, g keeps one ``_FillTable``,
-    everything a fill at b reads, built at the first walk at b.
+    The columns are read-only float arrays.  A column that is already one,
+    an ``np.ndarray`` of float64 that owns its memory, is stored as given, not
+    copied: whoever froze it must not write to it through another view.  Any
+    other column is stored as a frozen float64 copy.  Per b, g keeps one
+    ``_FillTable``, everything a fill at b reads, built at the first walk at b,
+    and it keeps ``max_value`` once computed.
     """
 
     lo: np.ndarray
@@ -84,9 +89,10 @@ class CostFunction:
     slope: np.ndarray
     intercept: np.ndarray
     _tables: dict = field(init=False, repr=False, default_factory=dict)  # b -> ``_FillTable``
+    _max: float | None = field(init=False, repr=False, default=None)  # ``max_value``
 
     def __post_init__(self) -> None:
-        columns = [np.array(c, dtype=float) for c in (self.lo, self.hi, self.slope, self.intercept)]
+        columns = [_frozen_column(c) for c in (self.lo, self.hi, self.slope, self.intercept)]
         lo, hi, slope, intercept = columns
         # ndarray methods: the np.any/np.all wrappers cost about a microsecond a call
         if lo.ndim != 1 or any(c.shape != lo.shape for c in columns):
@@ -101,7 +107,6 @@ class CostFunction:
         if slope[-1] != 0.0:
             raise InvalidParamsError("cost function must end in a constant tail")
         for name, column in zip(("lo", "hi", "slope", "intercept"), columns):
-            column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     @property
@@ -124,8 +129,22 @@ class CostFunction:
 
     def max_value(self) -> float:
         """Largest cost over all integer days (rows rise, so their ends dominate)."""
-        ends = self.slope[:-1] * self.hi[:-1] + self.intercept[:-1]
-        return max(float(ends.max()), self.tail_value)
+        if self._max is None:
+            ends = self.slope[:-1] * self.hi[:-1]
+            ends += self.intercept[:-1]
+            object.__setattr__(self, "_max", max(float(ends.max()), self.tail_value))
+        return self._max
+
+
+def _frozen_column(column: ArrayLike) -> np.ndarray:
+    """``column`` itself if it is a read-only float64 ``np.ndarray`` owning its memory,
+    else a read-only float64 copy of it."""
+    if (type(column) is np.ndarray and column.dtype == np.float64 and column.base is None
+            and not column.flags.writeable):
+        return column
+    column = np.array(column, dtype=float)
+    column.flags.writeable = False
+    return column
 
 
 def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
@@ -133,16 +152,24 @@ def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
 
     On (d_k, d_{k+1}] the cost is a_k t + c_k with a_k the mass beyond d_k and
     c_k the rental prefix plus (b-1) a_k; past the last support day it is the
-    constant mean horizon.
+    constant mean horizon.  Each column is built in place in one array of its
+    own, which ``CostFunction`` keeps.
     """
     b = _as_b(b)
+    days = p_hat._days_arr
+    lo, hi, slope = np.empty(days.size + 1), np.empty(days.size + 1), np.empty(days.size + 1)
+    lo[0], lo[1:] = 0.0, days
+    hi[:-1], hi[-1] = days, math.inf
     # accumulate subtracts in sequence, like a running tail_prob -= q; 1 - cumsum
     # rounds differently
-    slope = np.subtract.accumulate(np.append(1.0, p_hat._mass_arr))
+    slope[0], slope[1:] = 1.0, p_hat._mass_arr
+    np.subtract.accumulate(slope, out=slope)
     slope[-1] = 0.0  # the tail: its intercept is the whole day-weighted sum, the mean
-    days = p_hat._days_arr
-    return CostFunction(lo=np.append(0, days), hi=np.append(days, math.inf), slope=slope,
-                        intercept=p_hat._day_weighted_cum + (b - 1) * slope)
+    intercept = (b - 1) * slope
+    intercept += p_hat._day_weighted_cum
+    for column in (lo, hi, slope, intercept):
+        column.flags.writeable = False
+    return CostFunction(lo=lo, hi=hi, slope=slope, intercept=intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +477,14 @@ def _best_tail_day(g: CostFunction, b: int, h: float, t_max: float) -> int | Non
     so only its earliest day competes.  They rise, so those within t_max are a
     prefix, and if any of them costs at most h, so does the prefix's cheapest:
     one bisection and one comparison against their running minima.  Ties break
-    toward the smaller day.
+    toward the smaller day: the first day attaining the prefix's minimum, one
+    more bisection over the minima, which never rise.
     """
     table = _fill_table(g, b)
     k = bisect.bisect_right(table.days, t_max + 1e-9)
-    return int(table.first[k - 1]) if k and table.low[k - 1] <= h + 1e-12 else None
+    if not k or table.low[k - 1] > h + 1e-12:
+        return None
+    return int(table.days[bisect.bisect_left(table.low, -table.low[k - 1], 0, k, key=operator.neg)])
 
 
 def _first_at_most(tree: memoryview, p: int, x: float, leaves: int) -> int:
@@ -503,8 +533,10 @@ class _FillTable:
         at the latest, and one of the idle tree never reaches a padding leaf.
     - ``days``, ``costs``: the tail days, day b and then each segment's first
       day past b, which rise strictly, and their costs, bit for bit as
-      ``values_at`` gives them; ``low`` and ``first``: the running minimum of
-      those costs and the first day attaining it.
+      ``values_at`` gives them; ``low``: the running minimum of those costs.
+      The first day attaining it is one bisection of ``low`` away (see
+      ``_best_tail_day``).  Each is one array of the support's size, built in
+      place.
     - ``candidates``: the O(b) table of exact mode, built at its first request.
 
     The columns, level tables and tail tables are read-only memoryviews of
@@ -514,7 +546,7 @@ class _FillTable:
     """
 
     __slots__ = ("starts", "ends", "slopes", "intercepts", "sure", "rest", "size", "tree",
-                 "days", "costs", "low", "first", "_candidates")
+                 "days", "costs", "low", "_candidates")
 
     def candidates(self, g: CostFunction) -> tuple[np.ndarray, np.ndarray]:
         """Every day below b, then the tail days, with their costs, read-only: the
@@ -570,19 +602,20 @@ def _fill_table(g: CostFunction, b: int) -> _FillTable:
         level //= 2
     table.size, table.tree = size, _read_only(tree)
     j = int(np.searchsorted(g.hi, b, "right"))  # the rows past b, one per day after b
-    days = np.append(float(b), np.maximum(b, g.lo[j:]) + 1.0)
+    days = np.empty(g.lo.size - j + 1)
+    days[0] = b
+    np.add(g.lo[j:], 1.0, out=days[1:])
+    days[1] = max(b, g.lo[j]) + 1.0  # only row j can start before b
     m = j - 1 if j and g.hi[j - 1] == b else j  # day b's row
     costs = np.empty_like(days)
     costs[0] = g.slope[m] * days[0] + g.intercept[m]
-    costs[1:] = g.slope[j:] * days[1:] + g.intercept[j:]
+    np.multiply(g.slope[j:], days[1:], out=costs[1:])
+    costs[1:] += g.intercept[j:]
     if g.lo[-1] >= 2.0**53:  # below it every lo + 1 is exact
         off = days[1:] <= g.lo[j:]
         costs[1:][off] = g.values_at(days[1:][off])
-    low = np.minimum.accumulate(costs)
-    # a day attains the running minimum first where its cost drops below it
-    drops = np.append(True, costs[1:] < low[:-1])
-    first = days[np.maximum.accumulate(np.where(drops, np.arange(days.size), 0))]
-    table.days, table.costs, table.low, table.first = map(_read_only, (days, costs, low, first))
+    table.days, table.costs = _read_only(days), _read_only(costs)
+    table.low = _read_only(np.minimum.accumulate(costs))
     table._candidates = None
     g._tables[b] = table
     return table

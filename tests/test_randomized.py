@@ -63,6 +63,25 @@ class Segment(NamedTuple):
     intercept: float
 
 
+class Subclass(np.ndarray):
+    """An ndarray subclass, which a cost function copies into a bare ndarray."""
+
+
+def atom_array(n: int) -> int:
+    """Bytes of one float column of a cost function over n atoms: its n + 1 rows."""
+    return 8 * (n + 1)
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def cost_table(rows) -> CostFunction:
     """A cost function from (lo, hi, slope, intercept) rows, its tail included."""
     return CostFunction(*np.array(rows, dtype=float).T)
@@ -325,6 +344,41 @@ class TestCostFunction:
         for stored, given in zip((g.lo, g.hi, g.slope, g.intercept), columns):
             assert not stored.flags.writeable and given.flags.writeable
             assert not np.shares_memory(stored, given)
+
+    def test_shares_frozen_owned_float_columns(self):
+        columns = [np.array(c, dtype=float) for c in ([0, 3], [3, math.inf], [1.0, 0.0], [1.0, 2.0])]
+        for column in columns:
+            column.flags.writeable = False
+        g = CostFunction(*columns)
+        for stored, given in zip((g.lo, g.hi, g.slope, g.intercept), columns):
+            assert stored is given
+
+    def test_copies_frozen_views_and_other_dtypes(self):
+        base = np.array([0.0, 3.0, 3.0, math.inf])
+        lo, hi = base[:2], base[2:]  # frozen views of a writable base
+        lo.flags.writeable = hi.flags.writeable = False
+        slope = np.array([1, 0])  # a frozen int64 column
+        slope.flags.writeable = False
+        intercept = np.ndarray.__new__(Subclass, 2)  # owns its memory, but not a bare ndarray
+        intercept[:] = [1.0, 2.0]
+        intercept.flags.writeable = False
+        g = CostFunction(lo, hi, slope, intercept)
+        for stored, given in ((g.lo, lo), (g.hi, hi), (g.slope, slope), (g.intercept, intercept)):
+            assert type(stored) is np.ndarray and stored.dtype == np.float64
+            assert not stored.flags.writeable and not np.shares_memory(stored, given)
+        assert g.slope.tolist() == [1.0, 0.0]
+        base[0] = 7.0  # a write through the base reaches no stored column
+        assert g.lo.tolist() == [0.0, 3.0]
+
+    def test_builds_each_column_once(self):
+        # the columns were built and then copied: a peak of 9.1 atom arrays
+        n = 20_000
+        p_hat = uniform_days(n)
+        peak = traced_peak(lambda: build_cost_function(p_hat, 500))
+        assert peak <= 6 * atom_array(n)
+        g = build_cost_function(p_hat, 500)
+        assert all(c.base is None and not c.flags.writeable
+                   for c in (g.lo, g.hi, g.slope, g.intercept))
 
 
 class TestRobustnessCheck:
@@ -1330,8 +1384,12 @@ class TestTailTables:
                 else:
                     low.append(low[-1])
                     first.append(first[-1])
-            assert [c.tobytes() for c in (table.days, table.low, table.first)] == [
-                np.array(c).tobytes() for c in (days, low, first)]
+            assert [c.tobytes() for c in (table.days, table.low)] == [
+                np.array(c).tobytes() for c in (days, low)]
+            # with each tail day as the limit and its running minimum as the level,
+            # the pick is the loop's first day attaining that minimum
+            assert [randomized._best_tail_day(g, b, level, day)
+                    for day, level in zip(days, low)] == first
 
     def test_candidates_match_values_at(self):
         for g, b in tail_table_inputs():
@@ -1369,6 +1427,21 @@ class TestTailTables:
             tracemalloc.stop()
         assert len(table.ends) == b and len(table.sure) == b and len(table.days) > 19_000
         assert kept < 1_000_000
+
+    @pytest.mark.parametrize("b", [500, 2000])
+    def test_builds_each_tail_column_once(self, b):
+        # the first-day table took five more arrays: 5.4 atom arrays at b = 500, 6.1 at 2000
+        n = 20_000
+        g = build_cost_function(uniform_days(n), b)
+        assert traced_peak(lambda: randomized._fill_table(g, b)) <= 4.5 * atom_array(n)
+
+    def test_published_fill_on_a_built_table_takes_one_array(self):
+        # max g took two temporaries, asked for twice per solve
+        n, b = 20_000, 500
+        g = build_cost_function(uniform_days(n), b)
+        randomized._fill_table(g, b)
+        assert traced_peak(lambda: water_fill(g, b, 2.0, exact=False)) <= 1.5 * atom_array(n)
+        assert traced_peak(g.max_value) < 0.1 * atom_array(n)  # kept on g
 
 
 def level_fill(g: CostFunction, b: int, R: float) -> StoppingDistribution:

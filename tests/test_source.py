@@ -103,3 +103,18 @@ def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["5", "mod.py", "5", "total"]
+
+
+def test_fault_counter_reports_each_request_class():
+    tool = Path(skirent.__file__).resolve().parents[2] / "tools" / "faults.py"
+    proc = subprocess.run([sys.executable, str(tool), "--workload", "dense", "--requests", "5"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["workload dense, seed 1, 5 requests",
+                         "class    requests  median_us   minflt  peak_atoms"]
+    # the pattern's first five requests: four at b = 500, one at b = 2000
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [["b500", "4"], ["b2000", "1"]]
+    for _, _, us, faults, peak in rows:
+        assert float(us) > 0 and float(faults) >= 0 and float(peak) > 0
