@@ -63,7 +63,7 @@ class _Branch:
 
     @functools.cached_property
     def policy(self) -> StoppingDistribution:
-        return StoppingDistribution(np.arange(1, self.masses.size + 1), self.masses)
+        return StoppingDistribution(_frozen_days(self.masses.size), self.masses)
 
 
 _cached_branch = functools.lru_cache(maxsize=16)(_Branch)
@@ -114,5 +114,13 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float,
     high = _branch(b, lam, high_branch=True).masses
     masses = (1.0 - p_high) * _branch(b, lam, high_branch=False).masses
     masses[:high.size] += p_high * high
+    masses.flags.writeable = False
     # the pmf drops the days whose masses underflow at the front of a long branch
-    return StoppingDistribution(np.arange(1, masses.size + 1), masses)
+    return StoppingDistribution(_frozen_days(masses.size), masses)
+
+
+def _frozen_days(length: int) -> np.ndarray:
+    """Days 1..length, read-only, for a pmf to keep as they are."""
+    days = np.arange(1, length + 1)
+    days.flags.writeable = False
+    return days

@@ -29,10 +29,12 @@ class _Pmf:
 
     Days (strictly increasing positive int64) and masses (finite, nonnegative
     numbers, not bools, summing to one within ``MASS_TOL``) are checked in
-    bulk and stored as read-only arrays; drift beyond ``RENORM_TRIGGER`` is
-    renormalized away and zero-mass days are dropped.  ``days``, ``support``
-    and the subclass's mass tuple are views built on demand.  Instances are
-    immutable and thread-safe.
+    bulk and stored as read-only arrays by ``_frozen``'s rule: an array that
+    already is one is kept, any other is copied.  Drift beyond
+    ``RENORM_TRIGGER`` is renormalized away and zero-mass days are dropped,
+    both into new arrays, so a kept input is never written to.  ``days``,
+    ``support`` and the subclass's mass tuple are views built on demand.
+    Instances are immutable and thread-safe.
     """
 
     def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
@@ -42,7 +44,7 @@ class _Pmf:
         # ``_as_real``'s rule in bulk: a numeric dtype and no bool, then finite values
         if mass_arr.dtype.kind not in "iuf" or _holds_bool(masses):
             raise InvalidParamsError("masses must be finite numbers >= 0")
-        masses = np.array(mass_arr, dtype=float)  # a copy of its own, which _store freezes
+        masses = _frozen(mass_arr, np.float64)
         least = masses.min(initial=math.inf)  # NaN if any mass is NaN
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past float range
             total = float(masses.sum())
@@ -53,7 +55,7 @@ class _Pmf:
         if (day_arr.dtype.kind not in "iu" or day_arr.dtype.kind == "u" and day_arr.max() >= 2**63
                 or _holds_bool(days)):
             raise InvalidParamsError("days must be integers in the int64 range")
-        day_arr = day_arr.astype(np.int64)
+        day_arr = _frozen(day_arr, np.int64)
         # compared, not differenced: a step from a day to one 2^63 below it wraps in np.diff
         if day_arr[0] < 1 or (day_arr[1:] <= day_arr[:-1]).any():
             raise InvalidParamsError("days must be strictly increasing positive integers")
@@ -63,7 +65,7 @@ class _Pmf:
             keep = masses > 0.0
             day_arr, masses = day_arr[keep], masses[keep]
         if abs(total - 1.0) > RENORM_TRIGGER:
-            masses /= total
+            masses = masses / total
         self._store(_days_arr=day_arr, _mass_arr=masses,
                     _cum=_running_sum(masses))  # [0, F(d_1), F(d_2), ...]
 
@@ -497,7 +499,9 @@ def perturb_wasserstein(p: DayDistribution, eta: float, seed: int) -> DayDistrib
     masses = np.fromiter(mass.values(), float, len(mass))
     days, masses = days[masses > 0.0], masses[masses > 0.0]
     order = np.argsort(days)  # the days are unique
-    out = DayDistribution(days[order], masses[order])
+    days, masses = days[order], masses[order]
+    days.flags.writeable = masses.flags.writeable = False  # kept by the pmf, not copied
+    out = DayDistribution(days, masses)
     moved = wasserstein1(p, out)
     if moved > eta + 1e-9:
         raise InvariantError(f"perturbation overshot the budget: {moved} > {eta}")
@@ -545,6 +549,21 @@ def _holds_bool(values: ArrayLike) -> bool:
     Neither bool type can be subclassed, so comparing types is an isinstance test.
     """
     return not isinstance(values, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, values))
+
+
+def _frozen(values: ArrayLike, dtype: type) -> np.ndarray:
+    """``values`` itself if it is a read-only ``np.ndarray`` of ``dtype`` owning its
+    memory, else a read-only copy of it as ``dtype``.
+
+    The one storage rule of pmfs and cost-function columns: an array that is
+    kept is shared, so whoever froze it must not write to it through another view.
+    """
+    if (type(values) is np.ndarray and values.dtype == dtype and values.base is None
+            and not values.flags.writeable):
+        return values
+    values = np.array(values, dtype=dtype)
+    values.flags.writeable = False
+    return values
 
 
 def _running_sum(values: np.ndarray) -> np.ndarray:

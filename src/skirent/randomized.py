@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _as_real,
+from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _as_real, _frozen,
                             _parse_atoms, _Pmf, _running_sum)
 from .errors import InfeasibleError, InvalidParamsError, InvariantError, ScaleExceededError
 
@@ -76,12 +76,11 @@ class CostFunction:
     constant tail (support_end, inf, 0, tail_value): past the last support day
     the cost is the mean horizon.  Slopes are nonincreasing and lie in [0, 1]
     (up to rounding past the last atoms), so costs never fall within a row.
-    The columns are read-only float arrays.  A column that is already one,
-    an ``np.ndarray`` of float64 that owns its memory, is stored as given, not
-    copied: whoever froze it must not write to it through another view.  Any
-    other column is stored as a frozen float64 copy.  Per b, g keeps one
-    ``_FillTable``, everything a fill at b reads, built at the first walk at b,
-    and it keeps ``max_value`` once computed.
+    The columns are read-only float64 arrays, stored by ``_frozen``'s rule, as
+    a pmf's are: a column that already is one, owning its memory, is kept, any
+    other is copied.  Per b, g keeps one ``_FillTable``, everything a fill at
+    b reads, built at the first walk at b, and it keeps ``max_value`` once
+    computed.
     """
 
     lo: np.ndarray
@@ -92,7 +91,7 @@ class CostFunction:
     _max: float | None = field(init=False, repr=False, default=None)  # ``max_value``
 
     def __post_init__(self) -> None:
-        columns = [_frozen_column(c) for c in (self.lo, self.hi, self.slope, self.intercept)]
+        columns = [_frozen(c, np.float64) for c in (self.lo, self.hi, self.slope, self.intercept)]
         lo, hi, slope, intercept = columns
         # ndarray methods: the np.any/np.all wrappers cost about a microsecond a call
         if lo.ndim != 1 or any(c.shape != lo.shape for c in columns):
@@ -120,12 +119,22 @@ class CostFunction:
     def __call__(self, t: int) -> float:
         if _as_int(t, "day", 1) > self.support_end:  # the tail, also past float range
             return self.tail_value
-        return float(self.values_at(float(t)))
+        return float(self.values_at(np.float64(t)))
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
-        """Cost at each positive integer day of ``ts`` (vectorised ``__call__``)."""
-        idx = np.searchsorted(self.hi, ts, side="left")
-        return self.slope[idx] * ts + self.intercept[idx]
+        """Cost at each positive integer day of ``ts`` (vectorised ``__call__``).
+
+        Searches only the rows up to the one holding the largest day of ``ts``:
+        a short policy on a long table reads a prefix of it.
+        """
+        hi = self.hi
+        if ts.size:
+            hi = hi[:hi.searchsorted(ts.max()) + 1]
+        idx = hi.searchsorted(ts)
+        values = self.slope[idx]
+        values *= ts
+        values += self.intercept[idx]
+        return values
 
     def max_value(self) -> float:
         """Largest cost over all integer days (rows rise, so their ends dominate)."""
@@ -134,17 +143,6 @@ class CostFunction:
             ends += self.intercept[:-1]
             object.__setattr__(self, "_max", max(float(ends.max()), self.tail_value))
         return self._max
-
-
-def _frozen_column(column: ArrayLike) -> np.ndarray:
-    """``column`` itself if it is a read-only float64 ``np.ndarray`` owning its memory,
-    else a read-only float64 copy of it."""
-    if (type(column) is np.ndarray and column.dtype == np.float64 and column.base is None
-            and not column.flags.writeable):
-        return column
-    column = np.array(column, dtype=float)
-    column.flags.writeable = False
-    return column
 
 
 def build_cost_function(p_hat: DayDistribution, b: int) -> CostFunction:
@@ -250,7 +248,9 @@ def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:
     """Expected stopping cost sum_z g(z) f(z)."""
     # a running sum adds in support order, as a sequential loop would; np.sum
     # adds pairwise and can change the last digits
-    return float(np.cumsum(g.values_at(f._days_arr) * f._mass_arr)[-1])
+    weighted = g.values_at(f._days_arr)
+    weighted *= f._mass_arr
+    return float(weighted.cumsum(out=weighted)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +262,14 @@ def _log_gamma(b: int) -> float:
     return math.log1p(1.0 / (b - 1.0))
 
 
-def _envelope(b: int, R: float, days: float | np.ndarray,
-              lag: float | np.ndarray = 0.0) -> float | np.ndarray:
-    """(R-1) (gamma^d e^-lag - 1) at each day d: the CDF of a run of tight days (``_fill_pass``).
+def _envelope(b: int, R: float, day: float, lag: float = 0.0) -> float:
+    """(R-1) (gamma^d e^-lag - 1) at day d: the CDF of a run of tight days (``_fill_pass``).
 
-    A float gamma^d would break the constraints by 1e-9 at b = 3367.  Scalars go
-    through ``math``, arrays through numpy, whose expm1 rounds differently.
+    A float gamma^d would break the constraints by 1e-9 at b = 3367.
+    ``_tight_policy`` takes the same steps over a run's days in numpy, whose
+    expm1 rounds differently from ``math``'s.
     """
-    x = days * _log_gamma(b) - lag
-    return (R - 1.0) * (np.expm1(x) if isinstance(x, np.ndarray) else math.expm1(x))
+    return (R - 1.0) * math.expm1(day * _log_gamma(b) - lag)
 
 
 def _full_log(R: float) -> float:
@@ -283,21 +282,35 @@ def _tight_policy(b: int, R: float, F: float, runs: list[tuple[int, int, float]]
                   tail: int | None) -> StoppingDistribution:
     """The policy whose CDF is the envelope on the days of ``runs`` (s, e, lag), cut at
     the first day holding ``FULL_MASS``, pinned to F on its last day, plus 1 - F
-    on the ``tail`` day."""
-    starts, ends, lags = np.array(runs, dtype=float).reshape(-1, 3).T
-    lengths = (ends - starts + 1.0).astype(np.int64)
-    steps = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    days = (np.repeat(starts, lengths) + steps).astype(np.int64)
-    cdf = _envelope(b, R, days, np.repeat(lags, lengths))
-    if tail is None:
-        cut = np.flatnonzero(cdf >= FULL_MASS)
-        if cut.size:
-            days, cdf = days[:cut[0] + 1], cdf[:cut[0] + 1]
-    if cdf.size:
-        cdf[-1] = F
-    masses = np.diff(cdf, prepend=0.0)
-    if tail is not None:  # a tail follows the last run day (see ``_fill_pass``)
-        days, masses = np.append(days, tail), np.append(masses, 1.0 - F)
+    on the ``tail`` day.
+
+    The days are one ``np.arange`` per run, joined with the tail day; the CDF is
+    ``_envelope``'s multiply, subtract, expm1 and scale, in place in one array.
+    It rises day by day, by at least log1p(1/(b-1)) in the exponent across a
+    gap, so the cut is one search.  The masses, with the tail's slot, fill one
+    array, which the pmf keeps with the days.
+    """
+    days = np.concatenate([np.arange(s, e + 1) for s, e, _ in runs]
+                          + ([] if tail is None else [[tail]]))  # a tail follows the runs
+    n = days.size - (tail is not None)  # the run days
+    cdf = days[:n] * _log_gamma(b)
+    i = 0
+    for s, e, lag in runs:
+        cdf[i:i + e - s + 1] -= lag
+        i += e - s + 1
+    np.expm1(cdf, out=cdf)
+    cdf *= R - 1.0
+    if tail is None and cdf[-1] >= FULL_MASS:
+        n = int(cdf.searchsorted(FULL_MASS)) + 1
+        days = days[:n].copy()
+    masses = np.empty(days.size)
+    if n:
+        cdf[n - 1] = F
+        masses[0] = cdf[0]
+        np.subtract(cdf[1:n], cdf[:n - 1], out=masses[1:n])
+    if tail is not None:
+        masses[n] = 1.0 - F
+    days.flags.writeable = masses.flags.writeable = False
     return StoppingDistribution(days, masses)
 
 
@@ -706,15 +719,19 @@ def _exact_level(g: CostFunction, b: int, R: float) -> float:
     settles, as the bisection's checks do.
     """
     costs = np.unique(_fill_table(g, b).candidates(g)[1])
-    levels = np.append(0.5 * (costs[:-1] + costs[1:]), g.max_value()).tolist()
-    lo, hi = 0, len(levels) - 1  # levels[hi:] are feasible, levels[:lo] are not
+    top = costs.size - 1  # level k is the midpoint of costs k and k + 1, level top is max g
+
+    def level(k: int) -> float:
+        return 0.5 * (float(costs[k]) + float(costs[k + 1])) if k < top else g.max_value()
+
+    lo, hi = 0, top  # levels hi.. are feasible, levels ..lo-1 are not
     while lo < hi:
         mid = (lo + hi) // 2
-        if level_feasible(g, b, R, levels[mid], skip_settled=True):
+        if level_feasible(g, b, R, level(mid), skip_settled=True):
             hi = mid
         else:
             lo = mid + 1
-    return levels[lo]
+    return level(lo)
 
 
 def _construct_at_level(g: CostFunction, b: int, R: float,

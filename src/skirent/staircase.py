@@ -619,7 +619,9 @@ def refine(g: CostFunction, b: int, R: float,
         mass = lp.masses(best)
         mass /= mass.sum()
         keep = mass > 1e-14
-        refined = StoppingDistribution(lp.t[keep].astype(np.int64), mass[keep])
+        days, mass = lp.t[keep].astype(np.int64), mass[keep]
+        days.flags.writeable = mass.flags.writeable = False  # kept by the pmf, not copied
+        refined = StoppingDistribution(days, mass)
     objective = expected_policy_cost(refined, g)
     if reason:
         gap = objective - lp.bound(dual) if dual is not None else math.inf

@@ -46,6 +46,7 @@ from skirent import (
     wasserstein1,
     water_fill,
 )
+import skirent.baselines as baselines
 import skirent.distributions as distributions
 from skirent.evaluation import sweep_true_distribution
 from skirent.oracle import LpInstance, lp_instance_from_cost, lp_solve, perturb_reference
@@ -262,6 +263,45 @@ class TestPmfCore:
             day_arr[0], mass_arr[0] = 2, 7.0
             assert dist.support == support
 
+    def test_keeps_frozen_owned_arrays(self, pmf):
+        # the one storage rule of pmfs and cost columns: nothing to copy
+        days, masses = np.array([1, 3, 4]), np.array([0.25, 0.25, 0.5])
+        days.flags.writeable = masses.flags.writeable = False
+        dist = pmf(days, masses)
+        assert dist._days_arr is days and dist._mass_arr is masses
+
+    def test_copies_writable_arrays_views_and_other_dtypes(self, pmf):
+        day_base, mass_base = np.array([1, 3, 4, 9]), np.array([0.25, 0.25, 0.5, 0.0])
+        day_view, mass_view = day_base[:3], mass_base[:3]
+        day_view.flags.writeable = mass_view.flags.writeable = False  # frozen, but views
+        day_32, mass_32 = np.array([1, 3, 4], dtype=np.int32), np.array([0.25, 0.25, 0.5],
+                                                                         dtype=np.float32)
+        day_32.flags.writeable = mass_32.flags.writeable = False  # frozen, owned, other dtypes
+        writable = np.array([1, 3, 4]), np.array([0.25, 0.25, 0.5])
+        for days, masses in (writable, (day_view, mass_view), (day_32, mass_32)):
+            dist = pmf(days, masses)
+            for stored, given, dtype in ((dist._days_arr, days, np.int64),
+                                         (dist._mass_arr, masses, np.float64)):
+                assert stored.dtype == dtype and stored.base is None
+                assert not stored.flags.writeable and not np.shares_memory(stored, given)
+            assert dist.support == ((1, 0.25), (3, 0.25), (4, 0.5))
+        assert all(a.flags.writeable for a in (*writable, day_base, mass_base))
+
+    def test_renormalizes_a_kept_input_out_of_place(self, pmf):
+        days, masses = np.array([1, 2]), np.array([0.5, 0.5 + 5e-10])
+        days.flags.writeable = masses.flags.writeable = False
+        dist = pmf(days, masses)
+        assert masses.tolist() == [0.5, 0.5 + 5e-10]
+        assert dist._days_arr is days and dist._mass_arr is not masses
+        assert abs(float(dist._mass_arr.sum()) - 1.0) < 1e-15
+
+    def test_drops_zero_masses_of_a_kept_input(self, pmf):
+        days, masses = np.array([1, 2, 4, 9]), np.array([0.0, 0.25, 0.0, 0.75])
+        days.flags.writeable = masses.flags.writeable = False
+        dist = pmf(days, masses)
+        assert dist.support == ((2, 0.25), (9, 0.75))
+        assert days.tolist() == [1, 2, 4, 9] and masses.tolist() == [0.0, 0.25, 0.0, 0.75]
+
     def test_running_sums_match_appended_cumsum(self, pmf, rng):
         # bit for bit np.cumsum(np.append(0.0, x)), the form they were built with
         days = np.sort(rng.choice(np.arange(1, 10**6), size=300, replace=False))
@@ -310,6 +350,44 @@ class TestPmfCore:
     def test_from_pairs_merges_repeated_days(self, pmf):
         dist = pmf.from_pairs([(3, 0.25), (1, 0.5), (3.0, 0.25)])
         assert dist.support == ((1, 0.5), (3, 0.5))
+
+
+def test_library_builders_hand_their_pmfs_frozen_arrays(monkeypatch):
+    # each builder freezes the days and masses it built, so the pmf keeps them
+    # instead of copying them: the fill, a branch (the majority baseline), the
+    # mixture, the exact refine's vertex and the perturbation
+    kept = []
+    frozen = distributions._frozen
+
+    def recording(values, dtype):
+        stored = frozen(values, dtype)
+        kept.append(stored is values)
+        return stored
+
+    def refined_vertex():
+        rng = np.random.default_rng(50)
+        while len(kept) <= 2:  # the fill's two arrays, then the vertex's
+            n = int(rng.integers(2, 13))
+            days = np.sort(rng.choice(np.arange(1, 201), size=n, replace=False))
+            g = build_cost_function(DayDistribution(days, rng.dirichlet(np.ones(n))), 50)
+            del kept[:]
+            water_fill(g, 50, 2.0)
+
+    p_hat = make_distribution(FamilySpec(Family.UNIFORM, {"low": 20, "high": 140}))
+    g = build_cost_function(p_hat, 50)
+    builders = {
+        "geometric": lambda: geometric_cdf(50, 2.0),
+        "published fill": lambda: water_fill(g, 50, 2.0, exact=False),
+        "exact refine": refined_vertex,
+        "branch": lambda: baselines._Branch(50, 37).policy,
+        "mixture": lambda: baseline_policy(p_hat, 50, 2.0, BaselineKind.MIXTURE),
+        "perturbation": lambda: perturb_wasserstein(p_hat, 3.0, 0),
+    }
+    monkeypatch.setattr(distributions, "_frozen", recording)
+    for name, build in builders.items():
+        del kept[:]
+        build()
+        assert kept and all(kept), (name, kept)
 
 
 class TestSurvivalAndOpt:

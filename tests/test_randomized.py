@@ -380,6 +380,33 @@ class TestCostFunction:
         assert all(c.base is None and not c.flags.writeable
                    for c in (g.lo, g.hi, g.slope, g.intercept))
 
+    def test_values_at_matches_a_search_of_every_row(self, rng):
+        # values_at searches the rows up to the largest day asked for; the reference
+        # searches the whole hi column
+        def whole_column(g, ts):
+            idx = np.searchsorted(g.hi, ts, side="left")
+            return g.slope[idx] * ts + g.intercept[idx]
+
+        for _ in range(20):
+            p_hat = random_day_distribution(rng, max_day=int(rng.integers(1, 400)))
+            g = build_cost_function(p_hat, int(rng.integers(2, 60)))
+            end = g.support_end
+            cases = [
+                rng.permutation(np.arange(1.0, end + 20)),  # unsorted, past the support end
+                rng.integers(1, end + 1, size=30),  # int64 days, repeats
+                g.hi[:-1].copy(),  # every row end
+                g.hi[:-1][::-1] + 1.0,  # every row's first day but the first, descending
+                np.array([float(end), 2.0**60, 1.0]),  # far past the support end
+                np.array(float(rng.integers(1, end + 1))),  # a 0-d array
+                np.array(float(end)),
+                np.empty(0),
+                np.empty(0, dtype=np.int64),
+            ]
+            for ts in cases:
+                got, want = g.values_at(ts), whole_column(g, ts)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), ts
+
 
 class TestRobustnessCheck:
     def test_point_mass_at_b(self):

@@ -1,5 +1,7 @@
 """Checks on the package's source text, read with ``ast`` rather than imported."""
 import ast
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -118,3 +120,34 @@ def test_fault_counter_reports_each_request_class():
     assert [row[:2] for row in rows] == [["b500", "4"], ["b2000", "1"]]
     for _, _, us, faults, peak in rows:
         assert float(us) > 0 and float(faults) >= 0 and float(peak) > 0
+
+
+def test_pair_summary_reads_direction_and_failures():
+    path = Path(skirent.__file__).resolve().parents[2] / "tools" / "pair.py"
+    spec = importlib.util.spec_from_file_location("pair", path)
+    pair = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pair)
+
+    def line(rate, p50, correct=True, failed=0):
+        return json.dumps({"correct": correct, "attempted": 100, "failed": failed, "metrics": {
+            "instances_per_s": {"value": rate, "unit": "1/s"},
+            "p50_ms": {"value": p50, "unit": "ms"}}})
+
+    end_to_end = [{"name": "instances_per_s", "unit": "1/s", "better": "higher"},
+                  {"name": "p50_ms", "unit": "ms", "better": "lower"},
+                  {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]  # in no line
+    # change faster in pairs 1 and 2, tied in 3; its p50 lower in 1 and 3
+    pairs = [(line(100, 0.5), line(110, 0.4)), (line(100, 0.5), line(120, 0.6)),
+             (line(130, 0.5), line(130, 0.45))]
+    lines, ok = pair.summarize(pairs, end_to_end)
+    assert ok
+    rows = {row.split()[0]: row for row in lines[2:]}
+    assert sorted(rows) == ["instances_per_s", "p50_ms"]
+    assert rows["instances_per_s"].split() == [
+        "instances_per_s", "1/s", "100", "[100,", "115]", "120", "[115,", "125]", "2", "of", "3"]
+    assert rows["p50_ms"].endswith("2 of 3")
+    assert pair.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    lines, ok = pair.summarize(pairs + [(line(100, 0.5), line(100, 0.5, failed=2))], end_to_end)
+    assert not ok and lines[-1] == "# pair 4, change: correct=True failed=2"
+    _, ok = pair.summarize([(line(100, 0.5, correct=False), line(100, 0.5))], end_to_end)
+    assert not ok
