@@ -43,13 +43,15 @@ def r_from_lambda(b: int, lam: float) -> float:
     return (1.0 + 1.0 / b) / -math.expm1(1.0 / b - lam)
 
 
-#: Branches of at most this many days are cached.  A cached branch holds five
-#: arrays of its length, so the cache's 16 branches take at most about 10 MB.
+#: Branches of at most this many days are cached.  A cached branch holds four
+#: arrays of its length, its days and masses (which its pmf keeps as they are)
+#: and its pmf's two running sums, so the cache's 16 branches take at most about 8 MB.
 _CACHED_DAYS = 2**14
 
 
 class _Branch:
-    """A branch's masses on days 1..len, zeros kept and read-only, and its pmf when asked for.
+    """A branch's days 1..len and their masses, zeros kept, both read-only, and its pmf
+    when asked for.
 
     Weights are ((b-1)/b)^(len-i) with normalizer b(1 - (1-1/b)^len), so a branch
     depends on b and its length alone.
@@ -59,11 +61,12 @@ class _Branch:
         q = (b - 1.0) / b
         weights = q ** np.arange(length - 1, -1, -1, dtype=float)
         self.masses = weights / (b * (1.0 - q ** length))
-        self.masses.flags.writeable = False
+        self.days = np.arange(1, length + 1)
+        self.masses.flags.writeable = self.days.flags.writeable = False
 
     @functools.cached_property
     def policy(self) -> StoppingDistribution:
-        return StoppingDistribution(_frozen_days(self.masses.size), self.masses)
+        return StoppingDistribution(self.days, self.masses)
 
 
 _cached_branch = functools.lru_cache(maxsize=16)(_Branch)
@@ -111,16 +114,10 @@ def baseline_policy(p_hat: DayDistribution, b: int, R: float,
     if kind is BaselineKind.MAJORITY_BRANCH:
         return purohit_branch(b, lam, high_branch=p_high > 0.5)
     # both branches sit on days 1..len, and the high one is never the longer
-    high = _branch(b, lam, high_branch=True).masses
-    masses = (1.0 - p_high) * _branch(b, lam, high_branch=False).masses
+    high, low = _branch(b, lam, high_branch=True).masses, _branch(b, lam, high_branch=False)
+    masses = (1.0 - p_high) * low.masses
     masses[:high.size] += p_high * high
     masses.flags.writeable = False
-    # the pmf drops the days whose masses underflow at the front of a long branch
-    return StoppingDistribution(_frozen_days(masses.size), masses)
-
-
-def _frozen_days(length: int) -> np.ndarray:
-    """Days 1..length, read-only, for a pmf to keep as they are."""
-    days = np.arange(1, length + 1)
-    days.flags.writeable = False
-    return days
+    # the mixture's days are the low branch's; the pmf drops the days whose masses
+    # underflow at the front of a long branch
+    return StoppingDistribution(low.days, masses)

@@ -409,12 +409,13 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: boo
     each stretch of surely wholly active rows, which opens a run at most
     once and reaches the full mass at the first row ending on or after the
     full day.  Only the rows within the tables' margin take the day-space
-    test, so the result is the same.
+    test, so the result is the same.  The walk reads the trees, and so has
+    them built, only when rows are left between the two bisects: a bare pass
+    and a pass that the level tables settle build none.
     """
     log_gamma, full = _log_gamma(b), _full_log(R)
     table = _fill_table(g, b)
     starts, ends, slopes, intercepts = table.starts, table.ends, table.slopes, table.intercepts
-    tree, idle, whole = table.tree, 2 * table.size, 3 * table.size  # leaf 0 of each tree
     lag = 0.0
     start, last_end = 1, 0  # the open run holds days start..last_end, all tight
     runs = []
@@ -427,6 +428,8 @@ def _fill_pass(g: CostFunction, b: int, R: float, h: float, *, skip_settled: boo
             if last_end >= full_day:
                 return 1.0, [(1, ends[bisect.bisect_left(ends, full_day)], 0.0)], None
         n = bisect.bisect_right(table.rest, h)
+        if i < n:  # rows the level tables leave open, so the walk may jump
+            tree, idle, whole = table.tree, 2 * table.size, 3 * table.size  # leaf 0 of each tree
     while i < n:
         if skip_settled and h < tree[idle + i]:  # surely idle: to the next row that may be active
             i = _first_at_most(tree, idle + i + 1, h, idle) - idle
@@ -536,7 +539,9 @@ class _FillTable:
         rows 0..i; ``rest[i]``: the running minimum of the widened first-day
         costs from row i on.
       - ``tree``: two min trees (see ``_first_at_most``) as the halves of
-        one, over ``size`` leaves each.  Node 2 roots the idle tree, whose
+        one, over ``size`` leaves each, built at its first read, which only a
+        walk that may jump makes; until then the table keeps the widened
+        costs for it (``_leaves``).  Node 2 roots the idle tree, whose
         leaf j, node 2 size + j, is row j's widened first-day cost, so below
         it the row is surely idle; its padding leaves are inf.  Node 3 roots
         the whole tree, whose leaf j, node 3 size + j, is minus row j's
@@ -552,14 +557,33 @@ class _FillTable:
       place.
     - ``candidates``: the O(b) table of exact mode, built at its first request.
 
-    The columns, level tables and tail tables are read-only memoryviews of
-    arrays: bisect and the walk read them nearly as fast as lists, with no
-    list to build.  The table holds no reference to g, so g and its tables die
-    by reference counting.
+    The columns, level tables, tree and tail tables are read-only memoryviews
+    of arrays, ``rest`` of a reversed one: bisect and the walk read them
+    nearly as fast as lists, with no list to build.  The table holds no
+    reference to g, so g and its tables die by reference counting.
     """
 
-    __slots__ = ("starts", "ends", "slopes", "intercepts", "sure", "rest", "size", "tree",
-                 "days", "costs", "low", "_candidates")
+    __slots__ = ("starts", "ends", "slopes", "intercepts", "sure", "rest", "size", "_leaves",
+                 "_tree", "days", "costs", "low", "_candidates")
+
+    @property
+    def tree(self) -> memoryview:
+        """Both trees as one array, built at the first read a level at a time with
+        one numpy call each; the widened costs kept for it are then let go."""
+        if self._tree is None:
+            (lows, highs), size, k = self._leaves, self.size, len(self.ends)
+            tree = np.empty(4 * size)
+            tree[0] = math.nan  # node 0 is no node
+            tree[2 * size:2 * size + k], tree[2 * size + k:3 * size] = lows, math.inf
+            np.negative(highs, out=tree[3 * size:3 * size + k])
+            tree[3 * size + k:] = -math.inf
+            level = 2 * size
+            while level > 1:
+                np.minimum(tree[level:2 * level:2], tree[level + 1:2 * level:2],
+                           out=tree[level // 2:level])
+                level //= 2
+            self._tree, self._leaves = _read_only(tree), None
+        return self._tree
 
     def candidates(self, g: CostFunction) -> tuple[np.ndarray, np.ndarray]:
         """Every day below b, then the tail days, with their costs, read-only: the
@@ -582,10 +606,11 @@ def _read_only(array: np.ndarray) -> memoryview:
 def _fill_table(g: CostFunction, b: int) -> _FillTable:
     """The ``_FillTable`` of g at b, built at the first call for b: O(segments).
 
-    Both trees are one array, built a level at a time with one numpy call.
-    Each tail day after b is the first day of its own row, so its cost
-    is that row's multiply and add, with no search; day b lies on the first
-    row with hi >= b.  Past 2^53, lo + 1 can round back onto lo, a day of an
+    The widened costs are formed in place in the day columns, and the trees
+    are left to the first walk that jumps (``_FillTable.tree``).  Each tail
+    day after b is the first day of its own row, so its cost is that row's
+    multiply and add, with no search; day b lies on the first row with
+    hi >= b.  Past 2^53, lo + 1 can round back onto lo, a day of an
     earlier row: those days keep ``values_at``'s cost.
     """
     table = g._tables.get(b)
@@ -598,22 +623,21 @@ def _fill_table(g: CostFunction, b: int) -> _FillTable:
     table.starts, table.ends = (_read_only(c.astype(np.int64)) for c in (starts, ends))
     table.slopes, table.intercepts = _read_only(slope), _read_only(intercept)
     climb = np.maximum(slope, 0.0)  # 0 on the rows whose cost is their intercept
-    margin = 1e-9 * (1.0 + np.abs(intercept))
-    lows = climb * starts * (1.0 - 1e-9) + intercept - margin
-    highs = climb * ends * (1.0 + 1e-9) + intercept + margin
+    margin = np.abs(intercept)
+    margin += 1.0
+    margin *= 1e-9
+    lows, highs = starts, ends  # climb * day * (1 -+ 1e-9) + intercept -+ margin, in place
+    lows *= climb
+    lows *= 1.0 - 1e-9
+    lows += intercept
+    lows -= margin
+    highs *= climb
+    highs *= 1.0 + 1e-9
+    highs += intercept
+    highs += margin
     table.sure = _read_only(np.maximum.accumulate(highs))
-    table.rest = _read_only(np.minimum.accumulate(lows[::-1])[::-1].copy())
-    size = 1 << k.bit_length()
-    tree = np.empty(4 * size)
-    tree[0] = math.nan  # node 0 is no node
-    tree[2 * size:2 * size + k], tree[2 * size + k:3 * size] = lows, math.inf
-    np.negative(highs, out=tree[3 * size:3 * size + k])
-    tree[3 * size + k:] = -math.inf
-    level = 2 * size
-    while level > 1:
-        np.minimum(tree[level:2 * level:2], tree[level + 1:2 * level:2], out=tree[level // 2:level])
-        level //= 2
-    table.size, table.tree = size, _read_only(tree)
+    table.rest = _read_only(np.minimum.accumulate(lows[::-1])[::-1])
+    table.size, table._leaves, table._tree = 1 << k.bit_length(), (lows, highs), None
     j = int(np.searchsorted(g.hi, b, "right"))  # the rows past b, one per day after b
     days = np.empty(g.lo.size - j + 1)
     days[0] = b
@@ -639,20 +663,21 @@ def level_feasible(g: CostFunction, b: int, R: float, h: float, *,
     """Whether total mass 1 fits on days costing at most h at robustness R.
 
     One pass over the segments below b: maximal early fill, then a tail test
-    that asks for an admissible day d >= b with (d - 1) * remaining-mass within
-    the leftover moment budget.  The first check at a given b keeps on g the
-    one ``_FillTable`` of b, O(segments): the rows below b as columns, their
-    level tables and trees, and a running-minimum table of the tail
-    candidates.  Each check extends one run per stretch of active rows and
-    answers the tail test with one bisection on a memoryview.  No O(b) table
-    is built.  A bare check walks every row below b over those columns,
-    O(rows).  With ``skip_settled``, as every level search asks, the same
-    walk starts after the leading rows wholly active at h and stops at the
-    trailing rows idle at h, which the level tables settle, and jumps over
-    each stretch between them of rows surely idle or surely wholly active,
-    one tree search a stretch: O((stretches + margin rows) log rows).  The
-    answer is the same.  h may be infinite, not NaN; any other number is
-    read as a Python float, so a numpy level walks as its float does.
+    that asks for an admissible day d >= b with (d - 1) * remaining-mass
+    within the leftover moment budget.  The first check at a given b keeps on
+    g the one ``_FillTable`` of b, O(segments): the rows below b as columns,
+    their level tables and trees (built at the first walk that jumps), and a
+    running-minimum table of the tail candidates.  Each check extends one run
+    per stretch of active rows and answers the tail test with one bisection on
+    a memoryview.  No O(b) table is built.  A bare check walks every row below
+    b over those columns, O(rows).  With ``skip_settled``, as every level
+    search asks, the same walk starts after the leading rows wholly active at
+    h and stops at the trailing rows idle at h, which the level tables settle,
+    and jumps over each stretch between them of rows surely idle or surely
+    wholly active, one tree search a stretch: O((stretches + margin rows) log
+    rows).  The answer is the same.  h may be infinite, not NaN; any other
+    number is read as a Python float, so a numpy level walks as its float
+    does.
     """
     b = _as_b(b)
     R = _as_real(R, "R", above=1.0)

@@ -318,3 +318,15 @@ class TestBranchCache:
                 array[0] = 0.5
         with pytest.raises(AttributeError):
             f._mass_arr = np.ones(1)
+
+    def test_mixture_shares_the_low_branch_days(self):
+        # the mixture's days are the low branch's, and its pmf keeps them as they are,
+        # as the branch's own pmf does
+        b, R = 50, 1.7
+        lam = lambda_from_r(b, R)
+        low = baselines._branch(b, lam, high_branch=False)
+        assert baselines._branch(b, lam, high_branch=False) is low  # cached
+        assert low.days.tolist() == list(range(1, low.masses.size + 1))
+        assert not low.days.flags.writeable
+        mix = baseline_policy(DayDistribution((10, 90), (0.4, 0.6)), b, R, BaselineKind.MIXTURE)
+        assert mix._days_arr is low.days and low.policy._days_arr is low.days

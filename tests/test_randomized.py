@@ -1215,6 +1215,91 @@ class TestFillWalk:
             assert g._tables[b]._candidates is None
             assert list(g._tables) == [b]
 
+    def test_settled_checks_leave_the_tree_unbuilt(self):
+        # the level tables settle every check of these searches
+        for label, R in (("unif100", 1.7), ("unif200", 2.5), ("gauss", 2.0)):
+            g = build_cost_function(table_prediction(label), 50)
+            water_fill(g, 50, R, exact=False)
+            table = g._tables[50]
+            assert table._tree is None and table._leaves is not None, (label, R)
+        # a bare check never jumps, even where a skipping one would
+        g = build_cost_function(u_shaped(), 2000)
+        assert level_feasible(g, 2000, 2.0, g.max_value())
+        assert g._tables[2000]._tree is None
+        assert level_feasible(g, 2000, 2.0, g.max_value(), skip_settled=True)
+        assert g._tables[2000]._tree is not None
+
+    def test_a_walk_that_jumps_builds_the_tree_once(self, monkeypatch):
+        wrapped, jumps = [], []
+        read_only, first_at_most = randomized._read_only, randomized._first_at_most
+
+        def wrapping(array):
+            wrapped.append(array.size)
+            return read_only(array)
+
+        def jumping(tree, p, x, leaves):
+            jumps.append(x if p < 3 * leaves // 2 else -x)  # the walk's level h
+            return first_at_most(tree, p, x, leaves)
+
+        monkeypatch.setattr(randomized, "_read_only", wrapping)
+        monkeypatch.setattr(randomized, "_first_at_most", jumping)
+        g = build_cost_function(u_shaped(), 2000)
+        table = randomized._fill_table(g, 2000)
+        wrapped.clear()
+        water_fill(g, 2000, 2.0, exact=False)
+        tree, levels = table._tree, set(jumps)
+        assert len(levels) > 1 and tree is not None and table._leaves is None
+        jumps.clear()
+        randomized._fill_pass(g, 2000, 2.0, min(levels), skip_settled=True)
+        assert jumps and table.tree is tree
+        # the columns and level tables were wrapped with the table; the walks wrap
+        # the tree alone
+        assert wrapped == [4 * table.size]
+
+    def test_lazy_tree_matches_the_eager_build(self, rng):
+        for g, b in walk_inputs(rng):
+            table = randomized._fill_table(g, b)
+            # the widened costs, level tables and trees as the table built them at once
+            k = len(table.ends)
+            starts, ends = g.lo[:k] + 1.0, np.minimum(g.hi[:k], b)
+            slope, intercept = g.slope[:k], g.intercept[:k]
+            climb = np.maximum(slope, 0.0)
+            margin = 1e-9 * (1.0 + np.abs(intercept))
+            lows = climb * starts * (1.0 - 1e-9) + intercept - margin
+            highs = climb * ends * (1.0 + 1e-9) + intercept + margin
+            assert [a.tobytes() for a in table._leaves] == [lows.tobytes(), highs.tobytes()]
+            rest = np.minimum.accumulate(lows[::-1])[::-1].copy()
+            assert np.asarray(table.rest).tobytes() == rest.tobytes(), b
+            size = 1 << k.bit_length()
+            tree = np.empty(4 * size)
+            tree[0] = math.nan
+            tree[2 * size:2 * size + k], tree[2 * size + k:3 * size] = lows, math.inf
+            np.negative(highs, out=tree[3 * size:3 * size + k])
+            tree[3 * size + k:] = -math.inf
+            level = 2 * size
+            while level > 1:
+                np.minimum(tree[level:2 * level:2], tree[level + 1:2 * level:2],
+                           out=tree[level // 2:level])
+                level //= 2
+            assert table.size == size and np.asarray(table.tree).tobytes() == tree.tobytes(), b
+
+    def test_fill_table_allocates_no_tree_until_a_walk_jumps(self):
+        g = build_cost_function(u_shaped(), 2000)
+        tracemalloc.start()
+        try:
+            table = randomized._fill_table(g, 2000)
+            tree_bytes = 32 * table.size  # 4 size float64 nodes
+            # each array the table keeps holds at most one float per row, 8 size bytes
+            assert max(t.size for t in tracemalloc.take_snapshot().traces) < tree_bytes
+            # the level tables settle every row at these levels
+            assert level_feasible(g, 2000, 2.0, math.inf, skip_settled=True)
+            assert not level_feasible(g, 2000, 2.0, 0.0, skip_settled=True)
+            assert table._tree is None
+            water_fill(g, 2000, 2.0, exact=False)
+            assert tree_bytes in [t.size for t in tracemalloc.take_snapshot().traces]
+        finally:
+            tracemalloc.stop()
+
     def test_cost_function_dies_without_the_collector(self):
         # a table holding g would make a cycle that only the collector frees
         gc.disable()

@@ -151,3 +151,16 @@ def test_pair_summary_reads_direction_and_failures():
     assert not ok and lines[-1] == "# pair 4, change: correct=True failed=2"
     _, ok = pair.summarize([(line(100, 0.5, correct=False), line(100, 0.5))], end_to_end)
     assert not ok
+
+
+def test_ab_summary_reads_ratios_and_direction():
+    path = Path(skirent.__file__).resolve().parents[2] / "tools" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", path)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    # (against, change) seconds: change faster in rounds 1 and 3, slower in 2, tied in 4
+    rounds = [(1.0, 0.9), (1.0, 1.1), (2.0, 1.6), (0.5, 0.5)]
+    assert ab.summarize(rounds) == [
+        "4 rounds; change / against time per round: median 0.9500 [0.8750, 1.0250]",
+        "change faster in 2 of 4"]
+    assert ab.summarize([(2.0, 1.0)])[0].endswith("median 0.5000 [0.5000, 0.5000]")

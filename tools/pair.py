@@ -38,6 +38,16 @@ def run_bench(tree: Path, command: list[str], workload: str, seed: int, seconds:
     return lines[-1]
 
 
+def export(rev: str, base: Path) -> Path:
+    """The tree of git revision ``rev``, extracted under ``base`` with ``git archive``."""
+    archive = base / "against.tar"
+    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), rev], cwd=ROOT,
+                   check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(base / "against", filter="data")
+    return base / "against"
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """Lower quartile, median and upper quartile (all one value for a single run)."""
     if len(values) < 2:
@@ -88,13 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
-        base = Path(tmp)
-        archive = base / "against.tar"
-        subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), args.against],
-                       cwd=ROOT, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(base / "against", filter="data")
-        trees = {"against": base / "against", "change": ROOT}
+        trees = {"against": export(args.against, Path(tmp)), "change": ROOT}
         pairs = []
         for i in range(args.pairs):
             order = ("against", "change") if i % 2 == 0 else ("change", "against")
