@@ -424,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     except SkirentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except MemoryError as exc:  # an allocation failed, say near MAX_DAYS
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

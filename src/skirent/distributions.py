@@ -32,7 +32,9 @@ class _Pmf:
     bulk and stored as read-only arrays by ``_frozen``'s rule: an array that
     already is one is kept, any other is copied.  Drift beyond
     ``RENORM_TRIGGER`` is renormalized away and zero-mass days are dropped,
-    both into new arrays, so a kept input is never written to.  ``days``,
+    both into new arrays, so a kept input is never written to.  Those two are
+    the only arrays stored here; each subclass adds the running sums it reads
+    whole, and the CDF is formed from the masses where it is read.  ``days``,
     ``support`` and the subclass's mass tuple are views built on demand.
     Instances are immutable and thread-safe.
     """
@@ -66,8 +68,7 @@ class _Pmf:
             day_arr, masses = day_arr[keep], masses[keep]
         if abs(total - 1.0) > RENORM_TRIGGER:
             masses = masses / total
-        self._store(_days_arr=day_arr, _mass_arr=masses,
-                    _cum=_running_sum(masses))  # [0, F(d_1), F(d_2), ...]
+        self._store(_days_arr=day_arr, _mass_arr=masses)
 
     def _store(self, **arrays: np.ndarray) -> None:
         for name, array in arrays.items():
@@ -105,15 +106,25 @@ class _Pmf:
         return int(self._days_arr[-1])
 
     def cdf(self, x: int | float) -> float:
-        """P[day <= x]."""
-        return float(self._through(self._cum, x))
+        """P[day <= x]: the masses of the days <= x added in day order, O(days <= x).
+
+        Bit for bit entry k of ``_running_sum`` of the masses, k the days <= x.
+        """
+        k = int(np.searchsorted(self._days_arr, x, side="right"))
+        return float(self._mass_arr[:k].cumsum()[-1]) if k else 0.0
 
     def cdf_at(self, xs: np.ndarray) -> np.ndarray:
-        return self._through(self._cum, xs)
+        """``cdf`` at each of ``xs``, from one running sum of the masses."""
+        return self._through(_running_sum(self._mass_arr), xs)
 
 
 class DayDistribution(_Pmf):
-    """Probability distribution over positive integer horizons (see ``_Pmf``)."""
+    """Probability distribution over positive integer horizons (see ``_Pmf``).
+
+    Keeps one running sum beside its days and masses, the rent sum
+    sum_{d <= x} p(d) d, which every cost table and threshold search reads
+    whole.  Its CDF, read at one day or once per distance, is not stored.
+    """
 
     def __init__(self, days: ArrayLike, probs: ArrayLike) -> None:
         super().__init__(days, probs)

@@ -30,13 +30,15 @@ def _check_scale(b: int) -> None:
 class StoppingDistribution(_Pmf):
     """Probability mass function over the (randomized) buying day (see ``_Pmf``).
 
-    Also caches the first moment mu(x) = sum_{t<=x} (t-1) f(t), which with the
-    CDF F(x) drives every robustness computation.
+    Also keeps the running sums of the CDF F(x) and of the first moment
+    mu(x) = sum_{t<=x} (t-1) f(t), which ``check_robustness`` reads together
+    at every support day below b.
     """
 
     def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
         super().__init__(days, masses)
-        self._store(_cum_moment=_running_sum(self._mass_arr * (self._days_arr - 1)))
+        self._store(_cum=_running_sum(self._mass_arr),  # [0, F(d_1), F(d_2), ...]
+                    _cum_moment=_running_sum(self._mass_arr * (self._days_arr - 1)))
 
     @cached_property
     def masses(self) -> tuple[float, ...]:
@@ -78,16 +80,16 @@ class CostFunction:
     (up to rounding past the last atoms), so costs never fall within a row.
     The columns are read-only float64 arrays, stored by ``_frozen``'s rule, as
     a pmf's are: a column that already is one, owning its memory, is kept, any
-    other is copied.  Per b, g keeps one ``_FillTable``, everything a fill at
-    b reads, built at the first walk at b, and it keeps ``max_value`` once
-    computed.
+    other is copied.  g keeps one ``_FillTable``, everything a fill at b
+    reads, built at the first walk at b and dropped at the first walk at
+    another b, and it keeps ``max_value`` once computed.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
-    _tables: dict = field(init=False, repr=False, default_factory=dict)  # b -> ``_FillTable``
+    _tables: dict = field(init=False, repr=False, default_factory=dict)  # last b -> ``_FillTable``
     _max: float | None = field(init=False, repr=False, default=None)  # ``max_value``
 
     def __post_init__(self) -> None:
@@ -604,7 +606,8 @@ def _read_only(array: np.ndarray) -> memoryview:
 
 
 def _fill_table(g: CostFunction, b: int) -> _FillTable:
-    """The ``_FillTable`` of g at b, built at the first call for b: O(segments).
+    """The ``_FillTable`` of g at b, built at the first call for b since one at another
+    b, which drops that b's table: O(segments).
 
     The widened costs are formed in place in the day columns, and the trees
     are left to the first walk that jumps (``_FillTable.tree``).  Each tail
@@ -654,6 +657,7 @@ def _fill_table(g: CostFunction, b: int) -> _FillTable:
     table.days, table.costs = _read_only(days), _read_only(costs)
     table.low = _read_only(np.minimum.accumulate(costs))
     table._candidates = None
+    g._tables.clear()
     g._tables[b] = table
     return table
 

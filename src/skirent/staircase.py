@@ -87,6 +87,16 @@ def _solve_unknowns(rows: list, known: int) -> list[list[float]]:
     return out
 
 
+def _combine(base: list[float], known: list[float], units: list[list[float]]) -> list[float]:
+    """base + sum_k known[k] * units[k], entry by entry, in plain floats added left to
+    right: the same bits on every machine, where a BLAS product's order depends on
+    the kernel the CPU picks."""
+    out = base
+    for k, unit in zip(known, units):
+        out = [v + k * u for v, u in zip(out, unit)]
+    return out
+
+
 def _taken(prices: list[float], cut: float, bland: bool) -> int:
     """The first price below ``cut`` with ``bland``, else the least if below it;
     -1 if there is none."""
@@ -286,8 +296,8 @@ class Staircase:
         columns += [forward(pieces, grow, t_end, tight, len(pieces), len(c_pieces), 0.0, 0.0,
                             0, 0, t) for t in t_end]
         known = _solve_unknowns(list(zip(*(col[0] for col in columns))), 2)
-        coef = np.array([[1.0, 0.0] + known[0], [0.0, 1.0] + known[1]])
-        value, change = (coef @ np.array([col[1] for col in columns])).tolist()
+        unit = [col[1] for col in columns[2:]]
+        value, change = (_combine(columns[i][1], known[i], unit) for i in (0, 1))
         end_value, end_change = (col[len(col) - len(t_end):] for col in known)
         # f and slack on each C day and the entering day's other variable, f on A
         # and slack on G, in day order
@@ -404,11 +414,11 @@ class Staircase:
                    backward(pieces, t_end, c_end, False, 1.0, 0.0)]
         if basis.tail_tight:
             columns.append(backward(pieces, t_end, c_end, False, 0.0, 1.0))
-        coef = np.array([1.0] + _solve_unknowns(list(zip(*(col[0] for col in columns))), 1)[0])
+        known = _solve_unknowns(list(zip(*(col[0] for col in columns))), 1)[0]
         count = len(pieces)
         # W, then E, from day 1 up
-        rec = (coef @ np.array([col[1] for col in columns]))[::-1].tolist()
-        return _Dual(basis, float(coef[1]), float(coef[2]) if basis.tail_tight else 0.0,
+        rec = _combine(columns[0][1], known, [col[1] for col in columns[1:]])[::-1]
+        return _Dual(basis, known[0], known[1] if basis.tail_tight else 0.0,
                      rec[:count], rec[count:])
 
     def _backward(self, pieces: list, t_end: list, c_end: list, costs: bool, lam: float,

@@ -611,6 +611,20 @@ def test_b_past_the_day_bound_exits_2(argv):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("cannot allocate 80 MB"), "error: out of memory: cannot allocate 80 MB"),
+    (MemoryError(), "error: out of memory"),
+], ids=["message", "bare"])
+def test_memory_error_exits_1_without_traceback(capsys, monkeypatch, exc, line):
+    # an allocation failure printed a traceback
+    def out_of_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(skirent.cli, "optimal_threshold", out_of_memory)
+    code, out, err = run_cli(capsys, "threshold", "--dist", TWO_ATOM, "--b", "3")
+    assert code == 1 and out == "" and err == line + "\n"
+
+
 # The exit-code contract under drawn argv: 0, 1 or 2, never a traceback, and
 # exit 2 for a non-finite number.  Sizes stay small so no example runs long:
 # b <= 10^4, exact water filling only at b <= 200, one trial of one eta, and

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import math
@@ -303,7 +304,8 @@ class TestPmfCore:
         assert days.tolist() == [1, 2, 4, 9] and masses.tolist() == [0.0, 0.25, 0.0, 0.75]
 
     def test_running_sums_match_appended_cumsum(self, pmf, rng):
-        # bit for bit np.cumsum(np.append(0.0, x)), the form they were built with
+        # bit for bit np.cumsum(np.append(0.0, x)), the form they were built with; a
+        # prediction keeps its rent sum alone, a policy its CDF and first moment
         days = np.sort(rng.choice(np.arange(1, 10**6), size=300, replace=False))
         masses = rng.dirichlet(np.ones(300))
         masses[::5] = 0.0
@@ -311,7 +313,8 @@ class TestPmfCore:
         x, d = dist._mass_arr, dist._days_arr
         sums = {"_cum": x, "_cum_moment": x * (d - 1), "_day_weighted_cum": x * d}
         found = [name for name in sums if hasattr(dist, name)]
-        assert len(found) == 2
+        assert found == (["_day_weighted_cum"] if pmf is DayDistribution
+                         else ["_cum", "_cum_moment"])
         for name in found:
             assert getattr(dist, name).tobytes() == np.cumsum(np.append(0.0, sums[name])).tobytes()
 
@@ -414,6 +417,49 @@ class TestSurvivalAndOpt:
     def test_survival_rejects_a_day_that_is_no_positive_integer(self, worked_example, t):
         with pytest.raises(InvalidParamsError):
             survival(worked_example, t)
+
+    def test_reads_match_appended_cumsum(self, rng):
+        # a prediction keeps no CDF: each read forms it, bit for bit the stored one
+        days = np.sort(rng.choice(np.arange(3, 10**6), size=300, replace=False))
+        p = DayDistribution(days, rng.dirichlet(np.ones(300)))
+        cum = np.cumsum(np.append(0.0, p._mass_arr))
+        rent = np.cumsum(np.append(0.0, p._mass_arr * p._days_arr))
+        d = p._days_arr.tolist()
+        between = [x + 1 for x, y in zip(d, d[1:]) if y > x + 1]
+        probes = [0, 1, d[0] - 1, *d, *between, d[-1] + 1, 10**12, 2**64]
+        assert len(between) > 250
+
+        def bits(value) -> bytes:
+            return np.float64(value).tobytes()
+
+        for x in probes:
+            assert bits(p.cdf(x)) == bits(cum[bisect.bisect_right(d, x)]), x
+        below = np.array(probes[:-1])  # 2^64 is past int64
+        assert p.cdf_at(below).tobytes() == cum[np.searchsorted(d, below, "right")].tobytes()
+        assert bits(p.cdf_at(np.array([2**64], dtype=object))[0]) == bits(cum[-1])
+        for t in probes[1:]:
+            tail = min(1.0, max(0.0, 1.0 - cum[bisect.bisect_right(d, t - 1)]))
+            assert bits(survival(p, t)) == bits(tail), t
+            if t < 2:
+                continue
+            opt = rent[bisect.bisect_left(d, t)] + t * tail if t < 2**63 else None
+            if opt is not None:
+                assert bits(expected_opt(p, t)) == bits(opt), t
+
+    def test_construction_keeps_one_running_sum(self):
+        # a stored CDF made it 2 atom arrays kept beyond the inputs, and a peak of 3
+        n = 10**5
+        days, masses = np.arange(1, n + 1), np.full(n, 1.0 / n)
+        days.flags.writeable = masses.flags.writeable = False
+        tracemalloc.start()
+        try:
+            p = DayDistribution(days, masses)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p._days_arr is days and p._mass_arr is masses
+        atom = 8 * (n + 1)
+        assert kept < 1.5 * atom and peak < 2.5 * atom
 
     def test_expected_opt_example(self, worked_example):
         # direct evaluation of the defining sum

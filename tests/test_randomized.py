@@ -1203,9 +1203,24 @@ class TestFillWalk:
                 water_fill(g, b, 2.0, exact=not first_exact)
                 assert list(g._tables) == [b] and g._tables[b] is table
                 assert table._candidates is not None
-                # another b gets a table of its own, and a bare check builds no candidates
+                # another b gets a table of its own, which replaces b's, and a bare
+                # check builds no candidates
                 assert level_feasible(g, 2 * b, 2.0, g.max_value())
-                assert list(g._tables) == [b, 2 * b] and g._tables[2 * b]._candidates is None
+                assert list(g._tables) == [2 * b] and g._tables[2 * b]._candidates is None
+
+    def test_solves_at_many_b_keep_one_table(self):
+        # a table per b solved at: 50 distinct b on a 20k-atom g held 37 MB
+        g = build_cost_function(uniform_days(20_000), 500)
+        one = traced_peak(lambda: randomized._fill_table(g, 500))
+        tracemalloc.start()
+        try:
+            for b in range(500, 550):
+                water_fill(g, b, 2.0, exact=False)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert list(g._tables) == [549]
+        assert kept <= 2 * one
 
     def test_published_mode_builds_no_candidate_table(self):
         for p_hat, b in ((table_prediction("gauss"), 2000), (uniform_days(100), 500),
@@ -2038,12 +2053,29 @@ def exact_digest(cells) -> str:
     return digest.hexdigest()
 
 
+TABLE_CELLS_DIGEST = "0216cfa50663f526ba0ac94adb868887e7261746a27e352e2b9453c6fa0d41af"
+
+
 class TestExactOutputs:
     """Exact mode bit for bit: any change to the simplex's arithmetic shows here."""
 
     def test_table_cells_digest(self):
-        assert exact_digest(table_cells()) == (
-            "530b4c0723d69e177d0d301d0a0dfcd75005131cdcc642fed6f3a74a5f372772")
+        assert exact_digest(table_cells()) == TABLE_CELLS_DIGEST
+
+    def test_table_cells_digest_under_another_blas_kernel(self):
+        # OpenBLAS picks its kernels by CPU; a gemv in the simplex gave this digest
+        # under Nehalem and Sandybridge kernels and another one under Haswell
+        tests = Path(__file__).resolve().parent
+        src = str(Path(randomized.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, str(tests),
+                                                           os.environ.get("PYTHONPATH"))))}
+        script = ("from test_randomized import exact_digest, table_cells\n"
+                  "print(exact_digest(table_cells()))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == TABLE_CELLS_DIGEST
 
     def test_sparse_inputs_digest(self):
         assert exact_digest(sparse_cells()) == (

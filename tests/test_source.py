@@ -1,5 +1,6 @@
 """Checks on the package's source text, read with ``ast`` rather than imported."""
 import ast
+import importlib.metadata
 import importlib.util
 import json
 import subprocess
@@ -151,6 +152,43 @@ def test_pair_summary_reads_direction_and_failures():
     assert not ok and lines[-1] == "# pair 4, change: correct=True failed=2"
     _, ok = pair.summarize([(line(100, 0.5, correct=False), line(100, 0.5))], end_to_end)
     assert not ok
+
+
+def test_pair_json_records_each_set(tmp_path):
+    path = Path(skirent.__file__).resolve().parents[2] / "tools" / "pair.py"
+    spec = importlib.util.spec_from_file_location("pair", path)
+    pair = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pair)
+
+    def line(rss, failed=0):
+        return json.dumps({"correct": True, "attempted": 10, "failed": failed,
+                           "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"}}})
+
+    end_to_end = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+                  {"name": "p50_ms", "unit": "ms", "better": "lower"}]  # in no line
+    run = {"workload": "dense", "seed": 1, "seconds": 6.0,
+           "against": {"rev": "HEAD~", "commit": "a" * 40},
+           "change": {"commit": "b" * 40, "dirty": False}}
+    # the change lower in pairs 1 and 3, higher in 2
+    pairs = [(line(80.0), line(73.0)), (line(81.0), line(82.0)), (line(82.0), line(74.0, 1))]
+    out = tmp_path / "BENCH.json"
+    pair.append_set(out, pair.record(run, pairs, end_to_end))
+    pair.append_set(out, pair.record({**run, "seed": 2}, pairs[:1], end_to_end))
+    sets = json.loads(out.read_text())["sets"]
+    assert [s["seed"] for s in sets] == [1, 2]
+    first = sets[0]
+    assert first["workload"] == "dense" and first["seconds"] == 6.0
+    assert first["against"]["commit"] == "a" * 40 and first["change"]["dirty"] is False
+    host = first["host"]
+    assert host["nproc"] >= 1 and host["numpy"] == importlib.metadata.version("numpy")
+    assert first["pairs"][2]["change"]["failed"] == 1
+    assert [p["against"]["metrics"]["peak_rss_mb"]["value"] for p in first["pairs"]] == [
+        80.0, 81.0, 82.0]
+    assert first["metrics"] == {"peak_rss_mb": {
+        "unit": "MB", "better": "lower", "pairs": 3, "change_better": 2,
+        "against": {"q1": 80.5, "median": 81.0, "q3": 81.5},
+        "change": {"q1": 73.5, "median": 74.0, "q3": 78.0}}}
+    assert sets[1]["metrics"]["peak_rss_mb"]["change_better"] == 1
 
 
 def test_ab_summary_reads_ratios_and_direction():

@@ -50,7 +50,7 @@ def traced_peak(run, request) -> int:
 def atom_array(request) -> int | None:
     """Bytes of one float array over the request's prediction and one more entry."""
     prediction = getattr(request, "p", None)
-    return None if prediction is None else 8 * (len(prediction.days) + 1)
+    return None if prediction is None else 8 * (prediction._days_arr.size + 1)
 
 
 def measure(workload, requests: list) -> dict[str, list[tuple[float, int, int, int | None]]]:

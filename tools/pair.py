@@ -1,6 +1,7 @@
 """Paired benchmark runs of the working tree against a git revision.
 
     python tools/pair.py --against REV --workload W [--pairs N] [--seconds S] [--seed K]
+                         [--json PATH]
 
 Exports REV with ``git archive`` into a temporary directory, then runs the
 benchmark command of ``BENCHMARK.json`` (``bench/run.py``) with ``--trace 0`` N
@@ -12,11 +13,21 @@ tree ("change") read better, in the direction ``BENCHMARK.json`` gives as
 ``better``; ties count for neither side.  ``--against HEAD`` pairs the tree
 with its own commit, which measures the noise floor when the tree is clean.
 Exits 1 if a run fails or reports ``correct: false`` or a failed request.
+
+``--json PATH`` also appends the set to the ``sets`` list of the JSON file PATH
+(a ``BENCH_<pr>.json``), creating it: the workload, seed, seconds and both
+commits (the working tree's as its HEAD, and whether it has uncommitted
+changes), the host's ``nproc`` and Python and numpy versions, each pair's raw
+result lines, and per metric each side's median and quartiles and the change's
+wins.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -56,6 +67,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(results: list[tuple[dict, dict]], spec: dict) -> dict | None:
+    """One end-to-end metric over the pairs whose both runs report it: each side's
+    quartiles, and in how many pairs the change read better; None if no pair does."""
+    name = spec["name"]
+    got = [(a["metrics"][name]["value"], c["metrics"][name]["value"])
+           for a, c in results if name in a["metrics"] and name in c["metrics"]]
+    if not got:
+        return None
+    sign = 1.0 if spec["better"] == "higher" else -1.0
+    out = {"unit": spec["unit"], "better": spec["better"], "pairs": len(got),
+           "change_better": sum(sign * (c - a) > 0 for a, c in got)}
+    for side, column in zip(("against", "change"), zip(*got)):
+        out[side] = dict(zip(("q1", "median", "q3"), quartiles(list(column))))
+    return out
+
+
 def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> tuple[list[str], bool]:
     """The report of (against, change) result lines, one pair each, and whether every
     run was correct with no failed request."""
@@ -64,25 +91,43 @@ def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> tuple[lis
     lines = [f"{len(pairs)} pairs; each side: median [q1, q3]",
              f"{'metric':<16} {'unit':<5} {'against':>28} {'change':>28}  change better in"]
     for spec in end_to_end:
-        name = spec["name"]
-        got = [(a["metrics"][name]["value"], c["metrics"][name]["value"])
-               for a, c in results if name in a["metrics"] and name in c["metrics"]]
-        if not got:
+        stats = compare(results, spec)
+        if stats is None:
             continue
-        sign = 1.0 if spec["better"] == "higher" else -1.0
-        wins = sum(sign * (c - a) > 0 for a, c in got)
-        sides = []
-        for column in zip(*got):
-            q1, q2, q3 = quartiles(list(column))
-            sides.append(f"{q2:.4g} [{q1:.4g}, {q3:.4g}]")
-        lines.append(f"{name:<16} {spec['unit']:<5} {sides[0]:>28} {sides[1]:>28}  "
-                     f"{wins} of {len(got)}")
+        sides = [f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
+                 for q in (stats["against"], stats["change"])]
+        lines.append(f"{spec['name']:<16} {spec['unit']:<5} {sides[0]:>28} {sides[1]:>28}  "
+                     f"{stats['change_better']} of {stats['pairs']}")
     for i, pair in enumerate(results):
         for side, r in zip(("against", "change"), pair):
             if not r.get("correct") or r.get("failed"):
                 lines.append(f"# pair {i + 1}, {side}: correct={r.get('correct')} "
                              f"failed={r.get('failed')} {r.get('error', '')}".rstrip())
     return lines, ok
+
+
+def record(run: dict, pairs: list[tuple[str, str]], end_to_end: list[dict]) -> dict:
+    """One set of pairs as ``--json`` writes it: ``run`` (workload, seed, seconds,
+    commits), the host, each pair's raw results and each metric's comparison."""
+    results = [tuple(json.loads(line) for line in pair) for pair in pairs]
+    host = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy")}
+    metrics = {spec["name"]: compare(results, spec) for spec in end_to_end}
+    return {**run, "host": host,
+            "pairs": [{"against": a, "change": c} for a, c in results],
+            "metrics": {name: stats for name, stats in metrics.items() if stats is not None}}
+
+
+def append_set(path: Path, entry: dict) -> None:
+    """Append ``entry`` to the ``sets`` list of the JSON file ``path``, creating it."""
+    data = json.loads(path.read_text()) if path.exists() else {"sets": []}
+    data["sets"].append(entry)
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                          check=True).stdout.strip()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", type=Path, default=None,
+                        help="append the set to this JSON file's 'sets' list")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
@@ -109,6 +156,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workload {args.workload} seed {args.seed} seconds {seconds} against {args.against}")
     lines, ok = summarize(pairs, spec["end_to_end"])
     print("\n".join(lines))
+    if args.json is not None:
+        against = git("rev-parse", f"{args.against}^{{commit}}")
+        run = {"workload": args.workload, "seed": args.seed, "seconds": seconds,
+               "against": {"rev": args.against, "commit": against},
+               "change": {"commit": git("rev-parse", "HEAD"),
+                          "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
+        append_set(args.json, record(run, pairs, spec["end_to_end"]))
     return 0 if ok else 1
 
 
