@@ -43,9 +43,11 @@ def r_from_lambda(b: int, lam: float) -> float:
     return (1.0 + 1.0 / b) / -math.expm1(1.0 / b - lam)
 
 
-#: Branches of at most this many days are cached.  A cached branch holds four
-#: arrays of its length, its days and masses (which its pmf keeps as they are)
-#: and its pmf's two running sums, so the cache's 16 branches take at most about 8 MB.
+#: Branches of at most this many days are cached.  A cached branch holds its days
+#: and masses (which its pmf keeps as they are), and once its pmf is checked, the
+#: pmf's two running sums and its last report, whose days and slacks add up to two
+#: more arrays of its length: six arrays, so the cache's 16 branches take at most
+#: about 12 MB.
 _CACHED_DAYS = 2**14
 
 

@@ -36,7 +36,10 @@ class _Pmf:
     the only arrays stored here; each subclass adds the running sums it reads
     whole, and the CDF is formed from the masses where it is read.  ``days``,
     ``support`` and the subclass's mass tuple are views built on demand.
-    Instances are immutable and thread-safe.
+    Instances are immutable and thread-safe: what one stores after
+    construction (a view, a ``StoppingDistribution``'s running sums and its
+    last report and cost) is a pure function of its pmf and the arguments it
+    is kept with, so two threads that store it at once store equal values.
     """
 
     def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
@@ -579,10 +582,11 @@ def _frozen(values: ArrayLike, dtype: type) -> np.ndarray:
 
 def _running_sum(values: np.ndarray) -> np.ndarray:
     """The zero-led running sum [0, v_1, v_1 + v_2, ...], bit for bit
-    ``np.cumsum(np.append(0.0, values))`` without the appended copy."""
+    ``np.cumsum(np.append(0.0, values))`` without the appended copy, read-only."""
     out = np.empty(values.size + 1)
     out[0] = 0.0
-    values.cumsum(out=out[1:])
+    np.add.accumulate(values, out=out[1:])  # what cumsum calls, without its method overhead
+    out.flags.writeable = False
     return out
 
 

@@ -5,11 +5,11 @@ import bisect
 import math
 import operator
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .distributions import (MAX_DAYS, DayDistribution, _as_b, _as_int, _as_real, _frozen,
                             _parse_atoms, _Pmf, _running_sum)
@@ -30,15 +30,27 @@ def _check_scale(b: int) -> None:
 class StoppingDistribution(_Pmf):
     """Probability mass function over the (randomized) buying day (see ``_Pmf``).
 
-    Also keeps the running sums of the CDF F(x) and of the first moment
-    mu(x) = sum_{t<=x} (t-1) f(t), which ``check_robustness`` reads together
-    at every support day below b.
+    Builds at its first read, and then keeps, the read-only running sums of the
+    CDF F(x) and of the first moment mu(x) = sum_{t<=x} (t-1) f(t), which
+    ``check_robustness`` reads together at every support day below b: a policy
+    that is never checked, such as a mixture baseline that is only priced,
+    never builds them.  It also keeps its last ``check_robustness`` report, for
+    that (b, R), and its last ``expected_policy_cost``, for that g, so a policy
+    checked or priced again under the same arguments is answered by a lookup.
     """
 
-    def __init__(self, days: ArrayLike, masses: ArrayLike) -> None:
-        super().__init__(days, masses)
-        self._store(_cum=_running_sum(self._mass_arr),  # [0, F(d_1), F(d_2), ...]
-                    _cum_moment=_running_sum(self._mass_arr * (self._days_arr - 1)))
+    _report: tuple[int, float, RobustnessReport] | None = None  # (b, R, report)
+    _priced: tuple[weakref.ref, float] | None = None  # (ref to g, objective)
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """[0, F(d_1), F(d_2), ...]"""
+        return _running_sum(self._mass_arr)
+
+    @cached_property
+    def _cum_moment(self) -> np.ndarray:
+        """[0, mu(d_1), mu(d_2), ...]"""
+        return _running_sum(self._mass_arr * (self._days_arr - 1))
 
     @cached_property
     def masses(self) -> tuple[float, ...]:
@@ -184,7 +196,7 @@ def _early_excess(f: StoppingDistribution, b: int) -> tuple[np.ndarray, np.ndarr
     falls.  So the least slack and the greatest ratio below b fall on these days,
     read from the pmf's running sums after one search for b: O(support), not O(b).
     """
-    k = int(np.searchsorted(f._days_arr, b))  # the support days below b
+    k = int(f._days_arr.searchsorted(b))  # the support days below b
     days = f._days_arr[:k]
     excess = f._cum_moment[1:k + 1] + (b - days) * f._cum[1:k + 1]
     if not k or days[0] != 1:  # day 1 without mass: mu(1) = F(1) = 0
@@ -197,6 +209,8 @@ class RobustnessReport:
     """Constraint slacks of a candidate policy at robustness level R.
 
     ``slacks[i]`` is the slack of day ``days[i]``'s constraint, the days of ``_early_excess``.
+    Both arrays are read-only: the policy keeps its last report, and every
+    caller that checks it again at the same (b, R) shares them.
     """
 
     days: np.ndarray
@@ -218,15 +232,25 @@ class RobustnessReport:
 
 
 def check_robustness(f: StoppingDistribution, b: int, R: float) -> RobustnessReport:
-    """Evaluate mu(x) + (b-x) F(x) <= (R-1) x for x < b and mu(inf) <= (R-1) b."""
+    """Evaluate mu(x) + (b-x) F(x) <= (R-1) x for x < b and mu(inf) <= (R-1) b.
+
+    After the arguments are validated, a policy last checked at the same (b, R)
+    returns that report itself; otherwise the new report replaces it on f.
+    """
     b = _as_b(b)
     R = _as_real(R, "R", above=1.0)
     _check_scale(b)
+    last = f._report
+    if last is not None and last[0] == b and last[1] == R:
+        return last[2]
     days, excess = _early_excess(f, b)
     slacks = (R - 1.0) * days - excess
     tail_slack = (R - 1.0) * b - f.first_moment()
-    feasible = bool(np.min(slacks, initial=tail_slack) >= -SLACK_TOL)
-    return RobustnessReport(days=days, slacks=slacks, tail_slack=tail_slack, feasible=feasible)
+    feasible = bool(slacks.min(initial=tail_slack) >= -SLACK_TOL)
+    days.flags.writeable = slacks.flags.writeable = False
+    report = RobustnessReport(days=days, slacks=slacks, tail_slack=tail_slack, feasible=feasible)
+    object.__setattr__(f, "_report", (b, R, report))
+    return report
 
 
 def realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float:
@@ -247,12 +271,22 @@ def realized_worst_ratio(f: StoppingDistribution, b: int, horizon: int) -> float
 
 
 def expected_policy_cost(f: StoppingDistribution, g: CostFunction) -> float:
-    """Expected stopping cost sum_z g(z) f(z)."""
+    """Expected stopping cost sum_z g(z) f(z).
+
+    f keeps its last cost, with a weak reference to its g: pricing f again
+    under that same g is a lookup, and the kept cost neither keeps g alive nor
+    matches once g is gone.
+    """
+    last = f._priced
+    if last is not None and last[0]() is g:
+        return last[1]
     # a running sum adds in support order, as a sequential loop would; np.sum
     # adds pairwise and can change the last digits
     weighted = g.values_at(f._days_arr)
     weighted *= f._mass_arr
-    return float(weighted.cumsum(out=weighted)[-1])
+    cost = float(weighted.cumsum(out=weighted)[-1])
+    object.__setattr__(f, "_priced", (weakref.ref(g), cost))
+    return cost
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,19 @@ class TestStoppingDistribution:
         with pytest.raises(InvalidParamsError, match="'pmf' key"):
             parse_policy({})
 
+    def test_running_sums_wait_for_the_first_check(self):
+        p_hat = DayDistribution((3, 10, 60), (0.3, 0.3, 0.4))
+        g = build_cost_function(p_hat, 20)
+        f = StoppingDistribution((1, 3, 9), (0.2, 0.3, 0.5))
+        mixture = baseline_policy(p_hat, 20, 2.0, "mixture")
+        for policy in (f, mixture):
+            expected_policy_cost(policy, g)  # pricing reads neither running sum
+            assert "_cum" not in vars(policy) and "_cum_moment" not in vars(policy)
+        check_robustness(f, 20, 1.7)
+        assert vars(f)["_cum"].tolist() == [0.0, 0.2, 0.2 + 0.3, 0.2 + 0.3 + 0.5]
+        assert vars(f)["_cum_moment"].tolist() == [0.0, 0.0, 0.3 * 2, 0.3 * 2 + 0.5 * 8]
+        assert not (f._cum.flags.writeable or f._cum_moment.flags.writeable)
+
 
 class TestCostFunction:
     def test_one_hot_shape(self):
@@ -469,6 +482,28 @@ class TestRobustnessCheck:
         assert rep.violated_index() == ref_violated_index(per_day_slack, tail_slack, False)
         assert rep.worst() == ref_worst(per_day_slack, tail_slack)
 
+    def test_repeated_check_returns_the_kept_report(self):
+        f = StoppingDistribution((1, 3, 9), (0.2, 0.3, 0.5))
+        rep = check_robustness(f, 6, 2.0)
+        assert check_robustness(f, 6, 2.0) is rep
+        assert check_robustness(f, np.int64(6), 2) is rep  # the same b and R as numbers
+        for array in (rep.days, rep.slacks):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # the arguments are still validated before the kept report is read
+        with pytest.raises(InvalidParamsError):
+            check_robustness(f, 6, 0.5)
+        with pytest.raises(ScaleExceededError):
+            check_robustness(f, MAX_DAYS + 1, 2.0)
+        other = check_robustness(f, 6, 2.5)
+        assert other is not rep and other.slacks.tolist() != rep.slacks.tolist()
+        assert check_robustness(f, 6, 2.5) is other
+        # only the last (b, R) is kept, and a new report equals the first
+        again = check_robustness(f, 6, 2.0)
+        assert again is not rep and again.slacks.tolist() == rep.slacks.tolist()
+        assert check_robustness(f, 7, 2.0) is not again
+
     def test_cost_follows_the_support_not_b(self):
         # the scan over every day below b took 480 MB at this b
         f = StoppingDistribution((3, 2 * MAX_DAYS), (0.5, 0.5))
@@ -630,6 +665,16 @@ class TestExtensionCondition:
             assert got is ref_extension_condition_check(g, b, R, y)
             outcomes.append(got)
         assert 30 < sum(outcomes) < 270
+
+    def test_day_before_b_fails_when_the_envelope_saturates_at_once(self):
+        # R - 1 above b 1e9 puts the saturation day within 1e-9 of 0, so y = b - 1
+        # passes the threshold test and is rejected for y + 1 - b < 1 alone: read
+        # on, it would ask for g(0)
+        b, R = 10, 1.0 + 10 * 1e10
+        g = build_cost_function(one_hot(100), b)
+        assert extension_condition_check(g, b, R, b - 1) is False
+        assert ref_extension_condition_check(g, b, R, b - 1) is False
+        assert extension_condition_check(g, b, R, b) is True
 
     def test_cost_follows_the_rows_not_the_days(self):
         b, R = 10, 2.0
@@ -1069,6 +1114,26 @@ def walk_inputs(rng):
 
 class TestFillWalk:
     """The walk bit for bit against the per-row walk it replaced."""
+
+    def test_full_day_matches_a_day_scan(self):
+        def scan(log_gamma, lag, full):
+            d = 1
+            while d * log_gamma - lag < full:
+                d += 1
+            return d
+
+        short = 0  # inputs whose ceiling falls short, so the walk steps up
+        for b in range(2, 40):
+            log_gamma = randomized._log_gamma(b)
+            for k in range(1, 3 * b):
+                for lag in (0.0, 0.37 * log_gamma, 1.5):
+                    # one float past day k's left side: the quotient can round down onto k
+                    full = math.nextafter(k * log_gamma - lag, math.inf)
+                    if full <= 0.0:
+                        continue
+                    short += math.ceil((full + lag) / log_gamma) * log_gamma - lag < full
+                    assert randomized._full_day(log_gamma, lag, full) == scan(log_gamma, lag, full)
+        assert short > 100
 
     def test_matches_per_row_walk(self, rng, monkeypatch):
         compared = partial = jumps = interior = 0
@@ -2440,6 +2505,26 @@ class TestExpectedPolicyCost:
             g = build_cost_function(p_hat, int(rng.integers(2, 200)))
             f = random_stopping(rng, max_day=3 * n + 20, max_atoms=n)
             assert expected_policy_cost(f, g) == sum(g(d) * m for d, m in zip(f.days, f.masses))
+
+    def test_repeated_cost_under_the_same_g_is_kept(self, monkeypatch):
+        priced = []  # the id of each g that values_at reads
+        values_at = CostFunction.values_at
+        monkeypatch.setattr(CostFunction, "values_at",
+                            lambda g, ts: priced.append(id(g)) or values_at(g, ts))
+        p_hat = DayDistribution((3, 10, 60), (0.3, 0.3, 0.4))
+        g, other = build_cost_function(p_hat, 5), build_cost_function(p_hat, 5)
+        f = StoppingDistribution((2, 9), (0.5, 0.5))
+        cost = expected_policy_cost(f, g)
+        assert expected_policy_cost(f, g) == cost and priced == [id(g)]
+        # an equal table under another g is priced again, and replaces the kept cost
+        assert expected_policy_cost(f, other) == cost and priced == [id(g), id(other)]
+        assert expected_policy_cost(f, g) == cost and len(priced) == 3
+        kept = f._priced[0]
+        assert kept() is g
+        del g
+        assert kept() is None  # the kept cost does not keep g alive
+        assert expected_policy_cost(f, build_cost_function(p_hat, 5)) == cost
+        assert len(priced) == 4
 
     def test_matches_monte_carlo(self, rng):
         p_hat = random_day_distribution(rng, max_day=20)

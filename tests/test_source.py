@@ -5,6 +5,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -191,14 +192,68 @@ def test_pair_json_records_each_set(tmp_path):
     assert sets[1]["metrics"]["peak_rss_mb"]["change_better"] == 1
 
 
-def test_ab_summary_reads_ratios_and_direction():
+def load_ab():
     path = Path(skirent.__file__).resolve().parents[2] / "tools" / "ab.py"
     spec = importlib.util.spec_from_file_location("ab", path)
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
-    # (against, change) seconds: change faster in rounds 1 and 3, slower in 2, tied in 4
-    rounds = [(1.0, 0.9), (1.0, 1.1), (2.0, 1.6), (0.5, 0.5)]
-    assert ab.summarize(rounds) == [
+    return ab
+
+
+# (against, change) seconds: change faster in rounds 1 and 3, slower in 2, tied in 4
+AB_ROUNDS = [(1.0, 0.9), (1.0, 1.1), (2.0, 1.6), (0.5, 0.5)]
+
+
+def test_ab_summary_reads_ratios_and_direction():
+    ab = load_ab()
+    assert ab.summarize(AB_ROUNDS) == [
         "4 rounds; change / against time per round: median 0.9500 [0.8750, 1.0250]",
         "change faster in 2 of 4"]
     assert ab.summarize([(2.0, 1.0)])[0].endswith("median 0.5000 [0.5000, 0.5000]")
+    # the rounds are still reported when outputs differ, then the requests that do
+    assert ab.summarize(AB_ROUNDS, [1, 4]) == [*ab.summarize(AB_ROUNDS),
+                                                "outputs differ in 2 requests: 1 4"]
+
+
+def test_ab_compare_lists_differing_outputs_without_stopping():
+    ab = load_ab()
+
+    class Side:
+        def __init__(self, outs, fail=False):
+            self.outs, self.fail = outs, fail
+            self.wl = types.SimpleNamespace(
+                check=lambda request, out: [f"request {request} is odd"] * (out % 2))
+
+        def serve(self, requests):
+            if self.fail:
+                raise ValueError("boom")
+            return 0.0, [self.outs[r] for r in requests]
+
+    requests = {"against": [0, 1, 2], "change": [0, 1, 2]}
+    same = {"against": Side([0, 2, 4]), "change": Side([0, 2, 4])}
+    assert ab.compare(same, requests) == ([], [])
+    moved = {"against": Side([0, 2, 4]), "change": Side([0, 3, 6])}
+    assert ab.compare(moved, requests) == (["change: request 1 is odd"], [1, 2])
+    failed = {"against": Side([0, 2, 4]), "change": Side([0, 2, 4], fail=True)}
+    assert ab.compare(failed, requests) == (["change: ValueError: boom"], None)
+
+
+def test_ab_json_records_each_set(tmp_path):
+    ab = load_ab()
+    run = {"tool": "ab.py", "workload": "dense", "seed": 1, "requests": 150,
+           "against": {"rev": "HEAD~", "commit": "a" * 40},
+           "change": {"commit": "b" * 40, "dirty": False}}
+    out = tmp_path / "BENCH.json"
+    ab.pair.append_set(out, ab.record(run, AB_ROUNDS, []))
+    ab.pair.append_set(out, ab.record({**run, "seed": 2}, AB_ROUNDS[:1], [3, 7]))
+    sets = json.loads(out.read_text())["sets"]
+    assert [(s["tool"], s["seed"], s["rounds"]) for s in sets] == [("ab.py", 1, 4), ("ab.py", 2, 1)]
+    first = sets[0]
+    assert first["workload"] == "dense" and first["requests"] == 150
+    assert first["against"]["commit"] == "a" * 40 and first["change"]["dirty"] is False
+    assert first["host"]["numpy"] == importlib.metadata.version("numpy")
+    assert first["times"][2] == {"against": 2.0, "change": 1.6}
+    assert first["ratios"] == pytest.approx([0.9, 1.1, 0.8, 1.0])
+    assert first["ratio"] == pytest.approx({"q1": 0.875, "median": 0.95, "q3": 1.025})
+    assert first["change_faster"] == 2 and first["differ"] == []
+    assert sets[1]["change_faster"] == 1 and sets[1]["differ"] == [3, 7]

@@ -1,21 +1,29 @@
 """In-process paired timing of the working tree against a git revision.
 
     python tools/ab.py --against REV --workload W [--rounds N] [--requests K] [--seed S]
+                       [--json PATH]
 
 Exports REV with ``git archive`` into a temporary directory and loads both
 libraries into this one process, each side's ``src/skirent`` under its own copy
 of the working tree's ``bench/workloads.py`` (read, not edited).  Each side
 generates the seed's requests.  One untimed round first serves the first K
-requests (default: all) on both sides and checks that they give the same
-outputs, compared by ``repr``, and that the workload's own checks pass.  Then
-N rounds each serve those K requests on one side and then on the other,
-alternating which side goes first; only the requests are timed.  Prints the
-median ratio of the working tree's ("change") round time to REV's
-("against"), its quartiles, and in how many rounds the change was faster;
-ties count for neither side.  Exits 1 if the outputs differ, a request fails
-or a check reports a problem.  Rounds in one process share its heap and
-caches, so this sizes a change to the request path; ``tools/pair.py`` runs the
-benchmark itself.
+requests (default: all) on both sides, compares their outputs by ``repr`` and
+runs the workload's own checks.  Then N rounds each serve those K requests on
+one side and then on the other, alternating which side goes first; only the
+requests are timed.  Prints the median ratio of the working tree's ("change")
+round time to REV's ("against"), its quartiles, and in how many rounds the
+change was faster; ties count for neither side.  Then it lists the requests
+whose outputs differ and the problems the checks report, and exits 1 if there
+are any, so a change that moves outputs on purpose is still sized.  A request
+that raises stops it before timing, with exit 1.  Rounds in one process share
+its heap and caches, so this sizes a change to the request path;
+``tools/pair.py`` runs the benchmark itself.
+
+``--json PATH`` also appends the set to the ``sets`` list of the JSON file PATH
+(a ``BENCH_<pr>.json``), as ``tools/pair.py --json`` does: the tool, workload, seed,
+requests, rounds and both commits, the host, each round's times and ratio, the
+ratio's quartiles, the change's wins and the requests whose outputs differ.
+``--against HEAD`` on a clean tree gives an A/A set, the noise floor.
 """
 from __future__ import annotations
 
@@ -84,30 +92,52 @@ class Side:
         return total, outs
 
 
-def summarize(rounds: list[tuple[float, float]]) -> list[str]:
-    """The report of (against, change) round times."""
-    ratios = [change / against for against, change in rounds]
-    q1, q2, q3 = pair.quartiles(ratios)
-    faster = sum(change < against for against, change in rounds)
-    return [f"{len(rounds)} rounds; change / against time per round: "
-            f"median {q2:.4f} [{q1:.4f}, {q3:.4f}]",
-            f"change faster in {faster} of {len(rounds)}"]
+def ratios(rounds: list[tuple[float, float]]) -> tuple[list[float], tuple, int]:
+    """Each (against, change) round's change / against time, their quartiles, and in
+    how many rounds the change was faster."""
+    each = [change / against for against, change in rounds]
+    return each, pair.quartiles(each), sum(change < against for against, change in rounds)
 
 
-def compare(sides: dict[str, Side], requests: dict[str, list]) -> list[str]:
-    """Problems from one untimed round on both sides: differing outputs, failed checks."""
+def summarize(rounds: list[tuple[float, float]], differ: list[int] = ()) -> list[str]:
+    """The report of (against, change) round times, then of the requests whose
+    outputs differ, by index."""
+    _, (q1, q2, q3), faster = ratios(rounds)
+    lines = [f"{len(rounds)} rounds; change / against time per round: "
+             f"median {q2:.4f} [{q1:.4f}, {q3:.4f}]",
+             f"change faster in {faster} of {len(rounds)}"]
+    if differ:
+        lines.append(f"outputs differ in {len(differ)} requests: {' '.join(map(str, differ))}")
+    return lines
+
+
+def record(run: dict, rounds: list[tuple[float, float]], differ: list[int]) -> dict:
+    """One set of rounds as ``--json`` writes it: ``run`` (workload, seed, requests,
+    commits), the host, each round's times and ratio, their quartiles and wins,
+    and the requests whose outputs differ."""
+    each, (q1, q2, q3), faster = ratios(rounds)
+    return {**run, "host": pair.host(), "rounds": len(rounds),
+            "times": [{"against": a, "change": c} for a, c in rounds], "ratios": each,
+            "ratio": {"q1": q1, "median": q2, "q3": q3}, "change_faster": faster,
+            "differ": differ}
+
+
+def compare(sides: dict[str, Side],
+            requests: dict[str, list]) -> tuple[list[str], list[int] | None]:
+    """One untimed round on both sides: the problems the checks report, and the
+    requests whose outputs differ.  A request that raises is the one problem
+    reported, with None for the requests compared."""
     problems, outs = [], {}
     for label, side in sides.items():
         try:
             _, outs[label] = side.serve(requests[label])
         except Exception as exc:  # reported, and no round is timed
-            return [f"{label}: {type(exc).__name__}: {exc}"]
+            return [f"{label}: {type(exc).__name__}: {exc}"], None
         for request, out in zip(requests[label], outs[label]):
             problems += [f"{label}: {p}" for p in side.wl.check(request, out)]
-    for i, (a, c) in enumerate(zip(outs["against"], outs["change"])):
-        if repr(a) != repr(c):
-            problems.append(f"request {i}: the outputs differ")
-    return problems
+    differ = [i for i, (a, c) in enumerate(zip(outs["against"], outs["change"]))
+              if repr(a) != repr(c)]
+    return problems, differ
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,6 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--requests", type=int, default=None,
                         help="requests per round, from the first (default: all)")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", type=Path, default=None,
+                        help="append the set to this JSON file's 'sets' list")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.requests is not None and args.requests < 1:
         parser.error("--rounds and --requests must be at least 1")
@@ -132,9 +164,9 @@ def main(argv: list[str] | None = None) -> int:
             requests[label] = side.wl.generate(np.random.default_rng(args.seed))[:args.requests]
         print(f"workload {args.workload} seed {args.seed} requests {len(requests['change'])} "
               f"against {args.against}")
-        problems = compare(sides, requests)
-        if problems:
-            print("\n".join(problems[:20]))
+        problems, differ = compare(sides, requests)
+        if differ is None:
+            print(problems[0])
             return 1
         rounds = []
         for i in range(args.rounds):
@@ -142,8 +174,12 @@ def main(argv: list[str] | None = None) -> int:
             got = {label: sides[label].serve(requests[label])[0] for label in order}
             rounds.append((got["against"], got["change"]))
             print(f"# round {i + 1} of {args.rounds} done, {order[0]} first", file=sys.stderr)
-    print("\n".join(summarize(rounds)))
-    return 0
+    print("\n".join(summarize(rounds, differ) + problems[:20]))
+    if args.json is not None:
+        run = {"tool": "ab.py", "workload": args.workload, "seed": args.seed,
+               "requests": len(requests["change"]), **pair.commits(args.against)}
+        pair.append_set(args.json, record(run, rounds, differ))
+    return 1 if problems or differ else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ with its own commit, which measures the noise floor when the tree is clean.
 Exits 1 if a run fails or reports ``correct: false`` or a failed request.
 
 ``--json PATH`` also appends the set to the ``sets`` list of the JSON file PATH
-(a ``BENCH_<pr>.json``), creating it: the workload, seed, seconds and both
+(a ``BENCH_<pr>.json``), creating it: the tool, workload, seed, seconds and both
 commits (the working tree's as its HEAD, and whether it has uncommitted
 changes), the host's ``nproc`` and Python and numpy versions, each pair's raw
 result lines, and per metric each side's median and quartiles and the change's
@@ -106,14 +106,18 @@ def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> tuple[lis
     return lines, ok
 
 
+def host() -> dict:
+    """The host as a recorded set gives it: CPUs usable, Python and numpy versions."""
+    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy")}
+
+
 def record(run: dict, pairs: list[tuple[str, str]], end_to_end: list[dict]) -> dict:
     """One set of pairs as ``--json`` writes it: ``run`` (workload, seed, seconds,
     commits), the host, each pair's raw results and each metric's comparison."""
     results = [tuple(json.loads(line) for line in pair) for pair in pairs]
-    host = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy")}
     metrics = {spec["name"]: compare(results, spec) for spec in end_to_end}
-    return {**run, "host": host,
+    return {**run, "host": host(),
             "pairs": [{"against": a, "change": c} for a, c in results],
             "metrics": {name: stats for name, stats in metrics.items() if stats is not None}}
 
@@ -128,6 +132,14 @@ def append_set(path: Path, entry: dict) -> None:
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True,
                           check=True).stdout.strip()
+
+
+def commits(rev: str) -> dict:
+    """Both sides' commits as a recorded set gives them: REV's, and the working tree's
+    HEAD with whether it has uncommitted changes."""
+    return {"against": {"rev": rev, "commit": git("rev-parse", f"{rev}^{{commit}}")},
+            "change": {"commit": git("rev-parse", "HEAD"),
+                       "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,11 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     lines, ok = summarize(pairs, spec["end_to_end"])
     print("\n".join(lines))
     if args.json is not None:
-        against = git("rev-parse", f"{args.against}^{{commit}}")
-        run = {"workload": args.workload, "seed": args.seed, "seconds": seconds,
-               "against": {"rev": args.against, "commit": against},
-               "change": {"commit": git("rev-parse", "HEAD"),
-                          "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}}
+        run = {"tool": "pair.py", "workload": args.workload, "seed": args.seed,
+               "seconds": seconds, **commits(args.against)}
         append_set(args.json, record(run, pairs, spec["end_to_end"]))
     return 0 if ok else 1
 
